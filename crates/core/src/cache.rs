@@ -12,8 +12,9 @@
 //! [`EvalSession`] wraps a [`System`] and memoizes
 //! [`evaluate_layer`](EvalSession::evaluate_layer) behind a thread-safe
 //! [`EvalCache`]; [`evaluate_network`](EvalSession::evaluate_network)
-//! groups identical layers, evaluates each unique signature once (fanning
-//! the unique work out over [`SweepRunner`] threads) and reassembles the
+//! groups identical layers, evaluates each unique signature once (cached
+//! ones answered on the calling thread, only the misses fanned out over
+//! [`SweepRunner`] threads) and reassembles the
 //! per-layer results in execution order — **bit-identical** to the
 //! sequential [`System::evaluate_network`] path, which the golden suite
 //! pins.
@@ -252,6 +253,11 @@ impl EvalCache {
                 .expect("volatile lock")
                 .insert(strategy.fingerprint());
         }
+    }
+
+    /// The stored outcome for `key`, if any (counts nothing).
+    fn lookup(&self, key: &EvalKey) -> Option<Result<LayerEvaluation, SystemError>> {
+        self.map.read().expect("cache lock").get(key).cloned()
     }
 
     /// Number of distinct evaluations stored.
@@ -574,7 +580,8 @@ impl EvalSession {
     /// Evaluates every layer of `network` under `options` — same
     /// semantics and bit-identical results to
     /// [`System::evaluate_network`] — but evaluates each unique
-    /// *(signature, reroute)* only once, fanning the unique work out over
+    /// *(signature, reroute)* only once: keys already cached are
+    /// answered on the calling thread, and only the misses fan out over
     /// this session's [`SweepRunner`].
     ///
     /// # Errors
@@ -635,17 +642,36 @@ impl EvalSession {
         }
 
         // Deduplicated positions are cache hits in every sense that
-        // matters — lookups answered without mapping search — so count
-        // them before the unique work runs.
-        if let Some(cache) = &self.cache {
-            let deduped = (slot_of.len() - unique.len()) as u64;
-            cache.hits.fetch_add(deduped, Ordering::Relaxed);
-            self.hits.fetch_add(deduped, Ordering::Relaxed);
-        }
+        // matters — lookups answered without mapping search.
+        self.credit_cache_hits((slot_of.len() - unique.len()) as u64);
 
-        let evals: Vec<LayerEvaluation> = self.runner.try_run(unique, |(i, reroute)| {
-            self.cached_eval(&batched.layers()[i], &reroute)
-        })?;
+        // Unique keys the cache already holds are answered here, on the
+        // calling thread; only the misses fan out over the runner, so a
+        // network whose layers are all cached spawns no threads. Slots
+        // keep first-occurrence order, so the first error among them —
+        // cached or fresh — is the earliest failing layer.
+        let mut outcomes = Vec::with_capacity(unique.len());
+        let mut misses = Vec::new();
+        for (slot, (i, reroute)) in unique.into_iter().enumerate() {
+            let layer = &batched.layers()[i];
+            let cached = self
+                .cache
+                .as_ref()
+                .and_then(|cache| cache.lookup(&self.key(layer, &reroute)));
+            if cached.is_none() {
+                misses.push((slot, i, reroute));
+            }
+            outcomes.push(cached.map(|outcome| rename(outcome, layer.name())));
+        }
+        self.credit_cache_hits((outcomes.len() - misses.len()) as u64);
+        let fresh = self.runner.run(misses, |(slot, i, reroute)| {
+            (slot, self.cached_eval(&batched.layers()[i], &reroute))
+        });
+        for (slot, outcome) in fresh {
+            outcomes[slot] = Some(outcome);
+        }
+        let evals: Vec<LayerEvaluation> =
+            outcomes.into_iter().flatten().collect::<Result<_, _>>()?;
 
         // Reassemble in execution order. Totals are merged per layer —
         // not scaled by multiplicity — so floating-point accumulation
@@ -672,6 +698,28 @@ impl EvalSession {
         })
     }
 
+    /// Credits `lookups` layer lookups answered without a mapping search
+    /// to this session's and its cache's hit counters. A caller that
+    /// memoizes whole evaluations built from this session (the serving
+    /// step memo) credits each reuse here once per layer, so hit/miss
+    /// accounting reads as if every layer had been looked up. A no-op
+    /// for an uncached session.
+    pub(crate) fn credit_cache_hits(&self, lookups: u64) {
+        if let Some(cache) = &self.cache {
+            cache.hits.fetch_add(lookups, Ordering::Relaxed);
+            self.hits.fetch_add(lookups, Ordering::Relaxed);
+        }
+    }
+
+    fn key(&self, layer: &Layer, reroute: &Reroute) -> EvalKey {
+        EvalKey {
+            arch: self.arch_fp,
+            strategy: self.strategy_fp,
+            signature: layer.signature(),
+            reroute: reroute.entries.clone(),
+        }
+    }
+
     /// The memoized core: look up, else evaluate and publish. The
     /// returned evaluation (or error) always carries the *requested*
     /// layer's name, regardless of which identically-shaped layer
@@ -684,16 +732,10 @@ impl EvalSession {
         let Some(cache) = &self.cache else {
             return self.system.evaluate_layer_rerouted(layer, reroute);
         };
-        let key = EvalKey {
-            arch: self.arch_fp,
-            strategy: self.strategy_fp,
-            signature: layer.signature(),
-            reroute: reroute.entries.clone(),
-        };
-        if let Some(found) = cache.map.read().expect("cache lock").get(&key) {
-            cache.hits.fetch_add(1, Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return rename(found.clone(), layer.name());
+        let key = self.key(layer, reroute);
+        if let Some(found) = cache.lookup(&key) {
+            self.credit_cache_hits(1);
+            return rename(found, layer.name());
         }
         cache.misses.fetch_add(1, Ordering::Relaxed);
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -942,6 +984,58 @@ mod tests {
             .evaluate_network(&net, &NetworkOptions::baseline())
             .unwrap_err();
         assert_eq!(sequential, cached, "same earliest-layer error");
+    }
+
+    #[test]
+    fn inline_cached_failures_keep_the_earliest_failing_layer() {
+        let arch = ArchBuilder::new("tiny", Frequency::from_gigahertz(1.0))
+            .storage("dram", Domain::DigitalElectrical, TensorSet::all())
+            .done()
+            .storage("buf", Domain::DigitalElectrical, TensorSet::all())
+            .capacity_bits(64)
+            .done()
+            .compute("mac", Domain::DigitalElectrical, Energy::ZERO)
+            .build()
+            .unwrap();
+        let system = System::new(
+            arch,
+            MappingStrategy::Planned {
+                priority: lumen_mapper::search::DEFAULT_SPATIAL_PRIORITY.to_vec(),
+                plan: lumen_mapper::search::TemporalPlan::all_at(2),
+            },
+        );
+        // Two distinct shapes that both overflow the 64-bit buffer.
+        let wide = |name: &str| Layer::conv2d(name, 1, 64, 64, 32, 32, 3, 3);
+        let narrow = |name: &str| Layer::conv2d(name, 1, 32, 64, 32, 32, 3, 3);
+        let ok = Layer::conv2d("ok", 1, 1, 1, 1, 1, 1, 1);
+        // `wide` fails from the cache (answered inline, renamed to the
+        // asking layer); `narrow` fails fresh in the runner. Whichever
+        // comes first in execution order must win, as sequentially.
+        let cached_first = Network::new("n")
+            .push(ok.clone())
+            .push(wide("cached"))
+            .push(narrow("fresh"));
+        let fresh_first = Network::new("n")
+            .push(ok)
+            .push(narrow("fresh"))
+            .push(wide("cached"));
+        for (net, failing) in [(cached_first, "cached"), (fresh_first, "fresh")] {
+            let session = EvalSession::new(system.clone());
+            session.evaluate_layer(&wide("warm-up")).unwrap_err();
+            let sequential = system
+                .evaluate_network(&net, &NetworkOptions::baseline())
+                .unwrap_err();
+            let inline = session
+                .evaluate_network(&net, &NetworkOptions::baseline())
+                .unwrap_err();
+            assert_eq!(inline, sequential);
+            let SystemError::NoMapping { layer, .. } = inline else {
+                panic!("expected NoMapping, got {inline}");
+            };
+            assert_eq!(layer, failing);
+            // Warm-up, `ok` and `narrow` missed; `wide` hit inline.
+            assert_eq!(session.cache_stats(), CacheStats { hits: 1, misses: 3 });
+        }
     }
 
     #[test]

@@ -73,10 +73,11 @@ impl EnergyBreakdown {
     }
 
     /// Adds one contribution (merging with an existing identical
-    /// label/category/tensor item).
+    /// label/category/tensor item). The label becomes an owned `String`
+    /// only when it starts a new item.
     pub fn add(
         &mut self,
-        label: impl Into<String>,
+        label: impl AsRef<str> + Into<String>,
         category: CostCategory,
         tensor: Option<TensorKind>,
         energy: Energy,
@@ -84,16 +85,15 @@ impl EnergyBreakdown {
         if energy == Energy::ZERO {
             return;
         }
-        let label = label.into();
         if let Some(item) = self
             .items
             .iter_mut()
-            .find(|i| i.label == label && i.category == category && i.tensor == tensor)
+            .find(|i| i.label == label.as_ref() && i.category == category && i.tensor == tensor)
         {
             item.energy += energy;
         } else {
             self.items.push(EnergyItem {
-                label,
+                label: label.into(),
                 category,
                 tensor,
                 energy,
@@ -147,10 +147,11 @@ impl EnergyBreakdown {
             .sum()
     }
 
-    /// Merges another breakdown into this one.
+    /// Merges another breakdown into this one, item by item. A label is
+    /// cloned only when its item is new here.
     pub fn merge(&mut self, other: &EnergyBreakdown) {
         for item in &other.items {
-            self.add(item.label.clone(), item.category, item.tensor, item.energy);
+            self.add(item.label.as_str(), item.category, item.tensor, item.energy);
         }
     }
 

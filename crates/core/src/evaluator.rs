@@ -422,7 +422,7 @@ fn add_kv_append_energy(arch: &Architecture, layer: &Layer, breakdown: &mut Ener
         return;
     };
     breakdown.add(
-        home.name().to_string(),
+        home.name(),
         CostCategory::Storage,
         Some(TensorKind::Weight),
         home.write_energy() * (appended + copied) as f64 + home.read_energy() * copied as f64,
@@ -495,20 +495,12 @@ pub(crate) fn energy_from_analysis(
                 let (label, read_e, write_e) = match reroute.target(t, x) {
                     Some(to) => {
                         let target = &arch.levels()[to];
-                        (
-                            target.name().to_string(),
-                            target.read_energy(),
-                            target.write_energy(),
-                        )
+                        (target.name(), target.read_energy(), target.write_energy())
                     }
-                    None => (
-                        level.name().to_string(),
-                        level.read_energy(),
-                        level.write_energy(),
-                    ),
+                    None => (level.name(), level.read_energy(), level.write_energy()),
                 };
                 breakdown.add(
-                    label.clone(),
+                    label,
                     CostCategory::Storage,
                     Some(t),
                     read_e * traffic.reads[t],
@@ -523,7 +515,7 @@ pub(crate) fn energy_from_analysis(
         } else if level.kind().is_converter() {
             for t in TensorKind::ALL {
                 breakdown.add(
-                    level.name().to_string(),
+                    level.name(),
                     CostCategory::Conversion,
                     Some(t),
                     level.convert_energy() * traffic.conversions[t],
@@ -534,7 +526,7 @@ pub(crate) fn energy_from_analysis(
 
     // Compute: charge padded MACs (idle-lane padding still switches).
     breakdown.add(
-        arch.compute_level().name().to_string(),
+        arch.compute_level().name(),
         CostCategory::Compute,
         None,
         arch.mac_energy() * analysis.padded_macs as f64,
@@ -549,7 +541,7 @@ pub(crate) fn energy_from_analysis(
             1.0
         };
         breakdown.add(
-            cost.name.clone(),
+            cost.name.as_str(),
             CostCategory::PerCycle,
             None,
             cost.energy_per_cycle * (analysis.cycles as f64) * factor,

@@ -23,6 +23,43 @@
 //! [`crate::decode::decode_sweep`] affordable, extended to mixed-length
 //! traffic.
 //!
+//! # The step memo
+//!
+//! [`serving_trace_with`] goes one level above that layer cache: it
+//! evaluates each step *composition* once per trace. The key is
+//! [`ServingModel::step_composition`]: the layout kind and quantum, the
+//! sorted `(padded attend length, group)` decode multiset, and the
+//! prefill slots as `(padded attend length, chunk, copy-on-write
+//! tokens)` in admission order. It is computed with the helpers the
+//! lowering itself uses, so two steps with equal keys lower to identical
+//! layer-signature sequences. A miss lowers the step and evaluates it
+//! through [`EvalSession::evaluate_network`], exactly as without the
+//! memo, and stores the step's MACs, backing accesses, energy, cycles,
+//! utilization and layer count. A hit skips lowering, evaluation and
+//! freeing, and builds the step's point from the stored cost plus the
+//! step's own occupancy and prefill tokens.
+//!
+//! The memo is exact. Within one trace the model, layout, options and
+//! session are fixed, every signature resolves to one cached
+//! evaluation, and network totals are summed in layer order. Equal
+//! keys therefore give the very same `f64`s. Admission order is part of
+//! the key because it fixes that summation order. Pre-flight lints (when
+//! enabled) only read layer shapes, so a hit skips nothing they could
+//! find.
+//!
+//! A hit is credited to the session's and the cache's hit counters once
+//! per layer of the step: exactly the lookups the skipped evaluation
+//! would have answered from the cache. Hit/miss accounting, and every
+//! "N mapping searches served M layer evaluations" report built on it,
+//! reads the same with or without the memo. A session without a cache
+//! (`--no-cache`, or `LUMEN_EVAL_CACHE=0`) gets no memo either, so it
+//! stays the literal A/B path that evaluates every layer of every step.
+//!
+//! On a miss, [`EvalSession::evaluate_network`] answers the step's
+//! unique layers that are already cached on the calling thread and fans
+//! only the rest out over its [`SweepRunner`](crate::SweepRunner). A
+//! new composition made of known layers therefore spawns no threads.
+//!
 //! # Examples
 //!
 //! ```
@@ -63,7 +100,10 @@
 
 use crate::{EvalSession, NetworkEvaluation, NetworkOptions, SystemError};
 use lumen_units::{Energy, Frequency};
-use lumen_workload::serving::{BatchSchedule, KvLayout, ServingModel, ServingSchedule};
+use lumen_workload::serving::{
+    BatchSchedule, KvLayout, ServingModel, ServingSchedule, ServingStep, StepComposition,
+};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// One scheduler step of a serving sweep, reduced to scalars so a long
 /// trace stays cheap to hold.
@@ -360,25 +400,63 @@ fn request_latencies(
             let wall = arrivals.get(record.request).copied().unwrap_or(0);
             // First emitted step at or after the arrival step: its
             // start is when the server could first see the request.
+            // Emitted steps ascend in wall step, so binary search.
             record.arrival_cycles = spans
-                .iter()
-                .find(|&&(w, _)| w >= wall)
+                .get(spans.partition_point(|&(w, _)| w < wall))
                 .map_or(0.0, |&(_, start)| start);
         }
     }
     records
 }
 
-/// Element accesses at the outermost architecture level of one
-/// evaluated step network: the backing store's read+write+conversion
-/// traffic, summed over the step's layers. (`LayerAnalysis::levels` is
-/// outermost-first, so index 0 is the DRAM-like level.)
-fn step_backing_accesses(eval: &NetworkEvaluation) -> f64 {
-    eval.per_layer
-        .iter()
-        .filter_map(|l| l.analysis.levels.first())
-        .map(lumen_mapper::LevelTraffic::total_accesses)
-        .sum()
+/// The part of a [`ServingStepPoint`] that is a pure function of the
+/// step's lowered network — what the step memo stores per
+/// [`StepComposition`].
+#[derive(Debug, Clone, Copy)]
+struct StepCost {
+    macs: u64,
+    backing_accesses: f64,
+    energy: Energy,
+    cycles: f64,
+    utilization: f64,
+    /// Layers of the lowered network: the cache lookups a memo hit
+    /// stands in for.
+    layers: u64,
+}
+
+impl StepCost {
+    fn of(eval: &NetworkEvaluation) -> StepCost {
+        StepCost {
+            macs: eval.macs,
+            // Element accesses at the outermost architecture level: the
+            // backing store's read+write+conversion traffic, summed over
+            // the step's layers. (`LayerAnalysis::levels` is
+            // outermost-first, so index 0 is the DRAM-like level.)
+            backing_accesses: eval
+                .per_layer
+                .iter()
+                .filter_map(|l| l.analysis.levels.first())
+                .map(lumen_mapper::LevelTraffic::total_accesses)
+                .sum(),
+            energy: eval.energy.total(),
+            cycles: eval.cycles,
+            utilization: eval.average_utilization(),
+            layers: eval.per_layer.len() as u64,
+        }
+    }
+
+    fn point(&self, step: usize, occupancy: usize, prefill_tokens: usize) -> ServingStepPoint {
+        ServingStepPoint {
+            step,
+            occupancy,
+            prefill_tokens,
+            macs: self.macs,
+            backing_accesses: self.backing_accesses,
+            energy: self.energy,
+            cycles: self.cycles,
+            utilization: self.utilization,
+        }
+    }
 }
 
 /// Evaluates every step of `schedule` — lowered by `model` at
@@ -410,16 +488,7 @@ pub fn serving_sweep(
         .map(|(step, state)| {
             let net = model.lower_step(&state.kv_lens(), kv_bucket);
             let eval = session.evaluate_network(&net, options)?;
-            Ok(ServingStepPoint {
-                step,
-                occupancy: state.occupancy(),
-                prefill_tokens: 0,
-                macs: eval.macs,
-                backing_accesses: step_backing_accesses(&eval),
-                energy: eval.energy.total(),
-                cycles: eval.cycles,
-                utilization: eval.average_utilization(),
-            })
+            Ok(StepCost::of(&eval).point(step, state.occupancy(), 0))
         })
         .collect::<Result<Vec<_>, SystemError>>()?;
     let members: Vec<StepMembers> = schedule
@@ -486,6 +555,10 @@ pub fn serving_trace(
 /// the bucketed trace's — the delta is the padding waste the page
 /// table eliminates.
 ///
+/// Steps with equal [`ServingModel::step_composition`]s are evaluated
+/// once per trace on a cached session; see the
+/// [step memo](self#the-step-memo).
+///
 /// # Errors
 ///
 /// [`SystemError::NoMapping`] for the first step (in execution order)
@@ -497,25 +570,28 @@ pub fn serving_trace_with(
     layout: &KvLayout,
     options: &NetworkOptions,
 ) -> Result<ServingEvaluation, SystemError> {
-    let points = schedule
-        .steps()
-        .iter()
-        .enumerate()
-        .map(|(step, state)| {
-            let net = model.lower_serving_step_with(state, layout);
-            let eval = session.evaluate_network(&net, options)?;
-            Ok(ServingStepPoint {
-                step,
-                occupancy: state.decode().len(),
-                prefill_tokens: state.prefill_tokens(),
-                macs: eval.macs,
-                backing_accesses: step_backing_accesses(&eval),
-                energy: eval.energy.total(),
-                cycles: eval.cycles,
-                utilization: eval.average_utilization(),
-            })
-        })
-        .collect::<Result<Vec<_>, SystemError>>()?;
+    let evaluate = |state: &ServingStep| -> Result<StepCost, SystemError> {
+        let net = model.lower_serving_step_with(state, layout);
+        Ok(StepCost::of(&session.evaluate_network(&net, options)?))
+    };
+    // The step memo (see the module docs); off without a cache, so an
+    // uncached session evaluates every layer of every step.
+    let mut memo: Option<HashMap<StepComposition, StepCost>> =
+        session.cache().is_some().then(HashMap::new);
+    let mut points = Vec::with_capacity(schedule.steps().len());
+    for (step, state) in schedule.steps().iter().enumerate() {
+        let cost = match &mut memo {
+            None => evaluate(state)?,
+            Some(memo) => match memo.entry(ServingModel::step_composition(state, layout)) {
+                Entry::Occupied(hit) => {
+                    session.credit_cache_hits(hit.get().layers);
+                    *hit.get()
+                }
+                Entry::Vacant(miss) => *miss.insert(evaluate(state)?),
+            },
+        };
+        points.push(cost.point(step, state.decode().len(), state.prefill_tokens()));
+    }
     let members: Vec<StepMembers> = schedule
         .steps()
         .iter()
@@ -634,6 +710,52 @@ mod tests {
         assert_eq!(degenerate.pj_per_mac(), 0.0);
         assert_eq!(degenerate.mean_occupancy(), 0.0);
         assert_eq!(degenerate.average_utilization(), 0.0);
+    }
+
+    #[test]
+    fn arrivals_in_idle_gaps_resolve_to_the_next_busy_step() {
+        // Busy walls 3, 4, 10, 11; walls 0..3 are a leading idle gap
+        // and 5..10 a fast-forwarded one.
+        let step = |wall, prefill: &[usize], decode: &[usize]| StepMembers {
+            wall,
+            decode: decode.to_vec(),
+            prefill: prefill.to_vec(),
+        };
+        let steps = [
+            step(3, &[0], &[]),
+            step(4, &[], &[0]),
+            step(10, &[1], &[0]),
+            step(11, &[], &[1, 2]),
+        ];
+        // Starts 0, 5, 12, 23; ends 5, 12, 23, 36.
+        let cycles = [5.0, 7.0, 11.0, 13.0];
+        let records = request_latencies(Some(&[1, 6, 11]), &steps, &cycles);
+        let got: Vec<_> = records
+            .iter()
+            .map(|r| {
+                (
+                    r.request,
+                    r.arrival_cycles,
+                    r.admission_cycles,
+                    r.first_token_cycles,
+                    r.retire_cycles,
+                    r.generated,
+                    r.token_gap_cycles.clone(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                // Arrives in the leading gap: clock starts at wall 3.
+                (0, 0.0, 0.0, 12.0, 23.0, 2, vec![11.0]),
+                // Arrives mid-gap at wall 6: clock starts at wall 10.
+                (1, 12.0, 12.0, 36.0, 36.0, 1, vec![]),
+                // Arrives exactly on a busy wall.
+                (2, 23.0, 23.0, 36.0, 36.0, 1, vec![]),
+            ]
+        );
+        assert_eq!(records[1].ttft_cycles(), 24.0);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use serving::{
     ActiveSlot, AdmissionPolicy, ArrivalProcess, BatchSchedule, Fleet, FleetRouter,
     InstanceAssignment, KvLayout, PageTable, PagedResidency, PrefillMode, PrefillSlot, Request,
     RequestMix, ScheduleStep, ServingConfig, ServingError, ServingModel, ServingScenario,
-    ServingScenarioBuilder, ServingSchedule, ServingStep, StepResidency,
+    ServingScenarioBuilder, ServingSchedule, ServingStep, StepComposition, StepResidency,
 };
 pub use signature::{fnv1a, fnv1a_bytes, LayerSignature};
 pub use tensor::{TensorKind, TensorMap, TensorSet};

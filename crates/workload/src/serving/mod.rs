@@ -41,7 +41,9 @@
 //!   `EvalSession` costs mapping searches bounded by the number of
 //!   distinct *(bucket, group-size)* pairs, not the step count.
 //!   [`ServingModel::lower_serving_step`] additionally lowers the
-//!   step's prefill chunks through the dense attention path.
+//!   step's prefill chunks through the dense attention path, and
+//!   [`ServingModel::step_composition`] reduces an event-core step to
+//!   the hashable [`StepComposition`] that lowering is a function of.
 //!
 //! # Examples
 //!
@@ -474,6 +476,25 @@ impl BatchSchedule {
     }
 }
 
+/// What an event-core step's lowering depends on, from
+/// [`ServingModel::step_composition`]: the key serving evaluation
+/// memoizes whole steps by.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct StepComposition {
+    /// Paged and bucketed layouts lower decode differently even at one
+    /// quantum.
+    paged: bool,
+    /// The layout's rounding quantum: the bucket or the page.
+    quantum: usize,
+    /// The decoding slots' `(padded attend length, group size)`
+    /// multiset, ascending in length.
+    decode: Vec<(usize, usize)>,
+    /// One `(padded attend length, chunk, copy-on-write tokens)` per
+    /// prefilling slot, in admission order: the order the lowering
+    /// appends their layers, and so the order their energies are summed.
+    prefill: Vec<(usize, usize, usize)>,
+}
+
 /// The decoder-LM shape a scheduler step lowers onto: `blocks` pre-norm
 /// transformer decoder blocks (width `d_model`, `heads` heads, MLP
 /// hidden width `d_ff`) plus a `vocab`-wide LM head.
@@ -668,11 +689,7 @@ impl ServingModel {
         cow_tokens: usize,
     ) -> Network {
         let (d, h, c) = (self.d_model, self.heads, slot.chunk);
-        // Every computed token attends over the whole cache-so-far plus
-        // the chunk, padded to the bucket — dense (non-causal)
-        // accounting, matching `Attention::lower` at seq = prompt when
-        // nothing is cached.
-        let len = (slot.cached + c).div_ceil(kv_bucket) * kv_bucket;
+        let len = ServingModel::prefill_attend_len(slot, kv_bucket);
         let prefix = if cow_tokens > 0 {
             format!("pf{}.kv{len}c{c}+cow{cow_tokens}", slot.request)
         } else {
@@ -706,6 +723,14 @@ impl ServingModel {
                 .push(Layer::matmul(name("mlp.fc2"), 1, d, self.d_ff, c));
         }
         net
+    }
+
+    /// The padded attend length of a prefill chunk: every computed token
+    /// attends over the whole cache-so-far plus the chunk, padded to the
+    /// quantum — dense (non-causal) accounting, matching
+    /// `Attention::lower` at seq = prompt when nothing is cached.
+    fn prefill_attend_len(slot: &PrefillSlot, quantum: usize) -> usize {
+        (slot.cached + slot.chunk).div_ceil(quantum) * quantum
     }
 
     /// The copy-on-write token count a prefill slot pays under `layout`:
@@ -763,6 +788,36 @@ impl ServingModel {
             net = self.push_prefill_chunk(net, slot, quantum, cow);
         }
         net
+    }
+
+    /// The [`StepComposition`] of `step` under `layout`: everything
+    /// [`ServingModel::lower_serving_step_with`] reads from the step,
+    /// computed with the lowering's own helpers, and nothing it only
+    /// uses for names (request indices). Under one model, two steps
+    /// with equal compositions lower to identical
+    /// [`crate::LayerSignature`] sequences.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout's quantum is zero.
+    pub fn step_composition(step: &ServingStep, layout: &KvLayout) -> StepComposition {
+        let quantum = layout.quantum();
+        StepComposition {
+            paged: matches!(layout, KvLayout::Paged(_)),
+            quantum,
+            decode: ServingModel::bucketed_composition(&step.decode_kv_lens(), quantum),
+            prefill: step
+                .prefill()
+                .iter()
+                .map(|slot| {
+                    (
+                        ServingModel::prefill_attend_len(slot, quantum),
+                        slot.chunk,
+                        ServingModel::prefill_cow_tokens(layout, slot),
+                    )
+                })
+                .collect(),
+        }
     }
 
     /// Pushes the decoding slots under exact paged residency. The

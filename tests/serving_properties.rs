@@ -14,18 +14,25 @@
 //! charges every chunk exactly once, and a closed-loop FIFO
 //! resident-prefill configuration reproduces the legacy
 //! `BatchSchedule` slot for slot.
+//!
+//! The step memo adds two more: equal step compositions lower to
+//! identical layer signatures, and a memoized trace equals an uncached
+//! one bit for bit with every layer of every step still accounted for.
 
 use lumen::arch::{ArchBuilder, Architecture, Domain, Fanout};
-use lumen::core::serving::{serving_sweep, serving_trace};
-use lumen::core::{EvalSession, MappingStrategy, NetworkOptions, System};
+use lumen::core::serving::{serving_sweep, serving_trace, RequestLatency, ServingStepPoint};
+use lumen::core::{scenario_trace, EvalSession, MappingStrategy, NetworkOptions, System};
+use lumen::mapper::search::{greedy_mapping, spatial_priority_for, TemporalPlan};
 use lumen::units::{Energy, Frequency};
 use lumen::workload::serving::{
     ArrivalProcess, BatchSchedule, KvLayout, PageTable, PrefillMode, Request, RequestMix,
-    ServingConfig, ServingModel, ServingSchedule,
+    ServingConfig, ServingModel, ServingScenario, ServingSchedule, StepComposition,
 };
-use lumen::workload::{networks, AdmissionPolicy, Dim, DimSet, TensorSet};
+use lumen::workload::{networks, AdmissionPolicy, Dim, DimSet, Layer, LayerSignature, TensorSet};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn toy_arch() -> Architecture {
     ArchBuilder::new("serving-toy", Frequency::from_gigahertz(1.0))
@@ -340,6 +347,181 @@ fn serving_trace_charges_prefill_exactly_once_and_is_thread_stable() {
             "wall {}",
             step.wall()
         );
+    }
+}
+
+// --- step memo (composition-keyed trace evaluation) -----------------
+
+/// A small decoder, so uncached traces stay quick in debug builds.
+fn memo_model() -> ServingModel {
+    ServingModel::new("toy-lm", 64, 4, 128, 2, 1000)
+}
+
+/// Seeded open-loop scenarios with chunked prefill: one bucketed, and
+/// two paged with a page-misaligned shared prefix (40 tokens = two full
+/// 16-token pages plus an 8-token copy-on-write tail). In the last, the
+/// requests run one at a time and the owner's tail chunk (32 + 8) pads
+/// exactly like each sharer's first private chunk (40 + 8), so only the
+/// copy-on-write charge tells their compositions apart.
+fn memo_scenarios(seed: u64) -> [ServingScenario; 3] {
+    let mix = || RequestMix::bimodal(seed, 10, (48, 6), (200, 10), 30);
+    let arrival = || ArrivalProcess::poisson(0.3, seed);
+    let mut lone = vec![Request::new(40, 3)];
+    lone.extend((0..4).map(|_| Request::new(48, 4)));
+    let spaced = (0..lone.len()).map(|i| i * 20 + seed as usize).collect();
+    [
+        ServingScenario::builder(RequestMix::custom("lone", lone), 2)
+            .arrival(ArrivalProcess::explicit(spaced))
+            .kv_page(16)
+            .shared_prefix(40)
+            .prefill_chunk(32)
+            .build()
+            .expect("lone-request scenario is valid"),
+        ServingScenario::builder(mix(), 4)
+            .arrival(arrival())
+            .kv_bucket(64)
+            .prefill_chunk(64)
+            .build()
+            .expect("bucketed scenario is valid"),
+        ServingScenario::builder(mix(), 4)
+            .arrival(arrival())
+            .kv_page(16)
+            .shared_prefix(40)
+            .prefill_chunk(64)
+            .build()
+            .expect("paged scenario is valid"),
+    ]
+}
+
+fn point_bits(p: &ServingStepPoint) -> (usize, usize, usize, u64, [u64; 4]) {
+    (
+        p.step,
+        p.occupancy,
+        p.prefill_tokens,
+        p.macs,
+        [
+            p.backing_accesses.to_bits(),
+            p.energy.picojoules().to_bits(),
+            p.cycles.to_bits(),
+            p.utilization.to_bits(),
+        ],
+    )
+}
+
+fn latency_bits(r: &RequestLatency) -> (usize, usize, [u64; 4], Vec<u64>) {
+    (
+        r.request,
+        r.generated,
+        [
+            r.arrival_cycles.to_bits(),
+            r.admission_cycles.to_bits(),
+            r.first_token_cycles.to_bits(),
+            r.retire_cycles.to_bits(),
+        ],
+        r.token_gap_cycles.iter().map(|g| g.to_bits()).collect(),
+    )
+}
+
+/// The memo's key is sound: steps with equal compositions lower to
+/// identical layer-signature sequences, so they evaluate identically.
+#[test]
+fn equal_step_compositions_lower_to_identical_signatures() {
+    let model = memo_model();
+    for seed in [1, 2, 3] {
+        for scenario in memo_scenarios(seed) {
+            let schedule = scenario.schedule();
+            let mut seen: HashMap<StepComposition, Vec<LayerSignature>> = HashMap::new();
+            for step in schedule.steps() {
+                let signatures: Vec<LayerSignature> = model
+                    .lower_serving_step_with(step, scenario.layout())
+                    .layers()
+                    .iter()
+                    .map(Layer::signature)
+                    .collect();
+                let first = seen
+                    .entry(ServingModel::step_composition(step, scenario.layout()))
+                    .or_insert_with(|| signatures.clone());
+                assert_eq!(first, &signatures, "seed {seed} wall {}", step.wall());
+            }
+            assert!(
+                seen.len() < schedule.steps().len(),
+                "compositions repeat, so the memo has work to do"
+            );
+            // The layout kind is part of the key: a page and a bucket of
+            // one size lower decode differently.
+            let step = &schedule.steps()[schedule.steps().len() - 1];
+            assert_ne!(
+                ServingModel::step_composition(step, &KvLayout::Bucketed { bucket: 16 }),
+                ServingModel::step_composition(step, &KvLayout::Paged(PageTable::new(16)))
+            );
+        }
+    }
+}
+
+/// The memo is exact: a memoized trace reproduces an uncached
+/// session's trace bit for bit — every point and every latency record —
+/// while the uncached session still evaluates every layer of every
+/// step, and the memoized session's hit/miss counters still account
+/// for every layer of every step.
+#[test]
+fn memoized_trace_is_bit_identical_to_an_uncached_trace() {
+    let evaluations = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&evaluations);
+    let counting = MappingStrategy::Custom(Arc::new(move |arch, layer| {
+        counter.fetch_add(1, Ordering::Relaxed);
+        greedy_mapping(
+            arch,
+            layer,
+            spatial_priority_for(layer),
+            &TemporalPlan::all_at(1),
+        )
+    }));
+    let system = System::new(toy_arch(), counting);
+    let model = memo_model();
+    let options = NetworkOptions::baseline();
+    for seed in [1, 2] {
+        for scenario in memo_scenarios(seed) {
+            let layers: usize = scenario
+                .schedule()
+                .steps()
+                .iter()
+                .map(|s| {
+                    model
+                        .lower_serving_step_with(s, scenario.layout())
+                        .layers()
+                        .len()
+                })
+                .sum();
+
+            let session = EvalSession::new(system.clone());
+            let memoized =
+                scenario_trace(&session, &model, &scenario, &options).expect("trace evaluates");
+            let stats = session.cache_stats();
+            assert_eq!(stats.hits + stats.misses, layers as u64, "seed {seed}");
+
+            evaluations.store(0, Ordering::Relaxed);
+            let uncached = scenario_trace(
+                &EvalSession::new(system.clone()).without_cache(),
+                &model,
+                &scenario,
+                &options,
+            )
+            .expect("trace evaluates");
+            assert_eq!(
+                evaluations.load(Ordering::Relaxed),
+                layers,
+                "uncached: every layer of every step"
+            );
+
+            let points = |e: &lumen::core::ServingEvaluation| -> Vec<_> {
+                e.points.iter().map(point_bits).collect()
+            };
+            let requests = |e: &lumen::core::ServingEvaluation| -> Vec<_> {
+                e.requests.iter().map(latency_bits).collect()
+            };
+            assert_eq!(points(&memoized), points(&uncached), "seed {seed}");
+            assert_eq!(requests(&memoized), requests(&uncached), "seed {seed}");
+        }
     }
 }
 
