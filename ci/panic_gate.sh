@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Ratchet on panic!/unwrap() in library code.
+# Ratchet on panic!/unwrap()/expect() in library code.
 #
-# Counts `panic!(` and `.unwrap()` occurrences in non-test library
+# Counts `panic!(`, `.unwrap()` and `.expect(` occurrences in non-test library
 # source (everything before the first `#[cfg(test)]` in each file under
 # crates/*/src and src/; shims/ and integration tests are out of
-# scope — test code may panic freely) and fails when either count rises
+# scope — test code may panic freely) and fails when any count rises
 # above the checked-in baseline. New fallible paths should return typed
 # errors (`ArchError`, `SystemError`, ...) instead.
 #
@@ -15,6 +15,7 @@ cd "$(dirname "$0")/.."
 
 PANIC_BASELINE=0
 UNWRAP_BASELINE=0
+EXPECT_BASELINE=62
 
 count() {
   # Comment lines are excluded: doctest examples may unwrap().
@@ -29,10 +30,12 @@ count() {
 
 panics=$(count 'panic!\(')
 unwraps=$(count '\.unwrap\(\)')
+expects=$(count '\.expect\(')
 status=0
 
 echo "panic! in library code:   $panics (baseline $PANIC_BASELINE)"
 echo ".unwrap() in library code: $unwraps (baseline $UNWRAP_BASELINE)"
+echo ".expect( in library code: $expects (baseline $EXPECT_BASELINE)"
 
 if [ "$panics" -gt "$PANIC_BASELINE" ]; then
   echo "error: new panic!() in library code; return a typed error instead" >&2
@@ -42,7 +45,12 @@ if [ "$unwraps" -gt "$UNWRAP_BASELINE" ]; then
   echo "error: new .unwrap() in library code; propagate the error instead" >&2
   status=1
 fi
-if [ "$panics" -lt "$PANIC_BASELINE" ] || [ "$unwraps" -lt "$UNWRAP_BASELINE" ]; then
+if [ "$expects" -gt "$EXPECT_BASELINE" ]; then
+  echo "error: new .expect() in library code; return a typed error instead" >&2
+  status=1
+fi
+if [ "$panics" -lt "$PANIC_BASELINE" ] || [ "$unwraps" -lt "$UNWRAP_BASELINE" ] ||
+  [ "$expects" -lt "$EXPECT_BASELINE" ]; then
   echo "note: counts dropped below baseline; tighten ci/panic_gate.sh"
 fi
 exit "$status"

@@ -1163,8 +1163,8 @@ impl fmt::Display for ServingStudyResult {
 /// is only available when the scheduler can keep slots occupied.
 pub fn serving_study(scaling: ScalingProfile) -> Result<ServingStudyResult, SystemError> {
     use crate::DigitalBaseline;
-    use lumen_core::serving::serving_sweep;
-    use lumen_workload::{BatchSchedule, ServingModel, ServingScenario};
+    use lumen_core::scenario_trace;
+    use lumen_workload::{PrefillMode, ServingModel, ServingScenario};
 
     let photonic = EvalSession::new(AlbireoConfig::new(scaling).build_system());
     let digital = EvalSession::new(DigitalBaseline::new().build_system());
@@ -1179,16 +1179,16 @@ pub fn serving_study(scaling: ScalingProfile) -> Result<ServingStudyResult, Syst
         for capacity in SERVING_CAPACITIES {
             let scenario = ServingScenario::builder(mix.clone(), capacity)
                 .kv_bucket(SERVING_KV_BUCKET)
+                .prefill(PrefillMode::Resident)
                 .build()
                 .expect("the closed-loop study's fixed parameters are valid");
-            let schedule = BatchSchedule::build(scenario.mix(), scenario.capacity());
-            let p = serving_sweep(&photonic, &model, &schedule, scenario.kv_bucket(), &options)?;
-            let d = serving_sweep(&digital, &model, &schedule, scenario.kv_bucket(), &options)?;
+            let p = scenario_trace(&photonic, &model, &scenario, &options)?;
+            let d = scenario_trace(&digital, &model, &scenario, &options)?;
             rows.push(ServingRow {
                 mix: scenario.mix().name().to_string(),
                 capacity,
                 requests: scenario.mix().len(),
-                steps: schedule.total_steps(),
+                steps: p.points.len(),
                 mean_occupancy: p.mean_occupancy(),
                 vs: PhotonicVsDigital {
                     photonic_pj_per_mac: p.pj_per_mac(),
@@ -1780,7 +1780,9 @@ impl fmt::Display for PagedServingStudyResult {
 pub fn paged_serving_study(
     scaling: ScalingProfile,
 ) -> Result<PagedServingStudyResult, SystemError> {
-    paged_serving_study_with(scaling, PAGED_KV_PAGE, PAGED_SHARED_PREFIX)
+    let scenario = try_paged_slo_scenario(PAGED_KV_PAGE, PAGED_SHARED_PREFIX)
+        .expect("the default page and shared prefix validate against the SLO mix");
+    paged_serving_scenario_study(scaling, &scenario)
 }
 
 /// The paged scenario the study and the CLI's `--kv-page` path build:
@@ -1804,28 +1806,6 @@ pub fn try_paged_slo_scenario(
         .build()
 }
 
-/// [`paged_serving_study`] at an explicit page size and shared-prefix
-/// length.
-///
-/// # Panics
-///
-/// If `page` is zero or `shared` exceeds the mix's shortest prompt —
-/// the CLI constructs the scenario itself via [`try_paged_slo_scenario`]
-/// and surfaces those as typed errors before calling in here.
-///
-/// # Errors
-///
-/// [`SystemError::NoMapping`] if any step has an unmappable layer.
-pub fn paged_serving_study_with(
-    scaling: ScalingProfile,
-    page: usize,
-    shared: usize,
-) -> Result<PagedServingStudyResult, SystemError> {
-    let scenario = try_paged_slo_scenario(page, shared)
-        .expect("the paged study's page and shared-prefix must validate against the SLO mix");
-    paged_serving_scenario_study(scaling, &scenario)
-}
-
 /// The paged KV study over one validated paged [`ServingScenario`] —
 /// the scenario *is* the `paged(page)+shared(shared)` row, and the
 /// study derives its bucketed and unshared siblings from the same
@@ -1847,7 +1827,7 @@ pub fn paged_serving_scenario_study(
     scaling: ScalingProfile,
     scenario: &lumen_workload::ServingScenario,
 ) -> Result<PagedServingStudyResult, SystemError> {
-    use lumen_core::serving::serving_trace_with;
+    use lumen_core::scenario_trace;
     use lumen_workload::{PageTable, PrefillMode, RequestMix, ServingModel, ServingScenario};
 
     let page = scenario
@@ -1910,12 +1890,11 @@ pub fn paged_serving_scenario_study(
     let before = photonic.cache_stats();
     let mut rows = Vec::new();
     for (label, variant, table) in &variants {
-        let schedule = variant.schedule();
-        let p = serving_trace_with(&photonic, &model, &schedule, variant.layout(), &options)?;
-        let residency = table.schedule_residency(&schedule);
+        let p = scenario_trace(&photonic, &model, variant, &options)?;
+        let residency = table.schedule_residency(&variant.schedule());
         rows.push(PagedServingRow {
             label: label.clone(),
-            steps: schedule.total_steps(),
+            steps: p.points.len(),
             prefill_tokens: p.total_prefill_tokens(),
             tokens: p.total_tokens(),
             gmacs: p.total_macs() as f64 / 1e9,

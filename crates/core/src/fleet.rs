@@ -14,34 +14,10 @@
 //! its slowest instance does — while energy simply sums: joules add
 //! across machines no matter their clocks.
 
-use crate::serving::{serving_trace_with, Percentiles, ServingEvaluation};
+use crate::serving::{scenario_trace, Percentiles, ServingEvaluation};
 use crate::{EvalSession, NetworkOptions, SystemError};
 use lumen_units::{Energy, Frequency};
-use lumen_workload::serving::{InstanceAssignment, ServingModel, ServingScenario};
-
-/// Evaluates one scenario through a session: the schedule is derived
-/// from the scenario and lowered under the scenario's own KV layout —
-/// the single-instance entry point every study shares, and the
-/// degenerate (N = 1) case of [`fleet_trace`].
-///
-/// # Errors
-///
-/// [`SystemError::NoMapping`] for the first step with an unmappable
-/// layer.
-pub fn scenario_trace(
-    session: &EvalSession,
-    model: &ServingModel,
-    scenario: &ServingScenario,
-    options: &NetworkOptions,
-) -> Result<ServingEvaluation, SystemError> {
-    serving_trace_with(
-        session,
-        model,
-        &scenario.schedule(),
-        scenario.layout(),
-        options,
-    )
-}
+use lumen_workload::serving::{InstanceAssignment, ServingModel};
 
 /// One instance of a fleet evaluation: which session and model serve
 /// the routed sub-stream.

@@ -80,10 +80,9 @@ pub use energy::{CostCategory, EnergyBreakdown, EnergyItem};
 pub use evaluator::{
     strategy_facts, LayerEvaluation, MappingFn, MappingStrategy, System, SystemError,
 };
-pub use fleet::{fleet_trace, scenario_trace, FleetEvaluation, FleetInstance, FleetInstanceTrace};
+pub use fleet::{fleet_trace, FleetEvaluation, FleetInstance, FleetInstanceTrace};
 pub use network::{FusionConfig, NetworkEvaluation, NetworkOptions};
 pub use serving::{
-    serving_sweep, serving_trace, serving_trace_with, Percentiles, RequestLatency,
-    ServingEvaluation, ServingStepPoint,
+    scenario_trace, Percentiles, RequestLatency, ServingEvaluation, ServingStepPoint,
 };
 pub use sweep::SweepRunner;

@@ -1,19 +1,17 @@
-//! Serving-trace evaluation: driving a continuous-batching schedule
-//! through an [`EvalSession`].
+//! Serving-trace evaluation: driving a serving scenario through an
+//! [`EvalSession`].
 //!
-//! [`serving_sweep`] evaluates every step of a closed-loop
-//! [`BatchSchedule`](lumen_workload::BatchSchedule) — each step lowered
-//! to bucketed decode layers by a
-//! [`ServingModel`](lumen_workload::ServingModel) — against one session,
-//! and reduces the trace to per-step and aggregate serving metrics:
-//! generated tokens per second, energy per token, slot occupancy and
-//! MAC-weighted compute utilization. [`serving_trace`] does the same
-//! for an event-driven
-//! [`ServingSchedule`](lumen_workload::ServingSchedule), where prefill
-//! chunks are lowered (and charged) alongside the decode groups, and
-//! additionally folds the evaluated step durations into per-request
-//! [`RequestLatency`] records — time-to-first-token and
-//! time-between-tokens percentiles in real time at the system clock.
+//! [`scenario_trace`] derives a
+//! [`ServingScenario`](lumen_workload::ServingScenario)'s event-driven
+//! schedule, lowers every step (decode groups *and* prefill chunks)
+//! under the scenario's KV layout with
+//! [`ServingModel::lower_serving_step_with`], evaluates it against one
+//! session, and reduces the trace to per-step and aggregate serving
+//! metrics: generated tokens per second, energy per token, slot
+//! occupancy and MAC-weighted compute utilization. It also folds the
+//! evaluated step durations into per-request [`RequestLatency`]
+//! records — time-to-first-token and time-between-tokens percentiles in
+//! real time at the system clock.
 //!
 //! The step networks are pure functions of each step's *bucketed
 //! composition* (the multiset of padded attend lengths with group
@@ -25,7 +23,7 @@
 //!
 //! # The step memo
 //!
-//! [`serving_trace_with`] goes one level above that layer cache: it
+//! [`scenario_trace`] goes one level above that layer cache: it
 //! evaluates each step *composition* once per trace. The key is
 //! [`ServingModel::step_composition`]: the layout kind and quantum, the
 //! sorted `(padded attend length, group)` decode multiset, and the
@@ -64,10 +62,10 @@
 //!
 //! ```
 //! use lumen_arch::{ArchBuilder, Domain, Fanout};
-//! use lumen_core::serving::serving_sweep;
+//! use lumen_core::serving::scenario_trace;
 //! use lumen_core::{EvalSession, MappingStrategy, NetworkOptions, System};
 //! use lumen_units::{Energy, Frequency};
-//! use lumen_workload::serving::{BatchSchedule, RequestMix, ServingModel};
+//! use lumen_workload::serving::{RequestMix, ServingModel, ServingScenario};
 //! use lumen_workload::{Dim, DimSet, TensorSet};
 //!
 //! let arch = ArchBuilder::new("toy", Frequency::from_gigahertz(1.0))
@@ -85,24 +83,25 @@
 //!     .unwrap();
 //!
 //! let session = EvalSession::new(System::new(arch, MappingStrategy::default()));
-//! let schedule = BatchSchedule::build(&RequestMix::uniform(4, 100, 4), 2);
-//! let result = serving_sweep(
+//! let scenario = ServingScenario::builder(RequestMix::uniform(4, 100, 4), 2)
+//!     .kv_bucket(64)
+//!     .build()
+//!     .unwrap();
+//! let result = scenario_trace(
 //!     &session,
 //!     &ServingModel::gpt2_small(),
-//!     &schedule,
-//!     64,
+//!     &scenario,
 //!     &NetworkOptions::baseline(),
 //! )
 //! .unwrap();
 //! assert_eq!(result.total_tokens(), 16);
+//! assert_eq!(result.total_prefill_tokens(), 4 * 100);
 //! assert!(result.pj_per_token() > 0.0);
 //! ```
 
 use crate::{EvalSession, NetworkEvaluation, NetworkOptions, SystemError};
 use lumen_units::{Energy, Frequency};
-use lumen_workload::serving::{
-    BatchSchedule, KvLayout, ServingModel, ServingSchedule, ServingStep, StepComposition,
-};
+use lumen_workload::serving::{ServingModel, ServingScenario, ServingStep, StepComposition};
 use std::collections::hash_map::{Entry, HashMap};
 
 /// One scheduler step of a serving sweep, reduced to scalars so a long
@@ -113,8 +112,7 @@ pub struct ServingStepPoint {
     pub step: usize,
     /// Requests decoding this step (each generated one token).
     pub occupancy: usize,
-    /// Prompt tokens prefilled this step (0 for the closed-loop
-    /// resident-prefill path).
+    /// Prompt tokens prefilled this step (0 under resident prefill).
     pub prefill_tokens: usize,
     /// True MACs of the step's lowered network (padded accounting).
     pub macs: u64,
@@ -216,13 +214,12 @@ pub struct ServingEvaluation {
     /// Decode slots of the schedule the sweep evaluated.
     pub capacity: usize,
     /// The KV rounding quantum the steps were lowered with: the bucket
-    /// for [`serving_sweep`]/[`serving_trace`], the page for a
-    /// [`serving_trace_with`] under [`KvLayout::Paged`].
+    /// under a bucketed layout, the page under a paged one.
     pub kv_bucket: usize,
     /// One point per scheduler step, execution order.
     pub points: Vec<ServingStepPoint>,
-    /// Per-request latency records, ordered by request index. For the
-    /// closed-loop [`serving_sweep`] every arrival is step 0, so TTFT
+    /// Per-request latency records, ordered by request index. Under
+    /// closed-loop arrivals every request arrives at step 0, so TTFT
     /// measures pure queueing + first decode.
     pub requests: Vec<RequestLatency>,
 }
@@ -351,10 +348,9 @@ struct StepMembers {
 }
 
 /// Folds evaluated step durations into per-request latency records.
-/// `arrivals` maps request index to arrival step; `None` means
-/// everything arrived at step 0 (the closed loop).
+/// `arrivals` maps request index to arrival step.
 fn request_latencies(
-    arrivals: Option<&[usize]>,
+    arrivals: &[usize],
     steps: &[StepMembers],
     cycles: &[f64],
 ) -> Vec<RequestLatency> {
@@ -369,22 +365,21 @@ fn request_latencies(
         let (start, end) = (now, now + dur);
         spans.push((step.wall, start));
         now = end;
-        for &request in step.prefill.iter().chain(&step.decode) {
-            records.entry(request).or_insert(RequestLatency {
-                request,
-                arrival_cycles: 0.0,
-                admission_cycles: start,
-                first_token_cycles: f64::NAN,
-                retire_cycles: end,
-                generated: 0,
-                token_gap_cycles: Vec::new(),
-            });
+        let admitted = |request| RequestLatency {
+            request,
+            arrival_cycles: 0.0,
+            admission_cycles: start,
+            first_token_cycles: f64::NAN,
+            retire_cycles: end,
+            generated: 0,
+            token_gap_cycles: Vec::new(),
+        };
+        for &request in &step.prefill {
+            records.entry(request).or_insert_with(|| admitted(request));
         }
         for &request in &step.decode {
             // Every decoding slot completes one token at step end.
-            let record = records
-                .get_mut(&request)
-                .expect("decoding request was just inserted");
+            let record = records.entry(request).or_insert_with(|| admitted(request));
             if record.generated == 0 {
                 record.first_token_cycles = end;
             } else {
@@ -395,16 +390,14 @@ fn request_latencies(
         }
     }
     let mut records: Vec<RequestLatency> = records.into_values().collect();
-    if let Some(arrivals) = arrivals {
-        for record in &mut records {
-            let wall = arrivals.get(record.request).copied().unwrap_or(0);
-            // First emitted step at or after the arrival step: its
-            // start is when the server could first see the request.
-            // Emitted steps ascend in wall step, so binary search.
-            record.arrival_cycles = spans
-                .get(spans.partition_point(|&(w, _)| w < wall))
-                .map_or(0.0, |&(_, start)| start);
-        }
+    for record in &mut records {
+        let wall = arrivals.get(record.request).copied().unwrap_or(0);
+        // First emitted step at or after the arrival step: its start is
+        // when the server could first see the request. Emitted steps
+        // ascend in wall step, so binary search.
+        record.arrival_cycles = spans
+            .get(spans.partition_point(|&(w, _)| w < wall))
+            .map_or(0.0, |&(_, start)| start);
     }
     records
 }
@@ -459,101 +452,26 @@ impl StepCost {
     }
 }
 
-/// Evaluates every step of `schedule` — lowered by `model` at
-/// `kv_bucket` — through `session`, in execution order against the
-/// session's shared cache.
-///
-/// Steps with the same bucketed active-set composition share every layer
-/// signature, so the sweep's mapping-search cost is bounded by the
-/// number of distinct *(padded attend length, group size)* pairs the
-/// schedule visits, not its step count; check
-/// [`cache_stats`](EvalSession::cache_stats) afterwards for the
-/// accounting.
-///
-/// # Errors
-///
-/// [`SystemError::NoMapping`] for the first step (in execution order)
-/// with an unmappable layer.
-pub fn serving_sweep(
-    session: &EvalSession,
-    model: &ServingModel,
-    schedule: &BatchSchedule,
-    kv_bucket: usize,
-    options: &NetworkOptions,
-) -> Result<ServingEvaluation, SystemError> {
-    let points = schedule
-        .steps()
-        .iter()
-        .enumerate()
-        .map(|(step, state)| {
-            let net = model.lower_step(&state.kv_lens(), kv_bucket);
-            let eval = session.evaluate_network(&net, options)?;
-            Ok(StepCost::of(&eval).point(step, state.occupancy(), 0))
-        })
-        .collect::<Result<Vec<_>, SystemError>>()?;
-    let members: Vec<StepMembers> = schedule
-        .steps()
-        .iter()
-        .enumerate()
-        .map(|(wall, state)| StepMembers {
-            wall,
-            decode: state.active().iter().map(|s| s.request).collect(),
-            prefill: Vec::new(),
-        })
-        .collect();
-    let cycles: Vec<f64> = points.iter().map(|p| p.cycles).collect();
-    let requests = request_latencies(None, &members, &cycles);
-    Ok(ServingEvaluation {
-        capacity: schedule.capacity(),
-        kv_bucket,
-        points,
-        requests,
-    })
-}
-
-/// Evaluates every emitted step of an event-driven [`ServingSchedule`]
-/// — decode groups *and* prefill chunks, lowered by
-/// [`ServingModel::lower_serving_step`] — through `session`, and folds
-/// the evaluated step durations into per-request latency records:
-/// TTFT/TBT are read off [`ServingEvaluation::ttft_percentiles`] /
+/// Evaluates a scenario through a session: derives the scenario's
+/// event-driven schedule, lowers every emitted step — decode groups
+/// *and* prefill chunks — with [`ServingModel::lower_serving_step_with`]
+/// under the scenario's own KV layout, and folds the evaluated step
+/// durations into per-request latency records: TTFT/TBT are read off
+/// [`ServingEvaluation::ttft_percentiles`] /
 /// [`ServingEvaluation::tbt_percentiles`] in real time at the system
-/// clock.
+/// clock. This is the single-instance entry point every study shares,
+/// and the degenerate (N = 1) case of [`crate::fleet_trace`].
 ///
-/// This is where the free-prefill bug dies: a request's prompt costs
-/// MACs, energy and cycles in the step(s) that prefill it, so a
+/// A request's prompt costs MACs, energy and cycles in the step(s)
+/// that prefill it (unless the scenario keeps prompts resident), so a
 /// one-request trace's totals equal the prefill + decode closed forms
-/// ([`ServingModel::prefill_macs`] + [`ServingModel::step_macs`]).
-///
-/// # Errors
-///
-/// [`SystemError::NoMapping`] for the first step (in execution order)
-/// with an unmappable layer.
-pub fn serving_trace(
-    session: &EvalSession,
-    model: &ServingModel,
-    schedule: &ServingSchedule,
-    kv_bucket: usize,
-    options: &NetworkOptions,
-) -> Result<ServingEvaluation, SystemError> {
-    serving_trace_with(
-        session,
-        model,
-        schedule,
-        &KvLayout::Bucketed { bucket: kv_bucket },
-        options,
-    )
-}
-
-/// [`serving_trace`] under an explicit KV residency [`KvLayout`]:
-/// [`KvLayout::Bucketed`] reproduces `serving_trace` exactly, while
-/// [`KvLayout::Paged`] lowers every step through
-/// [`ServingModel::lower_serving_step_with`] — attend lengths padded to
-/// the page instead of the bucket, shared-prefix copy-on-write charged
-/// on each sharer's first private chunk. Because a page divides the
-/// usual bucket, the paged trace's backing-store traffic
-/// ([`ServingEvaluation::total_backing_accesses`]) is bounded above by
-/// the bucketed trace's — the delta is the padding waste the page
-/// table eliminates.
+/// ([`ServingModel::prefill_macs`] +
+/// [`ServingModel::serving_step_macs_with`]). Under a paged layout
+/// attend lengths pad to the page instead of the bucket and each
+/// sharer's first private chunk pays the shared prefix's copy-on-write;
+/// because a page divides the usual bucket, the paged trace's
+/// backing-store traffic ([`ServingEvaluation::total_backing_accesses`])
+/// is bounded above by the bucketed trace's.
 ///
 /// Steps with equal [`ServingModel::step_composition`]s are evaluated
 /// once per trace on a cached session; see the
@@ -563,13 +481,14 @@ pub fn serving_trace(
 ///
 /// [`SystemError::NoMapping`] for the first step (in execution order)
 /// with an unmappable layer.
-pub fn serving_trace_with(
+pub fn scenario_trace(
     session: &EvalSession,
     model: &ServingModel,
-    schedule: &ServingSchedule,
-    layout: &KvLayout,
+    scenario: &ServingScenario,
     options: &NetworkOptions,
 ) -> Result<ServingEvaluation, SystemError> {
+    let schedule = scenario.schedule();
+    let layout = scenario.layout();
     let evaluate = |state: &ServingStep| -> Result<StepCost, SystemError> {
         let net = model.lower_serving_step_with(state, layout);
         Ok(StepCost::of(&session.evaluate_network(&net, options)?))
@@ -602,7 +521,7 @@ pub fn serving_trace_with(
         })
         .collect();
     let cycles: Vec<f64> = points.iter().map(|p| p.cycles).collect();
-    let requests = request_latencies(Some(schedule.arrivals()), &members, &cycles);
+    let requests = request_latencies(schedule.arrivals(), &members, &cycles);
     Ok(ServingEvaluation {
         capacity: schedule.capacity(),
         kv_bucket: layout.quantum(),
@@ -616,7 +535,7 @@ mod tests {
     use super::*;
     use crate::{MappingStrategy, System};
     use lumen_arch::{ArchBuilder, Domain, Fanout};
-    use lumen_workload::serving::RequestMix;
+    use lumen_workload::serving::{PrefillMode, RequestMix, ServingScenarioBuilder};
     use lumen_workload::{Dim, DimSet, TensorSet};
 
     fn session() -> EvalSession {
@@ -640,20 +559,35 @@ mod tests {
         EvalSession::new(System::new(arch, MappingStrategy::default()))
     }
 
+    /// Traces `builder`'s scenario through a fresh toy session.
+    fn trace(builder: ServingScenarioBuilder) -> ServingEvaluation {
+        let scenario = builder.build().unwrap();
+        let model = ServingModel::gpt2_small();
+        scenario_trace(&session(), &model, &scenario, &NetworkOptions::baseline()).unwrap()
+    }
+
     #[test]
     fn sweep_aggregates_match_schedule() {
         let session = session();
         let model = ServingModel::gpt2_small();
         let mix = RequestMix::uniform(4, 100, 4);
-        let schedule = BatchSchedule::build(&mix, 2);
+        let scenario = ServingScenario::builder(mix.clone(), 2)
+            .kv_bucket(64)
+            .prefill(PrefillMode::Resident)
+            .build()
+            .unwrap();
+        let schedule = scenario.schedule();
         let result =
-            serving_sweep(&session, &model, &schedule, 64, &NetworkOptions::baseline()).unwrap();
+            scenario_trace(&session, &model, &scenario, &NetworkOptions::baseline()).unwrap();
         assert_eq!(result.points.len(), schedule.total_steps());
         assert_eq!(result.total_tokens(), mix.total_output_tokens());
         assert!((result.mean_occupancy() - schedule.mean_occupancy()).abs() < 1e-12);
         // Per-step MACs match the lowering's closed form.
         for (point, step) in result.points.iter().zip(schedule.steps()) {
-            assert_eq!(point.macs, model.step_macs(&step.kv_lens(), 64));
+            assert_eq!(
+                point.macs,
+                model.serving_step_macs_with(step, scenario.layout())
+            );
             assert!(point.energy > Energy::ZERO);
             assert!(point.cycles > 0.0);
             assert!(point.utilization > 0.0 && point.utilization <= 1.0 + 1e-9);
@@ -729,7 +663,7 @@ mod tests {
         ];
         // Starts 0, 5, 12, 23; ends 5, 12, 23, 36.
         let cycles = [5.0, 7.0, 11.0, 13.0];
-        let records = request_latencies(Some(&[1, 6, 11]), &steps, &cycles);
+        let records = request_latencies(&[1, 6, 11], &steps, &cycles);
         let got: Vec<_> = records
             .iter()
             .map(|r| {
@@ -797,25 +731,12 @@ mod tests {
 
     #[test]
     fn paged_layout_trims_backing_traffic_and_macs() {
-        use lumen_workload::serving::{PageTable, PrefillMode, ServingConfig};
-
-        let model = ServingModel::gpt2_small();
-        let mix = RequestMix::uniform(2, 100, 6);
-        let config =
-            ServingConfig::new(2).with_prefill(PrefillMode::OnAdmission { chunk: Some(64) });
-        let schedule = ServingSchedule::build(&mix, &config);
-        let options = NetworkOptions::baseline();
-
-        let bucketed = serving_trace(&session(), &model, &schedule, 256, &options).unwrap();
+        let scenario =
+            || ServingScenario::builder(RequestMix::uniform(2, 100, 6), 2).prefill_chunk(64);
+        let bucketed = trace(scenario().kv_bucket(256));
         assert!(bucketed.total_backing_accesses() > 0.0);
-        let paged = serving_trace_with(
-            &session(),
-            &model,
-            &schedule,
-            &KvLayout::Paged(PageTable::new(16)),
-            &options,
-        )
-        .unwrap();
+        let paged = trace(scenario().kv_page(16));
+        assert_eq!(bucketed.kv_bucket, 256);
         assert_eq!(paged.kv_bucket, 16);
         // Page 16 divides bucket 256: every paged attend length is ≤
         // its bucketed counterpart, so MACs and backing traffic are
@@ -833,54 +754,19 @@ mod tests {
             paged.total_prefill_tokens(),
             bucketed.total_prefill_tokens()
         );
-
-        // A bucketed trace through the explicit-layout entry point is
-        // the legacy path exactly.
-        let via_layout = serving_trace_with(
-            &session(),
-            &model,
-            &schedule,
-            &KvLayout::Bucketed { bucket: 256 },
-            &options,
-        )
-        .unwrap();
-        assert_eq!(via_layout.total_macs(), bucketed.total_macs());
-        assert_eq!(
-            via_layout.total_backing_accesses(),
-            bucketed.total_backing_accesses()
-        );
     }
 
     #[test]
     fn shared_prefix_saves_prefill_work_and_charges_cow() {
-        use lumen_workload::serving::{PageTable, PrefillMode, ServingConfig};
-
-        let model = ServingModel::gpt2_small();
-        let config =
-            ServingConfig::new(4).with_prefill(PrefillMode::OnAdmission { chunk: Some(64) });
-        let options = NetworkOptions::baseline();
+        let scenario = || {
+            ServingScenario::builder(RequestMix::uniform(4, 128, 4), 4)
+                .kv_page(16)
+                .prefill_chunk(64)
+        };
+        let plain = trace(scenario());
         // 42 is deliberately page-misaligned at page 16: 32 full shared
         // tokens + a 10-token tail each sharer copies.
-        let table = PageTable::new(16).with_shared_prefix(42);
-        let plain_mix = RequestMix::uniform(4, 128, 4);
-        let shared_mix = RequestMix::uniform(4, 128, 4).with_shared_prefix(42);
-
-        let plain = serving_trace_with(
-            &session(),
-            &model,
-            &ServingSchedule::build(&plain_mix, &config),
-            &KvLayout::Paged(PageTable::new(16)),
-            &options,
-        )
-        .unwrap();
-        let shared = serving_trace_with(
-            &session(),
-            &model,
-            &ServingSchedule::build(&shared_mix, &config),
-            &KvLayout::Paged(table),
-            &options,
-        )
-        .unwrap();
+        let shared = trace(scenario().shared_prefix(42));
         // Three sharers skip 42 prompt tokens each.
         assert_eq!(
             plain.total_prefill_tokens() - shared.total_prefill_tokens(),
@@ -894,15 +780,9 @@ mod tests {
 
     #[test]
     fn trace_charges_prefill_and_records_latencies() {
-        use lumen_workload::serving::{PrefillMode, ServingConfig};
-
-        let session = session();
         let model = ServingModel::gpt2_small();
-        let mix = RequestMix::uniform(1, 100, 4);
-        let config = ServingConfig::new(1).with_prefill(PrefillMode::OnAdmission { chunk: None });
-        let schedule = ServingSchedule::build(&mix, &config);
         let result =
-            serving_trace(&session, &model, &schedule, 64, &NetworkOptions::baseline()).unwrap();
+            trace(ServingScenario::builder(RequestMix::uniform(1, 100, 4), 1).kv_bucket(64));
 
         // One prefill step + four decode steps.
         assert_eq!(result.points.len(), 5);
@@ -910,11 +790,10 @@ mod tests {
         assert_eq!(result.total_tokens(), 4);
         // The one-request totals are exactly prefill + decode closed
         // forms — the accounting the resident-prefill path never had.
-        let expect = model.prefill_macs(100, None, 64)
-            + model.step_macs(&[100], 64)
-            + model.step_macs(&[101], 64)
-            + model.step_macs(&[102], 64)
-            + model.step_macs(&[103], 64);
+        // Each decode step (kv 100..103) attends over 128 padded
+        // positions: 12 blocks of decode work plus the LM head.
+        let decode_step = 12 * lumen_workload::decode_block_macs(128, 768, 3072) + 50257 * 768;
+        let expect = model.prefill_macs(100, None, 64) + 4 * decode_step;
         assert_eq!(result.total_macs(), expect);
 
         assert_eq!(result.requests.len(), 1);
@@ -941,32 +820,10 @@ mod tests {
         // The bugfix demonstrated head-on: the same one-request trace
         // costs strictly more once prefill is charged, by exactly the
         // prefill closed form.
-        use lumen_workload::serving::{PrefillMode, ServingConfig};
-
         let model = ServingModel::gpt2_small();
-        let mix = RequestMix::uniform(1, 100, 4);
-        let charged = serving_trace(
-            &session(),
-            &model,
-            &ServingSchedule::build(
-                &mix,
-                &ServingConfig::new(1).with_prefill(PrefillMode::OnAdmission { chunk: None }),
-            ),
-            64,
-            &NetworkOptions::baseline(),
-        )
-        .unwrap();
-        let resident = serving_trace(
-            &session(),
-            &model,
-            &ServingSchedule::build(
-                &mix,
-                &ServingConfig::new(1).with_prefill(PrefillMode::Resident),
-            ),
-            64,
-            &NetworkOptions::baseline(),
-        )
-        .unwrap();
+        let scenario = || ServingScenario::builder(RequestMix::uniform(1, 100, 4), 1).kv_bucket(64);
+        let charged = trace(scenario().prefill(PrefillMode::OnAdmission { chunk: None }));
+        let resident = trace(scenario().prefill(PrefillMode::Resident));
         assert_eq!(
             charged.total_macs() - resident.total_macs(),
             model.prefill_macs(100, None, 64),
@@ -981,24 +838,13 @@ mod tests {
         // Same mix, one slot vs eight slots: higher occupancy shares the
         // projection weight traffic across the group, so energy per
         // token at capacity 8 must not exceed the serial schedule's.
-        let model = ServingModel::gpt2_small();
-        let mix = RequestMix::uniform(8, 100, 2);
-        let serial = serving_sweep(
-            &session(),
-            &model,
-            &BatchSchedule::build(&mix, 1),
-            64,
-            &NetworkOptions::baseline(),
-        )
-        .unwrap();
-        let batched = serving_sweep(
-            &session(),
-            &model,
-            &BatchSchedule::build(&mix, 8),
-            64,
-            &NetworkOptions::baseline(),
-        )
-        .unwrap();
+        let resident = |capacity| {
+            ServingScenario::builder(RequestMix::uniform(8, 100, 2), capacity)
+                .kv_bucket(64)
+                .prefill(PrefillMode::Resident)
+        };
+        let serial = trace(resident(1));
+        let batched = trace(resident(8));
         assert_eq!(serial.total_tokens(), batched.total_tokens());
         assert!((serial.mean_occupancy() - 1.0).abs() < 1e-12);
         assert!((batched.mean_occupancy() - 1.0).abs() < 1e-12);

@@ -7,8 +7,8 @@ use lumen_workload::ArrivalProcess;
 
 /// `L0401`: a schedule with zero decode slots.
 ///
-/// `BatchSchedule::build` panics on it; the lint reports the mix by
-/// name instead.
+/// `ServingScenarioBuilder::build` rejects it with a typed error; the
+/// lint reports the mix by name instead.
 pub struct ZeroCapacity;
 
 impl Lint for ZeroCapacity {

@@ -22,7 +22,7 @@
 //! a growing, per-sample-resident KV cache via [`DecodePhase`] and
 //! [`decode_trace`]; continuous batching of mixed-length serving traffic
 //! lowers scheduler steps onto bucketed decode groups via the [`serving`]
-//! module ([`RequestMix`], [`BatchSchedule`], [`ServingModel`]).
+//! module ([`RequestMix`], [`ServingScenario`], [`ServingModel`]).
 //!
 //! The [`networks`] module provides the four CNNs evaluated by the paper
 //! ([`networks::alexnet`], [`networks::vgg16`], [`networks::resnet18`],
@@ -58,10 +58,10 @@ pub use dims::{Dim, DimMap, DimSet, Shape};
 pub use layer::{Layer, LayerError, LayerKind};
 pub use network::{Network, NetworkStats};
 pub use serving::{
-    ActiveSlot, AdmissionPolicy, ArrivalProcess, BatchSchedule, Fleet, FleetRouter,
-    InstanceAssignment, KvLayout, PageTable, PagedResidency, PrefillMode, PrefillSlot, Request,
-    RequestMix, ScheduleStep, ServingConfig, ServingError, ServingModel, ServingScenario,
-    ServingScenarioBuilder, ServingSchedule, ServingStep, StepComposition, StepResidency,
+    ActiveSlot, AdmissionPolicy, ArrivalProcess, Fleet, FleetRouter, InstanceAssignment, KvLayout,
+    PageTable, PagedResidency, PrefillMode, PrefillSlot, Request, RequestMix, ServingError,
+    ServingModel, ServingScenario, ServingScenarioBuilder, ServingSchedule, ServingStep,
+    StepComposition, StepResidency,
 };
 pub use signature::{fnv1a, fnv1a_bytes, LayerSignature};
 pub use tensor::{TensorKind, TensorMap, TensorSet};

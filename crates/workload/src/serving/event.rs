@@ -1,7 +1,7 @@
 //! The event-driven serving core: arrival -> admission/prefill ->
 //! token -> retire.
 //!
-//! [`ServingSchedule::try_build`] runs a discrete-event loop in
+//! [`ServingScenario::schedule`] runs a discrete-event loop in
 //! scheduler-step time. Each step it (1) moves newly arrived requests
 //! into the admission queue, (2) fills free slots from the queue under
 //! the configured [`AdmissionPolicy`], (3) snapshots the active set —
@@ -18,12 +18,11 @@
 //! through the dense attention path — before its first decode step, so
 //! prompt tokens cost MACs, energy and cycles exactly once per
 //! request. [`PrefillMode::Resident`] reproduces the PR 5 accounting
-//! (prompts materialize pre-cached) and is what keeps
-//! [`BatchSchedule`](super::BatchSchedule) bit-identical for the
-//! legacy goldens: with a closed loop, FIFO admission and resident
-//! prefill, this core reduces exactly to the old scheduler loop.
+//! (prompts materialize pre-cached): with a closed loop, FIFO
+//! admission and resident prefill, this core is the saturation
+//! scheduler the closed-loop serving study runs.
 
-use super::{ActiveSlot, AdmissionPolicy, ArrivalProcess, RequestMix, ServingError};
+use super::{ActiveSlot, ServingScenario};
 
 /// How a request's prompt enters the KV cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,108 +39,6 @@ pub enum PrefillMode {
         /// Largest prompt slice lowered per step, if bounded.
         chunk: Option<usize>,
     },
-}
-
-/// Configuration of the event core: slots, arrivals, admission order
-/// and prefill accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServingConfig {
-    capacity: usize,
-    arrival: ArrivalProcess,
-    policy: AdmissionPolicy,
-    prefill: PrefillMode,
-    max_context: Option<usize>,
-}
-
-impl ServingConfig {
-    /// A config with `capacity` decode slots and the defaults: closed
-    /// loop, FIFO admission, prefill charged on admission (unchunked).
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::ZeroCapacity`] if `capacity` is zero.
-    pub fn try_new(capacity: usize) -> Result<ServingConfig, ServingError> {
-        if capacity == 0 {
-            return Err(ServingError::ZeroCapacity);
-        }
-        Ok(ServingConfig {
-            capacity,
-            arrival: ArrivalProcess::ClosedLoop,
-            policy: AdmissionPolicy::Fifo,
-            prefill: PrefillMode::OnAdmission { chunk: None },
-            max_context: None,
-        })
-    }
-
-    /// Panicking wrapper over [`ServingConfig::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> ServingConfig {
-        ServingConfig::try_new(capacity).expect("a schedule needs at least one decode slot")
-    }
-
-    /// Replaces the arrival process.
-    pub fn with_arrival(mut self, arrival: ArrivalProcess) -> ServingConfig {
-        self.arrival = arrival;
-        self
-    }
-
-    /// Replaces the admission policy.
-    pub fn with_policy(mut self, policy: AdmissionPolicy) -> ServingConfig {
-        self.policy = policy;
-        self
-    }
-
-    /// Replaces the prefill mode (chunk validity is checked at
-    /// [`ServingSchedule::try_build`]).
-    pub fn with_prefill(mut self, prefill: PrefillMode) -> ServingConfig {
-        self.prefill = prefill;
-        self
-    }
-
-    /// Enforces a context window at runtime: a request whose prompt
-    /// alone fills the window is rejected at build time
-    /// ([`ServingError::ContextOverflow`]), and a request whose cache
-    /// would outgrow the window mid-decode retires early at the
-    /// boundary (recorded in [`ServingSchedule::truncated`]). Without
-    /// this, only the static `L0404` lint watches the boundary and the
-    /// event loop happily grows caches past it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_context` is zero.
-    pub fn with_max_context(mut self, max_context: usize) -> ServingConfig {
-        assert!(max_context > 0, "a context window must hold a token");
-        self.max_context = Some(max_context);
-        self
-    }
-
-    /// Decode slots.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The arrival process.
-    pub fn arrival(&self) -> &ArrivalProcess {
-        &self.arrival
-    }
-
-    /// The admission policy.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
-    }
-
-    /// The prefill mode.
-    pub fn prefill(&self) -> PrefillMode {
-        self.prefill
-    }
-
-    /// The enforced context window, if any.
-    pub fn max_context(&self) -> Option<usize> {
-        self.max_context
-    }
 }
 
 /// One slot prefilling part of its prompt this step.
@@ -215,9 +112,9 @@ enum SlotState {
     Decoding { generated: usize },
 }
 
-/// The full event-driven trace of a [`RequestMix`] through a
-/// [`ServingConfig`]: per-step active sets plus each request's arrival
-/// step, everything downstream latency accounting needs.
+/// The full event-driven trace of a [`ServingScenario`]: per-step
+/// active sets plus each request's arrival step, everything downstream
+/// latency accounting needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingSchedule {
     capacity: usize,
@@ -227,43 +124,17 @@ pub struct ServingSchedule {
 }
 
 impl ServingSchedule {
-    /// Runs the event core over `mix` under `config`.
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::ZeroCapacity`] on a zero-slot config (only
-    /// reachable through a deserialized/hand-rolled config — the
-    /// constructor already rejects it),
-    /// [`ServingError::ZeroPrefillChunk`] on a zero prefill chunk, and
-    /// [`ServingError::ContextOverflow`] when the config enforces a
-    /// context window some request's prompt alone fills — such a
-    /// request could never generate a token, so admission rejects the
-    /// whole trace loudly rather than modeling an impossible serve.
-    pub fn try_build(
-        mix: &RequestMix,
-        config: &ServingConfig,
-    ) -> Result<ServingSchedule, ServingError> {
-        if config.capacity == 0 {
-            return Err(ServingError::ZeroCapacity);
-        }
-        if matches!(config.prefill, PrefillMode::OnAdmission { chunk: Some(0) }) {
-            return Err(ServingError::ZeroPrefillChunk);
-        }
-        if let Some(max) = config.max_context {
-            for (request, r) in mix.requests().iter().enumerate() {
-                if r.prompt + 1 > max {
-                    return Err(ServingError::ContextOverflow {
-                        request,
-                        needed: r.prompt + 1,
-                        max_context: max,
-                    });
-                }
-            }
-        }
+    /// Runs the event core over `scenario`. Infallible: the builder
+    /// already rejected every combination the loop cannot serve (zero
+    /// slots, a zero prefill chunk, a prompt that fills the context
+    /// window).
+    pub(super) fn run(scenario: &ServingScenario) -> ServingSchedule {
+        let (mix, capacity, prefill_mode) =
+            (scenario.mix(), scenario.capacity(), scenario.prefill());
         // The shared prompt prefix only saves work when prompts are
         // actually prefilled: under `Resident` prompts cost nothing
         // either way.
-        let shared = match config.prefill {
+        let shared = match prefill_mode {
             PrefillMode::OnAdmission { .. } => mix.shared_prefix(),
             PrefillMode::Resident => 0,
         };
@@ -275,11 +146,11 @@ impl ServingSchedule {
         // admitted (the owner's prefill is scheduled first; same-step
         // overlap is ignored).
         let mut prefix_ready = false;
-        let arrivals = config.arrival.arrival_steps(mix.len());
+        let arrivals = scenario.arrival().arrival_steps(mix.len());
         let mut queue: Vec<usize> = Vec::new();
         let mut next_arrival = 0usize;
         // (request, state, shared tokens the slot skipped at admission)
-        let mut slots: Vec<(usize, SlotState, usize)> = Vec::with_capacity(config.capacity);
+        let mut slots: Vec<(usize, SlotState, usize)> = Vec::with_capacity(capacity);
         let mut steps = Vec::new();
         let mut truncated = Vec::new();
         let mut wall = 0usize;
@@ -299,10 +170,10 @@ impl ServingSchedule {
                     None => break,
                 }
             }
-            while slots.len() < config.capacity && !queue.is_empty() {
-                let pick = config.policy.select(&queue, mix, &arrivals);
+            while slots.len() < capacity && !queue.is_empty() {
+                let pick = scenario.policy().select(&queue, mix, &arrivals);
                 let request = queue.remove(pick);
-                let (state, skipped) = match config.prefill {
+                let (state, skipped) = match prefill_mode {
                     PrefillMode::Resident => (SlotState::Decoding { generated: 0 }, 0),
                     PrefillMode::OnAdmission { .. } => {
                         let prompt = mix.requests()[request].prompt;
@@ -331,7 +202,7 @@ impl ServingSchedule {
                     SlotState::Prefilling { done } => prefill.push(PrefillSlot {
                         request,
                         cached: done,
-                        chunk: config.prefill_chunk(prompt, done),
+                        chunk: prefill_mode.next_chunk(prompt, done),
                         shared: skipped,
                     }),
                     SlotState::Decoding { generated } => decode.push(ActiveSlot {
@@ -350,7 +221,7 @@ impl ServingSchedule {
                 let prompt = mix.requests()[*request].prompt;
                 match state {
                     SlotState::Prefilling { done } => {
-                        *done += config.prefill_chunk(prompt, *done);
+                        *done += prefill_mode.next_chunk(prompt, *done);
                         if *done >= prompt {
                             *state = SlotState::Decoding { generated: 0 };
                         }
@@ -367,7 +238,7 @@ impl ServingSchedule {
                     // The next decode step would grow the cache to
                     // prompt + generated + 1 tokens; at the window, the
                     // request retires early instead (truncated).
-                    if let Some(max) = config.max_context {
+                    if let Some(max) = scenario.max_context() {
                         if mix.requests()[request].prompt + generated + 1 > max {
                             truncated.push(request);
                             return false;
@@ -379,21 +250,12 @@ impl ServingSchedule {
             wall += 1;
         }
 
-        Ok(ServingSchedule {
-            capacity: config.capacity,
+        ServingSchedule {
+            capacity,
             steps,
             arrivals,
             truncated,
-        })
-    }
-
-    /// Panicking wrapper over [`ServingSchedule::try_build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero capacity or a zero prefill chunk.
-    pub fn build(mix: &RequestMix, config: &ServingConfig) -> ServingSchedule {
-        ServingSchedule::try_build(mix, config).expect("serving config must be schedulable")
+        }
     }
 
     /// The slot count the schedule was built with.
@@ -413,8 +275,8 @@ impl ServingSchedule {
 
     /// Requests that retired early at the context-window boundary
     /// (generated fewer than their requested output tokens), in
-    /// retirement order. Empty unless the config set
-    /// [`ServingConfig::with_max_context`].
+    /// retirement order. Empty unless the scenario capped the window
+    /// ([`ServingScenarioBuilder::max_context`](super::ServingScenarioBuilder::max_context)).
     pub fn truncated(&self) -> &[usize] {
         &self.truncated
     }
@@ -447,11 +309,11 @@ impl ServingSchedule {
     }
 }
 
-impl ServingConfig {
+impl PrefillMode {
     /// Tokens the next prefill event covers for a `prompt` with `done`
     /// tokens already cached.
-    fn prefill_chunk(&self, prompt: usize, done: usize) -> usize {
-        match self.prefill {
+    fn next_chunk(self, prompt: usize, done: usize) -> usize {
+        match self {
             PrefillMode::Resident => 0,
             PrefillMode::OnAdmission { chunk } => {
                 let remaining = prompt - done;
@@ -464,7 +326,9 @@ impl ServingConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::{BatchSchedule, Request};
+    use crate::serving::{
+        AdmissionPolicy, ArrivalProcess, Request, RequestMix, ServingError, ServingScenarioBuilder,
+    };
 
     fn mix() -> RequestMix {
         RequestMix::custom(
@@ -477,27 +341,13 @@ mod tests {
         )
     }
 
-    #[test]
-    fn closed_loop_resident_matches_the_legacy_scheduler() {
-        let mix = mix();
-        for capacity in [1, 2, 3, 5] {
-            let legacy = BatchSchedule::build(&mix, capacity);
-            let config = ServingConfig::new(capacity).with_prefill(PrefillMode::Resident);
-            let event = ServingSchedule::build(&mix, &config);
-            assert_eq!(event.total_steps(), legacy.total_steps());
-            for (e, l) in event.steps().iter().zip(legacy.steps()) {
-                assert!(e.prefill().is_empty());
-                assert_eq!(e.decode(), l.active());
-            }
-        }
+    fn schedule(builder: ServingScenarioBuilder) -> ServingSchedule {
+        builder.build().unwrap().schedule()
     }
 
     #[test]
     fn prefill_events_precede_decode_and_cover_the_prompt_once() {
-        let mix = mix();
-        let config =
-            ServingConfig::new(2).with_prefill(PrefillMode::OnAdmission { chunk: Some(64) });
-        let schedule = ServingSchedule::build(&mix, &config);
+        let schedule = schedule(ServingScenario::builder(mix(), 2).prefill_chunk(64));
         assert_eq!(schedule.total_prefill_tokens(), 100 + 300 + 100);
         assert_eq!(schedule.total_decode_tokens(), 3 + 2 + 2);
         // Request 1 (prompt 300, chunk 64): ceil(300/64) = 5 prefill
@@ -525,9 +375,7 @@ mod tests {
 
     #[test]
     fn unchunked_prefill_is_one_event() {
-        let mix = RequestMix::uniform(1, 128, 2);
-        let config = ServingConfig::new(1);
-        let schedule = ServingSchedule::build(&mix, &config);
+        let schedule = schedule(ServingScenario::builder(RequestMix::uniform(1, 128, 2), 1));
         // Step 0: prefill(0, 128). Steps 1-2: decode at kv 128, 129.
         assert_eq!(schedule.total_steps(), 3);
         assert_eq!(
@@ -546,18 +394,18 @@ mod tests {
     #[test]
     fn zero_prompt_requests_skip_prefill() {
         let mix = RequestMix::custom("m", vec![Request::new(0, 2)]);
-        let schedule = ServingSchedule::build(&mix, &ServingConfig::new(1));
+        let schedule = schedule(ServingScenario::builder(mix, 1));
         assert_eq!(schedule.total_prefill_tokens(), 0);
         assert_eq!(schedule.steps()[0].decode_kv_lens(), vec![0]);
     }
 
     #[test]
     fn idle_gaps_are_fast_forwarded() {
-        let mix = RequestMix::uniform(2, 8, 1);
-        let config = ServingConfig::new(1)
-            .with_arrival(ArrivalProcess::bursty(0.0, 50, 1, 0))
-            .with_prefill(PrefillMode::Resident);
-        let schedule = ServingSchedule::build(&mix, &config);
+        let schedule = schedule(
+            ServingScenario::builder(RequestMix::uniform(2, 8, 1), 1)
+                .arrival(ArrivalProcess::bursty(0.0, 50, 1, 0))
+                .prefill(PrefillMode::Resident),
+        );
         // Request 0 decodes at wall 0; the server idles until the
         // second burst at wall 50.
         let walls: Vec<usize> = schedule.steps().iter().map(ServingStep::wall).collect();
@@ -567,42 +415,26 @@ mod tests {
 
     #[test]
     fn occupancy_counts_prefill_slots() {
-        let mix = RequestMix::uniform(1, 64, 1);
-        let schedule = ServingSchedule::build(&mix, &ServingConfig::new(2));
+        let schedule = schedule(ServingScenario::builder(RequestMix::uniform(1, 64, 1), 2));
         // Step 0 prefills, step 1 decodes: both occupy 1 of 2 slots.
         assert!((schedule.mean_occupancy() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn invalid_configs_are_typed_errors() {
-        assert_eq!(
-            ServingConfig::try_new(0).unwrap_err(),
-            ServingError::ZeroCapacity
-        );
-        let config =
-            ServingConfig::new(1).with_prefill(PrefillMode::OnAdmission { chunk: Some(0) });
-        assert_eq!(
-            ServingSchedule::try_build(&RequestMix::uniform(1, 8, 1), &config).unwrap_err(),
-            ServingError::ZeroPrefillChunk
-        );
     }
 
     #[test]
     fn overlong_prompts_are_rejected_at_the_window() {
         // Prompt 1024 + 1 generated token does not fit a 1024 window.
         let mix = RequestMix::custom("m", vec![Request::new(1024, 4)]);
-        let config = ServingConfig::new(1).with_max_context(1024);
         assert_eq!(
-            ServingSchedule::try_build(&mix, &config).unwrap_err(),
-            ServingError::ContextOverflow {
+            ServingScenario::builder(mix, 1).max_context(1024).build(),
+            Err(ServingError::ContextOverflow {
                 request: 0,
                 needed: 1025,
                 max_context: 1024,
-            }
+            })
         );
         // Prompt 1023 fits: exactly one token of headroom.
         let mix = RequestMix::custom("m", vec![Request::new(1023, 4)]);
-        let schedule = ServingSchedule::build(&mix, &config);
+        let schedule = schedule(ServingScenario::builder(mix, 1).max_context(1024));
         assert_eq!(schedule.total_decode_tokens(), 1);
         assert_eq!(schedule.truncated(), &[0]);
     }
@@ -612,30 +444,25 @@ mod tests {
         // Prompt 100, wants 50 tokens, window 120: it can only grow the
         // cache to 120, i.e. generate 20 tokens.
         let mix = RequestMix::custom("m", vec![Request::new(100, 50), Request::new(10, 3)]);
-        let config = ServingConfig::new(1)
-            .with_prefill(PrefillMode::Resident)
-            .with_max_context(120);
-        let schedule = ServingSchedule::build(&mix, &config);
-        let decoded_0 = schedule
+        let resident = || ServingScenario::builder(mix.clone(), 1).prefill(PrefillMode::Resident);
+        let capped = schedule(resident().max_context(120));
+        let decoded_0 = capped
             .steps()
             .iter()
             .flat_map(ServingStep::decode)
             .filter(|s| s.request == 0)
             .count();
         assert_eq!(decoded_0, 20, "truncated at the boundary, not past it");
-        assert!(schedule
+        assert!(capped
             .steps()
             .iter()
             .flat_map(ServingStep::decode)
             .all(|s| s.kv_len < 120));
-        assert_eq!(schedule.truncated(), &[0]);
+        assert_eq!(capped.truncated(), &[0]);
         // The freed slot still serves the short request in full.
-        assert_eq!(schedule.total_decode_tokens(), 20 + 3);
+        assert_eq!(capped.total_decode_tokens(), 20 + 3);
         // Without the window the same mix decodes everything.
-        let unbounded = ServingSchedule::build(
-            &mix,
-            &ServingConfig::new(1).with_prefill(PrefillMode::Resident),
-        );
+        let unbounded = schedule(resident());
         assert_eq!(unbounded.total_decode_tokens(), 50 + 3);
         assert!(unbounded.truncated().is_empty());
     }
@@ -644,10 +471,12 @@ mod tests {
     fn shared_prefix_is_prefilled_once() {
         // Three prompts sharing 64 tokens: the owner prefills 100, the
         // sharers skip to token 64.
-        let mix = RequestMix::uniform(3, 100, 2).with_shared_prefix(64);
-        let config =
-            ServingConfig::new(3).with_prefill(PrefillMode::OnAdmission { chunk: Some(32) });
-        let schedule = ServingSchedule::build(&mix, &config);
+        let schedule = schedule(
+            ServingScenario::builder(RequestMix::uniform(3, 100, 2), 3)
+                .kv_page(16)
+                .shared_prefix(64)
+                .prefill_chunk(32),
+        );
         assert_eq!(
             schedule.total_prefill_tokens(),
             100 + 2 * (100 - 64),
@@ -682,10 +511,12 @@ mod tests {
                 Request::new(64, 2),
                 Request::new(96, 2),
             ],
-        )
-        .with_shared_prefix(64);
-        let config = ServingConfig::new(3).with_prefill(PrefillMode::OnAdmission { chunk: None });
-        let schedule = ServingSchedule::build(&mix, &config);
+        );
+        let schedule = schedule(
+            ServingScenario::builder(mix, 3)
+                .kv_page(16)
+                .shared_prefix(64),
+        );
         // Owner prefills 64; request 1's whole prompt is the prefix
         // (decodes immediately); request 2 prefills its 32-token tail.
         assert_eq!(schedule.total_prefill_tokens(), 64 + 32);
@@ -694,9 +525,12 @@ mod tests {
 
     #[test]
     fn resident_prefill_ignores_the_shared_prefix() {
-        let mix = RequestMix::uniform(2, 64, 2).with_shared_prefix(32);
-        let config = ServingConfig::new(2).with_prefill(PrefillMode::Resident);
-        let schedule = ServingSchedule::build(&mix, &config);
+        let schedule = schedule(
+            ServingScenario::builder(RequestMix::uniform(2, 64, 2), 2)
+                .kv_page(16)
+                .shared_prefix(32)
+                .prefill(PrefillMode::Resident),
+        );
         assert_eq!(schedule.total_prefill_tokens(), 0);
         assert_eq!(schedule.total_decode_tokens(), 4);
     }
@@ -705,18 +539,10 @@ mod tests {
     fn shortest_prompt_reorders_admission() {
         // Capacity 1, closed loop: FIFO admits 0 first; shortest-prompt
         // admits the short request 2 first.
-        let mix = mix();
-        let fifo = ServingSchedule::build(
-            &mix,
-            &ServingConfig::new(1).with_prefill(PrefillMode::Resident),
-        );
+        let resident = || ServingScenario::builder(mix(), 1).prefill(PrefillMode::Resident);
+        let fifo = schedule(resident());
         assert_eq!(fifo.steps()[0].decode()[0].request, 0);
-        let sjf = ServingSchedule::build(
-            &mix,
-            &ServingConfig::new(1)
-                .with_policy(AdmissionPolicy::ShortestPrompt)
-                .with_prefill(PrefillMode::Resident),
-        );
+        let sjf = schedule(resident().policy(AdmissionPolicy::ShortestPrompt));
         assert_eq!(
             sjf.steps()[0].decode()[0].request,
             0,

@@ -19,48 +19,52 @@
 //!   diurnal, all seeded and platform-exact.
 //! * [`AdmissionPolicy`] — which queued request takes a freed slot:
 //!   FIFO, shortest-prompt, or SLO-aware earliest-deadline-first.
+//! * [`ServingScenario`] — the one validated description of a serving
+//!   run (mix, slots, KV layout, arrivals, policy, prefill, context
+//!   window), built by [`ServingScenarioBuilder`].
 //! * [`ServingSchedule`] — the event-driven core (arrival ->
-//!   admission/prefill -> token -> retire), built from a
-//!   [`ServingConfig`]. Under [`PrefillMode::OnAdmission`] an admitted
-//!   prompt is lowered through the dense prefill path (optionally in
-//!   chunks) *before* its first decode step, so prefill MACs, energy
-//!   and cycles are charged exactly once per request.
-//! * [`BatchSchedule`] — the PR 5 closed-loop view, now a thin
-//!   projection of the event core at closed-loop/FIFO/resident
-//!   settings: FIFO admission on free slot, retirement on completion,
-//!   and one [`ScheduleStep`] snapshot per step recording each active
-//!   request's KV length *before* the step (the [`DecodePhase`]
-//!   convention). Prompts materialize pre-cached and cost nothing —
-//!   kept for saturation studies and golden compatibility.
-//! * [`ServingModel`] — lowers one scheduler step into bucketed decode
-//!   layers. Active requests are grouped by bucketed attend length (the
-//!   [`DecodePhase::with_kv_bucket`] machinery), each group becoming one
-//!   batched stack of decode blocks, so two steps whose active sets
-//!   bucket to the same composition produce networks with identical
-//!   [`crate::LayerSignature`]s — a multi-thousand-step trace through an
-//!   `EvalSession` costs mapping searches bounded by the number of
-//!   distinct *(bucket, group-size)* pairs, not the step count.
-//!   [`ServingModel::lower_serving_step`] additionally lowers the
-//!   step's prefill chunks through the dense attention path, and
-//!   [`ServingModel::step_composition`] reduces an event-core step to
-//!   the hashable [`StepComposition`] that lowering is a function of.
+//!   admission/prefill -> token -> retire), derived from a scenario by
+//!   [`ServingScenario::schedule`]. Under [`PrefillMode::OnAdmission`]
+//!   an admitted prompt is lowered through the dense prefill path
+//!   (optionally in chunks) *before* its first decode step, so prefill
+//!   MACs, energy and cycles are charged exactly once per request.
+//!   [`PrefillMode::Resident`] with closed-loop FIFO admission is the
+//!   saturation regime: prompts materialize pre-cached, and each step
+//!   records every active request's KV length *before* the step (the
+//!   [`DecodePhase`] convention).
+//! * [`ServingModel`] — lowers one scheduler step
+//!   ([`ServingModel::lower_serving_step_with`]). Decoding requests are
+//!   grouped by padded attend length (the [`DecodePhase::with_kv_bucket`]
+//!   machinery), each group becoming one batched stack of decode
+//!   blocks, and prefill chunks go through the dense attention path, so
+//!   two steps whose active sets pad to the same composition produce
+//!   networks with identical [`crate::LayerSignature`]s — a
+//!   multi-thousand-step trace through an `EvalSession` costs mapping
+//!   searches bounded by the number of distinct *(length, group-size)*
+//!   pairs, not the step count. [`ServingModel::step_composition`]
+//!   reduces a step to the hashable [`StepComposition`] that lowering is
+//!   a function of.
 //!
 //! # Examples
 //!
 //! ```
-//! use lumen_workload::serving::{BatchSchedule, RequestMix, ServingModel};
+//! use lumen_workload::serving::{PrefillMode, RequestMix, ServingModel, ServingScenario};
 //!
-//! let mix = RequestMix::uniform(4, 128, 8);
-//! let schedule = BatchSchedule::build(&mix, 2);
+//! let scenario = ServingScenario::builder(RequestMix::uniform(4, 128, 8), 2)
+//!     .kv_bucket(64)
+//!     .prefill(PrefillMode::Resident)
+//!     .build()
+//!     .unwrap();
+//! let schedule = scenario.schedule();
 //! // 4 requests x 8 tokens over 2 slots: 16 steps, always full.
 //! assert_eq!(schedule.total_steps(), 16);
-//! assert_eq!(schedule.total_tokens(), 32);
+//! assert_eq!(schedule.total_decode_tokens(), 32);
 //! assert!((schedule.mean_occupancy() - 1.0).abs() < 1e-12);
 //!
 //! let model = ServingModel::gpt2_small();
-//! let step = &schedule.steps()[0];
-//! let net = model.lower_step(&step.kv_lens(), 64);
-//! assert_eq!(net.total_macs(), model.step_macs(&step.kv_lens(), 64));
+//! let (step, layout) = (&schedule.steps()[0], scenario.layout());
+//! let net = model.lower_serving_step_with(step, layout);
+//! assert_eq!(net.total_macs(), model.serving_step_macs_with(step, layout));
 //! ```
 
 mod arrival;
@@ -73,7 +77,7 @@ mod scenario;
 
 pub use arrival::ArrivalProcess;
 pub use error::ServingError;
-pub use event::{PrefillMode, PrefillSlot, ServingConfig, ServingSchedule, ServingStep};
+pub use event::{PrefillMode, PrefillSlot, ServingSchedule, ServingStep};
 pub use fleet::{Fleet, FleetRouter, InstanceAssignment};
 pub use paging::{KvLayout, PageTable, PagedResidency, StepResidency};
 pub use policy::AdmissionPolicy;
@@ -367,115 +371,6 @@ pub struct ActiveSlot {
     pub kv_len: usize,
 }
 
-/// The active set of one scheduler step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScheduleStep {
-    active: Vec<ActiveSlot>,
-}
-
-impl ScheduleStep {
-    /// The active slots, in admission order.
-    pub fn active(&self) -> &[ActiveSlot] {
-        &self.active
-    }
-
-    /// Requests decoding this step (each generates exactly one token).
-    pub fn occupancy(&self) -> usize {
-        self.active.len()
-    }
-
-    /// The heterogeneous KV lengths of the active set, admission order.
-    pub fn kv_lens(&self) -> Vec<usize> {
-        self.active.iter().map(|s| s.kv_len).collect()
-    }
-}
-
-/// A continuous-batching schedule: the full step-by-step trace of a
-/// [`RequestMix`] through `capacity` decode slots.
-///
-/// The policy, pinned by `tests/serving_properties.rs`:
-///
-/// * All requests are queued at step 0 and admitted FIFO whenever a slot
-///   is free (admission happens at the *start* of a step, so a slot
-///   freed by a retirement is refilled on the very next step).
-/// * Every active request generates exactly one token per step; a
-///   request retires at the end of the step that produces its last
-///   token.
-/// * The schedule ends when the last request retires, so every step has
-///   a nonempty active set and occupancy never exceeds `capacity`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchSchedule {
-    capacity: usize,
-    steps: Vec<ScheduleStep>,
-}
-
-impl BatchSchedule {
-    /// Runs the scheduler over `mix` with `capacity` decode slots.
-    ///
-    /// Since the event-core refactor this is a projection of
-    /// [`ServingSchedule`] at closed-loop arrivals, FIFO admission and
-    /// [`PrefillMode::Resident`] — the configuration that reproduces
-    /// the PR 5 step compositions bit for bit (pinned by
-    /// `tests/serving_properties.rs`).
-    ///
-    /// # Errors
-    ///
-    /// [`ServingError::ZeroCapacity`] if `capacity` is zero.
-    pub fn try_build(mix: &RequestMix, capacity: usize) -> Result<BatchSchedule, ServingError> {
-        let config = ServingConfig::try_new(capacity)?.with_prefill(PrefillMode::Resident);
-        let event = ServingSchedule::try_build(mix, &config)?;
-        let steps = event
-            .steps()
-            .iter()
-            .map(|step| ScheduleStep {
-                active: step.decode().to_vec(),
-            })
-            .collect();
-        Ok(BatchSchedule { capacity, steps })
-    }
-
-    /// Panicking wrapper over [`BatchSchedule::try_build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn build(mix: &RequestMix, capacity: usize) -> BatchSchedule {
-        BatchSchedule::try_build(mix, capacity).expect("a schedule needs at least one decode slot")
-    }
-
-    /// The slot count the schedule was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The per-step active sets, in execution order.
-    pub fn steps(&self) -> &[ScheduleStep] {
-        &self.steps
-    }
-
-    /// Steps until the last request retires.
-    pub fn total_steps(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Tokens generated over the whole schedule — equal to the mix's
-    /// [`RequestMix::total_output_tokens`] by construction.
-    pub fn total_tokens(&self) -> u64 {
-        self.steps.iter().map(|s| s.occupancy() as u64).sum()
-    }
-
-    /// Mean slot occupancy over the schedule: in (0, 1] for a schedule
-    /// with steps, 0.0 for an empty one (an empty mix never reaches
-    /// construction, but a consumer holding a default/cleared schedule
-    /// still gets a finite answer).
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.steps.is_empty() {
-            return 0.0;
-        }
-        self.total_tokens() as f64 / (self.steps.len() * self.capacity) as f64
-    }
-}
-
 /// What an event-core step's lowering depends on, from
 /// [`ServingModel::step_composition`]: the key serving evaluation
 /// memoizes whole steps by.
@@ -590,27 +485,14 @@ impl ServingModel {
         groups.into_iter().collect()
     }
 
-    /// Lowers one scheduler step into bucketed decode layers: one
+    /// Pushes the bucketed decode groups of `active_kv` onto `net`: one
     /// batched stack of decode blocks (plus LM head) per bucketed
     /// attend-length group. Within a group the whole group shares the
     /// padded attend length — exactly the [`DecodePhase::with_kv_bucket`]
     /// padded-MAC accounting — and the group size rides the batch lever
     /// (projection weights shared across the group, KV caches replicated
-    /// per request).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active_kv` is empty or `kv_bucket` is zero.
-    pub fn lower_step(&self, active_kv: &[usize], kv_bucket: usize) -> Network {
-        assert!(!active_kv.is_empty(), "a step lowers a nonempty active set");
-        let net = Network::new(format!("{}-serving@occ{}", self.name, active_kv.len()));
-        self.push_decode_groups(net, active_kv, kv_bucket)
-    }
-
-    /// Pushes the bucketed decode-group stacks of `active_kv` onto
-    /// `net` — the body shared by [`ServingModel::lower_step`] and
-    /// [`ServingModel::lower_serving_step`]. A no-op on an empty
-    /// active set (a pure-prefill event step).
+    /// per request). A no-op on an empty active set (a pure-prefill
+    /// event step).
     fn push_decode_groups(
         &self,
         mut net: Network,
@@ -656,12 +538,11 @@ impl ServingModel {
         net
     }
 
-    /// Closed-form MAC count of [`ServingModel::lower_step`]: the sum
-    /// over the active set of each request's padded per-token work,
+    /// Closed-form MAC count of the decoding slots: the sum over the
+    /// active set of each request's padded per-token work,
     /// `blocks · (4·D² + 2·L·D + 2·D·D_ff) + vocab·D` at that request's
-    /// bucketed attend length `L`.
-    pub fn step_macs(&self, active_kv: &[usize], kv_bucket: usize) -> u64 {
-        assert!(kv_bucket > 0, "kv bucket must be nonzero");
+    /// attend length `L` padded to the quantum.
+    fn decode_macs(&self, active_kv: &[usize], kv_bucket: usize) -> u64 {
         active_kv
             .iter()
             .map(|&kv| {
@@ -747,22 +628,11 @@ impl ServingModel {
         }
     }
 
-    /// Lowers one event-core step: the bucketed decode groups of the
-    /// decoding slots (exactly [`ServingModel::lower_step`]) plus one
-    /// dense prefill stack per prefilling slot. For a step with no
-    /// prefill slots this produces the same layers as `lower_step`, so
-    /// closed-loop resident traces keep PR 5's signatures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the step is empty or `kv_bucket` is zero.
-    pub fn lower_serving_step(&self, step: &ServingStep, kv_bucket: usize) -> Network {
-        self.lower_serving_step_with(step, &KvLayout::Bucketed { bucket: kv_bucket })
-    }
-
-    /// Lowers one event-core step under an explicit KV residency
-    /// [`KvLayout`]. [`KvLayout::Bucketed`] reproduces
-    /// [`ServingModel::lower_serving_step`] exactly; [`KvLayout::Paged`]
+    /// Lowers one event-core step under a KV residency [`KvLayout`]:
+    /// the decoding slots plus one dense prefill stack per prefilling
+    /// slot. [`KvLayout::Bucketed`] groups the decoding slots by
+    /// bucket-padded attend length, one batched stack of decode blocks
+    /// per group; [`KvLayout::Paged`]
     /// pads attend lengths to the page instead of the bucket (so decode
     /// reads cover exactly the allocated pages), batches the
     /// KV-independent layers over the *whole* decode set (see
@@ -832,8 +702,8 @@ impl ServingModel {
     /// length *is* the cache, splits by page-padded attend length —
     /// each group reads exactly its allocated pages and appends one
     /// `d_model`-slice per member. Per-request MACs are identical to
-    /// [`ServingModel::step_macs`] at `kv_bucket = page`: batching
-    /// moves weight traffic, not arithmetic. A no-op on an empty
+    /// the bucketed lowering's at `kv_bucket = page`: batching moves
+    /// weight traffic, not arithmetic. A no-op on an empty
     /// active set (a pure-prefill event step).
     fn push_decode_groups_paged(
         &self,
@@ -902,24 +772,21 @@ impl ServingModel {
         macs
     }
 
-    /// Closed-form MAC count of [`ServingModel::lower_serving_step`]:
-    /// [`ServingModel::step_macs`] of the decoding slots plus
-    /// [`ServingModel::prefill_chunk_macs`] of each prefilling slot.
-    pub fn serving_step_macs(&self, step: &ServingStep, kv_bucket: usize) -> u64 {
-        self.step_macs(&step.decode_kv_lens(), kv_bucket)
+    /// Closed-form MAC count of [`ServingModel::lower_serving_step_with`]:
+    /// each decoding request's padded per-token work,
+    /// `blocks · (4·D² + 2·L·D + 2·D·D_ff) + vocab·D`, plus
+    /// [`ServingModel::prefill_chunk_macs`] of each prefilling slot, all
+    /// padded to the layout's quantum. Copy-on-write moves cache bytes
+    /// but multiplies nothing, so the layout's page table affects MACs
+    /// only through the attend padding.
+    pub fn serving_step_macs_with(&self, step: &ServingStep, layout: &KvLayout) -> u64 {
+        let quantum = layout.quantum();
+        self.decode_macs(&step.decode_kv_lens(), quantum)
             + step
                 .prefill()
                 .iter()
-                .map(|s| self.prefill_chunk_macs(s.cached, s.chunk, kv_bucket))
+                .map(|s| self.prefill_chunk_macs(s.cached, s.chunk, quantum))
                 .sum::<u64>()
-    }
-
-    /// Closed-form MAC count of [`ServingModel::lower_serving_step_with`]:
-    /// the bucketed closed forms evaluated at the layout's quantum.
-    /// Copy-on-write moves cache bytes but multiplies nothing, so the
-    /// layout's page table affects MACs only through the attend padding.
-    pub fn serving_step_macs_with(&self, step: &ServingStep, layout: &KvLayout) -> u64 {
-        self.serving_step_macs(step, layout.quantum())
     }
 }
 
@@ -965,24 +832,38 @@ mod tests {
         assert!(long > 0 && long < 64, "both populations present: {long}");
     }
 
+    /// The closed-loop, resident-prefill schedule of `mix` over
+    /// `capacity` slots: every step is pure decode.
+    fn resident_schedule(mix: RequestMix, capacity: usize) -> ServingSchedule {
+        ServingScenario::builder(mix, capacity)
+            .prefill(PrefillMode::Resident)
+            .build()
+            .unwrap()
+            .schedule()
+    }
+
+    /// `active_kv`'s bucketed decode groups, lowered on their own.
+    fn decode_groups(model: &ServingModel, active_kv: &[usize], bucket: usize) -> Network {
+        model.push_decode_groups(Network::new("decode"), active_kv, bucket)
+    }
+
     #[test]
     fn scheduler_fills_slots_and_drains() {
         // 3 requests of 2 tokens over 2 slots: steps are
         // {0,1} {0,1} {2} {2}.
-        let mix = RequestMix::uniform(3, 10, 2);
-        let schedule = BatchSchedule::build(&mix, 2);
+        let schedule = resident_schedule(RequestMix::uniform(3, 10, 2), 2);
         assert_eq!(schedule.total_steps(), 4);
-        assert_eq!(schedule.total_tokens(), 6);
+        assert_eq!(schedule.total_decode_tokens(), 6);
         let occ: Vec<usize> = schedule
             .steps()
             .iter()
-            .map(ScheduleStep::occupancy)
+            .map(ServingStep::occupancy)
             .collect();
         assert_eq!(occ, vec![2, 2, 1, 1]);
         // Request 2 waits two steps, then runs with a growing cache.
-        assert_eq!(schedule.steps()[2].active()[0].request, 2);
-        assert_eq!(schedule.steps()[2].active()[0].kv_len, 10);
-        assert_eq!(schedule.steps()[3].active()[0].kv_len, 11);
+        assert_eq!(schedule.steps()[2].decode()[0].request, 2);
+        assert_eq!(schedule.steps()[2].decode()[0].kv_len, 10);
+        assert_eq!(schedule.steps()[3].decode()[0].kv_len, 11);
     }
 
     #[test]
@@ -990,16 +871,16 @@ mod tests {
         // A 1-token request and a 3-token request over one slot: the
         // short one finishes at step 0 and the long one starts at step 1.
         let mix = RequestMix::custom("m", vec![Request::new(4, 1), Request::new(8, 3)]);
-        let schedule = BatchSchedule::build(&mix, 1);
+        let schedule = resident_schedule(mix, 1);
         assert_eq!(schedule.total_steps(), 4);
         let reqs: Vec<usize> = schedule
             .steps()
             .iter()
-            .map(|s| s.active()[0].request)
+            .map(|s| s.decode()[0].request)
             .collect();
         assert_eq!(reqs, vec![0, 1, 1, 1]);
-        assert_eq!(schedule.steps()[1].kv_lens(), vec![8]);
-        assert_eq!(schedule.steps()[3].kv_lens(), vec![10]);
+        assert_eq!(schedule.steps()[1].decode_kv_lens(), vec![8]);
+        assert_eq!(schedule.steps()[3].decode_kv_lens(), vec![10]);
     }
 
     #[test]
@@ -1011,14 +892,13 @@ mod tests {
     }
 
     #[test]
-    fn lower_step_matches_closed_form() {
+    fn decode_lowering_matches_closed_form() {
         let model = ServingModel::gpt2_small();
         for kv in [vec![0], vec![5, 5, 5], vec![0, 100, 300, 301]] {
             for bucket in [1, 64, 256] {
-                let net = model.lower_step(&kv, bucket);
                 assert_eq!(
-                    net.total_macs(),
-                    model.step_macs(&kv, bucket),
+                    decode_groups(&model, &kv, bucket).total_macs(),
+                    model.decode_macs(&kv, bucket),
                     "kv={kv:?} bucket={bucket}"
                 );
             }
@@ -1029,8 +909,7 @@ mod tests {
     fn equal_compositions_share_every_signature() {
         let model = ServingModel::new("toy", 64, 4, 128, 2, 1000);
         let sigs = |kv: &[usize]| -> HashSet<LayerSignature> {
-            model
-                .lower_step(kv, 32)
+            decode_groups(&model, kv, 32)
                 .layers()
                 .iter()
                 .map(Layer::signature)
@@ -1050,7 +929,10 @@ mod tests {
         use crate::networks;
         let model = ServingModel::gpt2_small();
         for (kv, bucket) in [(0usize, 64usize), (127, 64), (500, 128)] {
-            let serving = model.lower_step(&[kv], bucket);
+            // A lone resident request's first step decodes at kv = prompt.
+            let schedule = resident_schedule(RequestMix::uniform(1, kv, 1), 1);
+            let layout = KvLayout::Bucketed { bucket };
+            let serving = model.lower_serving_step_with(&schedule.steps()[0], &layout);
             let decode = networks::gpt2_small_decode_bucketed(kv, bucket);
             assert_eq!(serving.layers().len(), decode.layers().len());
             assert_eq!(serving.total_macs(), decode.total_macs());
@@ -1134,32 +1016,21 @@ mod tests {
                 Request::new(64, 2),
             ],
         );
-        let config =
-            ServingConfig::new(3).with_prefill(PrefillMode::OnAdmission { chunk: Some(128) });
-        let schedule = ServingSchedule::build(&mix, &config);
+        let scenario = ServingScenario::builder(mix, 3)
+            .prefill_chunk(128)
+            .build()
+            .unwrap();
+        let schedule = scenario.schedule();
         assert!(schedule
             .steps()
             .iter()
             .any(|s| !s.prefill().is_empty() && !s.decode().is_empty()));
         for step in schedule.steps() {
-            let net = model.lower_serving_step(step, 256);
-            assert_eq!(net.total_macs(), model.serving_step_macs(step, 256));
-        }
-    }
-
-    #[test]
-    fn pure_decode_serving_step_matches_lower_step() {
-        let model = ServingModel::gpt2_small();
-        let mix = RequestMix::uniform(3, 100, 4);
-        let config = ServingConfig::new(2).with_prefill(PrefillMode::Resident);
-        let schedule = ServingSchedule::build(&mix, &config);
-        for step in schedule.steps() {
-            let via_event = model.lower_serving_step(step, 64);
-            let via_legacy = model.lower_step(&step.decode_kv_lens(), 64);
-            assert_eq!(via_event.layers().len(), via_legacy.layers().len());
-            for (a, b) in via_event.layers().iter().zip(via_legacy.layers()) {
-                assert_eq!(a.signature(), b.signature());
-            }
+            let net = model.lower_serving_step_with(step, scenario.layout());
+            assert_eq!(
+                net.total_macs(),
+                model.serving_step_macs_with(step, scenario.layout())
+            );
         }
     }
 
@@ -1172,10 +1043,6 @@ mod tests {
         assert_eq!(
             RequestMix::try_custom("empty", vec![]).unwrap_err(),
             ServingError::EmptyMix
-        );
-        assert_eq!(
-            BatchSchedule::try_build(&RequestMix::uniform(1, 1, 1), 0).unwrap_err(),
-            ServingError::ZeroCapacity
         );
     }
 
@@ -1192,11 +1059,5 @@ mod tests {
     #[should_panic(expected = "at least one token")]
     fn zero_output_requests_are_rejected() {
         let _ = Request::new(10, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one decode slot")]
-    fn zero_capacity_is_rejected() {
-        let _ = BatchSchedule::build(&RequestMix::uniform(1, 1, 1), 0);
     }
 }

@@ -267,7 +267,7 @@ impl KvLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::{PrefillMode, RequestMix, ServingConfig};
+    use crate::serving::{PrefillMode, RequestMix, ServingScenario};
 
     #[test]
     fn allocation_rounds_up_to_whole_pages() {
@@ -326,10 +326,11 @@ mod tests {
 
     #[test]
     fn schedule_residency_tracks_peak_and_bounds_waste() {
-        let mix = RequestMix::uniform(4, 100, 8);
-        let config =
-            ServingConfig::new(4).with_prefill(PrefillMode::OnAdmission { chunk: Some(64) });
-        let schedule = ServingSchedule::build(&mix, &config);
+        let schedule = ServingScenario::builder(RequestMix::uniform(4, 100, 8), 4)
+            .prefill_chunk(64)
+            .build()
+            .unwrap()
+            .schedule();
         let t = PageTable::new(16);
         let r = t.schedule_residency(&schedule);
         assert!(r.peak_allocated_tokens >= r.peak_used_tokens);
@@ -345,11 +346,13 @@ mod tests {
     fn shared_full_pages_are_counted_once() {
         // Two requests fully decoded, sharing a 32-token prefix at page
         // 16: per-step allocation = shared 32 once + private remainders.
-        let mix = RequestMix::uniform(2, 64, 4)
-            .try_with_shared_prefix(32)
-            .unwrap();
-        let config = ServingConfig::new(2).with_prefill(PrefillMode::Resident);
-        let schedule = ServingSchedule::build(&mix, &config);
+        let schedule = ServingScenario::builder(RequestMix::uniform(2, 64, 4), 2)
+            .kv_page(16)
+            .shared_prefix(32)
+            .prefill(PrefillMode::Resident)
+            .build()
+            .unwrap()
+            .schedule();
         let t = PageTable::new(16).with_shared_prefix(32);
         let step0 = t.step_residency(&schedule.steps()[0]);
         // Used: the shared 32 tokens once (same physical pages) plus

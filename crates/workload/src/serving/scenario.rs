@@ -17,13 +17,14 @@
 //! share one construction path instead of re-validating flags.
 
 use super::error::ServingError;
-use super::event::{PrefillMode, ServingConfig, ServingSchedule};
+use super::event::{PrefillMode, ServingSchedule};
 use super::paging::{KvLayout, PageTable};
 use super::{AdmissionPolicy, ArrivalProcess, RequestMix};
 
 /// A complete, validated serving scenario: the request mix, the
-/// scheduler configuration and the KV residency layout, checked as a
-/// whole at [`ServingScenarioBuilder::build`].
+/// scheduler knobs (slots, arrivals, admission policy, prefill mode,
+/// context window) and the KV residency layout, checked as a whole at
+/// [`ServingScenarioBuilder::build`].
 ///
 /// # Examples
 ///
@@ -41,10 +42,13 @@ use super::{AdmissionPolicy, ArrivalProcess, RequestMix};
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingScenario {
     mix: RequestMix,
+    capacity: usize,
     kv_bucket: usize,
-    kv_page: Option<usize>,
-    config: ServingConfig,
     layout: KvLayout,
+    arrival: ArrivalProcess,
+    policy: AdmissionPolicy,
+    prefill: PrefillMode,
+    max_context: Option<usize>,
 }
 
 impl ServingScenario {
@@ -72,12 +76,7 @@ impl ServingScenario {
 
     /// Decode-slot capacity.
     pub fn capacity(&self) -> usize {
-        self.config.capacity()
-    }
-
-    /// The scheduler configuration the scenario lowers to.
-    pub fn config(&self) -> &ServingConfig {
-        &self.config
+        self.capacity
     }
 
     /// The KV residency layout: paged when a page size was given,
@@ -94,7 +93,7 @@ impl ServingScenario {
 
     /// The KV page size, when paged.
     pub fn kv_page(&self) -> Option<usize> {
-        self.kv_page
+        self.layout.page_table().map(PageTable::page)
     }
 
     /// The shared prompt-prefix length, in tokens (0 = no sharing).
@@ -104,30 +103,31 @@ impl ServingScenario {
 
     /// The arrival process.
     pub fn arrival(&self) -> &ArrivalProcess {
-        self.config.arrival()
+        &self.arrival
     }
 
     /// The admission policy.
     pub fn policy(&self) -> AdmissionPolicy {
-        self.config.policy()
+        self.policy
     }
 
     /// The prefill mode.
     pub fn prefill(&self) -> PrefillMode {
-        self.config.prefill()
+        self.prefill
     }
 
-    /// The context window, when capped.
+    /// The context window, when capped: a request whose cache would
+    /// outgrow it mid-decode retires early at the boundary (recorded in
+    /// [`ServingSchedule::truncated`]).
     pub fn max_context(&self) -> Option<usize> {
-        self.config.max_context()
+        self.max_context
     }
 
     /// Runs the event core over the scenario. Infallible: every
     /// schedule-construction error was already rejected at
     /// [`ServingScenarioBuilder::build`].
     pub fn schedule(&self) -> ServingSchedule {
-        ServingSchedule::try_build(&self.mix, &self.config)
-            .expect("a built scenario is schedulable by construction")
+        ServingSchedule::run(self)
     }
 
     /// The scenario re-targeted at `mix` and `arrival` — how a fleet
@@ -151,7 +151,7 @@ impl ServingScenario {
             .arrival(arrival)
             .policy(self.policy())
             .prefill(self.prefill());
-        if let Some(page) = self.kv_page {
+        if let Some(page) = self.kv_page() {
             builder = builder.kv_page(page);
         }
         if let Some(max) = self.max_context() {
@@ -234,7 +234,9 @@ impl ServingScenarioBuilder {
         self
     }
 
-    /// Caps the per-request context window.
+    /// Caps the per-request context window: a prompt that fills it is
+    /// rejected at [`build`](ServingScenarioBuilder::build), and a
+    /// request whose cache would outgrow it mid-decode retires early.
     #[must_use]
     pub fn max_context(mut self, max_context: usize) -> ServingScenarioBuilder {
         self.max_context = Some(max_context);
@@ -292,19 +294,15 @@ impl ServingScenarioBuilder {
                 bucket: self.kv_bucket,
             },
         };
-        let mut config = ServingConfig::try_new(self.capacity)?
-            .with_arrival(self.arrival)
-            .with_policy(self.policy)
-            .with_prefill(self.prefill);
-        if let Some(max_context) = self.max_context {
-            config = config.with_max_context(max_context);
-        }
         Ok(ServingScenario {
             mix,
+            capacity: self.capacity,
             kv_bucket: self.kv_bucket,
-            kv_page: self.kv_page,
-            config,
             layout,
+            arrival: self.arrival,
+            policy: self.policy,
+            prefill: self.prefill,
+            max_context: self.max_context,
         })
     }
 }
@@ -323,6 +321,8 @@ mod tests {
         assert_eq!(s.capacity(), 3);
         assert_eq!(s.arrival(), &ArrivalProcess::ClosedLoop);
         assert_eq!(s.policy(), AdmissionPolicy::Fifo);
+        assert_eq!(s.prefill(), PrefillMode::OnAdmission { chunk: None });
+        assert_eq!(s.max_context(), None);
         assert_eq!(s.kv_page(), None);
         assert_eq!(
             s.layout(),
@@ -330,9 +330,13 @@ mod tests {
                 bucket: ServingScenarioBuilder::DEFAULT_KV_BUCKET
             }
         );
-        // The derived schedule matches a hand-built one exactly.
-        let config = ServingConfig::new(3);
-        assert_eq!(s.schedule(), ServingSchedule::build(&mix(), &config));
+        // The derived schedule charges every prompt once, whole, and
+        // decodes every token.
+        let schedule = s.schedule();
+        assert_eq!(schedule.capacity(), 3);
+        assert_eq!(schedule.total_prefill_tokens(), 6 * 128);
+        assert_eq!(schedule.total_decode_tokens(), 6 * 16);
+        assert!(schedule.truncated().is_empty());
     }
 
     #[test]
@@ -389,6 +393,7 @@ mod tests {
         let table = s.layout().page_table().unwrap();
         assert_eq!(table.shared_prefix(), 40);
         assert_eq!(table.page(), 16);
+        assert_eq!(s.kv_page(), Some(16));
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! Run with: `cargo run --release --example serving_study`
 
 use lumen::albireo::{experiments, AlbireoConfig, ScalingProfile};
-use lumen::core::serving::{serving_sweep, serving_trace};
-use lumen::core::{EvalSession, NetworkOptions};
-use lumen::workload::serving::{ArrivalProcess, PrefillMode, ServingConfig, ServingSchedule};
-use lumen::workload::{BatchSchedule, RequestMix, ServingModel};
+use lumen::core::{scenario_trace, EvalSession, NetworkOptions};
+use lumen::workload::serving::{ArrivalProcess, PrefillMode, ServingScenario};
+use lumen::workload::{RequestMix, ServingModel};
 
 fn main() {
     // The headline study at both corners: the decode-regime utilization
@@ -31,27 +30,28 @@ fn main() {
         );
     }
 
-    // One schedule under the microscope: a bimodal mix through 4 slots.
-    // Short requests retire early, long ones keep their slots, and the
-    // scheduler backfills from the queue — watch occupancy and energy
-    // per token move step by step.
+    // One schedule under the microscope: a bimodal mix through 4 slots,
+    // closed loop with prompts resident. Short requests retire early,
+    // long ones keep their slots, and the scheduler backfills from the
+    // queue — watch occupancy and energy per token move step by step.
     let mix = RequestMix::bimodal(7, 10, (64, 12), (512, 40), 30);
-    let schedule = BatchSchedule::build(&mix, 4);
+    let scenario = |mix: RequestMix| {
+        ServingScenario::builder(mix, 4).kv_bucket(experiments::SERVING_KV_BUCKET)
+    };
+    let closed = scenario(mix.clone())
+        .prefill(PrefillMode::Resident)
+        .build()
+        .expect("the closed-loop scenario is valid");
     let session = EvalSession::new(AlbireoConfig::new(ScalingProfile::Aggressive).build_system());
-    let result = serving_sweep(
-        &session,
-        &ServingModel::gpt2_small(),
-        &schedule,
-        experiments::SERVING_KV_BUCKET,
-        &NetworkOptions::baseline(),
-    )
-    .expect("schedule evaluates");
+    let model = ServingModel::gpt2_small();
+    let result = scenario_trace(&session, &model, &closed, &NetworkOptions::baseline())
+        .expect("schedule evaluates");
 
     println!(
         "== {} through 4 slots, albireo-aggressive: {} steps, {} tokens ==",
         mix.name(),
-        schedule.total_steps(),
-        schedule.total_tokens()
+        result.points.len(),
+        result.total_tokens()
     );
     for point in result.points.iter().step_by(8) {
         println!(
@@ -77,18 +77,13 @@ fn main() {
     // With per-request arrival times the latency distribution exists:
     // time-to-first-token (arrival -> first decode step done) and
     // time-between-tokens (gaps between completions).
-    let config = ServingConfig::new(4)
-        .with_arrival(ArrivalProcess::poisson(0.1, 0xFEED_F00D))
-        .with_prefill(PrefillMode::OnAdmission { chunk: Some(256) });
-    let schedule = ServingSchedule::build(&mix, &config);
-    let open = serving_trace(
-        &session,
-        &ServingModel::gpt2_small(),
-        &schedule,
-        experiments::SERVING_KV_BUCKET,
-        &NetworkOptions::baseline(),
-    )
-    .expect("open-loop trace evaluates");
+    let open_loop = scenario(mix.clone())
+        .arrival(ArrivalProcess::poisson(0.1, 0xFEED_F00D))
+        .prefill_chunk(256)
+        .build()
+        .expect("the open-loop scenario is valid");
+    let open = scenario_trace(&session, &model, &open_loop, &NetworkOptions::baseline())
+        .expect("open-loop trace evaluates");
 
     let clock = session.system().arch().clock();
     let ttft = open.ttft_percentiles(clock);
@@ -96,11 +91,11 @@ fn main() {
     println!(
         "== open-loop: {} with {} through 4 slots ==",
         mix.name(),
-        config.arrival()
+        open_loop.arrival()
     );
     println!(
         "  {} steps ({} prefill tokens charged on admission, {} decode tokens)",
-        schedule.total_steps(),
+        open.points.len(),
         open.total_prefill_tokens(),
         open.total_tokens()
     );

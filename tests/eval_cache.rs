@@ -315,9 +315,10 @@ fn decode_trace_512_steps_costs_a_handful_of_searches() {
 }
 
 /// The serving acceptance criterion made literal: an 800-step
-/// continuous-batching schedule of a mixed-length long-tail request
-/// population (28 requests over 8 slots, KV lengths padded to 128-token
-/// buckets) evaluated through one [`EvalSession`] performs at most
+/// closed-loop, resident-prefill continuous-batching schedule of a
+/// mixed-length long-tail request population (28 requests over 8 slots,
+/// KV lengths padded to 128-token buckets) evaluated through one
+/// [`EvalSession`] performs at most
 /// *(distinct (padded attend length, group size) pairs × unique
 /// signatures per group)* mapping searches — the counting `Custom`
 /// strategy proves it — at a ≥ 99% hit rate over tens of thousands of
@@ -325,7 +326,7 @@ fn decode_trace_512_steps_costs_a_handful_of_searches() {
 #[test]
 fn serving_trace_800_steps_costs_a_handful_of_searches() {
     use lumen::mapper::search::{greedy_mapping, spatial_priority_for, TemporalPlan};
-    use lumen::workload::serving::{BatchSchedule, RequestMix, ServingModel};
+    use lumen::workload::serving::{PrefillMode, RequestMix, ServingModel, ServingScenario};
 
     let searches = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&searches);
@@ -343,23 +344,29 @@ fn serving_trace_800_steps_costs_a_handful_of_searches() {
     // debug-mode wall time) modest; the scheduler and cache economics
     // are shape-independent.
     let model = ServingModel::new("toy-lm", 256, 4, 512, 2, 4096);
-    let mix = RequestMix::long_tail(0x51EED, 28, (0, 480), 80, 2);
-    let schedule = BatchSchedule::build(&mix, 8);
+    let bucket = 128usize;
+    let scenario = ServingScenario::builder(RequestMix::long_tail(0x51EED, 28, (0, 480), 80, 2), 8)
+        .kv_bucket(bucket)
+        .prefill(PrefillMode::Resident)
+        .build()
+        .expect("closed-loop scenario is valid");
+    let schedule = scenario.schedule();
     assert!(
         schedule.total_steps() >= 512,
         "the trace is long enough to prove scaling: {} steps",
         schedule.total_steps()
     );
 
-    let bucket = 128usize;
     let session = EvalSession::new(System::new(generic_arch(), counting));
     let mut layer_evals = 0usize;
     let mut pairs: HashSet<(usize, usize)> = HashSet::new();
     let mut unique: HashSet<LayerSignature> = HashSet::new();
     for step in schedule.steps() {
-        let kv = step.kv_lens();
-        pairs.extend(ServingModel::bucketed_composition(&kv, bucket));
-        let net = model.lower_step(&kv, bucket);
+        pairs.extend(ServingModel::bucketed_composition(
+            &step.decode_kv_lens(),
+            bucket,
+        ));
+        let net = model.lower_serving_step_with(step, scenario.layout());
         unique.extend(net.layers().iter().map(Layer::signature));
         let eval = session
             .evaluate_network(&net, &NetworkOptions::baseline())
@@ -402,9 +409,7 @@ fn serving_trace_800_steps_costs_a_handful_of_searches() {
 /// same content-addressed path.
 #[test]
 fn paged_serving_trace_dedups_by_unique_signature() {
-    use lumen::workload::serving::{
-        KvLayout, PageTable, PrefillMode, RequestMix, ServingConfig, ServingModel, ServingSchedule,
-    };
+    use lumen::workload::serving::{RequestMix, ServingModel, ServingScenario};
 
     let searches = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&searches);
@@ -419,21 +424,24 @@ fn paged_serving_trace_dedups_by_unique_signature() {
     }));
 
     let model = ServingModel::new("toy-lm", 256, 4, 512, 2, 4096);
-    let mix = RequestMix::long_tail(0x51EED, 28, (64, 320), 80, 2);
-    let config = ServingConfig::new(8).with_prefill(PrefillMode::OnAdmission { chunk: Some(96) });
-    let schedule = ServingSchedule::build(&mix, &config);
+    let scenario =
+        ServingScenario::builder(RequestMix::long_tail(0x51EED, 28, (64, 320), 80, 2), 8)
+            .kv_page(32)
+            .prefill_chunk(96)
+            .build()
+            .expect("paged scenario is valid");
+    let schedule = scenario.schedule();
     assert!(
         schedule.total_steps() >= 400,
         "the trace is long enough to prove scaling: {} steps",
         schedule.total_steps()
     );
 
-    let layout = KvLayout::Paged(PageTable::new(32));
     let session = EvalSession::new(System::new(generic_arch(), counting));
     let mut layer_evals = 0usize;
     let mut unique: HashSet<LayerSignature> = HashSet::new();
     for step in schedule.steps() {
-        let net = model.lower_serving_step_with(step, &layout);
+        let net = model.lower_serving_step_with(step, scenario.layout());
         unique.extend(net.layers().iter().map(Layer::signature));
         let eval = session
             .evaluate_network(&net, &NetworkOptions::baseline())

@@ -217,17 +217,20 @@ fn decode_study_gap_widens_and_trace_is_cheap() {
 /// re-spend the smoke suite's wall-time budget.
 #[test]
 fn serving_smoke_schedule_conserves_tokens_and_hits_cache() {
-    use lumen::core::serving::serving_sweep;
-    use lumen::workload::{BatchSchedule, RequestMix, ServingModel};
+    use lumen::core::scenario_trace;
+    use lumen::workload::{PrefillMode, RequestMix, ServingModel, ServingScenario};
 
     let mix = RequestMix::bimodal(21, 6, (64, 6), (512, 18), 33);
-    let schedule = BatchSchedule::build(&mix, 3);
+    let scenario = ServingScenario::builder(mix.clone(), 3)
+        .kv_bucket(experiments::SERVING_KV_BUCKET)
+        .prefill(PrefillMode::Resident)
+        .build()
+        .expect("closed-loop scenario is valid");
     let session = shared_aggressive_session();
-    let result = serving_sweep(
+    let result = scenario_trace(
         &session,
         &ServingModel::gpt2_small(),
-        &schedule,
-        experiments::SERVING_KV_BUCKET,
+        &scenario,
         &NetworkOptions::baseline(),
     )
     .expect("schedule evaluates");

@@ -1,34 +1,38 @@
 //! Property and invariant tests for the continuous-batching scheduler
 //! and its lowering.
 //!
-//! The pinned properties: every request's tokens are produced exactly
-//! once (with consecutive KV lengths starting at its prompt), step MACs
-//! equal the sum of each active request's padded per-token work,
-//! occupancy never exceeds capacity (and never idles while work waits),
-//! and a fully-uniform mix through a single slot reproduces PR 4's
-//! `decode_trace` totals bit-identically through the evaluator.
+//! The pinned properties of the closed-loop, FIFO, resident-prefill
+//! scenario (every request queued at step 0 with its prompt cached):
+//! every request's tokens are produced exactly once (with consecutive KV
+//! lengths starting at its prompt), step MACs equal the sum of each
+//! active request's padded per-token work, occupancy never exceeds
+//! capacity (and never idles while work waits), slots fill in FIFO
+//! order — slot for slot what a direct transcription of the original
+//! batch-scheduler loop produces — and a fully-uniform mix through a
+//! single slot reproduces the single-request `decode_trace` totals
+//! bit-identically through the evaluator.
 //!
 //! The open-loop event schedule adds its own laws: seeded arrivals are
 //! deterministic, each prompt prefills exactly once in contiguous
-//! chunks, prefill+decode occupancy respects capacity, the evaluator
-//! charges every chunk exactly once, and a closed-loop FIFO
-//! resident-prefill configuration reproduces the legacy
-//! `BatchSchedule` slot for slot.
+//! chunks, prefill+decode occupancy respects capacity, and the
+//! evaluator charges every chunk exactly once.
 //!
 //! The step memo adds two more: equal step compositions lower to
 //! identical layer signatures, and a memoized trace equals an uncached
 //! one bit for bit with every layer of every step still accounted for.
 
 use lumen::arch::{ArchBuilder, Architecture, Domain, Fanout};
-use lumen::core::serving::{serving_sweep, serving_trace, RequestLatency, ServingStepPoint};
+use lumen::core::serving::{RequestLatency, ServingStepPoint};
 use lumen::core::{scenario_trace, EvalSession, MappingStrategy, NetworkOptions, System};
 use lumen::mapper::search::{greedy_mapping, spatial_priority_for, TemporalPlan};
 use lumen::units::{Energy, Frequency};
 use lumen::workload::serving::{
-    ArrivalProcess, BatchSchedule, KvLayout, PageTable, PrefillMode, Request, RequestMix,
-    ServingConfig, ServingModel, ServingScenario, ServingSchedule, StepComposition,
+    ArrivalProcess, KvLayout, PageTable, PrefillMode, Request, RequestMix, ServingModel,
+    ServingScenario, ServingSchedule, ServingStep, StepComposition,
 };
-use lumen::workload::{networks, AdmissionPolicy, Dim, DimSet, Layer, LayerSignature, TensorSet};
+use lumen::workload::{
+    decode_block_macs, networks, AdmissionPolicy, Dim, DimSet, Layer, LayerSignature, TensorSet,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,14 +58,39 @@ fn toy_arch() -> Architecture {
         .expect("toy architecture is valid")
 }
 
+/// The closed-loop FIFO schedule of `mix` over `capacity` slots with
+/// prompts resident: every request queues at step 0, and every step is
+/// pure decode.
+fn resident_schedule(mix: &RequestMix, capacity: usize) -> ServingSchedule {
+    ServingScenario::builder(mix.clone(), capacity)
+        .prefill(PrefillMode::Resident)
+        .build()
+        .expect("resident scenario is valid")
+        .schedule()
+}
+
+/// `(blocks, d_model, d_ff, vocab)` of [`ServingModel::gpt2_small`].
+const GPT2: (usize, usize, usize, usize) = (12, 768, 3072, 50257);
+/// `(blocks, d_model, d_ff, vocab)` of the `toy` decoder below.
+const TOY: (usize, usize, usize, usize) = (2, 64, 128, 1000);
+
+/// One decoding request's padded per-token MACs, written out from the
+/// model shape: `blocks` decode blocks at the attend length `kv + 1`
+/// rounded up to `bucket`, plus the LM head.
+fn token_macs(shape: (usize, usize, usize, usize), kv: usize, bucket: usize) -> u64 {
+    let (blocks, d_model, d_ff, vocab) = shape;
+    let len = (kv + 1).div_ceil(bucket) * bucket;
+    blocks as u64 * decode_block_macs(len, d_model, d_ff) + (vocab * d_model) as u64
+}
+
 /// Every request's tokens are produced exactly once: across the whole
 /// schedule, request `r` appears in exactly `output` steps, and the KV
 /// lengths it is scheduled at are `prompt, prompt+1, ..,
 /// prompt+output-1` in execution order.
-fn assert_tokens_exactly_once(mix: &RequestMix, schedule: &BatchSchedule) {
+fn assert_tokens_exactly_once(mix: &RequestMix, schedule: &ServingSchedule) {
     let mut seen: HashMap<usize, Vec<usize>> = HashMap::new();
     for step in schedule.steps() {
-        for slot in step.active() {
+        for slot in step.decode() {
             seen.entry(slot.request).or_default().push(slot.kv_len);
         }
     }
@@ -91,10 +120,10 @@ fn every_token_is_produced_exactly_once() {
     ];
     for mix in &mixes {
         for capacity in [1, 2, 5, 64] {
-            let schedule = BatchSchedule::build(mix, capacity);
+            let schedule = resident_schedule(mix, capacity);
             assert_tokens_exactly_once(mix, &schedule);
             assert_eq!(
-                schedule.total_tokens(),
+                schedule.total_decode_tokens(),
                 mix.total_output_tokens(),
                 "{} cap {capacity}",
                 mix.name()
@@ -103,13 +132,17 @@ fn every_token_is_produced_exactly_once() {
     }
 }
 
+/// Under closed-loop FIFO admission the slots never idle while work
+/// waits, and requests take slots in index order: each step lists its
+/// slots in admission order, which is ascending request index.
 #[test]
 fn occupancy_never_exceeds_capacity_and_never_idles_waiting_work() {
     let mix = RequestMix::bimodal(3, 25, (64, 4), (256, 30), 40);
     for capacity in [1, 3, 8, 25, 100] {
-        let schedule = BatchSchedule::build(&mix, capacity);
+        let schedule = resident_schedule(&mix, capacity);
         let mut retired = 0usize;
         let mut admitted: Vec<bool> = vec![false; mix.len()];
+        let mut admission_order = Vec::new();
         for (i, step) in schedule.steps().iter().enumerate() {
             assert!(
                 step.occupancy() <= capacity,
@@ -117,7 +150,17 @@ fn occupancy_never_exceeds_capacity_and_never_idles_waiting_work() {
                 step.occupancy()
             );
             assert!(step.occupancy() > 0, "no empty steps");
-            for slot in step.active() {
+            assert!(step.prefill().is_empty(), "resident prompts never prefill");
+            assert!(
+                step.decode()
+                    .windows(2)
+                    .all(|w| w[0].request < w[1].request),
+                "cap {capacity} step {i}: slots in FIFO order"
+            );
+            for slot in step.decode() {
+                if !admitted[slot.request] {
+                    admission_order.push(slot.request);
+                }
                 admitted[slot.request] = true;
             }
             // Work-conserving: a slot sits free only once the queue is
@@ -127,7 +170,7 @@ fn occupancy_never_exceeds_capacity_and_never_idles_waiting_work() {
                 assert_eq!(waiting, 0, "cap {capacity} step {i}: idle slot with queue");
             }
             retired += step
-                .active()
+                .decode()
                 .iter()
                 .filter(|s| {
                     s.kv_len + 1
@@ -136,6 +179,8 @@ fn occupancy_never_exceeds_capacity_and_never_idles_waiting_work() {
                 .count();
         }
         assert_eq!(retired, mix.len(), "every request retires exactly once");
+        let fifo: Vec<usize> = (0..mix.len()).collect();
+        assert_eq!(admission_order, fifo, "cap {capacity}: FIFO admission");
     }
 }
 
@@ -143,16 +188,23 @@ fn occupancy_never_exceeds_capacity_and_never_idles_waiting_work() {
 fn step_macs_equal_the_sum_over_the_active_set() {
     let model = ServingModel::gpt2_small();
     let mix = RequestMix::long_tail(9, 16, (64, 400), 8, 3);
-    let schedule = BatchSchedule::build(&mix, 5);
+    let schedule = resident_schedule(&mix, 5);
     for bucket in [1, 64, 256] {
+        let layout = KvLayout::Bucketed { bucket };
         for step in schedule.steps() {
-            let kv = step.kv_lens();
-            let net = model.lower_step(&kv, bucket);
+            let net = model.lower_serving_step_with(step, &layout);
             // The network's MACs are exactly the sum of each active
             // request's padded per-token work — no cross-request terms.
-            let per_request: u64 = kv.iter().map(|&k| model.step_macs(&[k], bucket)).sum();
+            let per_request: u64 = step
+                .decode_kv_lens()
+                .iter()
+                .map(|&kv| token_macs(GPT2, kv, bucket))
+                .sum();
             assert_eq!(net.total_macs(), per_request, "bucket {bucket}");
-            assert_eq!(net.total_macs(), model.step_macs(&kv, bucket));
+            assert_eq!(
+                net.total_macs(),
+                model.serving_step_macs_with(step, &layout)
+            );
         }
     }
 }
@@ -164,20 +216,17 @@ fn step_macs_equal_the_sum_over_the_active_set() {
 #[test]
 fn uniform_single_slot_schedule_matches_decode_trace_bit_identically() {
     let (prompt, steps, bucket) = (100usize, 24usize, 16usize);
-    let mix = RequestMix::uniform(1, prompt, steps);
-    let schedule = BatchSchedule::build(&mix, 1);
-    assert_eq!(schedule.total_steps(), steps);
+    let scenario = ServingScenario::builder(RequestMix::uniform(1, prompt, steps), 1)
+        .kv_bucket(bucket)
+        .prefill(PrefillMode::Resident)
+        .build()
+        .expect("single-slot scenario is valid");
+    assert_eq!(scenario.schedule().total_steps(), steps);
 
     let model = ServingModel::gpt2_small();
     let session = EvalSession::new(System::new(toy_arch(), MappingStrategy::default()));
-    let serving = serving_sweep(
-        &session,
-        &model,
-        &schedule,
-        bucket,
-        &NetworkOptions::baseline(),
-    )
-    .expect("schedule evaluates");
+    let serving = scenario_trace(&session, &model, &scenario, &NetworkOptions::baseline())
+        .expect("schedule evaluates");
 
     let trace: Vec<_> = networks::gpt2_small_decode_trace(prompt, steps, bucket).collect();
     assert_eq!(serving.points.len(), trace.len());
@@ -206,10 +255,15 @@ fn uniform_single_slot_schedule_matches_decode_trace_bit_identically() {
 // --- open-loop event schedule (PR 7) --------------------------------
 
 /// Conservation for the event-driven scheduler: each admitted request
-/// prefills its prompt exactly once (contiguous chunks, no overlap) and
-/// decodes its output exactly once at consecutive KV lengths; the
-/// per-step slot count (prefill + decode) never exceeds capacity.
-fn assert_event_schedule_conserves(mix: &RequestMix, schedule: &ServingSchedule) {
+/// prefills its prompt exactly once (contiguous chunks, no overlap;
+/// not at all when prompts are resident) and decodes its output exactly
+/// once at consecutive KV lengths; the per-step slot count (prefill +
+/// decode) never exceeds capacity.
+fn assert_event_schedule_conserves(
+    mix: &RequestMix,
+    schedule: &ServingSchedule,
+    prefill: PrefillMode,
+) {
     let capacity = schedule.capacity();
     let mut prefilled: HashMap<usize, usize> = HashMap::new();
     let mut decoded: HashMap<usize, Vec<usize>> = HashMap::new();
@@ -236,9 +290,13 @@ fn assert_event_schedule_conserves(mix: &RequestMix, schedule: &ServingSchedule)
     }
     assert_eq!(decoded.len(), mix.len(), "every request decodes");
     for (r, request) in mix.requests().iter().enumerate() {
+        let prompt = match prefill {
+            PrefillMode::Resident => 0,
+            PrefillMode::OnAdmission { .. } => request.prompt,
+        };
         assert_eq!(
             prefilled.get(&r).copied().unwrap_or(0),
-            request.prompt,
+            prompt,
             "request {r}: prompt prefilled exactly once"
         );
         let expected: Vec<usize> = (request.prompt..request.prompt + request.output).collect();
@@ -263,15 +321,22 @@ fn event_schedule_conserves_tokens_under_every_arrival_and_policy() {
             slack: 8,
         },
     ];
+    let prefills = [
+        PrefillMode::Resident,
+        PrefillMode::OnAdmission { chunk: None },
+        PrefillMode::OnAdmission { chunk: Some(64) },
+    ];
     for arrival in &arrivals {
         for policy in &policies {
-            for chunk in [None, Some(64)] {
-                let config = ServingConfig::new(3)
-                    .with_arrival(arrival.clone())
-                    .with_policy(*policy)
-                    .with_prefill(PrefillMode::OnAdmission { chunk });
-                let schedule = ServingSchedule::build(&mix, &config);
-                assert_event_schedule_conserves(&mix, &schedule);
+            for prefill in prefills {
+                let schedule = ServingScenario::builder(mix.clone(), 3)
+                    .arrival(arrival.clone())
+                    .policy(*policy)
+                    .prefill(prefill)
+                    .build()
+                    .expect("scenario is valid")
+                    .schedule();
+                assert_event_schedule_conserves(&mix, &schedule, prefill);
             }
         }
     }
@@ -282,13 +347,16 @@ fn event_schedule_conserves_tokens_under_every_arrival_and_policy() {
 /// events and decode slots.
 #[test]
 fn open_loop_schedules_are_deterministic() {
-    let mix = RequestMix::long_tail(5, 12, (32, 200), 10, 3);
-    let config = ServingConfig::new(2)
-        .with_arrival(ArrivalProcess::poisson(0.15, 0xABCD))
-        .with_policy(AdmissionPolicy::ShortestPrompt)
-        .with_prefill(PrefillMode::OnAdmission { chunk: Some(48) });
-    let a = ServingSchedule::build(&mix, &config);
-    let b = ServingSchedule::build(&mix, &config);
+    let build = || {
+        ServingScenario::builder(RequestMix::long_tail(5, 12, (32, 200), 10, 3), 2)
+            .arrival(ArrivalProcess::poisson(0.15, 0xABCD))
+            .policy(AdmissionPolicy::ShortestPrompt)
+            .prefill_chunk(48)
+            .build()
+            .expect("scenario is valid")
+            .schedule()
+    };
+    let (a, b) = (build(), build());
     assert_eq!(a.arrivals(), b.arrivals());
     assert_eq!(a.total_steps(), b.total_steps());
     for (sa, sb) in a.steps().iter().zip(b.steps()) {
@@ -306,20 +374,17 @@ fn serving_trace_charges_prefill_exactly_once_and_is_thread_stable() {
     let (bucket, chunk) = (32usize, Some(96usize));
     let mix = RequestMix::uniform(3, 150, 4);
     let model = ServingModel::gpt2_small();
-    let config = ServingConfig::new(2)
-        .with_arrival(ArrivalProcess::poisson(0.1, 0xBEEF))
-        .with_prefill(PrefillMode::OnAdmission { chunk });
-    let schedule = ServingSchedule::build(&mix, &config);
+    let scenario = ServingScenario::builder(mix.clone(), 2)
+        .arrival(ArrivalProcess::poisson(0.1, 0xBEEF))
+        .kv_bucket(bucket)
+        .prefill(PrefillMode::OnAdmission { chunk })
+        .build()
+        .expect("scenario is valid");
+    let schedule = scenario.schedule();
 
     let session = EvalSession::new(System::new(toy_arch(), MappingStrategy::default()));
-    let eval = serving_trace(
-        &session,
-        &model,
-        &schedule,
-        bucket,
-        &NetworkOptions::baseline(),
-    )
-    .expect("trace evaluates");
+    let eval = scenario_trace(&session, &model, &scenario, &NetworkOptions::baseline())
+        .expect("trace evaluates");
 
     let prefill: u64 = mix
         .requests()
@@ -329,14 +394,15 @@ fn serving_trace_charges_prefill_exactly_once_and_is_thread_stable() {
     let decode: u64 = schedule
         .steps()
         .iter()
-        .map(|s| model.step_macs(&s.decode_kv_lens(), bucket))
+        .flat_map(ServingStep::decode_kv_lens)
+        .map(|kv| token_macs(GPT2, kv, bucket))
         .sum();
     assert_eq!(eval.total_macs(), prefill + decode);
 
     // The fanned-out trace is bit-identical to a sequential loop over
     // the same step networks through the same session.
     for (point, step) in eval.points.iter().zip(schedule.steps()) {
-        let net = model.lower_serving_step(step, bucket);
+        let net = model.lower_serving_step_with(step, scenario.layout());
         let reference = session
             .evaluate_network(&net, &NetworkOptions::baseline())
             .expect("step evaluates");
@@ -357,19 +423,26 @@ fn memo_model() -> ServingModel {
     ServingModel::new("toy-lm", 64, 4, 128, 2, 1000)
 }
 
-/// Seeded open-loop scenarios with chunked prefill: one bucketed, and
-/// two paged with a page-misaligned shared prefix (40 tokens = two full
-/// 16-token pages plus an 8-token copy-on-write tail). In the last, the
-/// requests run one at a time and the owner's tail chunk (32 + 8) pads
-/// exactly like each sharer's first private chunk (40 + 8), so only the
-/// copy-on-write charge tells their compositions apart.
-fn memo_scenarios(seed: u64) -> [ServingScenario; 3] {
+/// Seeded scenarios: the closed-loop resident-prefill path the serving
+/// study takes, and three open-loop ones with chunked prefill — one
+/// bucketed, and two paged with a page-misaligned shared prefix (40
+/// tokens = two full 16-token pages plus an 8-token copy-on-write
+/// tail). In the lone-request one, the requests run one at a time and
+/// the owner's tail chunk (32 + 8) pads exactly like each sharer's
+/// first private chunk (40 + 8), so only the copy-on-write charge tells
+/// their compositions apart.
+fn memo_scenarios(seed: u64) -> [ServingScenario; 4] {
     let mix = || RequestMix::bimodal(seed, 10, (48, 6), (200, 10), 30);
     let arrival = || ArrivalProcess::poisson(0.3, seed);
     let mut lone = vec![Request::new(40, 3)];
     lone.extend((0..4).map(|_| Request::new(48, 4)));
     let spaced = (0..lone.len()).map(|i| i * 20 + seed as usize).collect();
     [
+        ServingScenario::builder(mix(), 3)
+            .kv_bucket(64)
+            .prefill(PrefillMode::Resident)
+            .build()
+            .expect("closed-loop resident scenario is valid"),
         ServingScenario::builder(RequestMix::custom("lone", lone), 2)
             .arrival(ArrivalProcess::explicit(spaced))
             .kv_page(16)
@@ -525,12 +598,37 @@ fn memoized_trace_is_bit_identical_to_an_uncached_trace() {
     }
 }
 
+/// The original closed-loop batch scheduler written out directly, as
+/// an oracle for the event core: FIFO admission into free slots at step
+/// start, one token per active request per step, retirement at the end
+/// of the step that produced the last token. Returns each step's
+/// `(request, kv_len)` slots in admission order.
+fn legacy_batch_schedule(mix: &RequestMix, capacity: usize) -> Vec<Vec<(usize, usize)>> {
+    let mut queue = 0..mix.len();
+    let mut active: Vec<(usize, usize)> = Vec::new();
+    let mut steps = Vec::new();
+    loop {
+        while active.len() < capacity {
+            let Some(request) = queue.next() else { break };
+            active.push((request, mix.requests()[request].prompt));
+        }
+        if active.is_empty() {
+            return steps;
+        }
+        steps.push(active.clone());
+        for (_, kv_len) in &mut active {
+            *kv_len += 1;
+        }
+        active.retain(|&(r, kv_len)| kv_len < mix.requests()[r].prompt + mix.requests()[r].output);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The PR 5 equivalence: a closed-loop FIFO resident-prefill event
-    /// schedule is the legacy `BatchSchedule` loop, slot for slot, for
-    /// any seeded population.
+    /// The batch-scheduler equivalence: the closed-loop FIFO
+    /// resident-prefill scenario is the legacy batch scheduler, slot
+    /// for slot, for any seeded population.
     #[test]
     fn closed_loop_event_schedule_matches_legacy_batch_schedule(
         seed in 0usize..1000,
@@ -539,13 +637,14 @@ proptest! {
         long_percent in 0usize..=100,
     ) {
         let mix = RequestMix::bimodal(seed as u64, count, (16, 3), (128, 11), long_percent);
-        let legacy = BatchSchedule::build(&mix, capacity);
-        let config = ServingConfig::new(capacity).with_prefill(PrefillMode::Resident);
-        let event = ServingSchedule::build(&mix, &config);
-        prop_assert_eq!(legacy.total_steps(), event.total_steps());
-        for (b, s) in legacy.steps().iter().zip(event.steps()) {
-            prop_assert!(s.prefill().is_empty());
-            prop_assert_eq!(b.active(), s.decode());
+        let legacy = legacy_batch_schedule(&mix, capacity);
+        let event = resident_schedule(&mix, capacity);
+        prop_assert_eq!(legacy.len(), event.total_steps());
+        for (slots, step) in legacy.iter().zip(event.steps()) {
+            prop_assert!(step.prefill().is_empty());
+            let decode: Vec<(usize, usize)> =
+                step.decode().iter().map(|s| (s.request, s.kv_len)).collect();
+            prop_assert_eq!(slots, &decode);
         }
     }
 
@@ -559,8 +658,8 @@ proptest! {
         long_percent in 0usize..=100,
     ) {
         let mix = RequestMix::bimodal(seed as u64, count, (16, 3), (128, 11), long_percent);
-        let schedule = BatchSchedule::build(&mix, capacity);
-        prop_assert_eq!(schedule.total_tokens(), mix.total_output_tokens());
+        let schedule = resident_schedule(&mix, capacity);
+        prop_assert_eq!(schedule.total_decode_tokens(), mix.total_output_tokens());
         prop_assert!(schedule
             .steps()
             .iter()
@@ -573,8 +672,10 @@ proptest! {
         assert_tokens_exactly_once(&mix, &schedule);
     }
 
-    /// Random active sets: the lowering's closed form matches the layer
-    /// sum, and the bucketed composition covers the whole active set.
+    /// Random active sets — a closed-loop resident step admitting one
+    /// request per slot at `kv` cached tokens: the lowering's closed
+    /// form matches the layer sum and the per-request sum, and the
+    /// bucketed composition covers the whole active set.
     #[test]
     fn lowering_macs_match_for_random_active_sets(
         seed in 0usize..1000,
@@ -586,9 +687,21 @@ proptest! {
         let kv: Vec<usize> = (0..occupancy)
             .map(|i| (seed.wrapping_mul(31).wrapping_add(i * 97)) % 700)
             .collect();
+        let mix = RequestMix::custom(
+            "active-set",
+            kv.iter().map(|&k| Request::new(k, 1)).collect(),
+        );
+        let schedule = resident_schedule(&mix, occupancy);
+        let step = &schedule.steps()[0];
+        prop_assert_eq!(step.decode_kv_lens(), kv.clone());
         let model = ServingModel::new("toy", 64, 4, 128, 2, 1000);
-        let net = model.lower_step(&kv, bucket);
-        prop_assert_eq!(net.total_macs(), model.step_macs(&kv, bucket));
+        let layout = KvLayout::Bucketed { bucket };
+        let net = model.lower_serving_step_with(step, &layout);
+        prop_assert_eq!(net.total_macs(), model.serving_step_macs_with(step, &layout));
+        prop_assert_eq!(
+            net.total_macs(),
+            kv.iter().map(|&k| token_macs(TOY, k, bucket)).sum::<u64>()
+        );
         let composition = ServingModel::bucketed_composition(&kv, bucket);
         prop_assert_eq!(
             composition.iter().map(|&(_, c)| c).sum::<usize>(),
@@ -656,9 +769,11 @@ proptest! {
             prop_assert!(paged.attend_len(kv) <= bucketed.attend_len(kv));
         }
         let mix = RequestMix::bimodal(seed as u64, count, (16, 3), (128, 11), 25);
-        let config = ServingConfig::new(capacity)
-            .with_prefill(PrefillMode::OnAdmission { chunk: Some(32) });
-        let schedule = ServingSchedule::build(&mix, &config);
+        let schedule = ServingScenario::builder(mix, capacity)
+            .prefill_chunk(32)
+            .build()
+            .expect("scenario is valid")
+            .schedule();
         for step in schedule.steps() {
             let p = paged.step_residency(step);
             let b = bucketed.step_residency(step);
