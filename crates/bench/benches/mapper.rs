@@ -28,9 +28,10 @@ use lumen_albireo::{AlbireoConfig, ScalingProfile};
 use lumen_bench::print_once;
 use lumen_core::{EvalCache, EvalSession, MappingStrategy, NetworkOptions, System};
 use lumen_mapper::search::{
-    random_search, random_search_baseline, random_search_pruned, SearchConfig, SearchResult,
+    random_search, random_search_baseline, random_search_pruned, Preview, SearchConfig,
+    SearchResult,
 };
-use lumen_mapper::{outer_read_traffic, LayerAnalysis};
+use lumen_mapper::LayerAnalysis;
 use lumen_workload::{networks, Layer, Network};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -39,7 +40,7 @@ use std::time::Instant;
 
 /// Cross-process warm-start floor asserted under
 /// `LUMEN_BENCH_ASSERT_SPEEDUP` (the trajectory in `BENCH_mapper.json`
-/// is orders of magnitude above it: the warm run searches nothing).
+/// is several times above it: the warm run searches nothing).
 const PERSIST_SPEEDUP_FLOOR: f64 = 2.0;
 
 const SEARCH: SearchConfig = SearchConfig {
@@ -51,6 +52,17 @@ const SEARCH: SearchConfig = SearchConfig {
 /// outer-read lower bound can prune against.
 fn cost(analysis: &LayerAnalysis) -> f64 {
     analysis.level(0).total_accesses()
+}
+
+/// The exact outer-read lower bound on [`cost`]: the DRAM reads of the
+/// read tensors, a subset of the DRAM accesses.
+fn outer_dram_reads(preview: &Preview<'_>) -> f64 {
+    preview
+        .outer_reads
+        .iter()
+        .filter(|(level, _, _)| *level == 0)
+        .map(|(_, _, reads)| reads)
+        .sum()
 }
 
 /// Best-of-`runs` wall time of `f`, in seconds.
@@ -82,14 +94,8 @@ fn search_contract(system: &System, layer: &Layer) -> (SearchResult, SearchResul
     let arch = system.arch();
     let baseline = random_search_baseline(arch, layer, SEARCH, cost).expect("baseline search maps");
     let deduped = random_search(arch, layer, SEARCH, cost).expect("deduped search maps");
-    let lb = |m: &lumen_mapper::Mapping| {
-        outer_read_traffic(arch, layer, m)
-            .iter()
-            .filter(|(level, _, _)| *level == 0)
-            .map(|(_, _, reads)| reads)
-            .sum()
-    };
-    let pruned = random_search_pruned(arch, layer, SEARCH, lb, cost).expect("pruned search maps");
+    let pruned = random_search_pruned(arch, layer, SEARCH, outer_dram_reads, cost)
+        .expect("pruned search maps");
     for (name, result) in [("dedup", &deduped), ("prune", &pruned)] {
         assert_eq!(
             baseline.mapping,
@@ -295,19 +301,12 @@ fn bench_mapper(c: &mut Criterion) {
         });
     });
     group.bench_function("random_search_400_pruned", |b| {
-        let lb = |m: &lumen_mapper::Mapping| {
-            outer_read_traffic(system.arch(), &layer, m)
-                .iter()
-                .filter(|(level, _, _)| *level == 0)
-                .map(|(_, _, reads)| reads)
-                .sum()
-        };
         b.iter(|| {
             black_box(random_search_pruned(
                 system.arch(),
                 black_box(&layer),
                 SEARCH,
-                lb,
+                outer_dram_reads,
                 cost,
             ))
         });

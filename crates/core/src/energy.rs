@@ -196,6 +196,78 @@ impl EnergyBreakdown {
     }
 }
 
+/// Receives the itemized adds of an energy computation, so one add
+/// sequence can fill an [`EnergyBreakdown`] or just its total.
+pub(crate) trait EnergySink<'a> {
+    /// One contribution, with [`EnergyBreakdown::add`]'s meaning.
+    fn add(
+        &mut self,
+        label: &'a str,
+        category: CostCategory,
+        tensor: Option<TensorKind>,
+        energy: Energy,
+    );
+}
+
+impl<'a> EnergySink<'a> for EnergyBreakdown {
+    fn add(
+        &mut self,
+        label: &'a str,
+        category: CostCategory,
+        tensor: Option<TensorKind>,
+        energy: Energy,
+    ) {
+        EnergyBreakdown::add(self, label, category, tensor, energy);
+    }
+}
+
+/// An [`EnergyBreakdown`] reduced to its total, with borrowed labels.
+///
+/// It skips zero contributions, merges identical label/category/tensor
+/// items and sums the items in insertion order, exactly as
+/// [`EnergyBreakdown::add`] and [`EnergyBreakdown::total`] do, so the
+/// same add sequence yields a bit-identical total. Once its first use
+/// has sized the item buffer, [`EnergyTotal::clear`] and further adds
+/// allocate nothing.
+#[derive(Debug, Default)]
+pub(crate) struct EnergyTotal<'a> {
+    items: Vec<(&'a str, CostCategory, Option<TensorKind>, Energy)>,
+}
+
+impl EnergyTotal<'_> {
+    /// Drops every item, keeping the buffer.
+    pub(crate) fn clear(&mut self) {
+        self.items.clear();
+    }
+
+    /// Sum of everything, as [`EnergyBreakdown::total`].
+    pub(crate) fn total(&self) -> Energy {
+        self.items.iter().map(|item| item.3).sum()
+    }
+}
+
+impl<'a> EnergySink<'a> for EnergyTotal<'a> {
+    fn add(
+        &mut self,
+        label: &'a str,
+        category: CostCategory,
+        tensor: Option<TensorKind>,
+        energy: Energy,
+    ) {
+        if energy == Energy::ZERO {
+            return;
+        }
+        match self
+            .items
+            .iter_mut()
+            .find(|i| i.0 == label && i.1 == category && i.2 == tensor)
+        {
+            Some(item) => item.3 += energy,
+            None => self.items.push((label, category, tensor, energy)),
+        }
+    }
+}
+
 impl fmt::Display for EnergyBreakdown {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let total = self.total();

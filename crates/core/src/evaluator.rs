@@ -1,12 +1,13 @@
 //! The system evaluator: mapping strategy + energy accounting.
 
+use crate::energy::{EnergySink, EnergyTotal};
 use crate::{CostCategory, EnergyBreakdown};
 use lumen_arch::Architecture;
 use lumen_mapper::search::{
-    greedy_mapping, random_search, random_search_pruned, spatial_priority_for, SearchConfig,
-    TemporalPlan,
+    greedy_mapping, random_search, random_search_pruned, spatial_priority_for, Preview,
+    SearchConfig, SearchResult, TemporalPlan,
 };
-use lumen_mapper::{analyze, outer_read_traffic, LayerAnalysis, Mapping, MappingError};
+use lumen_mapper::{analyze, LayerAnalysis, Mapping, MappingError};
 use lumen_units::Energy;
 use lumen_workload::{Dim, Layer, TensorKind};
 use std::fmt;
@@ -283,6 +284,15 @@ impl System {
     /// [`SystemError::NoMapping`] if the strategy cannot produce a legal
     /// mapping.
     pub fn map_layer(&self, layer: &Layer) -> Result<Mapping, SystemError> {
+        self.map_layer_analyzed(layer).map(|(mapping, _)| mapping)
+    }
+
+    /// [`System::map_layer`], plus the winner's analysis when the
+    /// strategy searched (so the caller need not analyze it again).
+    fn map_layer_analyzed(
+        &self,
+        layer: &Layer,
+    ) -> Result<(Mapping, Option<LayerAnalysis>), SystemError> {
         let mapping = match &self.strategy {
             // Spatial priority follows the operator class: matmuls
             // parallelize sequence rows before the reduction dimension.
@@ -296,29 +306,18 @@ impl System {
                 greedy_mapping(&self.arch, layer, priority, plan)
             }
             MappingStrategy::RandomSearch(cfg) => {
-                let arch = &self.arch;
-                let cost = |analysis: &LayerAnalysis| {
-                    energy_from_analysis(arch, analysis, &Reroute::default())
-                        .total()
-                        .picojoules()
-                };
-                // Prune with a mapping-only energy lower bound when the
-                // architecture admits one; the winner is bit-identical to
-                // the plain search either way.
-                let result = match energy_lower_bound(arch, layer) {
-                    Some(lb) => random_search_pruned(arch, layer, *cfg, lb, cost),
-                    None => random_search(arch, layer, *cfg, cost),
-                }
-                .ok_or_else(|| SystemError::NoMapping {
-                    layer: layer.name().to_string(),
-                    cause: None,
+                let result = search_min_energy(&self.arch, layer, *cfg).ok_or_else(|| {
+                    SystemError::NoMapping {
+                        layer: layer.name().to_string(),
+                        cause: None,
+                    }
                 })?;
-                return Ok(result.mapping);
+                return Ok((result.mapping, Some(result.analysis)));
             }
             MappingStrategy::Custom(f) => f(&self.arch, layer),
             MappingStrategy::CustomKeyed { mapper, .. } => mapper(&self.arch, layer),
         };
-        Ok(mapping)
+        Ok((mapping, None))
     }
 
     /// Maps and evaluates one layer.
@@ -363,12 +362,14 @@ impl System {
         layer: &Layer,
         reroute: &Reroute,
     ) -> Result<LayerEvaluation, SystemError> {
-        let mapping = self.map_layer(layer)?;
-        let analysis =
-            analyze(&self.arch, layer, &mapping).map_err(|e| SystemError::NoMapping {
+        let (mapping, searched) = self.map_layer_analyzed(layer)?;
+        let analysis = match searched {
+            Some(analysis) => analysis,
+            None => analyze(&self.arch, layer, &mapping).map_err(|e| SystemError::NoMapping {
                 layer: layer.name().to_string(),
                 cause: Some(e),
-            })?;
+            })?,
+        };
         let mut energy = energy_from_analysis(&self.arch, &analysis, reroute);
         add_kv_append_energy(&self.arch, layer, &mut energy);
         Ok(LayerEvaluation {
@@ -429,23 +430,47 @@ fn add_kv_append_energy(arch: &Architecture, layer: &Layer, breakdown: &mut Ener
     );
 }
 
-/// A mapping-only lower bound on the random-search cost objective
-/// (`energy_from_analysis(..).total().picojoules()` with no reroute),
-/// used by [`System::map_layer`] to skip candidates that cannot beat the
-/// incumbent before paying for the full nest analysis.
+/// Seeded random search minimizing total system energy: the
+/// [`MappingStrategy::RandomSearch`] objective.
 ///
-/// The bound sums exactly the terms of the true objective that are
-/// computable from the [`Mapping`] alone — compute (padded MACs),
-/// per-cycle, static, and the outermost-keeper read traffic of the read
-/// tensors ([`outer_read_traffic`], bit-identical to the analyzer's
-/// entries) — and omits the rest. Omission is only conservative when
-/// every omitted term is non-negative, so architectures with a negative
-/// storage or conversion energy (nonsensical, but representable) get
-/// `None` and the caller falls back to the unpruned search.
-fn energy_lower_bound<'a>(
-    arch: &'a Architecture,
-    layer: &'a Layer,
-) -> Option<impl Fn(&Mapping) -> f64 + 'a> {
+/// A candidate's cost is `energy_from_analysis(..).total().picojoules()`
+/// with no reroute, computed by the same add sequence into an
+/// [`EnergyTotal`] allocated once per search, so it is bit-identical to
+/// the reported breakdown's total without building one per candidate.
+/// Candidates are pruned with a preview-only lower bound when the
+/// architecture admits one; the winner is bit-identical to the plain
+/// search either way.
+fn search_min_energy(
+    arch: &Architecture,
+    layer: &Layer,
+    cfg: SearchConfig,
+) -> Option<SearchResult> {
+    let mut total = EnergyTotal::default();
+    let cost = |analysis: &LayerAnalysis| {
+        total.clear();
+        energy_into(arch, analysis, &Reroute::default(), &mut total);
+        total.total().picojoules()
+    };
+    match energy_lower_bound(arch) {
+        Some(lb) => random_search_pruned(arch, layer, cfg, lb, cost),
+        None => random_search(arch, layer, cfg, cost),
+    }
+}
+
+/// A lower bound on the random-search cost objective computable from a
+/// candidate's [`Preview`], used by [`search_min_energy`] to skip
+/// candidates that cannot beat the incumbent before paying for the full
+/// nest analysis.
+///
+/// The bound sums exactly the terms of the true objective that the
+/// preview determines — compute (padded MACs), per-cycle, static, and
+/// the outermost-keeper read traffic of the read tensors (bit-identical
+/// to the analyzer's entries) — and omits the rest. Omission is only
+/// conservative when every omitted term is non-negative, so
+/// architectures with a negative storage or conversion energy
+/// (nonsensical, but representable) get `None` and the caller falls
+/// back to the unpruned search.
+fn energy_lower_bound(arch: &Architecture) -> Option<impl Fn(&Preview<'_>) -> f64 + '_> {
     let omitted_terms_nonnegative = arch.levels().iter().all(|l| {
         (!l.kind().is_storage() || (l.read_energy().raw() >= 0.0 && l.write_energy().raw() >= 0.0))
             && (!l.kind().is_converter() || l.convert_energy().raw() >= 0.0)
@@ -453,26 +478,24 @@ fn energy_lower_bound<'a>(
     if !omitted_terms_nonnegative {
         return None;
     }
-    let groups = layer.groups() as u64;
-    let peak = arch.peak_parallelism() as f64;
-    Some(move |m: &Mapping| {
-        // Mirrors the corresponding expressions of `Nest::run` and
-        // `energy_from_analysis` term by term.
-        let cycles = m.total_temporal_product() * groups;
-        let padded_volume: u64 = Dim::ALL.iter().map(|&d| m.total_bound(d)).product();
-        let padded_macs = padded_volume * groups;
-        let spatial_utilization = m.total_spatial_product() as f64 / peak;
-        let mut total = arch.mac_energy() * padded_macs as f64;
+    // The architecture's constant terms, fetched once per search.
+    let mac_energy = arch.mac_energy();
+    let static_power = arch.total_static_power();
+    let period = arch.clock().period();
+    Some(move |p: &Preview<'_>| {
+        // Mirrors the corresponding expressions of `energy_into` term
+        // by term.
+        let mut total = mac_energy * p.padded_macs as f64;
         for cost in arch.per_cycle_costs() {
             let factor = if cost.gateable {
-                spatial_utilization
+                p.spatial_utilization
             } else {
                 1.0
             };
-            total += cost.energy_per_cycle * (cycles as f64) * factor;
+            total += cost.energy_per_cycle * (p.cycles as f64) * factor;
         }
-        total += arch.total_static_power() * (arch.clock().period() * cycles as f64);
-        for (level, _tensor, reads) in outer_read_traffic(arch, layer, m) {
+        total += static_power * (period * p.cycles as f64);
+        for &(level, _tensor, reads) in p.outer_reads {
             total += arch.levels()[level].read_energy() * reads;
         }
         total.picojoules()
@@ -487,7 +510,19 @@ pub(crate) fn energy_from_analysis(
     reroute: &Reroute,
 ) -> EnergyBreakdown {
     let mut breakdown = EnergyBreakdown::new();
+    energy_into(arch, analysis, reroute, &mut breakdown);
+    breakdown
+}
 
+/// Drives the itemized adds of a nest analysis's energy into `sink`:
+/// the one add sequence behind both [`energy_from_analysis`] and the
+/// search objective.
+fn energy_into<'a>(
+    arch: &'a Architecture,
+    analysis: &LayerAnalysis,
+    reroute: &Reroute,
+    sink: &mut impl EnergySink<'a>,
+) {
     for (x, level) in arch.levels().iter().enumerate() {
         let traffic = analysis.level(x);
         if level.kind().is_storage() {
@@ -499,13 +534,13 @@ pub(crate) fn energy_from_analysis(
                     }
                     None => (level.name(), level.read_energy(), level.write_energy()),
                 };
-                breakdown.add(
+                sink.add(
                     label,
                     CostCategory::Storage,
                     Some(t),
                     read_e * traffic.reads[t],
                 );
-                breakdown.add(
+                sink.add(
                     label,
                     CostCategory::Storage,
                     Some(t),
@@ -514,7 +549,7 @@ pub(crate) fn energy_from_analysis(
             }
         } else if level.kind().is_converter() {
             for t in TensorKind::ALL {
-                breakdown.add(
+                sink.add(
                     level.name(),
                     CostCategory::Conversion,
                     Some(t),
@@ -525,7 +560,7 @@ pub(crate) fn energy_from_analysis(
     }
 
     // Compute: charge padded MACs (idle-lane padding still switches).
-    breakdown.add(
+    sink.add(
         arch.compute_level().name(),
         CostCategory::Compute,
         None,
@@ -540,7 +575,7 @@ pub(crate) fn energy_from_analysis(
         } else {
             1.0
         };
-        breakdown.add(
+        sink.add(
             cost.name.as_str(),
             CostCategory::PerCycle,
             None,
@@ -551,9 +586,7 @@ pub(crate) fn energy_from_analysis(
     // Leakage over the runtime.
     let runtime = arch.clock().period() * analysis.cycles as f64;
     let static_energy = arch.total_static_power() * runtime;
-    breakdown.add("static", CostCategory::Static, None, static_energy);
-
-    breakdown
+    sink.add("static", CostCategory::Static, None, static_energy);
 }
 
 #[cfg(test)]
@@ -714,6 +747,97 @@ mod tests {
             .unwrap();
         let append4 = e4.energy.total().picojoules() - base4.energy.total().picojoules();
         assert!((append4 - 4.0 * append1).abs() < 1e-6);
+    }
+
+    /// Two per-cycle costs sharing the label `laser` (the merge path), a
+    /// level named like a per-cycle cost, a converter, and zero-energy
+    /// writes, compute and static power (the zero-skip path).
+    fn merge_arch() -> Architecture {
+        use lumen_units::Power;
+        ArchBuilder::new("merge", Frequency::from_gigahertz(1.0))
+            .storage("dram", Domain::DigitalElectrical, TensorSet::all())
+            .read_energy(Energy::from_picojoules(64.0))
+            .done()
+            .storage("laser", Domain::DigitalElectrical, TensorSet::all())
+            .read_energy(Energy::from_picojoules(0.3))
+            .write_energy(Energy::from_picojoules(0.7))
+            .static_power(Power::from_milliwatts(2.0))
+            .fanout(Fanout::new(8).allow(DimSet::from_dims(&[Dim::M, Dim::C])))
+            .done()
+            .converter("dac", Domain::AnalogElectrical, TensorSet::all())
+            .convert_energy(Energy::from_picojoules(0.9))
+            .done()
+            .per_cycle("laser", Energy::from_picojoules(3.0), false)
+            .per_cycle("tuning", Energy::ZERO, true)
+            .per_cycle("laser", Energy::from_picojoules(1.1), true)
+            .compute("mac", Domain::AnalogOptical, Energy::ZERO)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn search_cost_total_is_the_breakdown_total_bit_for_bit() {
+        let fused = Reroute {
+            entries: vec![(TensorKind::Input, 0, 1)],
+        };
+        for arch in [toy_arch(), merge_arch()] {
+            let mut total = EnergyTotal::default();
+            let mut checked = 0;
+            let cfg = SearchConfig {
+                iterations: 150,
+                seed: 5,
+            };
+            lumen_mapper::search::random_search_baseline(&arch, &layer(), cfg, |analysis| {
+                for reroute in [&Reroute::default(), &fused] {
+                    total.clear();
+                    energy_into(&arch, analysis, reroute, &mut total);
+                    let breakdown = energy_from_analysis(&arch, analysis, reroute);
+                    assert_eq!(
+                        total.total().picojoules().to_bits(),
+                        breakdown.total().picojoules().to_bits(),
+                        "{}: {breakdown:?}",
+                        arch.name()
+                    );
+                    if arch.name() == "merge" {
+                        // Both lasers merged into one per-cycle item, and
+                        // nothing zero was recorded.
+                        let items = breakdown.items();
+                        let lasers = items
+                            .iter()
+                            .filter(|i| i.label == "laser" && i.category == CostCategory::PerCycle)
+                            .count();
+                        assert_eq!(lasers, 1);
+                        assert!(items.iter().all(|i| i.energy != Energy::ZERO));
+                        assert_eq!(breakdown.by_category(CostCategory::Compute), Energy::ZERO);
+                    }
+                }
+                checked += 1;
+                0.0
+            })
+            .unwrap();
+            assert!(checked > 0);
+        }
+    }
+
+    #[test]
+    fn searched_evaluation_reuses_a_bit_identical_analysis() {
+        // The winner's analysis comes from the search; an explicit
+        // evaluation of the same mapping re-analyzes it from scratch.
+        for arch in [toy_arch(), merge_arch()] {
+            let system = System::new(
+                arch,
+                MappingStrategy::RandomSearch(SearchConfig {
+                    iterations: 120,
+                    seed: 17,
+                }),
+            );
+            let searched = system.evaluate_layer(&layer()).unwrap();
+            let explicit = system
+                .evaluate_layer_with_mapping(&layer(), searched.mapping.clone())
+                .unwrap();
+            assert_eq!(searched.analysis, explicit.analysis);
+            assert_eq!(searched.energy, explicit.energy);
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl LevelTraffic {
 }
 
 /// The result of analyzing one layer under one mapping.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LayerAnalysis {
     /// Steady-state cycles (all channel groups, padding included).
     pub cycles: u64,
@@ -110,9 +110,12 @@ pub fn analyze(
     mapping: &Mapping,
 ) -> Result<LayerAnalysis, MappingError> {
     mapping.validate(arch, layer)?;
-    let nest = Nest::new(arch, layer, mapping);
+    let mut nest = Nest::new(arch, layer, mapping);
+    nest.load(mapping);
     nest.check_capacity()?;
-    Ok(nest.run())
+    let mut analysis = LayerAnalysis::default();
+    nest.run(&mut analysis);
+    Ok(analysis)
 }
 
 /// The exact read traffic [`analyze`] will charge at the **outermost
@@ -123,9 +126,9 @@ pub fn analyze(
 /// bit-identical to the corresponding `reads` entry of the full
 /// [`LayerAnalysis`], so the triples are a sound (and usually dominant,
 /// since the outermost level is the most expensive per access) *lower
-/// bound* on a candidate mapping's traffic cost. Search engines use this
-/// to prune candidates before paying for [`analyze`]; see
-/// [`crate::search::random_search_pruned`].
+/// bound* on a candidate mapping's traffic cost. The search engine hands
+/// the same triples to a lower bound as [`crate::search::Preview`]'s
+/// `outer_reads`; see [`crate::search::random_search_pruned`].
 ///
 /// The mapping is **not** validated: an illegal candidate yields a
 /// number that would never be charged, which is harmless for pruning
@@ -136,72 +139,76 @@ pub fn outer_read_traffic(
     layer: &Layer,
     mapping: &Mapping,
 ) -> Vec<(usize, TensorKind, f64)> {
-    let nest = Nest::new(arch, layer, mapping);
-    let g = nest.groups as f64;
-    let mut out = Vec::with_capacity(2);
-    for t in [TensorKind::Weight, TensorKind::Input] {
-        let chain = &nest.keepers[t];
-        if let Some(&k) = chain.first() {
-            let inner = chain.get(1).copied().unwrap_or(nest.num_levels - 1);
-            // Mirrors the read-tensor pass of `Nest::run` exactly.
-            let reads = nest.fills_total(t, inner) / nest.share_gap(t, k, inner) * g;
-            out.push((k, t, reads));
-        }
-    }
-    out
+    let mut nest = Nest::new(arch, layer, mapping);
+    nest.load(mapping);
+    nest.outer_reads().to_vec()
 }
 
-/// Precomputed nest state shared by the analysis passes.
-struct Nest<'a> {
+/// The nest context of one *(architecture, layer, spatial loops)*
+/// triple, plus buffers for the per-candidate quantities.
+///
+/// [`Nest::new`] holds what every candidate of a search shares: the
+/// keeper chains, the converter levels and the spatial products (the
+/// search fixes its spatial loops, so every candidate shares them).
+/// [`Nest::load`] then computes each per-candidate quantity once into
+/// the reused buffers, so analyzing one more candidate allocates
+/// nothing. [`analyze`] is this context plus one candidate.
+pub(crate) struct Nest<'a> {
     arch: &'a Architecture,
     layer: &'a Layer,
-    mapping: &'a Mapping,
     num_levels: usize,
+    groups: u64,
+    peak: f64,
+    /// Per-tensor keeper level indices (storage only, outer→inner).
+    keepers: TensorMap<Vec<usize>>,
+    /// Converter level indices, outer→inner.
+    converters: Vec<usize>,
     /// Spatial bound product per level.
     s_prod: Vec<u64>,
+    /// Product of every spatial bound.
+    spatial_product: u64,
+    /// Utilized instance count of each level (spatial products above it).
+    util_inst: Vec<u64>,
+
+    // Per-candidate quantities, written by `load`.
     /// Extents of all loops strictly below level `x`'s temporal loops,
     /// including `x`'s spatial loops.
     below_incl: Vec<DimMap<u64>>,
     /// Extents of all loops at levels `> x` (excluding `x`'s spatial).
     below_excl: Vec<DimMap<u64>>,
-    /// Utilized instance count of each level (spatial products above it).
-    util_inst: Vec<u64>,
-    /// Per-tensor keeper level indices (storage only, outer→inner).
-    keepers: TensorMap<Vec<usize>>,
-    groups: u64,
+    /// Tile of each tensor stored at level `x` (its fan-out and below).
+    tile: Vec<TensorMap<u64>>,
+    /// Footprint-based sharing factor of each tensor at level `x`'s
+    /// fan-out: how many child deliveries one parent-side element
+    /// serves (≥ 1).
+    share: Vec<TensorMap<f64>>,
+    /// Temporal refetch multiplicity of the tile stored at level `x`.
+    visits: Vec<TensorMap<u64>>,
+    /// Distinct tiles traversed by the temporal loops of levels `0..=x`.
+    distinct: Vec<TensorMap<u64>>,
+    /// Padded extent of each dimension.
+    padded: DimMap<u64>,
+    /// Padded iteration volume of one channel group.
+    padded_volume: u64,
+    /// Product of every temporal bound.
+    temporal_product: u64,
+    /// Outermost-keeper reads of the read tensors (`outer_len` valid).
+    outer: [(usize, TensorKind, f64); 2],
+    outer_len: usize,
 }
 
 impl<'a> Nest<'a> {
-    fn new(arch: &'a Architecture, layer: &'a Layer, mapping: &'a Mapping) -> Nest<'a> {
+    /// The context of `layer` on `arch` under `spatial`'s spatial loops;
+    /// every mapping later passed to [`Nest::load`] must share them.
+    pub(crate) fn new(arch: &'a Architecture, layer: &'a Layer, spatial: &Mapping) -> Nest<'a> {
         let num_levels = arch.levels().len();
         let s_prod: Vec<u64> = (0..num_levels)
-            .map(|x| mapping.level(x).spatial_product())
+            .map(|x| spatial.level(x).spatial_product())
             .collect();
-
-        // Suffix extents.
-        let mut below_excl = vec![DimMap::filled(1u64); num_levels];
-        let mut below_incl = vec![DimMap::filled(1u64); num_levels];
-        let mut acc = DimMap::filled(1u64);
-        for x in (0..num_levels).rev() {
-            below_excl[x] = acc;
-            let mut incl = acc;
-            for l in &mapping.level(x).spatial {
-                incl[l.dim] *= l.bound as u64;
-            }
-            below_incl[x] = incl;
-            // Everything at level x (temporal + spatial) joins the suffix
-            // for the level above.
-            acc = incl;
-            for l in &mapping.level(x).temporal {
-                acc[l.dim] *= l.bound as u64;
-            }
-        }
-
         let mut util_inst = vec![1u64; num_levels];
         for x in 1..num_levels {
             util_inst[x] = util_inst[x - 1] * s_prod[x - 1];
         }
-
         let keepers = TensorMap::from_fn(|t| {
             arch.levels()
                 .iter()
@@ -210,19 +217,126 @@ impl<'a> Nest<'a> {
                 .map(|(i, _)| i)
                 .collect::<Vec<usize>>()
         });
-
         Nest {
             arch,
             layer,
-            mapping,
             num_levels,
-            s_prod,
-            below_incl,
-            below_excl,
-            util_inst,
-            keepers,
             groups: layer.groups() as u64,
+            peak: arch.peak_parallelism() as f64,
+            keepers,
+            converters: arch.converter_levels(),
+            spatial_product: s_prod.iter().product(),
+            s_prod,
+            util_inst,
+            below_incl: vec![DimMap::filled(1); num_levels],
+            below_excl: vec![DimMap::filled(1); num_levels],
+            tile: vec![TensorMap::filled(0); num_levels],
+            share: vec![TensorMap::filled(1.0); num_levels],
+            visits: vec![TensorMap::filled(1); num_levels],
+            distinct: vec![TensorMap::filled(1); num_levels],
+            padded: DimMap::filled(1),
+            padded_volume: 1,
+            temporal_product: 1,
+            outer: [(0, TensorKind::Weight, 0.0); 2],
+            outer_len: 0,
         }
+    }
+
+    /// Computes every per-candidate quantity of `mapping`, which must
+    /// have one [`crate::LevelLoops`] per level and this context's
+    /// spatial loops.
+    pub(crate) fn load(&mut self, mapping: &Mapping) {
+        let n = self.num_levels;
+        debug_assert!(
+            (0..n).all(|x| mapping.level(x).spatial_product() == self.s_prod[x]),
+            "candidate's spatial loops differ from the nest context's"
+        );
+        // Suffix extents, innermost level first.
+        let mut acc = DimMap::filled(1u64);
+        let mut temporal_product = 1u64;
+        for x in (0..n).rev() {
+            self.below_excl[x] = acc;
+            let mut incl = acc;
+            for l in &mapping.level(x).spatial {
+                incl[l.dim] *= l.bound as u64;
+            }
+            self.below_incl[x] = incl;
+            // Everything at level x (temporal + spatial) joins the suffix
+            // for the level above.
+            acc = incl;
+            for l in &mapping.level(x).temporal {
+                acc[l.dim] *= l.bound as u64;
+                temporal_product *= l.bound as u64;
+            }
+        }
+        self.padded = acc;
+        self.padded_volume = Dim::ALL.iter().map(|&d| acc[d]).product();
+        self.temporal_product = temporal_product;
+
+        for t in TensorKind::ALL {
+            let relevant = t.relevant_dims();
+            // Walking the temporal loops outer→inner: a loop multiplies
+            // the refetches of a tile below it if it is relevant, or if a
+            // relevant loop iterates inside it — so the multiplicity is
+            // the product of every loop down to the innermost relevant
+            // one.
+            let (mut all, mut visits, mut distinct) = (1u64, 1u64, 1u64);
+            for x in 0..n {
+                for l in &mapping.level(x).temporal {
+                    all *= l.bound as u64;
+                    if relevant.contains(l.dim) {
+                        visits = all;
+                        distinct *= l.bound as u64;
+                    }
+                }
+                self.visits[x][t] = visits;
+                self.distinct[x][t] = distinct;
+                let union = self.footprint(t, &self.below_incl[x]);
+                self.tile[x][t] = union;
+                self.share[x][t] = if self.s_prod[x] <= 1 {
+                    1.0
+                } else {
+                    let child = self.footprint(t, &self.below_excl[x]) as f64;
+                    (self.s_prod[x] as f64 * child / union as f64).max(1.0)
+                };
+            }
+        }
+
+        let g = self.groups as f64;
+        self.outer_len = 0;
+        for t in [TensorKind::Weight, TensorKind::Input] {
+            let chain = &self.keepers[t];
+            if let Some(&k) = chain.first() {
+                let inner = chain.get(1).copied().unwrap_or(n - 1);
+                // Mirrors the read-tensor pass of `Nest::run` exactly.
+                let reads = self.fills_total(t, inner) / self.share_gap(t, k, inner) * g;
+                self.outer[self.outer_len] = (k, t, reads);
+                self.outer_len += 1;
+            }
+        }
+    }
+
+    /// The loaded candidate's outermost-keeper reads of the read tensors
+    /// (see [`outer_read_traffic`]).
+    pub(crate) fn outer_reads(&self) -> &[(usize, TensorKind, f64)] {
+        &self.outer[..self.outer_len]
+    }
+
+    /// The loaded candidate's cycles, as [`LayerAnalysis::cycles`].
+    pub(crate) fn cycles(&self) -> u64 {
+        self.temporal_product * self.groups
+    }
+
+    /// The loaded candidate's padded MACs, as
+    /// [`LayerAnalysis::padded_macs`].
+    pub(crate) fn padded_macs(&self) -> u64 {
+        self.padded_volume * self.groups
+    }
+
+    /// The spatial lane utilization, as
+    /// [`LayerAnalysis::spatial_utilization`].
+    pub(crate) fn spatial_utilization(&self) -> f64 {
+        self.spatial_product as f64 / self.peak
     }
 
     /// Footprint of tensor `t` over the given per-dimension extents.
@@ -244,84 +358,24 @@ impl<'a> Nest<'a> {
         }
     }
 
-    /// Tile stored at level `x` (covers its spatial fan-out and below).
-    fn tile_stored(&self, t: TensorKind, x: usize) -> u64 {
-        self.footprint(t, &self.below_incl[x])
-    }
-
-    /// Footprint-based sharing factor of tensor `t` at level `x`'s fan-out:
-    /// how many child deliveries one parent-side element serves (≥ 1).
-    fn sharing(&self, t: TensorKind, x: usize) -> f64 {
-        if self.s_prod[x] <= 1 {
-            return 1.0;
-        }
-        let child = self.footprint(t, &self.below_excl[x]) as f64;
-        let union = self.footprint(t, &self.below_incl[x]) as f64;
-        (self.s_prod[x] as f64 * child / union).max(1.0)
-    }
-
     /// Product of sharing factors over fan-outs in `[from, to)`.
     fn share_gap(&self, t: TensorKind, from: usize, to: usize) -> f64 {
-        (from..to).map(|x| self.sharing(t, x)).product()
-    }
-
-    /// Temporal refetch multiplicity for the tile stored at level `x`:
-    /// walk the temporal loops of levels `0..=x` from innermost to
-    /// outermost; a loop multiplies if relevant, or if irrelevant with a
-    /// relevant loop inside.
-    fn mult_visit(&self, t: TensorKind, x: usize) -> u64 {
-        let relevant = t.relevant_dims();
-        let mut mult: u64 = 1;
-        let mut seen_relevant = false;
-        for level in (0..=x).rev() {
-            for l in self.mapping.level(level).temporal.iter().rev() {
-                if relevant.contains(l.dim) {
-                    mult *= l.bound as u64;
-                    seen_relevant = true;
-                } else if seen_relevant {
-                    mult *= l.bound as u64;
-                }
-            }
-        }
-        mult
-    }
-
-    /// Product of bounds of temporal loops relevant to `t` at levels
-    /// `0..=x` — the number of distinct tiles traversed.
-    fn mult_distinct(&self, t: TensorKind, x: usize) -> u64 {
-        let relevant = t.relevant_dims();
-        (0..=x)
-            .flat_map(|level| self.mapping.level(level).temporal.iter())
-            .filter(|l| relevant.contains(l.dim))
-            .map(|l| l.bound as u64)
-            .product()
-    }
-
-    /// Padded iteration volume of one channel group.
-    fn padded_volume(&self) -> u64 {
-        Dim::ALL
-            .iter()
-            .map(|&d| self.mapping.total_bound(d))
-            .product()
+        (from..to).map(|x| self.share[x][t]).product()
     }
 
     /// Total elements filled into level `x` for read-tensor `t` over the
-    /// whole (single-group) execution; `x == num_levels` means compute.
+    /// whole (single-group) execution; `x == num_levels - 1` means
+    /// compute.
     fn fills_total(&self, t: TensorKind, x: usize) -> f64 {
         if x >= self.num_levels - 1 {
-            return self.padded_volume() as f64;
+            return self.padded_volume as f64;
         }
-        let tile = self.tile_stored(t, x) as f64;
-        tile * self.mult_visit(t, x) as f64 * self.util_inst[x] as f64
+        self.tile[x][t] as f64 * self.visits[x][t] as f64 * self.util_inst[x] as f64
     }
 
     /// Partial-sum flushes leaving level `x` upward (single group).
     fn writes_up_total(&self, x: usize) -> f64 {
-        if x >= self.num_levels - 1 {
-            return self.padded_volume() as f64;
-        }
-        let tile = self.tile_stored(TensorKind::Output, x) as f64;
-        tile * self.mult_visit(TensorKind::Output, x) as f64 * self.util_inst[x] as f64
+        self.fills_total(TensorKind::Output, x)
     }
 
     /// Partial-sum read-backs entering level `x` from above (single group).
@@ -329,41 +383,55 @@ impl<'a> Nest<'a> {
         if x >= self.num_levels - 1 {
             return 0.0;
         }
-        let tile = self.tile_stored(TensorKind::Output, x) as f64;
-        let visits = self.mult_visit(TensorKind::Output, x) as f64;
-        let distinct = self.mult_distinct(TensorKind::Output, x) as f64;
+        let t = TensorKind::Output;
+        let tile = self.tile[x][t] as f64;
+        let visits = self.visits[x][t] as f64;
+        let distinct = self.distinct[x][t] as f64;
         (tile * (visits - distinct) * self.util_inst[x] as f64).max(0.0)
     }
 
-    fn check_capacity(&self) -> Result<(), MappingError> {
+    /// The first bounded level the loaded candidate's tiles overflow, as
+    /// `(level index, required bits, available bits)`.
+    pub(crate) fn overflow(&self) -> Option<(usize, u64, u64)> {
         for (x, level) in self.arch.levels().iter().enumerate() {
             let Some(capacity) = level.capacity_bits() else {
                 continue;
             };
             let mut required: u64 = 0;
             for t in level.keep().iter() {
-                required += self.tile_stored(t, x) * self.arch.word_bits_of(t) as u64;
+                required += self.tile[x][t] * self.arch.word_bits_of(t) as u64;
             }
             if required > capacity {
-                return Err(MappingError::CapacityExceeded {
-                    level: level.name().to_string(),
-                    required_bits: required,
-                    available_bits: capacity,
-                });
+                return Some((x, required, capacity));
             }
         }
-        Ok(())
+        None
     }
 
-    fn run(&self) -> LayerAnalysis {
+    fn check_capacity(&self) -> Result<(), MappingError> {
+        match self.overflow() {
+            None => Ok(()),
+            Some((x, required_bits, available_bits)) => Err(MappingError::CapacityExceeded {
+                level: self.arch.levels()[x].name().to_string(),
+                required_bits,
+                available_bits,
+            }),
+        }
+    }
+
+    /// Writes the loaded candidate's analysis into `out`, reusing its
+    /// buffers.
+    pub(crate) fn run(&self, out: &mut LayerAnalysis) {
         let g = self.groups as f64;
-        let mut levels = vec![LevelTraffic::default(); self.num_levels];
+        let levels = &mut out.levels;
+        levels.clear();
+        levels.resize(self.num_levels, LevelTraffic::default());
 
         // Record stored tiles.
         for (x, level) in self.arch.levels().iter().enumerate() {
             if level.kind().is_storage() {
                 for t in level.keep().iter() {
-                    levels[x].tile_elements[t] = self.tile_stored(t, x);
+                    levels[x].tile_elements[t] = self.tile[x][t];
                 }
             }
         }
@@ -408,7 +476,7 @@ impl<'a> Nest<'a> {
 
         // Converters: charge every kept-tensor element crossing their
         // position, after downstream fan-out sharing.
-        for c in self.arch.converter_levels() {
+        for &c in &self.converters {
             let keep = self.arch.levels()[c].keep();
             for t in keep.iter() {
                 let inner = self.keepers[t]
@@ -427,22 +495,18 @@ impl<'a> Nest<'a> {
             }
         }
 
-        let cycles = self.mapping.total_temporal_product() * self.groups;
         let macs = self.layer.macs();
-        let padded_macs = self.padded_volume() * self.groups;
-        let peak = self.arch.peak_parallelism() as f64;
+        let cycles = self.cycles();
         let throughput = macs as f64 / cycles as f64;
+        let padded: f64 = Dim::ALL.iter().map(|&d| self.padded[d] as f64).product();
 
-        LayerAnalysis {
-            cycles,
-            macs,
-            padded_macs,
-            throughput_macs_per_cycle: throughput,
-            utilization: throughput / peak,
-            spatial_utilization: self.mapping.total_spatial_product() as f64 / peak,
-            padding_factor: self.mapping.padding_factor(self.layer),
-            levels,
-        }
+        out.cycles = cycles;
+        out.macs = macs;
+        out.padded_macs = self.padded_macs();
+        out.throughput_macs_per_cycle = throughput;
+        out.utilization = throughput / self.peak;
+        out.spatial_utilization = self.spatial_utilization();
+        out.padding_factor = padded / self.layer.shape().volume() as f64;
     }
 }
 

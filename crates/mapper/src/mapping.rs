@@ -125,6 +125,13 @@ impl Mapping {
         &self.levels[index]
     }
 
+    /// The temporal loops at one level, for building candidates in
+    /// place. Unlike [`Mapping::push_temporal`], nothing elides unit
+    /// bounds: callers push only bounds above 1.
+    pub(crate) fn temporal_mut(&mut self, index: usize) -> &mut Vec<Loop> {
+        &mut self.levels[index].temporal
+    }
+
     /// Product of all bounds (temporal and spatial) of `dim` — the padded
     /// extent the hardware iterates.
     pub fn total_bound(&self, dim: Dim) -> u64 {

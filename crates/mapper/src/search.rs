@@ -11,9 +11,10 @@
 //! * [`exhaustive_search`] — enumerates per-dimension temporal homes for
 //!   small problems; ground truth for tests.
 
-use crate::{analyze, LayerAnalysis, Mapping};
+use crate::analysis::Nest;
+use crate::{analyze, LayerAnalysis, Loop, Mapping};
 use lumen_arch::Architecture;
-use lumen_workload::{Dim, DimMap, Layer, LayerKind, LayerSignature};
+use lumen_workload::{fnv1a, Dim, DimMap, Layer, LayerKind, TensorKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
@@ -211,55 +212,20 @@ impl SearchResult {
     }
 }
 
-/// Memoizes [`greedy_spatial`] bases across the layers of one search
-/// batch on **one architecture**.
-///
-/// The greedy spatial packing is a pure function of the architecture and
-/// the layer's [`LayerSignature`] (shape, kind, stride, dilation, groups
-/// — everything `usable_dims` and the packing walk read), so repeated
-/// searches over same-shaped layers can share the base instead of
-/// re-walking the hierarchy. A memo must not be reused across
-/// architectures: the signature key deliberately excludes the arch, which
-/// is fixed per batch.
-#[derive(Debug, Default)]
-pub struct SpatialBaseMemo {
-    entries: HashMap<LayerSignature, (Mapping, DimMap<usize>)>,
-    hits: usize,
-}
-
-impl SpatialBaseMemo {
-    /// An empty memo.
-    pub fn new() -> SpatialBaseMemo {
-        SpatialBaseMemo::default()
-    }
-
-    /// The greedy spatial base for `layer` on `arch`, computed on first
-    /// use and replayed from the memo afterwards.
-    pub fn base(&mut self, arch: &Architecture, layer: &Layer) -> (Mapping, DimMap<usize>) {
-        let key = layer.signature();
-        if let Some(cached) = self.entries.get(&key) {
-            self.hits += 1;
-            return cached.clone();
-        }
-        let built = greedy_spatial(arch, layer, spatial_priority_for(layer));
-        self.entries.insert(key, built.clone());
-        built
-    }
-
-    /// Number of memo replays served so far.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Number of distinct layer signatures memoized.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
+/// What a lower bound may read about a candidate before its full
+/// analysis. Every field is bit-identical to what [`analyze`] reports
+/// for the candidate.
+#[derive(Debug, Clone, Copy)]
+pub struct Preview<'a> {
+    /// [`LayerAnalysis::cycles`].
+    pub cycles: u64,
+    /// [`LayerAnalysis::padded_macs`].
+    pub padded_macs: u64,
+    /// [`LayerAnalysis::spatial_utilization`].
+    pub spatial_utilization: f64,
+    /// The outermost-keeper reads of the read tensors, as
+    /// [`outer_read_traffic`](crate::outer_read_traffic) returns them.
+    pub outer_reads: &'a [(usize, TensorKind, f64)],
 }
 
 /// Seeded random mapping search.
@@ -276,44 +242,28 @@ pub fn random_search(
     config: SearchConfig,
     cost: impl FnMut(&LayerAnalysis) -> f64,
 ) -> Option<SearchResult> {
-    let base = greedy_spatial(arch, layer, spatial_priority_for(layer));
-    search_core(arch, layer, config, base, None, true, cost)
+    search_core(arch, layer, config, None, true, cost)
 }
 
 /// [`random_search`] with a caller-supplied **lower bound** on the cost
-/// of a candidate, computable from the [`Mapping`] alone (before the full
-/// nest analysis). Candidates whose bound already meets or exceeds the
+/// of a candidate, computed from its [`Preview`] (before the full nest
+/// analysis). Candidates whose bound already meets or exceeds the
 /// incumbent's cost are skipped without an `analyze` call.
 ///
-/// The bound must satisfy `lower_bound(m) ≤ cost(analyze(m))` for every
-/// legal mapping `m` (a small relative safety margin is applied
-/// internally to absorb floating-point summation-order noise). Under that
-/// contract the winning mapping and cost are bit-identical to the
-/// unpruned search: acceptance is strict (`<`), so a candidate at or
+/// The bound must satisfy `lower_bound(preview(m)) ≤ cost(analyze(m))`
+/// for every legal mapping `m` (a small relative safety margin is
+/// applied internally to absorb floating-point summation-order noise).
+/// Under that contract the winning mapping and cost are bit-identical to
+/// the unpruned search: acceptance is strict (`<`), so a candidate at or
 /// above the incumbent could never have won.
 pub fn random_search_pruned(
     arch: &Architecture,
     layer: &Layer,
     config: SearchConfig,
-    lower_bound: impl Fn(&Mapping) -> f64,
+    lower_bound: impl Fn(&Preview<'_>) -> f64,
     cost: impl FnMut(&LayerAnalysis) -> f64,
 ) -> Option<SearchResult> {
-    let base = greedy_spatial(arch, layer, spatial_priority_for(layer));
-    search_core(arch, layer, config, base, Some(&lower_bound), true, cost)
-}
-
-/// [`random_search`] with the greedy spatial base served from a
-/// [`SpatialBaseMemo`], for batches of searches over repeating layer
-/// shapes on one architecture.
-pub fn random_search_with_memo(
-    arch: &Architecture,
-    layer: &Layer,
-    config: SearchConfig,
-    memo: &mut SpatialBaseMemo,
-    cost: impl FnMut(&LayerAnalysis) -> f64,
-) -> Option<SearchResult> {
-    let base = memo.base(arch, layer);
-    search_core(arch, layer, config, base, None, true, cost)
+    search_core(arch, layer, config, Some(&lower_bound), true, cost)
 }
 
 /// Reference implementation without deduplication or pruning: every
@@ -327,8 +277,7 @@ pub fn random_search_baseline(
     config: SearchConfig,
     cost: impl FnMut(&LayerAnalysis) -> f64,
 ) -> Option<SearchResult> {
-    let base = greedy_spatial(arch, layer, spatial_priority_for(layer));
-    search_core(arch, layer, config, base, None, false, cost)
+    search_core(arch, layer, config, None, false, cost)
 }
 
 /// Relative safety margin applied to lower bounds before pruning: shrinks
@@ -341,17 +290,23 @@ const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
 /// iteration happens before the dedup/prune decision — so skipping a
 /// candidate leaves the stream, and therefore every later candidate,
 /// untouched.
+///
+/// Every candidate shares the greedy spatial base, so one [`Nest`]
+/// context serves the whole search and a candidate's temporal loops
+/// alone identify it. Candidates are built in place, analyzed into a
+/// reused [`LayerAnalysis`], and swapped with the incumbent when they
+/// win, so a candidate costs no heap allocation.
 fn search_core(
     arch: &Architecture,
     layer: &Layer,
     config: SearchConfig,
-    base: (Mapping, DimMap<usize>),
-    lower_bound: Option<&dyn Fn(&Mapping) -> f64>,
+    lower_bound: Option<&dyn Fn(&Preview<'_>) -> f64>,
     dedup: bool,
     mut cost: impl FnMut(&LayerAnalysis) -> f64,
 ) -> Option<SearchResult> {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let (base, leftover) = base;
+    let (base, leftover) = greedy_spatial(arch, layer, spatial_priority_for(layer));
+    let num_levels = arch.levels().len();
     let storage_levels: Vec<usize> = arch
         .levels()
         .iter()
@@ -360,21 +315,31 @@ fn search_core(
         .map(|(i, _)| i)
         .collect();
 
-    let mut seen: HashSet<Mapping> = HashSet::new();
-    let mut best: Option<SearchResult> = None;
+    let mut nest = Nest::new(arch, layer, &base);
+    // A split dimension draws at most `storage_levels.len()` chunks, one
+    // loop each.
+    let max_loops = storage_levels.len() * Dim::ALL.iter().filter(|&&d| leftover[d] > 1).count();
+    let mut seen = KeySet::new(max_loops, if dedup { config.iterations } else { 0 });
+    let mut candidate = base.clone();
+    let mut analysis = LayerAnalysis::default();
+    let mut best_mapping = base;
+    let mut best_analysis = LayerAnalysis::default();
+    let mut best_cost: Option<f64> = None;
     let mut evaluated = 0usize;
     let mut deduped = 0usize;
     let mut pruned = 0usize;
     for _ in 0..config.iterations {
-        let mut candidate = base.clone();
+        for x in 0..num_levels {
+            candidate.temporal_mut(x).clear();
+        }
         // Randomly split each leftover extent across storage levels.
-        let mut per_level_loops: Vec<Vec<(Dim, usize)>> = vec![Vec::new(); arch.levels().len()];
         for d in Dim::ALL {
             let mut remaining = leftover[d];
             if remaining <= 1 {
                 continue;
             }
-            // Up to `storage_levels.len()` chunks.
+            // Up to `storage_levels.len()` chunks; the last takes what
+            // remains, and every chunk is a divisor above 1.
             let chunks = rng.gen_range(1..=storage_levels.len());
             for i in 0..chunks {
                 if remaining <= 1 {
@@ -385,40 +350,42 @@ fn search_core(
                 } else {
                     random_factor(remaining, &mut rng)
                 };
-                if f > 1 {
-                    let level = storage_levels[rng.gen_range(0..storage_levels.len())];
-                    per_level_loops[level].push((d, f));
-                    remaining = remaining.div_ceil(f);
-                }
-            }
-            if remaining > 1 {
                 let level = storage_levels[rng.gen_range(0..storage_levels.len())];
-                per_level_loops[level].push((d, remaining));
+                candidate
+                    .temporal_mut(level)
+                    .push(Loop { dim: d, bound: f });
+                remaining /= f;
             }
         }
         // Random order within each level.
-        for (level, loops) in per_level_loops.iter_mut().enumerate() {
-            shuffle(loops, &mut rng);
-            for &(d, f) in loops.iter() {
-                candidate.push_temporal(level, d, f);
-            }
+        for x in 0..num_levels {
+            shuffle(candidate.temporal_mut(x), &mut rng);
         }
         // All RNG draws for this iteration are complete: skipping from
         // here on cannot perturb later candidates.
-        if dedup && !seen.insert(candidate.clone()) {
+        if dedup && !seen.insert(&candidate) {
             deduped += 1;
             continue;
         }
-        let bound = lower_bound.map(|lb| lb(&candidate));
-        if let (Some(bv), Some(b)) = (bound, best.as_ref()) {
-            if bv * PRUNE_MARGIN >= b.cost {
+        nest.load(&candidate);
+        let bound = lower_bound.map(|lb| {
+            lb(&Preview {
+                cycles: nest.cycles(),
+                padded_macs: nest.padded_macs(),
+                spatial_utilization: nest.spatial_utilization(),
+                outer_reads: nest.outer_reads(),
+            })
+        });
+        if let (Some(bv), Some(b)) = (bound, best_cost) {
+            if bv * PRUNE_MARGIN >= b {
                 pruned += 1;
                 continue;
             }
         }
-        let Ok(analysis) = analyze(arch, layer, &candidate) else {
+        if candidate.validate(arch, layer).is_err() || nest.overflow().is_some() {
             continue;
-        };
+        }
+        nest.run(&mut analysis);
         evaluated += 1;
         let c = cost(&analysis);
         if let Some(bv) = bound {
@@ -427,25 +394,89 @@ fn search_core(
                 "lower bound {bv} exceeds true cost {c}: pruning would be unsound"
             );
         }
-        if best.as_ref().is_none_or(|b| c < b.cost) {
-            best = Some(SearchResult {
-                mapping: candidate,
-                analysis,
-                cost: c,
-                evaluated: 0,
-                deduped: 0,
-                pruned: 0,
-            });
+        if best_cost.is_none_or(|b| c < b) {
+            // Both mappings carry the spatial base, and the next
+            // iteration rebuilds the candidate's temporal loops, so a
+            // swap keeps every buffer.
+            std::mem::swap(&mut best_mapping, &mut candidate);
+            std::mem::swap(&mut best_analysis, &mut analysis);
+            best_cost = Some(c);
         }
     }
     // Bookkeeping is stamped exactly once, after the loop: the fields
     // describe the whole search, not the state at the last improvement.
-    if let Some(b) = &mut best {
-        b.evaluated = evaluated;
-        b.deduped = deduped;
-        b.pruned = pruned;
+    best_cost.map(|cost| SearchResult {
+        mapping: best_mapping,
+        analysis: best_analysis,
+        cost,
+        evaluated,
+        deduped,
+        pruned,
+    })
+}
+
+/// An exact set of search candidates, keyed on their temporal loops
+/// alone (every candidate of one search shares its spatial loops).
+///
+/// Each key is packed into a fixed number of words and stored flat, so
+/// once the capacity for a search's candidates is reserved, testing and
+/// inserting a key allocates nothing.
+struct KeySet {
+    /// Words per key: two per loop, for the most loops a key can hold.
+    width: usize,
+    /// Key `i` occupies `words[i * width..(i + 1) * width]`.
+    words: Vec<u64>,
+    /// Fingerprint → the most recently inserted key with it.
+    heads: HashMap<u64, usize>,
+    /// Key `i`'s predecessor with the same fingerprint.
+    older: Vec<Option<usize>>,
+    /// The key under test.
+    key: Vec<u64>,
+}
+
+impl KeySet {
+    /// A set for keys of up to `max_loops` loops, with room reserved for
+    /// `keys` keys.
+    fn new(max_loops: usize, keys: usize) -> KeySet {
+        let width = 2 * max_loops;
+        KeySet {
+            width,
+            words: Vec::with_capacity(keys * width),
+            heads: HashMap::with_capacity(keys),
+            older: Vec::with_capacity(keys),
+            key: Vec::with_capacity(width),
+        }
     }
-    best
+
+    /// Inserts `mapping`'s temporal loops; `false` if they were already
+    /// present.
+    fn insert(&mut self, mapping: &Mapping) -> bool {
+        // A loop packs exactly as `(bound, level · 7 + dim)`, levels in
+        // order. Bounds are at least 2, so the zero words padding the
+        // key to its width never read as a loop.
+        self.key.clear();
+        for (x, level) in mapping.levels().iter().enumerate() {
+            for l in &level.temporal {
+                self.key.push(l.bound as u64);
+                self.key.push((x * Dim::ALL.len() + l.dim.index()) as u64);
+            }
+        }
+        debug_assert!(self.key.len() <= self.width, "key wider than its set");
+        self.key.resize(self.width, 0);
+        let fingerprint = fnv1a(b"search-key", &self.key);
+        let w = self.width;
+        let mut at = self.heads.get(&fingerprint).copied();
+        while let Some(i) = at {
+            if self.words[i * w..(i + 1) * w] == self.key[..] {
+                return false;
+            }
+            at = self.older[i];
+        }
+        self.older
+            .push(self.heads.insert(fingerprint, self.older.len()));
+        self.words.extend_from_slice(&self.key);
+        true
+    }
 }
 
 /// Exhaustive search over per-dimension temporal homes (no splitting):
@@ -513,17 +544,32 @@ pub fn exhaustive_search(
     best
 }
 
-/// A random factor of `v` (uniform over divisors > 1, or a ceil-factor
-/// when `v` is prime-ish).
+/// A uniformly drawn divisor above 1 of `v` (`v` itself when prime; 1
+/// for `v ≤ 1`).
+///
+/// Draws exactly as picking a uniform index into the ascending list of
+/// divisors `2..=v` would — one `gen_range(0..count)` — but without
+/// collecting the list: the divisors pair up around `√v`, the small ones
+/// (`d ≤ v / d`) ascending and then their cofactors `v / d` in
+/// descending `d`, a square root counted once.
 fn random_factor(v: usize, rng: &mut StdRng) -> usize {
     if v <= 1 {
         return 1;
     }
-    let divisors: Vec<usize> = (2..=v).filter(|f| v.is_multiple_of(*f)).collect();
-    if divisors.is_empty() {
-        v
+    let small = || {
+        (1..)
+            .take_while(move |&d| d <= v / d)
+            .filter(move |&d| v.is_multiple_of(d))
+    };
+    let m = small().count();
+    let root = small().last().unwrap_or(1);
+    let all = 2 * m - usize::from(root * root == v);
+    // Position in the full ascending list; position 0 is the divisor 1.
+    let p = 1 + rng.gen_range(0..all - 1);
+    if p < m {
+        small().nth(p).unwrap_or(v)
     } else {
-        divisors[rng.gen_range(0..divisors.len())]
+        v / small().nth(all - 1 - p).unwrap_or(1)
     }
 }
 
@@ -751,8 +797,8 @@ mod tests {
             &a,
             &l,
             cfg,
-            |m: &Mapping| {
-                outer_read_traffic(&a, &l, m)
+            |p: &Preview<'_>| {
+                p.outer_reads
                     .iter()
                     .filter(|(level, _, _)| *level == 0)
                     .map(|(_, _, reads)| reads)
@@ -790,32 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn spatial_base_memo_replays_identical_bases() {
-        let a = arch();
-        let mut memo = SpatialBaseMemo::new();
-        assert!(memo.is_empty());
-        let direct = greedy_spatial(&a, &layer(), spatial_priority_for(&layer()));
-        let first = memo.base(&a, &layer());
-        // Same shape, different name: replayed from the memo.
-        let twin = Layer::conv2d("renamed", 1, 16, 8, 8, 8, 3, 3);
-        let second = memo.base(&a, &twin);
-        assert_eq!(first, direct);
-        assert_eq!(second, direct);
-        assert_eq!(memo.hits(), 1);
-        assert_eq!(memo.len(), 1);
-        // And the memoized search agrees with the plain one.
-        let cfg = SearchConfig {
-            iterations: 60,
-            seed: 5,
-        };
-        let cost = |x: &LayerAnalysis| x.level(0).total_accesses();
-        let plain = random_search(&a, &layer(), cfg, cost).unwrap();
-        let memoized = random_search_with_memo(&a, &twin, cfg, &mut memo, cost).unwrap();
-        assert_eq!(plain.mapping, memoized.mapping);
-        assert_eq!(plain.cost.to_bits(), memoized.cost.to_bits());
-    }
-
-    #[test]
     fn exhaustive_search_dedupes_redundant_homes() {
         // A layer with several fully-packed (no-leftover) dims: the level
         // choice for those dims is irrelevant, so most combos repeat.
@@ -833,6 +853,37 @@ mod tests {
             let f = random_factor(v, &mut rng);
             assert!(f == v || v % f == 0);
             assert!(f >= 2);
+        }
+    }
+
+    /// The divisor pick as first written: collect every divisor in
+    /// `2..=v` ascending, then draw a uniform index.
+    fn scan_random_factor(v: usize, rng: &mut StdRng) -> usize {
+        if v <= 1 {
+            return 1;
+        }
+        let divisors: Vec<usize> = (2..=v).filter(|f| v.is_multiple_of(*f)).collect();
+        if divisors.is_empty() {
+            v
+        } else {
+            divisors[rng.gen_range(0..divisors.len())]
+        }
+    }
+
+    #[test]
+    fn random_factor_draws_exactly_as_the_divisor_scan() {
+        for seed in [0, 1, 7, 0xC1A0, u64::MAX] {
+            let mut fast = StdRng::seed_from_u64(seed);
+            let mut scan = StdRng::seed_from_u64(seed);
+            for v in (0..=4096usize).chain([65_536, 50_257, 3 * 3 * 5 * 7 * 7 * 11]) {
+                assert_eq!(
+                    random_factor(v, &mut fast),
+                    scan_random_factor(v, &mut scan),
+                    "v = {v}, seed {seed}"
+                );
+            }
+            // Both consumed the stream identically.
+            assert_eq!(fast.next_u64(), scan.next_u64());
         }
     }
 }

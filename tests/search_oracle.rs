@@ -1,0 +1,421 @@
+//! Oracle for the random mapping search: the engine against a plain
+//! transcription of its first, allocating form.
+//!
+//! The transcription keeps everything the engine's candidates and costs
+//! were first built from: a cloned [`Mapping`] per candidate, a
+//! `Vec<Vec<_>>` of per-level loops, a divisor pick that collects every
+//! divisor, dedup on a `HashSet<Mapping>`, a lower bound over
+//! [`outer_read_traffic`], and an energy cost read off a full
+//! [`EnergyBreakdown`]. `random_search`, `random_search_pruned` and
+//! `random_search_baseline` must return the same mapping, analysis, cost
+//! bits and `evaluated`/`deduped`/`pruned` counts, and
+//! `System::map_layer` the same winner, on the unique layers of every
+//! built-in network on both Albireo corners and on the toy architectures
+//! of the mapper's unit tests.
+
+use lumen::albireo::{AlbireoConfig, ScalingProfile};
+use lumen::arch::{ArchBuilder, Architecture, Domain, Fanout};
+use lumen::core::{CostCategory, EnergyBreakdown, MappingStrategy, System};
+use lumen::mapper::search::{
+    greedy_spatial, random_search, random_search_baseline, random_search_pruned,
+    spatial_priority_for, Preview, SearchConfig, SearchResult,
+};
+use lumen::mapper::{analyze, outer_read_traffic, LayerAnalysis, Mapping};
+use lumen::units::{Energy, Frequency};
+use lumen::workload::{networks, Dim, DimSet, Layer, TensorKind, TensorSet};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
+
+const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
+
+/// The transcribed engine: `lower_bound` reads the candidate mapping,
+/// and `dedup` turns the `HashSet<Mapping>` on.
+fn transcribed_search(
+    arch: &Architecture,
+    layer: &Layer,
+    config: SearchConfig,
+    lower_bound: Option<&dyn Fn(&Mapping) -> f64>,
+    dedup: bool,
+    mut cost: impl FnMut(&LayerAnalysis) -> f64,
+) -> Option<SearchResult> {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let (base, leftover) = greedy_spatial(arch, layer, spatial_priority_for(layer));
+    let storage_levels: Vec<usize> = arch
+        .levels()
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| !l.kind().is_converter())
+        .map(|(i, _)| i)
+        .collect();
+
+    let mut seen: HashSet<Mapping> = HashSet::new();
+    let mut best: Option<SearchResult> = None;
+    let mut evaluated = 0usize;
+    let mut deduped = 0usize;
+    let mut pruned = 0usize;
+    for _ in 0..config.iterations {
+        let mut candidate = base.clone();
+        let mut per_level_loops: Vec<Vec<(Dim, usize)>> = vec![Vec::new(); arch.levels().len()];
+        for d in Dim::ALL {
+            let mut remaining = leftover[d];
+            if remaining <= 1 {
+                continue;
+            }
+            let chunks = rng.gen_range(1..=storage_levels.len());
+            for i in 0..chunks {
+                if remaining <= 1 {
+                    break;
+                }
+                let f = if i + 1 == chunks {
+                    remaining
+                } else {
+                    transcribed_random_factor(remaining, &mut rng)
+                };
+                if f > 1 {
+                    let level = storage_levels[rng.gen_range(0..storage_levels.len())];
+                    per_level_loops[level].push((d, f));
+                    remaining = remaining.div_ceil(f);
+                }
+            }
+            if remaining > 1 {
+                let level = storage_levels[rng.gen_range(0..storage_levels.len())];
+                per_level_loops[level].push((d, remaining));
+            }
+        }
+        for (level, loops) in per_level_loops.iter_mut().enumerate() {
+            for i in (1..loops.len()).rev() {
+                let j = rng.gen_range(0..=i);
+                loops.swap(i, j);
+            }
+            for &(d, f) in loops.iter() {
+                candidate.push_temporal(level, d, f);
+            }
+        }
+        if dedup && !seen.insert(candidate.clone()) {
+            deduped += 1;
+            continue;
+        }
+        let bound = lower_bound.map(|lb| lb(&candidate));
+        if let (Some(bv), Some(b)) = (bound, best.as_ref()) {
+            if bv * PRUNE_MARGIN >= b.cost {
+                pruned += 1;
+                continue;
+            }
+        }
+        let Ok(analysis) = analyze(arch, layer, &candidate) else {
+            continue;
+        };
+        evaluated += 1;
+        let c = cost(&analysis);
+        if best.as_ref().is_none_or(|b| c < b.cost) {
+            best = Some(SearchResult {
+                mapping: candidate,
+                analysis,
+                cost: c,
+                evaluated: 0,
+                deduped: 0,
+                pruned: 0,
+            });
+        }
+    }
+    if let Some(b) = &mut best {
+        b.evaluated = evaluated;
+        b.deduped = deduped;
+        b.pruned = pruned;
+    }
+    best
+}
+
+fn transcribed_random_factor(v: usize, rng: &mut StdRng) -> usize {
+    if v <= 1 {
+        return 1;
+    }
+    let divisors: Vec<usize> = (2..=v).filter(|f| v.is_multiple_of(*f)).collect();
+    if divisors.is_empty() {
+        v
+    } else {
+        divisors[rng.gen_range(0..divisors.len())]
+    }
+}
+
+/// The system energy objective, read off a full [`EnergyBreakdown`]
+/// built item by item from the analysis.
+fn breakdown_cost(arch: &Architecture, analysis: &LayerAnalysis) -> f64 {
+    let mut breakdown = EnergyBreakdown::new();
+    for (x, level) in arch.levels().iter().enumerate() {
+        let traffic = analysis.level(x);
+        if level.kind().is_storage() {
+            for t in TensorKind::ALL {
+                let (read_e, write_e) = (level.read_energy(), level.write_energy());
+                let label = level.name();
+                breakdown.add(
+                    label,
+                    CostCategory::Storage,
+                    Some(t),
+                    read_e * traffic.reads[t],
+                );
+                breakdown.add(
+                    label,
+                    CostCategory::Storage,
+                    Some(t),
+                    write_e * traffic.writes[t],
+                );
+            }
+        } else if level.kind().is_converter() {
+            for t in TensorKind::ALL {
+                breakdown.add(
+                    level.name(),
+                    CostCategory::Conversion,
+                    Some(t),
+                    level.convert_energy() * traffic.conversions[t],
+                );
+            }
+        }
+    }
+    breakdown.add(
+        arch.compute_level().name(),
+        CostCategory::Compute,
+        None,
+        arch.mac_energy() * analysis.padded_macs as f64,
+    );
+    for cost in arch.per_cycle_costs() {
+        let factor = if cost.gateable {
+            analysis.spatial_utilization
+        } else {
+            1.0
+        };
+        breakdown.add(
+            cost.name.as_str(),
+            CostCategory::PerCycle,
+            None,
+            cost.energy_per_cycle * (analysis.cycles as f64) * factor,
+        );
+    }
+    let runtime = arch.clock().period() * analysis.cycles as f64;
+    breakdown.add(
+        "static",
+        CostCategory::Static,
+        None,
+        arch.total_static_power() * runtime,
+    );
+    breakdown.total().picojoules()
+}
+
+/// The energy lower bound's terms, from what a bound can know before
+/// the analysis, in the objective's order of addition.
+fn bound_terms(
+    arch: &Architecture,
+    cycles: u64,
+    padded_macs: u64,
+    spatial_utilization: f64,
+    outer_reads: &[(usize, TensorKind, f64)],
+) -> f64 {
+    let mut total = arch.mac_energy() * padded_macs as f64;
+    for cost in arch.per_cycle_costs() {
+        let factor = if cost.gateable {
+            spatial_utilization
+        } else {
+            1.0
+        };
+        total += cost.energy_per_cycle * (cycles as f64) * factor;
+    }
+    total += arch.total_static_power() * (arch.clock().period() * cycles as f64);
+    for &(level, _tensor, reads) in outer_reads {
+        total += arch.levels()[level].read_energy() * reads;
+    }
+    total.picojoules()
+}
+
+/// The transcribed lower bound: everything recomputed from the mapping.
+fn mapping_bound(arch: &Architecture, layer: &Layer, m: &Mapping) -> f64 {
+    let groups = layer.groups() as u64;
+    let cycles = m.total_temporal_product() * groups;
+    let padded_volume: u64 = Dim::ALL.iter().map(|&d| m.total_bound(d)).product();
+    let spatial_utilization = m.total_spatial_product() as f64 / arch.peak_parallelism() as f64;
+    let reads = outer_read_traffic(arch, layer, m);
+    bound_terms(
+        arch,
+        cycles,
+        padded_volume * groups,
+        spatial_utilization,
+        &reads,
+    )
+}
+
+fn preview_bound(arch: &Architecture, p: &Preview<'_>) -> f64 {
+    bound_terms(
+        arch,
+        p.cycles,
+        p.padded_macs,
+        p.spatial_utilization,
+        p.outer_reads,
+    )
+}
+
+fn assert_same(what: &str, engine: Option<SearchResult>, oracle: Option<SearchResult>) {
+    match (engine, oracle) {
+        (None, None) => {}
+        (Some(e), Some(o)) => {
+            assert_eq!(e.mapping, o.mapping, "{what}: mapping");
+            assert_eq!(e.analysis, o.analysis, "{what}: analysis");
+            assert_eq!(e.cost.to_bits(), o.cost.to_bits(), "{what}: cost");
+            assert_eq!(
+                (e.evaluated, e.deduped, e.pruned),
+                (o.evaluated, o.deduped, o.pruned),
+                "{what}: evaluated/deduped/pruned"
+            );
+        }
+        (e, o) => panic!(
+            "{what}: engine found {}, oracle found {}",
+            e.is_some(),
+            o.is_some()
+        ),
+    }
+}
+
+/// All three engine variants against the transcription under `cost`
+/// and a bound over the objective's pre-analysis terms.
+fn check_variants(
+    what: &str,
+    arch: &Architecture,
+    layer: &Layer,
+    cfg: SearchConfig,
+    cost: &dyn Fn(&LayerAnalysis) -> f64,
+    mapping_lb: &dyn Fn(&Mapping) -> f64,
+    preview_lb: &dyn Fn(&Preview<'_>) -> f64,
+) -> Option<SearchResult> {
+    let oracle_pruned = transcribed_search(arch, layer, cfg, Some(mapping_lb), true, cost);
+    assert_same(
+        &format!("{what} baseline"),
+        random_search_baseline(arch, layer, cfg, cost),
+        transcribed_search(arch, layer, cfg, None, false, cost),
+    );
+    assert_same(
+        &format!("{what} dedup"),
+        random_search(arch, layer, cfg, cost),
+        transcribed_search(arch, layer, cfg, None, true, cost),
+    );
+    assert_same(
+        &format!("{what} pruned"),
+        random_search_pruned(arch, layer, cfg, preview_lb, cost),
+        oracle_pruned.clone(),
+    );
+    oracle_pruned
+}
+
+#[test]
+fn search_matches_the_transcription_on_every_builtin_layer() {
+    let cfg = SearchConfig {
+        iterations: 160,
+        seed: 0xBEEF,
+    };
+    for scaling in [ScalingProfile::Conservative, ScalingProfile::Aggressive] {
+        let arch = AlbireoConfig::new(scaling).build_arch();
+        let system = System::new(arch.clone(), MappingStrategy::RandomSearch(cfg));
+        let mut signatures = HashSet::new();
+        let mut pruned_any = false;
+        for name in networks::NAMES {
+            let net = networks::by_name(name).unwrap();
+            for layer in net.layers() {
+                if !signatures.insert(layer.signature()) {
+                    continue;
+                }
+                let what = format!("{scaling}/{name}/{}", layer.name());
+                let oracle = check_variants(
+                    &what,
+                    &arch,
+                    layer,
+                    cfg,
+                    &|a| breakdown_cost(&arch, a),
+                    &|m| mapping_bound(&arch, layer, m),
+                    &|p| preview_bound(&arch, p),
+                )
+                .unwrap_or_else(|| panic!("{what}: no legal mapping"));
+                pruned_any |= oracle.pruned > 0;
+                // The system objective picks the same winner, and the
+                // evaluation's energy is the winner's cost.
+                assert_eq!(system.map_layer(layer).unwrap(), oracle.mapping, "{what}");
+                let eval = system.evaluate_layer(layer).unwrap();
+                assert_eq!(eval.analysis, oracle.analysis, "{what}");
+                assert_eq!(
+                    eval.energy.total().picojoules().to_bits(),
+                    oracle.cost.to_bits(),
+                    "{what}"
+                );
+            }
+        }
+        assert!(signatures.len() > 30, "{} unique layers", signatures.len());
+        assert!(pruned_any, "the bound never pruned on {scaling}");
+    }
+}
+
+/// The toy architectures of the mapper's unit tests: one fan-out over
+/// `M, C` (8 lanes) or `M, C, P` (64 lanes) below a buffer, all energies
+/// zero, plus an energetic twin so the energy objective discriminates.
+fn toy_archs() -> Vec<Architecture> {
+    let toy = |name: &str, lanes: usize, dims: &[Dim], pj: f64| {
+        ArchBuilder::new(name, Frequency::from_gigahertz(1.0))
+            .storage("dram", Domain::DigitalElectrical, TensorSet::all())
+            .read_energy(Energy::from_picojoules(100.0 * pj))
+            .write_energy(Energy::from_picojoules(100.0 * pj))
+            .done()
+            .storage("buf", Domain::DigitalElectrical, TensorSet::all())
+            .read_energy(Energy::from_picojoules(pj))
+            .write_energy(Energy::from_picojoules(pj))
+            .fanout(Fanout::new(lanes).allow(DimSet::from_dims(dims)))
+            .done()
+            .compute("mac", Domain::DigitalElectrical, Energy::ZERO)
+            .build()
+            .unwrap()
+    };
+    vec![
+        toy("t", 8, &[Dim::M, Dim::C], 0.0),
+        toy("mm", 64, &[Dim::M, Dim::C, Dim::P], 0.0),
+        toy("energetic", 8, &[Dim::M, Dim::C], 1.0),
+    ]
+}
+
+#[test]
+fn search_matches_the_transcription_on_the_toy_archs() {
+    let layers = [
+        Layer::conv2d("l", 1, 16, 8, 8, 8, 3, 3),
+        Layer::conv2d("s", 1, 8, 4, 4, 4, 3, 3),
+        Layer::matmul("mm", 2, 24, 12, 40),
+    ];
+    // DRAM pressure, bounded by the DRAM reads of the read tensors.
+    let dram = |a: &LayerAnalysis| a.level(0).total_accesses();
+    let dram_reads = |reads: &[(usize, TensorKind, f64)]| -> f64 {
+        reads
+            .iter()
+            .filter(|(level, _, _)| *level == 0)
+            .map(|(_, _, r)| r)
+            .sum()
+    };
+    for arch in toy_archs() {
+        for layer in &layers {
+            for (iterations, seed) in [(80, 7), (300, 9), (400, 21)] {
+                let cfg = SearchConfig { iterations, seed };
+                let what = format!("{}/{}/{seed}", arch.name(), layer.name());
+                check_variants(
+                    &format!("{what} dram"),
+                    &arch,
+                    layer,
+                    cfg,
+                    &dram,
+                    &|m| dram_reads(&outer_read_traffic(&arch, layer, m)),
+                    &|p| dram_reads(p.outer_reads),
+                );
+                check_variants(
+                    &format!("{what} energy"),
+                    &arch,
+                    layer,
+                    cfg,
+                    &|a| breakdown_cost(&arch, a),
+                    &|m| mapping_bound(&arch, layer, m),
+                    &|p| preview_bound(&arch, p),
+                );
+            }
+        }
+    }
+}
