@@ -17,7 +17,8 @@
 //! [`SweepRunner`] threads) and reassembles the
 //! per-layer results in execution order — **bit-identical** to the
 //! sequential [`System::evaluate_network`] path, which the golden suite
-//! pins.
+//! pins. The serving step memo folds the same resolved layers straight
+//! into a step cost, without building those per-layer rows.
 //!
 //! Cache invalidation is by construction: keys embed content fingerprints
 //! of the architecture and the strategy, so a changed device constant or
@@ -67,6 +68,7 @@ use crate::{
 };
 use lumen_arch::Architecture;
 use lumen_workload::{fnv1a_bytes, Layer, LayerSignature, Network, TensorKind};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -594,6 +596,48 @@ impl EvalSession {
         network: &Network,
         options: &NetworkOptions,
     ) -> Result<NetworkEvaluation, SystemError> {
+        let resolved = self.resolve_network(network, options)?;
+        // Reassemble in execution order. Totals are merged per layer —
+        // not scaled by multiplicity — so floating-point accumulation
+        // matches the sequential path bit for bit.
+        let mut per_layer = Vec::with_capacity(resolved.len());
+        let mut energy = EnergyBreakdown::new();
+        let mut cycles = 0u64;
+        for (layer, eval) in resolved.batched.layers().iter().zip(resolved.layers()) {
+            cycles += eval.analysis.cycles;
+            energy.merge(&eval.energy);
+            let mut eval = eval.clone();
+            eval.layer_name = layer.name().to_string();
+            per_layer.push(eval);
+        }
+
+        let scale = resolved.scale();
+        Ok(NetworkEvaluation {
+            network_name: resolved.batched.name().to_string(),
+            per_layer,
+            energy: energy.scaled(scale),
+            cycles: cycles as f64 * scale,
+            macs: network.total_macs(),
+            batch: resolved.batch,
+        })
+    }
+
+    /// The resolution step behind every network evaluation: pre-flight,
+    /// batching, grouping by *(signature, reroute)*, cached slots
+    /// answered inline, misses fanned out over the runner, and the hit
+    /// accounting. Callers fold the result —
+    /// [`evaluate_network`](EvalSession::evaluate_network) into
+    /// per-layer rows, the serving step memo straight into a cost — by
+    /// walking [`ResolvedNetwork::layers`].
+    ///
+    /// # Errors
+    ///
+    /// As [`evaluate_network`](EvalSession::evaluate_network).
+    pub(crate) fn resolve_network<'n>(
+        &self,
+        network: &'n Network,
+        options: &NetworkOptions,
+    ) -> Result<ResolvedNetwork<'n>, SystemError> {
         if self.preflight {
             let report = self.preflight(Some(network));
             if !report.is_clean() {
@@ -611,9 +655,9 @@ impl EvalSession {
         }
         let batch = options.batch.max(1);
         let batched = if batch > 1 {
-            network.with_batch(batch)
+            Cow::Owned(network.with_batch(batch))
         } else {
-            network.clone()
+            Cow::Borrowed(network)
         };
         let last = batched.layers().len().saturating_sub(1);
 
@@ -649,7 +693,9 @@ impl EvalSession {
         // calling thread; only the misses fan out over the runner, so a
         // network whose layers are all cached spawns no threads. Slots
         // keep first-occurrence order, so the first error among them —
-        // cached or fresh — is the earliest failing layer.
+        // cached or fresh — is the earliest failing layer. Successes keep
+        // whichever name filled the cache; only errors, which the caller
+        // sees, are renamed to the asking layer.
         let mut outcomes = Vec::with_capacity(unique.len());
         let mut misses = Vec::new();
         for (slot, (i, reroute)) in unique.into_iter().enumerate() {
@@ -661,7 +707,7 @@ impl EvalSession {
             if cached.is_none() {
                 misses.push((slot, i, reroute));
             }
-            outcomes.push(cached.map(|outcome| rename(outcome, layer.name())));
+            outcomes.push(cached.map(|outcome| outcome.map_err(|e| renamed(e, layer.name()))));
         }
         self.credit_cache_hits((outcomes.len() - misses.len()) as u64);
         let fresh = self.runner.run(misses, |(slot, i, reroute)| {
@@ -670,31 +716,12 @@ impl EvalSession {
         for (slot, outcome) in fresh {
             outcomes[slot] = Some(outcome);
         }
-        let evals: Vec<LayerEvaluation> =
-            outcomes.into_iter().flatten().collect::<Result<_, _>>()?;
-
-        // Reassemble in execution order. Totals are merged per layer —
-        // not scaled by multiplicity — so floating-point accumulation
-        // matches the sequential path bit for bit.
-        let mut per_layer = Vec::with_capacity(batched.layers().len());
-        let mut energy = EnergyBreakdown::new();
-        let mut cycles = 0u64;
-        for (i, layer) in batched.layers().iter().enumerate() {
-            let mut eval = evals[slot_of[i]].clone();
-            eval.layer_name = layer.name().to_string();
-            cycles += eval.analysis.cycles;
-            energy.merge(&eval.energy);
-            per_layer.push(eval);
-        }
-
-        let scale = 1.0 / batch as f64;
-        Ok(NetworkEvaluation {
-            network_name: batched.name().to_string(),
-            per_layer,
-            energy: energy.scaled(scale),
-            cycles: cycles as f64 * scale,
-            macs: network.total_macs(),
+        let evals = outcomes.into_iter().flatten().collect::<Result<_, _>>()?;
+        Ok(ResolvedNetwork {
+            batched,
             batch,
+            slot_of,
+            evals,
         })
     }
 
@@ -767,12 +794,55 @@ fn rename(
             eval.layer_name = name.to_string();
             Ok(eval)
         }
-        Err(SystemError::NoMapping { cause, .. }) => Err(SystemError::NoMapping {
+        Err(e) => Err(renamed(e, name)),
+    }
+}
+
+/// Stamps the requested layer's name onto a cached error.
+fn renamed(error: SystemError, name: &str) -> SystemError {
+    match error {
+        SystemError::NoMapping { cause, .. } => SystemError::NoMapping {
             layer: name.to_string(),
             cause,
-        }),
+        },
         // Pre-flight failures are not per-layer; nothing to rename.
-        Err(other) => Err(other),
+        other => other,
+    }
+}
+
+/// A network resolved to one evaluation per unique *(signature,
+/// reroute)* slot, in the session's execution order: what
+/// [`EvalSession::resolve_network`] hands its folds.
+pub(crate) struct ResolvedNetwork<'n> {
+    /// The evaluated network: the caller's, rebatched when the options
+    /// ask for a batch.
+    batched: Cow<'n, Network>,
+    /// The batch size the layers were evaluated at (at least 1).
+    batch: usize,
+    /// The slot of each execution position.
+    slot_of: Vec<usize>,
+    /// One evaluation per slot. A success carries the name of whichever
+    /// identically-shaped layer filled the cache, not necessarily the
+    /// position's own.
+    evals: Vec<LayerEvaluation>,
+}
+
+impl ResolvedNetwork<'_> {
+    /// Every position's evaluation in execution order, borrowed from
+    /// its slot.
+    pub(crate) fn layers(&self) -> impl Iterator<Item = &LayerEvaluation> + '_ {
+        self.slot_of.iter().map(|&slot| &self.evals[slot])
+    }
+
+    /// Number of execution positions (layers of the network).
+    pub(crate) fn len(&self) -> usize {
+        self.slot_of.len()
+    }
+
+    /// The per-inference scale `1 / batch` that network totals are
+    /// multiplied by.
+    pub(crate) fn scale(&self) -> f64 {
+        1.0 / self.batch as f64
     }
 }
 

@@ -150,8 +150,14 @@ impl EnergyBreakdown {
     /// Merges another breakdown into this one, item by item. A label is
     /// cloned only when its item is new here.
     pub fn merge(&mut self, other: &EnergyBreakdown) {
-        for item in &other.items {
-            self.add(item.label.as_str(), item.category, item.tensor, item.energy);
+        other.add_to(self);
+    }
+
+    /// Drives every item into `sink`, in insertion order, with its label
+    /// borrowed from this breakdown.
+    pub(crate) fn add_to<'a>(&'a self, sink: &mut impl EnergySink<'a>) {
+        for item in &self.items {
+            sink.add(&item.label, item.category, item.tensor, item.energy);
         }
     }
 
@@ -243,6 +249,13 @@ impl EnergyTotal<'_> {
     /// Sum of everything, as [`EnergyBreakdown::total`].
     pub(crate) fn total(&self) -> Energy {
         self.items.iter().map(|item| item.3).sum()
+    }
+
+    /// Sum of every item scaled by `factor`, as
+    /// `EnergyBreakdown::scaled(factor).total()`: each item is scaled
+    /// before the sum, so the result is bit-identical to that path.
+    pub(crate) fn scaled_total(&self, factor: f64) -> Energy {
+        self.items.iter().map(|item| item.3 * factor).sum()
     }
 }
 
@@ -355,6 +368,41 @@ mod tests {
         assert!((a.total().picojoules() - 40.0).abs() < 1e-9);
         let quarter = a.scaled(0.25);
         assert!((quarter.total().picojoules() - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn energy_total_matches_the_scaled_breakdown_bit_for_bit() {
+        use CostCategory::{Conversion, PerCycle, Storage};
+        // Repeated labels, a zero item, and labels that differ only by
+        // tensor; values that round differently in different orders.
+        let adds = [
+            ("glb", Storage, Some(TensorKind::Weight), 0.1),
+            ("glb", Storage, Some(TensorKind::Input), 0.2),
+            ("adc", Conversion, None, 0.0),
+            ("laser", PerCycle, None, 1e16),
+            ("glb", Storage, Some(TensorKind::Weight), 0.7),
+            ("adc", Conversion, None, 3.3),
+            ("glb", Storage, Some(TensorKind::Output), 1.0 / 3.0),
+            ("laser", PerCycle, None, 2.9),
+            ("glb", Storage, Some(TensorKind::Input), 1e-9),
+        ];
+        let mut breakdown = EnergyBreakdown::new();
+        let mut total = EnergyTotal::default();
+        for (label, category, tensor, pj) in adds {
+            let energy = Energy::from_picojoules(pj);
+            breakdown.add(label, category, tensor, energy);
+            EnergySink::add(&mut total, label, category, tensor, energy);
+        }
+        // The same items, driven from the breakdown by reference.
+        let mut folded = EnergyTotal::default();
+        breakdown.add_to(&mut folded);
+        let bits = |e: Energy| e.picojoules().to_bits();
+        assert_eq!(bits(total.total()), bits(breakdown.total()));
+        for factor in [1.0, 1.0 / 3.0, 0.25] {
+            let expected = bits(breakdown.scaled(factor).total());
+            assert_eq!(bits(total.scaled_total(factor)), expected, "{factor}");
+            assert_eq!(bits(folded.scaled_total(factor)), expected, "{factor}");
+        }
     }
 
     #[test]

@@ -30,20 +30,34 @@
 //! prefill slots as `(padded attend length, chunk, copy-on-write
 //! tokens)` in admission order. It is computed with the helpers the
 //! lowering itself uses, so two steps with equal keys lower to identical
-//! layer-signature sequences. A miss lowers the step and evaluates it
-//! through [`EvalSession::evaluate_network`], exactly as without the
-//! memo, and stores the step's MACs, backing accesses, energy, cycles,
-//! utilization and layer count. A hit skips lowering, evaluation and
-//! freeing, and builds the step's point from the stored cost plus the
-//! step's own occupancy and prefill tokens.
+//! layer-signature sequences. The memo stores the step's MACs, backing
+//! accesses, energy, cycles, utilization and layer count. A hit skips
+//! lowering and evaluation, and builds the step's point from the stored
+//! cost plus the step's own occupancy and prefill tokens.
+//!
+//! A miss lowers the step, then *resolves* and *folds* it. Resolution is
+//! the one path [`EvalSession::evaluate_network`] also takes: pre-flight
+//! (when enabled), batching, grouping the layers by *(signature,
+//! reroute)*, answering cached slots on the calling thread and fanning
+//! only the rest out over the session's
+//! [`SweepRunner`](crate::SweepRunner), so a new composition made of
+//! known layers spawns no threads. The fold then walks the step's
+//! positions in execution order over the resolved unique-layer
+//! evaluations, borrowed from their slots. It sums the cycles, backing
+//! accesses, MACs and MAC-weighted utilization, and merges every energy
+//! item into a borrowed-label total scaled per item by `1 / batch`. No
+//! `NetworkEvaluation` is built: no per-layer row is cloned, renamed or
+//! freed.
 //!
 //! The memo is exact. Within one trace the model, layout, options and
 //! session are fixed, every signature resolves to one cached
-//! evaluation, and network totals are summed in layer order. Equal
-//! keys therefore give the very same `f64`s. Admission order is part of
-//! the key because it fixes that summation order. Pre-flight lints (when
-//! enabled) only read layer shapes, so a hit skips nothing they could
-//! find.
+//! evaluation, and the fold sums in layer order exactly as
+//! [`EvalSession::evaluate_network`]'s rows and totals do. A point
+//! therefore carries the very `f64`s those rows give, and equal keys
+//! give equal `f64`s. Admission order is part of the key because it
+//! fixes that summation order. Pre-flight lints (when enabled) run on
+//! every miss and only read layer shapes, so a hit skips nothing they
+//! could find.
 //!
 //! A hit is credited to the session's and the cache's hit counters once
 //! per layer of the step: exactly the lookups the skipped evaluation
@@ -51,12 +65,8 @@
 //! "N mapping searches served M layer evaluations" report built on it,
 //! reads the same with or without the memo. A session without a cache
 //! (`--no-cache`, or `LUMEN_EVAL_CACHE=0`) gets no memo either, so it
-//! stays the literal A/B path that evaluates every layer of every step.
-//!
-//! On a miss, [`EvalSession::evaluate_network`] answers the step's
-//! unique layers that are already cached on the calling thread and fans
-//! only the rest out over its [`SweepRunner`](crate::SweepRunner). A
-//! new composition made of known layers therefore spawns no threads.
+//! stays the literal A/B path that evaluates every layer of every step;
+//! its steps go through the same resolution and fold.
 //!
 //! # Examples
 //!
@@ -99,9 +109,12 @@
 //! assert!(result.pj_per_token() > 0.0);
 //! ```
 
-use crate::{EvalSession, NetworkEvaluation, NetworkOptions, SystemError};
+use crate::cache::ResolvedNetwork;
+use crate::energy::EnergyTotal;
+use crate::{EvalSession, NetworkOptions, SystemError};
 use lumen_units::{Energy, Frequency};
 use lumen_workload::serving::{ServingModel, ServingScenario, ServingStep, StepComposition};
+use lumen_workload::Network;
 use std::collections::hash_map::{Entry, HashMap};
 
 /// One scheduler step of a serving sweep, reduced to scalars so a long
@@ -418,23 +431,39 @@ struct StepCost {
 }
 
 impl StepCost {
-    fn of(eval: &NetworkEvaluation) -> StepCost {
+    /// Folds a resolved step network straight into its cost, borrowing
+    /// each position's evaluation from its unique slot. Every sum runs in
+    /// execution order and the energy items merge into an
+    /// [`EnergyTotal`] scaled per item, so each scalar is bit-identical
+    /// to the one [`EvalSession::evaluate_network`]'s rows would give.
+    fn fold(net: &Network, resolved: &ResolvedNetwork<'_>) -> StepCost {
+        let mut energy = EnergyTotal::default();
+        let mut cycles = 0u64;
+        for eval in resolved.layers() {
+            cycles += eval.analysis.cycles;
+            eval.energy.add_to(&mut energy);
+        }
+        let macs: f64 = resolved.layers().map(|l| l.analysis.macs as f64).sum();
+        let scale = resolved.scale();
         StepCost {
-            macs: eval.macs,
+            macs: net.total_macs(),
             // Element accesses at the outermost architecture level: the
             // backing store's read+write+conversion traffic, summed over
             // the step's layers. (`LayerAnalysis::levels` is
             // outermost-first, so index 0 is the DRAM-like level.)
-            backing_accesses: eval
-                .per_layer
-                .iter()
+            backing_accesses: resolved
+                .layers()
                 .filter_map(|l| l.analysis.levels.first())
                 .map(lumen_mapper::LevelTraffic::total_accesses)
                 .sum(),
-            energy: eval.energy.total(),
-            cycles: eval.cycles,
-            utilization: eval.average_utilization(),
-            layers: eval.per_layer.len() as u64,
+            energy: energy.scaled_total(scale),
+            cycles: cycles as f64 * scale,
+            // MAC-weighted, as `NetworkEvaluation::average_utilization`.
+            utilization: resolved
+                .layers()
+                .map(|l| l.analysis.utilization * l.analysis.macs as f64 / macs)
+                .sum(),
+            layers: resolved.len() as u64,
         }
     }
 
@@ -491,7 +520,8 @@ pub fn scenario_trace(
     let layout = scenario.layout();
     let evaluate = |state: &ServingStep| -> Result<StepCost, SystemError> {
         let net = model.lower_serving_step_with(state, layout);
-        Ok(StepCost::of(&session.evaluate_network(&net, options)?))
+        let resolved = session.resolve_network(&net, options)?;
+        Ok(StepCost::fold(&net, &resolved))
     };
     // The step memo (see the module docs); off without a cache, so an
     // uncached session evaluates every layer of every step.
@@ -601,6 +631,56 @@ mod tests {
         // mapping searches stay a tiny fraction of the layer evals.
         let stats = session.cache_stats();
         assert!(stats.hit_rate() > 0.8, "hit rate {:.3}", stats.hit_rate());
+    }
+
+    #[test]
+    fn preflight_guards_the_cost_fold() {
+        let model = ServingModel::new("toy-lm", 64, 4, 128, 2, 1000);
+        let scenario = ServingScenario::builder(RequestMix::uniform(3, 40, 3), 2)
+            .kv_bucket(16)
+            .build()
+            .unwrap();
+        let options = NetworkOptions::baseline();
+        let bits = |e: &ServingEvaluation| -> Vec<[u64; 5]> {
+            e.points
+                .iter()
+                .map(|p| {
+                    [
+                        p.macs,
+                        p.backing_accesses.to_bits(),
+                        p.energy.picojoules().to_bits(),
+                        p.cycles.to_bits(),
+                        p.utilization.to_bits(),
+                    ]
+                })
+                .collect()
+        };
+        // A clean model: the pre-flight pass changes nothing.
+        let plain = scenario_trace(&session(), &model, &scenario, &options).unwrap();
+        let checked =
+            scenario_trace(&session().with_preflight(), &model, &scenario, &options).unwrap();
+        assert_eq!(bits(&plain), bits(&checked));
+
+        // An unphysical energy only the lint pass catches: the trace
+        // refuses with the error the first step's network evaluation
+        // gives, rather than folding a cost.
+        let arch = ArchBuilder::new("bad", Frequency::from_gigahertz(1.0))
+            .storage("dram", Domain::DigitalElectrical, TensorSet::all())
+            .read_energy(Energy::from_picojoules(-5.0))
+            .done()
+            .compute("mac", Domain::DigitalElectrical, Energy::ZERO)
+            .build()
+            .unwrap();
+        let bad = EvalSession::new(System::new(arch, MappingStrategy::default())).with_preflight();
+        let first =
+            model.lower_serving_step_with(&scenario.schedule().steps()[0], scenario.layout());
+        let expected = bad.evaluate_network(&first, &options).unwrap_err();
+        assert!(
+            matches!(expected, SystemError::Preflight { .. }),
+            "{expected}"
+        );
+        let refused = scenario_trace(&bad, &model, &scenario, &options).unwrap_err();
+        assert_eq!(refused, expected);
     }
 
     #[test]

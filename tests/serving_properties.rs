@@ -17,13 +17,19 @@
 //! chunks, prefill+decode occupancy respects capacity, and the
 //! evaluator charges every chunk exactly once.
 //!
-//! The step memo adds two more: equal step compositions lower to
-//! identical layer signatures, and a memoized trace equals an uncached
-//! one bit for bit with every layer of every step still accounted for.
+//! The step memo adds more: equal step compositions lower to identical
+//! layer signatures; a memoized trace equals an uncached one bit for bit
+//! with every layer of every step still accounted for; the memo's cost
+//! fold reproduces `evaluate_network`'s per-layer rows under batching and
+//! fusion; and scenario and fleet traces are bit-identical across thread
+//! counts and cache modes.
 
 use lumen::arch::{ArchBuilder, Architecture, Domain, Fanout};
-use lumen::core::serving::{RequestLatency, ServingStepPoint};
-use lumen::core::{scenario_trace, EvalSession, MappingStrategy, NetworkOptions, System};
+use lumen::core::serving::{RequestLatency, ServingEvaluation, ServingStepPoint};
+use lumen::core::{
+    fleet_trace, scenario_trace, CacheStats, EvalSession, FleetInstance, MappingStrategy,
+    NetworkOptions, SweepRunner, System,
+};
 use lumen::mapper::search::{greedy_mapping, spatial_priority_for, TemporalPlan};
 use lumen::units::{Energy, Frequency};
 use lumen::workload::serving::{
@@ -31,7 +37,8 @@ use lumen::workload::serving::{
     ServingScenario, ServingSchedule, ServingStep, StepComposition,
 };
 use lumen::workload::{
-    decode_block_macs, networks, AdmissionPolicy, Dim, DimSet, Layer, LayerSignature, TensorSet,
+    decode_block_macs, networks, AdmissionPolicy, Dim, DimSet, Fleet, FleetRouter, Layer,
+    LayerSignature, Network, TensorSet,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -403,13 +410,10 @@ fn serving_trace_charges_prefill_exactly_once_and_is_thread_stable() {
     // the same step networks through the same session.
     for (point, step) in eval.points.iter().zip(schedule.steps()) {
         let net = model.lower_serving_step_with(step, scenario.layout());
-        let reference = session
-            .evaluate_network(&net, &NetworkOptions::baseline())
-            .expect("step evaluates");
-        assert_eq!(point.macs, reference.macs, "wall {}", step.wall());
+        let (.., cost) = point_bits(point);
         assert_eq!(
-            point.energy.picojoules().to_bits(),
-            reference.energy.total().picojoules().to_bits(),
+            (point.macs, cost),
+            rows_cost(&session, &net, &NetworkOptions::baseline()),
             "wall {}",
             step.wall()
         );
@@ -466,7 +470,15 @@ fn memo_scenarios(seed: u64) -> [ServingScenario; 4] {
     ]
 }
 
-fn point_bits(p: &ServingStepPoint) -> (usize, usize, usize, u64, [u64; 4]) {
+/// A point's step, occupancy, prefill tokens and MACs, then the bits of
+/// its backing accesses, energy, cycles and utilization.
+type PointBits = (usize, usize, usize, u64, [u64; 4]);
+
+/// A latency record's request and token count, then the bits of its
+/// timestamps and token gaps.
+type LatencyBits = (usize, usize, [u64; 4], Vec<u64>);
+
+fn point_bits(p: &ServingStepPoint) -> PointBits {
     (
         p.step,
         p.occupancy,
@@ -481,7 +493,31 @@ fn point_bits(p: &ServingStepPoint) -> (usize, usize, usize, u64, [u64; 4]) {
     )
 }
 
-fn latency_bits(r: &RequestLatency) -> (usize, usize, [u64; 4], Vec<u64>) {
+/// Layers of every lowered step of `scenario`: the cache lookups a
+/// trace accounts for.
+fn lowered_layers(model: &ServingModel, scenario: &ServingScenario) -> usize {
+    scenario
+        .schedule()
+        .steps()
+        .iter()
+        .map(|s| {
+            model
+                .lower_serving_step_with(s, scenario.layout())
+                .layers()
+                .len()
+        })
+        .sum()
+}
+
+/// Every point and latency record of a trace, as bits.
+fn trace_bits(e: &ServingEvaluation) -> (Vec<PointBits>, Vec<LatencyBits>) {
+    (
+        e.points.iter().map(point_bits).collect(),
+        e.requests.iter().map(latency_bits).collect(),
+    )
+}
+
+fn latency_bits(r: &RequestLatency) -> LatencyBits {
     (
         r.request,
         r.generated,
@@ -554,17 +590,7 @@ fn memoized_trace_is_bit_identical_to_an_uncached_trace() {
     let options = NetworkOptions::baseline();
     for seed in [1, 2] {
         for scenario in memo_scenarios(seed) {
-            let layers: usize = scenario
-                .schedule()
-                .steps()
-                .iter()
-                .map(|s| {
-                    model
-                        .lower_serving_step_with(s, scenario.layout())
-                        .layers()
-                        .len()
-                })
-                .sum();
+            let layers = lowered_layers(&model, &scenario);
 
             let session = EvalSession::new(system.clone());
             let memoized =
@@ -586,14 +612,134 @@ fn memoized_trace_is_bit_identical_to_an_uncached_trace() {
                 "uncached: every layer of every step"
             );
 
-            let points = |e: &lumen::core::ServingEvaluation| -> Vec<_> {
-                e.points.iter().map(point_bits).collect()
-            };
-            let requests = |e: &lumen::core::ServingEvaluation| -> Vec<_> {
-                e.requests.iter().map(latency_bits).collect()
-            };
-            assert_eq!(points(&memoized), points(&uncached), "seed {seed}");
-            assert_eq!(requests(&memoized), requests(&uncached), "seed {seed}");
+            assert_eq!(trace_bits(&memoized), trace_bits(&uncached), "seed {seed}");
+        }
+    }
+}
+
+/// The scalars of a trace point as `evaluate_network`'s per-layer rows
+/// define them: the network's MACs, then the bits of its backing-store
+/// accesses (outermost level, summed over the rows), energy, cycles and
+/// MAC-weighted utilization — the reference the step memo's cost fold
+/// must reproduce.
+fn rows_cost(session: &EvalSession, net: &Network, options: &NetworkOptions) -> (u64, [u64; 4]) {
+    let rows = session
+        .evaluate_network(net, options)
+        .expect("step evaluates");
+    let backing: f64 = rows
+        .per_layer
+        .iter()
+        .filter_map(|l| l.analysis.levels.first())
+        .map(lumen::mapper::LevelTraffic::total_accesses)
+        .sum();
+    (
+        rows.macs,
+        [
+            backing.to_bits(),
+            rows.energy.total().picojoules().to_bits(),
+            rows.cycles.to_bits(),
+            rows.average_utilization().to_bits(),
+        ],
+    )
+}
+
+/// The step memo's cost fold is an exact shortcut for the per-layer
+/// rows: under batching and fusion as well as the baseline, every point
+/// of a trace carries the very bits `evaluate_network`'s rows give for
+/// its step.
+#[test]
+fn step_cost_fold_matches_the_per_layer_rows() {
+    let model = memo_model();
+    let session = EvalSession::new(System::new(toy_arch(), MappingStrategy::default()));
+    let options = [
+        NetworkOptions::baseline(),
+        NetworkOptions::baseline().with_batch(4),
+        // A 1/3 scale rounds, so only per-item scaling matches the rows.
+        NetworkOptions::baseline().with_batch(3),
+        NetworkOptions::baseline().with_fusion("dram", "glb"),
+    ];
+    for seed in [1, 2] {
+        for scenario in memo_scenarios(seed) {
+            let schedule = scenario.schedule();
+            for options in &options {
+                let trace =
+                    scenario_trace(&session, &model, &scenario, options).expect("trace evaluates");
+                assert_eq!(trace.points.len(), schedule.steps().len());
+                for (point, step) in trace.points.iter().zip(schedule.steps()) {
+                    let net = model.lower_serving_step_with(step, scenario.layout());
+                    let (.., cost) = point_bits(point);
+                    assert_eq!(
+                        (point.macs, cost),
+                        rows_cost(&session, &net, options),
+                        "seed {seed} wall {} {options:?}",
+                        step.wall()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Scenario and fleet traces read the same to the bit however the
+/// session resolves layers — one worker, four workers, or no cache at
+/// all (no memo, no grouping) — and the cached sessions still account
+/// for every layer of every step.
+#[test]
+fn traces_are_bit_identical_across_thread_counts_and_cache_modes() {
+    let model = memo_model();
+    let system = System::new(toy_arch(), MappingStrategy::default());
+    let options = NetworkOptions::baseline();
+    for seed in [1, 2] {
+        for scenario in memo_scenarios(seed) {
+            let assignments = Fleet::uniform(scenario.clone(), FleetRouter::JoinShortestQueue, 2)
+                .dispatch()
+                .expect("the scenario's stream dispatches");
+            let layers = lowered_layers(&model, &scenario);
+            let fleet_layers: usize = assignments
+                .iter()
+                .filter_map(|a| a.scenario.as_ref())
+                .map(|s| lowered_layers(&model, s))
+                .sum();
+            let sessions = [
+                EvalSession::new(system.clone()).with_runner(SweepRunner::with_threads(1)),
+                EvalSession::new(system.clone()).with_runner(SweepRunner::with_threads(4)),
+                EvalSession::new(system.clone()).without_cache(),
+            ];
+            let readings: Vec<_> = sessions
+                .iter()
+                .map(|session| {
+                    let single = scenario_trace(session, &model, &scenario, &options)
+                        .expect("trace evaluates");
+                    let single_stats = session.cache_stats();
+                    let members: Vec<FleetInstance<'_>> = assignments
+                        .iter()
+                        .map(|assignment| FleetInstance {
+                            session,
+                            model: &model,
+                            assignment,
+                        })
+                        .collect();
+                    let fleet = fleet_trace(&members, &options).expect("the fleet evaluates");
+                    let stats = session.cache_stats();
+                    if session.cache().is_some() {
+                        let lookups = |s: CacheStats| s.hits + s.misses;
+                        assert_eq!(lookups(single_stats), layers as u64, "seed {seed}");
+                        assert_eq!(
+                            lookups(stats),
+                            (layers + fleet_layers) as u64,
+                            "seed {seed}"
+                        );
+                    }
+                    let instances: Vec<_> = fleet
+                        .instances
+                        .iter()
+                        .map(|i| i.evaluation.as_ref().map(trace_bits))
+                        .collect();
+                    (trace_bits(&single), instances)
+                })
+                .collect();
+            assert_eq!(readings[0], readings[1], "seed {seed}: 1 vs 4 threads");
+            assert_eq!(readings[0], readings[2], "seed {seed}: cached vs uncached");
         }
     }
 }
