@@ -17,8 +17,9 @@
 //! [`SweepRunner`] threads) and reassembles the
 //! per-layer results in execution order — **bit-identical** to the
 //! sequential [`System::evaluate_network`] path, which the golden suite
-//! pins. The serving step memo folds the same resolved layers straight
-//! into a step cost, without building those per-layer rows.
+//! pins. A serving trace resolves every distinct layer of the trace in
+//! one such call and reads each evaluation in place into a compact cost
+//! table, without building those per-layer rows.
 //!
 //! Cache invalidation is by construction: keys embed content fingerprints
 //! of the architecture and the strategy, so a changed device constant or
@@ -259,7 +260,22 @@ impl EvalCache {
 
     /// The stored outcome for `key`, if any (counts nothing).
     fn lookup(&self, key: &EvalKey) -> Option<Result<LayerEvaluation, SystemError>> {
-        self.map.read().expect("cache lock").get(key).cloned()
+        self.lookup_with(key, owned)
+    }
+
+    /// The stored outcome for `key` with a success read through `read`
+    /// in place, under the read lock, so it need not be cloned (counts
+    /// nothing).
+    fn lookup_with<T>(
+        &self,
+        key: &EvalKey,
+        read: impl FnOnce(Cow<'_, LayerEvaluation>) -> T,
+    ) -> Option<Result<T, SystemError>> {
+        let map = self.map.read().expect("cache lock");
+        Some(match map.get(key)? {
+            Ok(eval) => Ok(read(Cow::Borrowed(eval))),
+            Err(error) => Err(error.clone()),
+        })
     }
 
     /// Number of distinct evaluations stored.
@@ -596,14 +612,19 @@ impl EvalSession {
         network: &Network,
         options: &NetworkOptions,
     ) -> Result<NetworkEvaluation, SystemError> {
-        let resolved = self.resolve_network(network, options)?;
+        self.preflight_gate(network)?;
+        let batch = options.batch.max(1);
+        let batched = options.batched(network);
+        let items = self.rerouted(batched.layers(), options);
+        let resolved = self.resolve(&items, owned)?;
         // Reassemble in execution order. Totals are merged per layer —
         // not scaled by multiplicity — so floating-point accumulation
         // matches the sequential path bit for bit.
-        let mut per_layer = Vec::with_capacity(resolved.len());
+        let mut per_layer = Vec::with_capacity(items.len());
         let mut energy = EnergyBreakdown::new();
         let mut cycles = 0u64;
-        for (layer, eval) in resolved.batched.layers().iter().zip(resolved.layers()) {
+        for (i, (layer, _)) in items.iter().enumerate() {
+            let eval = resolved.get(i);
             cycles += eval.analysis.cycles;
             energy.merge(&eval.energy);
             let mut eval = eval.clone();
@@ -611,124 +632,149 @@ impl EvalSession {
             per_layer.push(eval);
         }
 
-        let scale = resolved.scale();
+        let scale = 1.0 / batch as f64;
         Ok(NetworkEvaluation {
-            network_name: resolved.batched.name().to_string(),
+            network_name: batched.name().to_string(),
             per_layer,
             energy: energy.scaled(scale),
             cycles: cycles as f64 * scale,
             macs: network.total_macs(),
-            batch: resolved.batch,
+            batch,
         })
     }
 
-    /// The resolution step behind every network evaluation: pre-flight,
-    /// batching, grouping by *(signature, reroute)*, cached slots
-    /// answered inline, misses fanned out over the runner, and the hit
-    /// accounting. Callers fold the result —
-    /// [`evaluate_network`](EvalSession::evaluate_network) into
-    /// per-layer rows, the serving step memo straight into a cost — by
-    /// walking [`ResolvedNetwork::layers`].
+    /// Whether this session runs the pre-flight lint pass.
+    pub(crate) fn preflight_enabled(&self) -> bool {
+        self.preflight
+    }
+
+    /// The pre-flight gate: when this session runs the static lint pass
+    /// ([`EvalSession::with_preflight`]), refuses `network` with
+    /// [`SystemError::Preflight`] on any error-severity finding.
+    pub(crate) fn preflight_gate(&self, network: &Network) -> Result<(), SystemError> {
+        if !self.preflight {
+            return Ok(());
+        }
+        let report = self.preflight(Some(network));
+        if report.is_clean() {
+            return Ok(());
+        }
+        let first = report
+            .diagnostics()
+            .iter()
+            .find(|d| d.severity == lumen_lint::Severity::Error)
+            .map(ToString::to_string)
+            .unwrap_or_default();
+        Err(SystemError::Preflight {
+            errors: report.errors(),
+            first,
+        })
+    }
+
+    /// The resolution items of a whole network's `layers`, in execution
+    /// order: each layer with the fusion reroute `options` give its
+    /// position.
+    pub(crate) fn rerouted<'l>(
+        &self,
+        layers: &'l [Layer],
+        options: &NetworkOptions,
+    ) -> Vec<(&'l Layer, Reroute)> {
+        let last = layers.len().saturating_sub(1);
+        layers
+            .iter()
+            .enumerate()
+            .map(|(i, layer)| {
+                let reroute = fusion_reroute(self.system.arch(), options.fusion.as_ref(), i, last);
+                (layer, reroute)
+            })
+            .collect()
+    }
+
+    /// The resolution step behind every evaluation of more than one
+    /// layer: groups `items` — layers, already batched, each with its
+    /// fusion reroute — by *(signature, reroute)*, answers cached keys
+    /// on the calling thread, fans the misses out over the runner in one
+    /// call, and credits the hits. Each unique key's evaluation is read
+    /// through `read` once, on the calling thread — a cached one
+    /// borrowed in place, a fresh one owned — and callers fold the results by item
+    /// through [`Resolved::get`]: [`evaluate_network`] into per-layer
+    /// rows, a serving trace into its compact cost table. An uncached
+    /// session groups nothing and evaluates every item.
+    ///
+    /// [`evaluate_network`]: EvalSession::evaluate_network
     ///
     /// # Errors
     ///
-    /// As [`evaluate_network`](EvalSession::evaluate_network).
-    pub(crate) fn resolve_network<'n>(
+    /// [`SystemError::NoMapping`] for the first failing item, named
+    /// after the first item with its key.
+    pub(crate) fn resolve<T>(
         &self,
-        network: &'n Network,
-        options: &NetworkOptions,
-    ) -> Result<ResolvedNetwork<'n>, SystemError> {
-        if self.preflight {
-            let report = self.preflight(Some(network));
-            if !report.is_clean() {
-                let first = report
-                    .diagnostics()
-                    .iter()
-                    .find(|d| d.severity == lumen_lint::Severity::Error)
-                    .map(ToString::to_string)
-                    .unwrap_or_default();
-                return Err(SystemError::Preflight {
-                    errors: report.errors(),
-                    first,
-                });
-            }
-        }
-        let batch = options.batch.max(1);
-        let batched = if batch > 1 {
-            Cow::Owned(network.with_batch(batch))
-        } else {
-            Cow::Borrowed(network)
-        };
-        let last = batched.layers().len().saturating_sub(1);
-
-        // Group execution positions by (signature, reroute), keeping
-        // first-occurrence order: the earliest unique key that fails is
-        // exactly the layer the sequential walk would have failed on.
-        let mut unique: Vec<(usize, Reroute)> = Vec::new();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(batched.layers().len());
-        let mut slots: HashMap<(LayerSignature, Reroute), usize> = HashMap::new();
-        for (i, layer) in batched.layers().iter().enumerate() {
-            let reroute = fusion_reroute(self.system.arch(), options.fusion.as_ref(), i, last);
+        items: &[(&Layer, Reroute)],
+        mut read: impl FnMut(Cow<'_, LayerEvaluation>) -> T,
+    ) -> Result<Resolved<T>, SystemError> {
+        // Group items by (signature, reroute), keeping first-occurrence
+        // order: the earliest unique key that fails is exactly the item
+        // a sequential walk would have failed on.
+        let mut unique: Vec<usize> = Vec::new();
+        let mut slot_of: Vec<usize> = Vec::with_capacity(items.len());
+        let mut slots: HashMap<(LayerSignature, &Reroute), usize> = HashMap::new();
+        for (i, (layer, reroute)) in items.iter().enumerate() {
             if self.cache.is_none() {
-                // Uncached A/B mode: no grouping, evaluate every layer.
+                // Uncached A/B mode: no grouping, evaluate every item.
                 slot_of.push(unique.len());
-                unique.push((i, reroute));
+                unique.push(i);
                 continue;
             }
             let next = unique.len();
             let slot = *slots
-                .entry((layer.signature(), reroute.clone()))
+                .entry((layer.signature(), reroute))
                 .or_insert_with(|| {
-                    unique.push((i, reroute));
+                    unique.push(i);
                     next
                 });
             slot_of.push(slot);
         }
 
-        // Deduplicated positions are cache hits in every sense that
+        // Deduplicated items are cache hits in every sense that
         // matters — lookups answered without mapping search.
         self.credit_cache_hits((slot_of.len() - unique.len()) as u64);
 
         // Unique keys the cache already holds are answered here, on the
         // calling thread; only the misses fan out over the runner, so a
-        // network whose layers are all cached spawns no threads. Slots
-        // keep first-occurrence order, so the first error among them —
-        // cached or fresh — is the earliest failing layer. Successes keep
-        // whichever name filled the cache; only errors, which the caller
-        // sees, are renamed to the asking layer.
+        // resolution whose layers are all cached spawns no threads.
+        // Slots keep first-occurrence order, so the first error among
+        // them — cached or fresh — is the earliest failing item.
+        // Successes keep whichever name filled the cache; only errors,
+        // which the caller sees, are renamed to the asking layer.
         let mut outcomes = Vec::with_capacity(unique.len());
         let mut misses = Vec::new();
-        for (slot, (i, reroute)) in unique.into_iter().enumerate() {
-            let layer = &batched.layers()[i];
+        for (slot, &i) in unique.iter().enumerate() {
+            let (layer, reroute) = &items[i];
             let cached = self
                 .cache
                 .as_ref()
-                .and_then(|cache| cache.lookup(&self.key(layer, &reroute)));
+                .and_then(|cache| cache.lookup_with(&self.key(layer, reroute), &mut read));
             if cached.is_none() {
-                misses.push((slot, i, reroute));
+                misses.push((slot, i));
             }
             outcomes.push(cached.map(|outcome| outcome.map_err(|e| renamed(e, layer.name()))));
         }
         self.credit_cache_hits((outcomes.len() - misses.len()) as u64);
-        let fresh = self.runner.run(misses, |(slot, i, reroute)| {
-            (slot, self.cached_eval(&batched.layers()[i], &reroute))
+        let fresh = self.runner.run(misses, |(slot, i)| {
+            let (layer, reroute) = &items[i];
+            (slot, self.cached_eval(layer, reroute))
         });
         for (slot, outcome) in fresh {
-            outcomes[slot] = Some(outcome);
+            outcomes[slot] = Some(outcome.map(|eval| read(Cow::Owned(eval))));
         }
-        let evals = outcomes.into_iter().flatten().collect::<Result<_, _>>()?;
-        Ok(ResolvedNetwork {
-            batched,
-            batch,
-            slot_of,
-            evals,
-        })
+        let values = outcomes.into_iter().flatten().collect::<Result<_, _>>()?;
+        Ok(Resolved { slot_of, values })
     }
 
     /// Credits `lookups` layer lookups answered without a mapping search
     /// to this session's and its cache's hit counters. A caller that
-    /// memoizes whole evaluations built from this session (the serving
-    /// step memo) credits each reuse here once per layer, so hit/miss
+    /// reuses resolved evaluations across many layer positions (a
+    /// serving trace) credits each reused position here, so hit/miss
     /// accounting reads as if every layer had been looked up. A no-op
     /// for an uncached session.
     pub(crate) fn credit_cache_hits(&self, lookups: u64) {
@@ -784,6 +830,11 @@ impl EvalSession {
     }
 }
 
+/// A read evaluation taken by value: a borrowed (cached) one is cloned.
+fn owned(eval: Cow<'_, LayerEvaluation>) -> LayerEvaluation {
+    eval.into_owned()
+}
+
 /// Stamps the requested layer's name onto a cached outcome.
 fn rename(
     outcome: Result<LayerEvaluation, SystemError>,
@@ -810,39 +861,22 @@ fn renamed(error: SystemError, name: &str) -> SystemError {
     }
 }
 
-/// A network resolved to one evaluation per unique *(signature,
-/// reroute)* slot, in the session's execution order: what
-/// [`EvalSession::resolve_network`] hands its folds.
-pub(crate) struct ResolvedNetwork<'n> {
-    /// The evaluated network: the caller's, rebatched when the options
-    /// ask for a batch.
-    batched: Cow<'n, Network>,
-    /// The batch size the layers were evaluated at (at least 1).
-    batch: usize,
-    /// The slot of each execution position.
+/// Resolution items answered by one read evaluation per unique
+/// *(signature, reroute)* slot: what [`EvalSession::resolve`] hands its
+/// folds.
+pub(crate) struct Resolved<T> {
+    /// The slot of each item.
     slot_of: Vec<usize>,
-    /// One evaluation per slot. A success carries the name of whichever
-    /// identically-shaped layer filled the cache, not necessarily the
-    /// position's own.
-    evals: Vec<LayerEvaluation>,
+    /// One read evaluation per slot. A success was read from whichever
+    /// identically-shaped layer filled the cache, so it may carry that
+    /// layer's name rather than the item's own.
+    values: Vec<T>,
 }
 
-impl ResolvedNetwork<'_> {
-    /// Every position's evaluation in execution order, borrowed from
-    /// its slot.
-    pub(crate) fn layers(&self) -> impl Iterator<Item = &LayerEvaluation> + '_ {
-        self.slot_of.iter().map(|&slot| &self.evals[slot])
-    }
-
-    /// Number of execution positions (layers of the network).
-    pub(crate) fn len(&self) -> usize {
-        self.slot_of.len()
-    }
-
-    /// The per-inference scale `1 / batch` that network totals are
-    /// multiplied by.
-    pub(crate) fn scale(&self) -> f64 {
-        1.0 / self.batch as f64
+impl<T> Resolved<T> {
+    /// Item `item`'s read evaluation, borrowed from its slot.
+    pub(crate) fn get(&self, item: usize) -> &T {
+        &self.values[self.slot_of[item]]
     }
 }
 

@@ -250,13 +250,6 @@ impl EnergyTotal<'_> {
     pub(crate) fn total(&self) -> Energy {
         self.items.iter().map(|item| item.3).sum()
     }
-
-    /// Sum of every item scaled by `factor`, as
-    /// `EnergyBreakdown::scaled(factor).total()`: each item is scaled
-    /// before the sum, so the result is bit-identical to that path.
-    pub(crate) fn scaled_total(&self, factor: f64) -> Energy {
-        self.items.iter().map(|item| item.3 * factor).sum()
-    }
 }
 
 impl<'a> EnergySink<'a> for EnergyTotal<'a> {
@@ -398,11 +391,7 @@ mod tests {
         breakdown.add_to(&mut folded);
         let bits = |e: Energy| e.picojoules().to_bits();
         assert_eq!(bits(total.total()), bits(breakdown.total()));
-        for factor in [1.0, 1.0 / 3.0, 0.25] {
-            let expected = bits(breakdown.scaled(factor).total());
-            assert_eq!(bits(total.scaled_total(factor)), expected, "{factor}");
-            assert_eq!(bits(folded.scaled_total(factor)), expected, "{factor}");
-        }
+        assert_eq!(bits(folded.total()), bits(breakdown.total()));
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::{EnergyBreakdown, LayerEvaluation, System, SystemError};
 use lumen_arch::Architecture;
 use lumen_units::Energy;
 use lumen_workload::{Network, TensorKind};
+use std::borrow::Cow;
 
 /// Fused-layer dataflow configuration: inter-layer activations bypass the
 /// backing store and live in an on-chip buffer instead.
@@ -48,6 +49,16 @@ impl NetworkOptions {
         assert!(batch > 0, "batch must be nonzero");
         self.batch = batch;
         self
+    }
+
+    /// `network` at these options' batch: rebatched when the batch
+    /// exceeds 1, borrowed as is otherwise.
+    pub(crate) fn batched<'n>(&self, network: &'n Network) -> Cow<'n, Network> {
+        if self.batch > 1 {
+            Cow::Owned(network.with_batch(self.batch))
+        } else {
+            Cow::Borrowed(network)
+        }
     }
 
     /// Enables layer fusion between the named levels (builder style).
@@ -110,6 +121,18 @@ pub(crate) fn fusion_reroute(
         entries.push((TensorKind::Output, from, to));
     }
     Reroute { entries }
+}
+
+/// The fusion position class of the layer at `index` of a network whose
+/// last layer sits at `last`, in `0..4`: [`fusion_reroute`] reads a
+/// position only through whether it opens and whether it closes the
+/// network, so positions of one class share one reroute. Always 0
+/// without fusion.
+pub(crate) fn fusion_class(fusion: Option<&FusionConfig>, index: usize, last: usize) -> usize {
+    match fusion {
+        Some(_) => usize::from(index > 0) | usize::from(index < last) << 1,
+        None => 0,
+    }
 }
 
 impl NetworkEvaluation {

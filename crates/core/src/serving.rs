@@ -24,49 +24,66 @@
 //! # The step memo
 //!
 //! [`scenario_trace`] goes one level above that layer cache: it
-//! evaluates each step *composition* once per trace. The key is
-//! [`ServingModel::step_composition`]: the layout kind and quantum, the
-//! sorted `(padded attend length, group)` decode multiset, and the
-//! prefill slots as `(padded attend length, chunk, copy-on-write
-//! tokens)` in admission order. It is computed with the helpers the
-//! lowering itself uses, so two steps with equal keys lower to identical
-//! layer-signature sequences. The memo stores the step's MACs, backing
-//! accesses, energy, cycles, utilization and layer count. A hit skips
-//! lowering and evaluation, and builds the step's point from the stored
-//! cost plus the step's own occupancy and prefill tokens.
+//! evaluates each step *composition* once per trace, and lowers each
+//! *segment* once. The key is [`ServingModel::step_composition`]: the
+//! step's [`StepSegment`]s in lowering order — a bucketed decode group
+//! `(padded attend length, group)` per length class (or, under a paged
+//! layout, one paged decode set), then one prefill chunk `(padded attend
+//! length, chunk, copy-on-write tokens)` per prefilling slot in
+//! admission order. [`ServingModel::lower_serving_step_with`] *is* the
+//! concatenation of the segments' lowerings, so two steps with equal
+//! keys lower to identical layer-signature sequences. A trace has few
+//! segments: the `serving_poisson` trace of `perfbench` (seed 1) builds
+//! its 304 distinct compositions from 23.
 //!
-//! A miss lowers the step, then *resolves* and *folds* it. Resolution is
-//! the one path [`EvalSession::evaluate_network`] also takes: pre-flight
-//! (when enabled), batching, grouping the layers by *(signature,
-//! reroute)*, answering cached slots on the calling thread and fanning
-//! only the rest out over the session's
-//! [`SweepRunner`](crate::SweepRunner), so a new composition made of
-//! known layers spawns no threads. The fold then walks the step's
-//! positions in execution order over the resolved unique-layer
-//! evaluations, borrowed from their slots. It sums the cycles, backing
-//! accesses, MACs and MAC-weighted utilization, and merges every energy
-//! item into a borrowed-label total scaled per item by `1 / batch`. No
-//! `NetworkEvaluation` is built: no per-layer row is cloned, renamed or
-//! freed.
+//! A cached trace runs in four phases:
+//!
+//! 1. *Intern* each step's composition, keeping the step it first
+//!    occurs in.
+//! 2. *Lower* each distinct segment once, from the slot it first occurs
+//!    in, and drop the network once its layers are interned as shapes
+//!    (one per unbatched signature). Each composition lays its positions
+//!    out over *items*: a shape at one fusion position class (under
+//!    fusion, a position's reroute depends only on whether it opens and
+//!    whether it closes its step).
+//! 3. *Resolve* every item in one call: the resolution
+//!    [`EvalSession::evaluate_network`] also uses, which groups items
+//!    by *(signature, reroute)*, answers cached keys on the calling
+//!    thread, and fans every miss of the trace out over the session's
+//!    [`SweepRunner`](crate::SweepRunner) at once. Each evaluation is
+//!    read, in place, into a compact layer cost — cycles, MACs,
+//!    utilization, backing accesses and a dense energy row over item
+//!    ids interned per trace from *(label, category, tensor)* — so no
+//!    evaluation is cloned.
+//! 4. *Fold* each distinct composition once over those costs, and build
+//!    every step's point from its composition's cost plus the step's
+//!    own occupancy and prefill tokens.
 //!
 //! The memo is exact. Within one trace the model, layout, options and
-//! session are fixed, every signature resolves to one cached
-//! evaluation, and the fold sums in layer order exactly as
-//! [`EvalSession::evaluate_network`]'s rows and totals do. A point
-//! therefore carries the very `f64`s those rows give, and equal keys
-//! give equal `f64`s. Admission order is part of the key because it
-//! fixes that summation order. Pre-flight lints (when enabled) run on
-//! every miss and only read layer shapes, so a hit skips nothing they
-//! could find.
+//! session are fixed and every *(signature, reroute)* key resolves to
+//! one evaluation. The fold sums in execution order: cycles as `u64`,
+//! backing accesses, MACs and MAC-weighted utilization as `f64`, and
+//! energy per id, totalled over the ids in first-seen order and scaled
+//! per item by `1 / batch` — exactly as [`EvalSession::evaluate_network`]'s
+//! rows and merged, scaled breakdown do. A point therefore carries the
+//! very `f64`s those rows give, and equal keys give equal `f64`s.
+//! Admission order is part of the key because it fixes that summation
+//! order. A mapping failure depends only on a layer's signature, so the
+//! first failing item in first-occurrence order belongs to the first
+//! failing step, and is named after that step's own layer, the one the
+//! step-by-step walk would report. Pre-flight lints (when enabled) run
+//! on the first step of every distinct composition, in order, before
+//! its items join the resolution.
 //!
-//! A hit is credited to the session's and the cache's hit counters once
-//! per layer of the step: exactly the lookups the skipped evaluation
-//! would have answered from the cache. Hit/miss accounting, and every
-//! "N mapping searches served M layer evaluations" report built on it,
+//! A trace credits the session's and the cache's hit counters with
+//! every layer position of every step that the resolution did not
+//! count: hits plus misses equal the layers of the lowered steps, and
+//! misses are the mapping searches, one per new *(signature, reroute)*
+//! key. Every "N mapping searches served M layer evaluations" report
 //! reads the same with or without the memo. A session without a cache
 //! (`--no-cache`, or `LUMEN_EVAL_CACHE=0`) gets no memo either, so it
-//! stays the literal A/B path that evaluates every layer of every step;
-//! its steps go through the same resolution and fold.
+//! stays the literal A/B path: it lowers and resolves every layer of
+//! every step, without grouping, and feeds the same fold.
 //!
 //! # Examples
 //!
@@ -109,13 +126,18 @@
 //! assert!(result.pj_per_token() > 0.0);
 //! ```
 
-use crate::cache::ResolvedNetwork;
-use crate::energy::EnergyTotal;
-use crate::{EvalSession, NetworkOptions, SystemError};
+use crate::evaluator::Reroute;
+use crate::network::{fusion_class, fusion_reroute};
+use crate::{CostCategory, EvalSession, LayerEvaluation, NetworkOptions, SystemError};
 use lumen_units::{Energy, Frequency};
-use lumen_workload::serving::{ServingModel, ServingScenario, ServingStep, StepComposition};
-use lumen_workload::Network;
+use lumen_workload::serving::{
+    ActiveSlot, KvLayout, PrefillSlot, ServingModel, ServingScenario, ServingStep, StepComposition,
+    StepSegment,
+};
+use lumen_workload::{Layer, LayerSignature, TensorKind};
 use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// One scheduler step of a serving sweep, reduced to scalars so a long
 /// trace stays cheap to hold.
@@ -352,47 +374,53 @@ impl ServingEvaluation {
     }
 }
 
-/// Step membership on the wall clock, the input latency accounting
-/// needs alongside the evaluated per-step cycles.
-struct StepMembers {
-    wall: usize,
-    decode: Vec<usize>,
-    prefill: Vec<usize>,
+/// The latency record of `request`, opened on its first step, which
+/// spans `start..end` in cycles.
+fn admitted(
+    records: &mut Vec<Option<RequestLatency>>,
+    request: usize,
+    start: f64,
+    end: f64,
+) -> &mut RequestLatency {
+    if records.len() <= request {
+        records.resize_with(request + 1, || None);
+    }
+    records[request].get_or_insert_with(|| RequestLatency {
+        request,
+        arrival_cycles: 0.0,
+        admission_cycles: start,
+        first_token_cycles: f64::NAN,
+        retire_cycles: end,
+        generated: 0,
+        token_gap_cycles: Vec::new(),
+    })
 }
 
 /// Folds evaluated step durations into per-request latency records.
-/// `arrivals` maps request index to arrival step.
-fn request_latencies(
+/// `arrivals` maps request index to arrival step; `steps` yields each
+/// emitted step's wall step, decoding and prefilling slots, and
+/// evaluated cycles, in execution order.
+fn request_latencies<'s>(
     arrivals: &[usize],
-    steps: &[StepMembers],
-    cycles: &[f64],
+    steps: impl IntoIterator<Item = (usize, &'s [ActiveSlot], &'s [PrefillSlot], f64)>,
 ) -> Vec<RequestLatency> {
-    use std::collections::BTreeMap;
     // (wall, start-time) per emitted step, to resolve arrival steps —
     // which may fall in a fast-forwarded idle gap — onto the cycle
     // clock of the first busy step at or after them.
-    let mut spans = Vec::with_capacity(steps.len());
-    let mut records: BTreeMap<usize, RequestLatency> = BTreeMap::new();
+    let mut spans = Vec::new();
+    // Indexed by request; a request no step served stays `None`.
+    let mut records: Vec<Option<RequestLatency>> = Vec::new();
     let mut now = 0.0;
-    for (step, &dur) in steps.iter().zip(cycles) {
+    for (wall, decode, prefill, dur) in steps {
         let (start, end) = (now, now + dur);
-        spans.push((step.wall, start));
+        spans.push((wall, start));
         now = end;
-        let admitted = |request| RequestLatency {
-            request,
-            arrival_cycles: 0.0,
-            admission_cycles: start,
-            first_token_cycles: f64::NAN,
-            retire_cycles: end,
-            generated: 0,
-            token_gap_cycles: Vec::new(),
-        };
-        for &request in &step.prefill {
-            records.entry(request).or_insert_with(|| admitted(request));
+        for slot in prefill {
+            admitted(&mut records, slot.request, start, end);
         }
-        for &request in &step.decode {
+        for slot in decode {
             // Every decoding slot completes one token at step end.
-            let record = records.entry(request).or_insert_with(|| admitted(request));
+            let record = admitted(&mut records, slot.request, start, end);
             if record.generated == 0 {
                 record.first_token_cycles = end;
             } else {
@@ -402,7 +430,7 @@ fn request_latencies(
             record.retire_cycles = end;
         }
     }
-    let mut records: Vec<RequestLatency> = records.into_values().collect();
+    let mut records: Vec<RequestLatency> = records.into_iter().flatten().collect();
     for record in &mut records {
         let wall = arrivals.get(record.request).copied().unwrap_or(0);
         // First emitted step at or after the arrival step: its start is
@@ -416,7 +444,7 @@ fn request_latencies(
 }
 
 /// The part of a [`ServingStepPoint`] that is a pure function of the
-/// step's lowered network — what the step memo stores per
+/// step's lowered network — what a trace computes once per distinct
 /// [`StepComposition`].
 #[derive(Debug, Clone, Copy)]
 struct StepCost {
@@ -425,48 +453,9 @@ struct StepCost {
     energy: Energy,
     cycles: f64,
     utilization: f64,
-    /// Layers of the lowered network: the cache lookups a memo hit
-    /// stands in for.
-    layers: u64,
 }
 
 impl StepCost {
-    /// Folds a resolved step network straight into its cost, borrowing
-    /// each position's evaluation from its unique slot. Every sum runs in
-    /// execution order and the energy items merge into an
-    /// [`EnergyTotal`] scaled per item, so each scalar is bit-identical
-    /// to the one [`EvalSession::evaluate_network`]'s rows would give.
-    fn fold(net: &Network, resolved: &ResolvedNetwork<'_>) -> StepCost {
-        let mut energy = EnergyTotal::default();
-        let mut cycles = 0u64;
-        for eval in resolved.layers() {
-            cycles += eval.analysis.cycles;
-            eval.energy.add_to(&mut energy);
-        }
-        let macs: f64 = resolved.layers().map(|l| l.analysis.macs as f64).sum();
-        let scale = resolved.scale();
-        StepCost {
-            macs: net.total_macs(),
-            // Element accesses at the outermost architecture level: the
-            // backing store's read+write+conversion traffic, summed over
-            // the step's layers. (`LayerAnalysis::levels` is
-            // outermost-first, so index 0 is the DRAM-like level.)
-            backing_accesses: resolved
-                .layers()
-                .filter_map(|l| l.analysis.levels.first())
-                .map(lumen_mapper::LevelTraffic::total_accesses)
-                .sum(),
-            energy: energy.scaled_total(scale),
-            cycles: cycles as f64 * scale,
-            // MAC-weighted, as `NetworkEvaluation::average_utilization`.
-            utilization: resolved
-                .layers()
-                .map(|l| l.analysis.utilization * l.analysis.macs as f64 / macs)
-                .sum(),
-            layers: resolved.len() as u64,
-        }
-    }
-
     fn point(&self, step: usize, occupancy: usize, prefill_tokens: usize) -> ServingStepPoint {
         ServingStepPoint {
             step,
@@ -478,6 +467,271 @@ impl StepCost {
             cycles: self.cycles,
             utilization: self.utilization,
         }
+    }
+}
+
+/// One layer evaluation reduced to the scalars a step cost sums.
+struct LayerCost {
+    cycles: u64,
+    /// MACs of the evaluated (batched) layer: the utilization weight.
+    macs: u64,
+    utilization: f64,
+    /// Element accesses at the outermost architecture level (the
+    /// backing store's read + write + conversion traffic), if the
+    /// analysis has levels. `LayerAnalysis::levels` is outermost-first.
+    backing: Option<f64>,
+    /// The ids of the evaluation's nonzero energy items, in item order:
+    /// a range of [`CostTable::item_ids`].
+    ids: Range<usize>,
+    /// The evaluation's energy per id, zero where it has no item: a
+    /// range of [`CostTable::rows`] as long as the ids interned when it
+    /// was compacted.
+    row: Range<usize>,
+}
+
+/// A trace's energy items, with every *(label, category, tensor)*
+/// interned to a dense id, so a step's energy folds as an array add.
+#[derive(Default)]
+struct CostTable {
+    item_ids: Vec<usize>,
+    rows: Vec<Energy>,
+    labels: HashMap<String, usize>,
+    ids: HashMap<(usize, CostCategory, Option<TensorKind>), usize>,
+}
+
+impl CostTable {
+    /// Reduces `eval` to its [`LayerCost`], interning its energy items.
+    fn compact(&mut self, eval: &LayerEvaluation) -> LayerCost {
+        let ids = self.item_ids.len();
+        // The energy total skips zero contributions.
+        for item in eval
+            .energy
+            .items()
+            .iter()
+            .filter(|i| i.energy != Energy::ZERO)
+        {
+            let label = match self.labels.get(item.label.as_str()) {
+                Some(&label) => label,
+                None => {
+                    let label = self.labels.len();
+                    self.labels.insert(item.label.clone(), label);
+                    label
+                }
+            };
+            let next = self.ids.len();
+            let id = *self
+                .ids
+                .entry((label, item.category, item.tensor))
+                .or_insert(next);
+            self.item_ids.push(id);
+        }
+        let row = self.rows.len();
+        self.rows.resize(row + self.ids.len(), Energy::ZERO);
+        let items = eval
+            .energy
+            .items()
+            .iter()
+            .filter(|i| i.energy != Energy::ZERO);
+        for (&id, item) in self.item_ids[ids..].iter().zip(items) {
+            self.rows[row + id] += item.energy;
+        }
+        LayerCost {
+            cycles: eval.analysis.cycles,
+            macs: eval.analysis.macs,
+            utilization: eval.analysis.utilization,
+            backing: eval
+                .analysis
+                .levels
+                .first()
+                .map(lumen_mapper::LevelTraffic::total_accesses),
+            ids: ids..self.item_ids.len(),
+            row: row..self.rows.len(),
+        }
+    }
+
+    /// Drops every layer cost, keeping the interned ids.
+    fn clear(&mut self) {
+        self.item_ids.clear();
+        self.rows.clear();
+    }
+}
+
+/// The one summation routine behind every step cost, with its reusable
+/// buffers.
+#[derive(Default)]
+struct Fold<'t> {
+    /// The step's positions: each the true MACs of its unbatched layer
+    /// and its evaluation's cost.
+    layers: Vec<(u64, &'t LayerCost)>,
+    energy: Vec<Energy>,
+    seen: Vec<bool>,
+    /// Ids in first-seen order: the order the energy total sums them.
+    order: Vec<usize>,
+    /// Whether a layer cost, by the start of its id range, has already
+    /// put its ids in `order` this step.
+    ordered: Vec<bool>,
+}
+
+impl<'t> Fold<'t> {
+    /// Folds a step's positions, in execution order, into the step's
+    /// cost at per-inference `scale` (`1 / batch`). Every sum runs in
+    /// execution order. Energy accumulates per id (adding a row's zeros
+    /// leaves an accumulator's bits unchanged), and the total sums the
+    /// ids in first-seen order, each scaled before the sum — exactly as
+    /// [`EvalSession::evaluate_network`]'s merged and scaled breakdown
+    /// totals, so every scalar is bit-identical to its rows.
+    fn cost(
+        &mut self,
+        table: &CostTable,
+        layers: impl IntoIterator<Item = (u64, &'t LayerCost)>,
+        scale: f64,
+    ) -> StepCost {
+        self.layers.clear();
+        self.layers.extend(layers);
+        let ids = table.ids.len();
+        self.energy.resize(ids, Energy::ZERO);
+        self.seen.resize(ids, false);
+        self.ordered.resize(table.item_ids.len(), false);
+        let mut cycles = 0u64;
+        for (_, layer) in &self.layers {
+            cycles += layer.cycles;
+            // A repeated layer cost brings no new ids: only its first
+            // sighting is scanned for them.
+            if !layer.ids.is_empty() && !self.ordered[layer.ids.start] {
+                self.ordered[layer.ids.start] = true;
+                for &id in &table.item_ids[layer.ids.clone()] {
+                    if !self.seen[id] {
+                        self.seen[id] = true;
+                        self.order.push(id);
+                    }
+                }
+            }
+            for (sum, &energy) in self.energy.iter_mut().zip(&table.rows[layer.row.clone()]) {
+                *sum += energy;
+            }
+        }
+        let energy = self.order.iter().map(|&id| self.energy[id] * scale).sum();
+        self.energy.fill(Energy::ZERO);
+        self.seen.fill(false);
+        self.order.clear();
+        for (_, layer) in &self.layers {
+            if let Some(ordered) = self.ordered.get_mut(layer.ids.start) {
+                *ordered = false;
+            }
+        }
+        let layers = || self.layers.iter().map(|&(macs, layer)| (macs, layer));
+        let macs: f64 = layers().map(|(_, l)| l.macs as f64).sum();
+        StepCost {
+            macs: layers().map(|(macs, _)| macs).sum(),
+            backing_accesses: layers().filter_map(|(_, l)| l.backing).sum(),
+            energy,
+            cycles: cycles as f64 * scale,
+            // MAC-weighted, as `NetworkEvaluation::average_utilization`.
+            utilization: layers()
+                .map(|(_, l)| l.utilization * l.macs as f64 / macs)
+                .sum(),
+        }
+    }
+}
+
+/// A map keyed on a trace's own interned values (compositions,
+/// segments, layer signatures), hashed word by word with a
+/// multiply-rotate mix: keys come from the model, not from an
+/// adversary, so the hash need not resist flooding.
+type TraceMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// The multiply-rotate word hasher behind [`TraceMap`].
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A distinct layer shape of a trace: the first layer lowered with its
+/// unbatched signature (batched when the options ask for a batch), its
+/// true MACs, and the resolution item of each fusion position class it
+/// has taken in some step.
+struct Shape {
+    layer: Layer,
+    macs: u64,
+    items: [u32; 4],
+}
+
+/// A trace's distinct segments, each lowered once and kept only as the
+/// sequence of its layers' shapes.
+#[derive(Default)]
+struct Segments {
+    ids: TraceMap<StepSegment, usize>,
+    /// Each segment's layers, as shape ids.
+    layer_shapes: Vec<Vec<u32>>,
+    shape_ids: TraceMap<LayerSignature, u32>,
+    shapes: Vec<Shape>,
+}
+
+impl Segments {
+    /// The id of `segment`, lowering it on first sight with its layers
+    /// named as for `request`. The lowered network is dropped once its
+    /// layers are interned as shapes.
+    fn intern(
+        &mut self,
+        model: &ServingModel,
+        segment: &StepSegment,
+        request: usize,
+        batch: usize,
+    ) -> usize {
+        if let Some(&id) = self.ids.get(segment) {
+            return id;
+        }
+        let net = model.lower_segment(segment, request);
+        let layers = net
+            .layers()
+            .iter()
+            .map(|layer| {
+                let next = self.shapes.len() as u32;
+                *self.shape_ids.entry(layer.signature()).or_insert_with(|| {
+                    let batched = if batch > 1 {
+                        layer.clone().with_batch(batch)
+                    } else {
+                        layer.clone()
+                    };
+                    self.shapes.push(Shape {
+                        layer: batched,
+                        macs: layer.macs(),
+                        items: [u32::MAX; 4],
+                    });
+                    next
+                })
+            })
+            .collect();
+        self.ids.insert(segment.clone(), self.layer_shapes.len());
+        self.layer_shapes.push(layers);
+        self.layer_shapes.len() - 1
+    }
+
+    /// The shape at each position of a step made of the segments `ids`,
+    /// in execution order.
+    fn positions<'s>(&'s self, ids: &'s [usize]) -> impl Iterator<Item = usize> + Clone + 's {
+        ids.iter()
+            .flat_map(|&id| self.layer_shapes[id].iter().map(|&shape| shape as usize))
     }
 }
 
@@ -502,9 +756,9 @@ impl StepCost {
 /// backing-store traffic ([`ServingEvaluation::total_backing_accesses`])
 /// is bounded above by the bucketed trace's.
 ///
-/// Steps with equal [`ServingModel::step_composition`]s are evaluated
-/// once per trace on a cached session; see the
-/// [step memo](self#the-step-memo).
+/// On a cached session each distinct step segment is lowered once and
+/// each distinct [`ServingModel::step_composition`] folded once per
+/// trace; see the [step memo](self#the-step-memo).
 ///
 /// # Errors
 ///
@@ -517,47 +771,175 @@ pub fn scenario_trace(
     options: &NetworkOptions,
 ) -> Result<ServingEvaluation, SystemError> {
     let schedule = scenario.schedule();
-    let layout = scenario.layout();
-    let evaluate = |state: &ServingStep| -> Result<StepCost, SystemError> {
-        let net = model.lower_serving_step_with(state, layout);
-        let resolved = session.resolve_network(&net, options)?;
-        Ok(StepCost::fold(&net, &resolved))
+    let (steps, layout) = (schedule.steps(), scenario.layout());
+    let points = if session.cache().is_some() {
+        segmented_points(session, model, steps, layout, options)?
+    } else {
+        literal_points(session, model, steps, layout, options)?
     };
-    // The step memo (see the module docs); off without a cache, so an
-    // uncached session evaluates every layer of every step.
-    let mut memo: Option<HashMap<StepComposition, StepCost>> =
-        session.cache().is_some().then(HashMap::new);
-    let mut points = Vec::with_capacity(schedule.steps().len());
-    for (step, state) in schedule.steps().iter().enumerate() {
-        let cost = match &mut memo {
-            None => evaluate(state)?,
-            Some(memo) => match memo.entry(ServingModel::step_composition(state, layout)) {
-                Entry::Occupied(hit) => {
-                    session.credit_cache_hits(hit.get().layers);
-                    *hit.get()
-                }
-                Entry::Vacant(miss) => *miss.insert(evaluate(state)?),
-            },
-        };
-        points.push(cost.point(step, state.decode().len(), state.prefill_tokens()));
-    }
-    let members: Vec<StepMembers> = schedule
-        .steps()
-        .iter()
-        .map(|state| StepMembers {
-            wall: state.wall(),
-            decode: state.decode().iter().map(|s| s.request).collect(),
-            prefill: state.prefill().iter().map(|s| s.request).collect(),
-        })
-        .collect();
-    let cycles: Vec<f64> = points.iter().map(|p| p.cycles).collect();
-    let requests = request_latencies(schedule.arrivals(), &members, &cycles);
+    let requests = request_latencies(
+        schedule.arrivals(),
+        steps
+            .iter()
+            .zip(&points)
+            .map(|(state, point)| (state.wall(), state.decode(), state.prefill(), point.cycles)),
+    );
     Ok(ServingEvaluation {
         capacity: schedule.capacity(),
         kv_bucket: layout.quantum(),
         points,
         requests,
     })
+}
+
+/// The step memo's trace (see the module docs): intern the
+/// compositions, lower each distinct segment once, resolve every item
+/// in one call, and fold each distinct composition once over the
+/// per-trace cost table.
+fn segmented_points(
+    session: &EvalSession,
+    model: &ServingModel,
+    steps: &[ServingStep],
+    layout: &KvLayout,
+    options: &NetworkOptions,
+) -> Result<Vec<ServingStepPoint>, SystemError> {
+    let (batch, fusion) = (options.batch.max(1), options.fusion.as_ref());
+    let arch = session.system().arch();
+
+    // 1. Intern each step's composition, keeping its first step.
+    let mut interned: TraceMap<StepComposition, usize> = TraceMap::default();
+    let mut distinct: Vec<(usize, StepComposition)> = Vec::new();
+    let composition_of: Vec<usize> = steps
+        .iter()
+        .enumerate()
+        .map(|(step, state)| {
+            let next = interned.len();
+            match interned.entry(ServingModel::step_composition(state, layout)) {
+                Entry::Occupied(seen) => *seen.get(),
+                Entry::Vacant(new) => {
+                    distinct.push((step, new.key().clone()));
+                    *new.insert(next)
+                }
+            }
+        })
+        .collect();
+    drop(interned);
+
+    // 2. Lower each distinct segment once, from the step it first occurs
+    // in, and give every (shape, position class) a composition takes a
+    // resolution item.
+    let mut segments = Segments::default();
+    // Each distinct composition's segment ids and layer count.
+    let mut compositions: Vec<(Vec<usize>, usize)> = Vec::with_capacity(distinct.len());
+    let mut items: Vec<(usize, Reroute)> = Vec::new();
+    let mut shapes = Vec::new();
+    let mut refused = None;
+    for (first, composition) in &distinct {
+        let state = &steps[*first];
+        if session.preflight_enabled() {
+            let net = model.lower_serving_step_with(state, layout);
+            if let Err(error) = session.preflight_gate(&net) {
+                // Earlier compositions still report their own errors
+                // first, as a step-by-step walk would.
+                refused = Some(error);
+                break;
+            }
+        }
+        let ids: Vec<usize> = composition
+            .segment_requests(state)
+            .map(|(segment, request)| segments.intern(model, segment, request, batch))
+            .collect();
+        shapes.clear();
+        shapes.extend(segments.positions(&ids));
+        let last = shapes.len().saturating_sub(1);
+        for (position, &shape) in shapes.iter().enumerate() {
+            let item = &mut segments.shapes[shape].items[fusion_class(fusion, position, last)];
+            if *item == u32::MAX {
+                *item = items.len() as u32;
+                items.push((shape, fusion_reroute(arch, fusion, position, last)));
+            }
+        }
+        compositions.push((ids, shapes.len()));
+    }
+    drop(distinct);
+
+    // 3. One resolution — one miss fan-out — for the whole trace, read
+    // straight into compact costs.
+    let mut table = CostTable::default();
+    let resolved = items.len();
+    let items: Vec<(&Layer, Reroute)> = items
+        .into_iter()
+        .map(|(shape, reroute)| (&segments.shapes[shape].layer, reroute))
+        .collect();
+    let costs = session.resolve(&items, |eval| table.compact(&eval))?;
+    drop(items);
+    if let Some(error) = refused {
+        return Err(error);
+    }
+    // Every position of every step is a layer lookup the trace
+    // answered: the resolution counted one per item, so the rest are
+    // hits.
+    let lookups: usize = composition_of.iter().map(|&c| compositions[c].1).sum();
+    session.credit_cache_hits((lookups - resolved) as u64);
+
+    // 4. Fold each distinct composition once.
+    let mut fold = Fold::default();
+    let scale = 1.0 / batch as f64;
+    let step_costs: Vec<StepCost> = compositions
+        .iter()
+        .map(|(ids, len)| {
+            let last = len.saturating_sub(1);
+            let layers = segments
+                .positions(ids)
+                .enumerate()
+                .map(|(position, shape)| {
+                    let shape = &segments.shapes[shape];
+                    let item = shape.items[fusion_class(fusion, position, last)];
+                    (shape.macs, costs.get(item as usize))
+                });
+            fold.cost(&table, layers, scale)
+        })
+        .collect();
+    Ok(steps
+        .iter()
+        .zip(composition_of)
+        .enumerate()
+        .map(|(step, (state, c))| {
+            step_costs[c].point(step, state.decode().len(), state.prefill_tokens())
+        })
+        .collect())
+}
+
+/// The uncached A/B trace: lowers and resolves every step literally,
+/// with no memo and no grouping, and folds it with the same routine.
+fn literal_points(
+    session: &EvalSession,
+    model: &ServingModel,
+    steps: &[ServingStep],
+    layout: &KvLayout,
+    options: &NetworkOptions,
+) -> Result<Vec<ServingStepPoint>, SystemError> {
+    let batch = options.batch.max(1);
+    let mut table = CostTable::default();
+    steps
+        .iter()
+        .enumerate()
+        .map(|(step, state)| {
+            let net = model.lower_serving_step_with(state, layout);
+            session.preflight_gate(&net)?;
+            let batched = options.batched(&net);
+            let items = session.rerouted(batched.layers(), options);
+            table.clear();
+            let costs = session.resolve(&items, |eval| table.compact(&eval))?;
+            let layers = net
+                .layers()
+                .iter()
+                .enumerate()
+                .map(|(item, layer)| (layer.macs(), costs.get(item)));
+            let cost = Fold::default().cost(&table, layers, 1.0 / batch as f64);
+            Ok(cost.point(step, state.decode().len(), state.prefill_tokens()))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -730,20 +1112,28 @@ mod tests {
     fn arrivals_in_idle_gaps_resolve_to_the_next_busy_step() {
         // Busy walls 3, 4, 10, 11; walls 0..3 are a leading idle gap
         // and 5..10 a fast-forwarded one.
-        let step = |wall, prefill: &[usize], decode: &[usize]| StepMembers {
-            wall,
-            decode: decode.to_vec(),
-            prefill: prefill.to_vec(),
+        let prefill = |request| PrefillSlot {
+            request,
+            cached: 0,
+            chunk: 8,
+            shared: 0,
         };
+        let decode = |request| ActiveSlot { request, kv_len: 8 };
         let steps = [
-            step(3, &[0], &[]),
-            step(4, &[], &[0]),
-            step(10, &[1], &[0]),
-            step(11, &[], &[1, 2]),
+            (3, vec![], vec![prefill(0)]),
+            (4, vec![decode(0)], vec![]),
+            (10, vec![decode(0)], vec![prefill(1)]),
+            (11, vec![decode(1), decode(2)], vec![]),
         ];
         // Starts 0, 5, 12, 23; ends 5, 12, 23, 36.
         let cycles = [5.0, 7.0, 11.0, 13.0];
-        let records = request_latencies(&[1, 6, 11], &steps, &cycles);
+        let records = request_latencies(
+            &[1, 6, 11],
+            steps
+                .iter()
+                .zip(cycles)
+                .map(|((wall, decode, prefill), dur)| (*wall, &decode[..], &prefill[..], dur)),
+        );
         let got: Vec<_> = records
             .iter()
             .map(|r| {
@@ -770,6 +1160,66 @@ mod tests {
             ]
         );
         assert_eq!(records[1].ttft_cycles(), 24.0);
+    }
+
+    #[test]
+    fn fold_energy_matches_the_scaled_breakdown_bit_for_bit() {
+        use CostCategory::{Conversion, PerCycle, Storage};
+        use TensorKind::{Input, Output, Weight};
+        // Three layers: repeated labels, a zero item, labels that differ
+        // only by tensor, values that round differently in different
+        // orders, and ids interned by a later layer but seen first.
+        let layers = [
+            vec![
+                ("glb", Storage, Some(Weight), 0.1),
+                ("glb", Storage, Some(Input), 0.2),
+                ("adc", Conversion, None, 0.0),
+            ],
+            vec![
+                ("laser", PerCycle, None, 1e16),
+                ("glb", Storage, Some(Weight), 0.7),
+                ("adc", Conversion, None, 3.3),
+            ],
+            vec![
+                ("glb", Storage, Some(Output), 1.0 / 3.0),
+                ("laser", PerCycle, None, 2.9),
+                ("glb", Storage, Some(Input), 1e-9),
+            ],
+        ];
+        let template = session()
+            .evaluate_layer(&Layer::gemv("template", 1, 8, 8))
+            .unwrap();
+        let mut table = CostTable::default();
+        let evals: Vec<LayerEvaluation> = layers
+            .iter()
+            .map(|adds| {
+                let mut eval = template.clone();
+                eval.energy = crate::EnergyBreakdown::new();
+                for &(label, category, tensor, pj) in adds {
+                    eval.energy
+                        .add(label, category, tensor, Energy::from_picojoules(pj));
+                }
+                eval
+            })
+            .collect();
+        let costs: Vec<LayerCost> = evals.iter().map(|e| table.compact(e)).collect();
+        let positions = [1, 0, 2, 0, 1, 2];
+        // The reference: the per-layer breakdowns merged in execution
+        // order, then scaled per item, as `evaluate_network` totals them.
+        let mut merged = crate::EnergyBreakdown::new();
+        for &p in &positions {
+            merged.merge(&evals[p].energy);
+        }
+        let mut fold = Fold::default();
+        // A 0.1 scale rounds differently per item than on the total.
+        for factor in [1.0, 1.0 / 3.0, 0.25, 0.1, 1.0 / 7.0] {
+            let cost = fold.cost(&table, positions.iter().map(|&p| (0, &costs[p])), factor);
+            assert_eq!(
+                cost.energy.picojoules().to_bits(),
+                merged.scaled(factor).total().picojoules().to_bits(),
+                "{factor}"
+            );
+        }
     }
 
     #[test]

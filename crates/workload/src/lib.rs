@@ -61,7 +61,7 @@ pub use serving::{
     ActiveSlot, AdmissionPolicy, ArrivalProcess, Fleet, FleetRouter, InstanceAssignment, KvLayout,
     PageTable, PagedResidency, PrefillMode, PrefillSlot, Request, RequestMix, ServingError,
     ServingModel, ServingScenario, ServingScenarioBuilder, ServingSchedule, ServingStep,
-    StepComposition, StepResidency,
+    StepComposition, StepResidency, StepSegment,
 };
 pub use signature::{fnv1a, fnv1a_bytes, LayerSignature};
 pub use tensor::{TensorKind, TensorMap, TensorSet};

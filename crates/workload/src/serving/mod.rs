@@ -42,8 +42,9 @@
 //!   multi-thousand-step trace through an `EvalSession` costs mapping
 //!   searches bounded by the number of distinct *(length, group-size)*
 //!   pairs, not the step count. [`ServingModel::step_composition`]
-//!   reduces a step to the hashable [`StepComposition`] that lowering is
-//!   a function of.
+//!   reduces a step to the hashable [`StepComposition`]: its
+//!   [`StepSegment`]s (decode groups and prefill chunks), whose
+//!   [`ServingModel::lower_segment`] lowerings concatenate to the step's.
 //!
 //! # Examples
 //!
@@ -85,7 +86,6 @@ pub use scenario::{ServingScenario, ServingScenarioBuilder};
 
 use crate::decode::decode_block_macs;
 use crate::{DecodePhase, Layer, Network};
-use std::collections::BTreeMap;
 
 /// One serving request: `prompt` tokens to place in the KV cache
 /// before decoding starts, `output` tokens to generate.
@@ -371,23 +371,69 @@ pub struct ActiveSlot {
     pub kv_len: usize,
 }
 
+/// One independently lowered piece of an event-core step. A step lowers
+/// to the concatenation of its segments' lowerings, so a serving trace
+/// can lower and evaluate each distinct segment once, however many steps
+/// reuse it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum StepSegment {
+    /// A bucketed decode group: `group` decoding requests whose attend
+    /// lengths pad to `len`, lowered as one batched stack of decode
+    /// blocks plus the LM head.
+    Decode {
+        /// Bucket-padded attend length.
+        len: usize,
+        /// Requests in the group.
+        group: usize,
+    },
+    /// A paged layout's whole decode set: the KV-independent layers
+    /// batch over every member, and the logits/attend pair splits by
+    /// `(page-padded attend length, group size)`, ascending in length.
+    PagedDecode {
+        /// The `(padded attend length, group size)` classes.
+        groups: Vec<(usize, usize)>,
+    },
+    /// One prefill chunk: `chunk` prompt tokens attending over `len`
+    /// padded positions, paying `cow` copy-on-write tokens.
+    Prefill {
+        /// Padded attend length (cache so far plus the chunk).
+        len: usize,
+        /// Prompt tokens the chunk prefills.
+        chunk: usize,
+        /// Copy-on-write tokens of the shared prefix's partial page.
+        cow: usize,
+    },
+}
+
 /// What an event-core step's lowering depends on, from
-/// [`ServingModel::step_composition`]: the key serving evaluation
-/// memoizes whole steps by.
+/// [`ServingModel::step_composition`]: the step's [`StepSegment`]s in
+/// lowering order — the decode segments, then one prefill segment per
+/// prefilling slot in admission order (the order the lowering appends
+/// their layers, and so the order their energies are summed). The key
+/// serving evaluation memoizes whole steps by.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StepComposition {
-    /// Paged and bucketed layouts lower decode differently even at one
-    /// quantum.
-    paged: bool,
-    /// The layout's rounding quantum: the bucket or the page.
-    quantum: usize,
-    /// The decoding slots' `(padded attend length, group size)`
-    /// multiset, ascending in length.
-    decode: Vec<(usize, usize)>,
-    /// One `(padded attend length, chunk, copy-on-write tokens)` per
-    /// prefilling slot, in admission order: the order the lowering
-    /// appends their layers, and so the order their energies are summed.
-    prefill: Vec<(usize, usize, usize)>,
+    segments: Vec<StepSegment>,
+}
+
+impl StepComposition {
+    /// Each segment, in lowering order, paired with the request index
+    /// its layer names carry when lowered for `step`, the step this
+    /// composition was taken from: a prefill segment's slot request, and
+    /// 0 for decode segments (whose names carry none).
+    pub fn segment_requests<'s>(
+        &'s self,
+        step: &'s ServingStep,
+    ) -> impl Iterator<Item = (&'s StepSegment, usize)> + 's {
+        let mut prefill = step.prefill().iter();
+        self.segments.iter().map(move |segment| {
+            let request = match segment {
+                StepSegment::Prefill { .. } => prefill.next().map_or(0, |slot| slot.request),
+                StepSegment::Decode { .. } | StepSegment::PagedDecode { .. } => 0,
+            };
+            (segment, request)
+        })
+    }
 }
 
 /// The decoder-LM shape a scheduler step lowers onto: `blocks` pre-norm
@@ -476,66 +522,66 @@ impl ServingModel {
     /// pure function of it, so two steps with equal compositions produce
     /// networks with identical layer signatures.
     pub fn bucketed_composition(active_kv: &[usize], kv_bucket: usize) -> Vec<(usize, usize)> {
-        assert!(kv_bucket > 0, "kv bucket must be nonzero");
-        let mut groups: BTreeMap<usize, usize> = BTreeMap::new();
-        for &kv in active_kv {
-            let len = (kv + 1).div_ceil(kv_bucket) * kv_bucket;
-            *groups.entry(len).or_insert(0) += 1;
-        }
-        groups.into_iter().collect()
+        ServingModel::padded_groups(active_kv.iter().copied(), kv_bucket)
     }
 
-    /// Pushes the bucketed decode groups of `active_kv` onto `net`: one
-    /// batched stack of decode blocks (plus LM head) per bucketed
-    /// attend-length group. Within a group the whole group shares the
-    /// padded attend length — exactly the [`DecodePhase::with_kv_bucket`]
+    /// [`ServingModel::bucketed_composition`] over any KV-length source.
+    fn padded_groups(kv_lens: impl Iterator<Item = usize>, quantum: usize) -> Vec<(usize, usize)> {
+        assert!(quantum > 0, "kv bucket must be nonzero");
+        let mut lens: Vec<usize> = kv_lens
+            .map(|kv| (kv + 1).div_ceil(quantum) * quantum)
+            .collect();
+        lens.sort_unstable();
+        let mut groups: Vec<(usize, usize)> = Vec::new();
+        for len in lens {
+            match groups.last_mut() {
+                Some((last, group)) if *last == len => *group += 1,
+                _ => groups.push((len, 1)),
+            }
+        }
+        groups
+    }
+
+    /// Pushes one bucketed decode group onto `net`: one batched stack of
+    /// decode blocks (plus LM head) for `group` requests attending over
+    /// `attend_len` padded positions. The whole group shares the padded
+    /// attend length — exactly the [`DecodePhase::with_kv_bucket`]
     /// padded-MAC accounting — and the group size rides the batch lever
     /// (projection weights shared across the group, KV caches replicated
-    /// per request). A no-op on an empty active set (a pure-prefill
-    /// event step).
-    fn push_decode_groups(
-        &self,
-        mut net: Network,
-        active_kv: &[usize],
-        kv_bucket: usize,
-    ) -> Network {
-        let composition = ServingModel::bucketed_composition(active_kv, kv_bucket);
-        for &(attend_len, group) in &composition {
-            let prefix = format!("kv{attend_len}x{group}");
-            for block in 0..self.blocks {
-                let phase = DecodePhase::new(
-                    format!("{prefix}.decoder.{block}.attn"),
-                    self.d_model,
-                    self.heads,
-                )
-                .with_kv_len(attend_len - 1)
-                .with_kv_bucket(kv_bucket)
-                .with_batch(group);
-                for layer in phase.lower() {
-                    net = net.push(layer);
-                }
-                net = net
-                    .push(Layer::gemv(
-                        format!("{prefix}.decoder.{block}.mlp.fc1"),
-                        group,
-                        self.d_ff,
-                        self.d_model,
-                    ))
-                    .push(Layer::gemv(
-                        format!("{prefix}.decoder.{block}.mlp.fc2"),
-                        group,
-                        self.d_model,
-                        self.d_ff,
-                    ));
-            }
-            net = net.push(Layer::gemv(
-                format!("{prefix}.lm-head"),
-                group,
-                self.vocab,
+    /// per request).
+    fn push_decode_group(&self, mut net: Network, attend_len: usize, group: usize) -> Network {
+        let prefix = format!("kv{attend_len}x{group}");
+        for block in 0..self.blocks {
+            let phase = DecodePhase::new(
+                format!("{prefix}.decoder.{block}.attn"),
                 self.d_model,
-            ));
+                self.heads,
+            )
+            .with_kv_len(attend_len - 1)
+            .with_batch(group);
+            for layer in phase.lower() {
+                net = net.push(layer);
+            }
+            net = net
+                .push(Layer::gemv(
+                    format!("{prefix}.decoder.{block}.mlp.fc1"),
+                    group,
+                    self.d_ff,
+                    self.d_model,
+                ))
+                .push(Layer::gemv(
+                    format!("{prefix}.decoder.{block}.mlp.fc2"),
+                    group,
+                    self.d_model,
+                    self.d_ff,
+                ));
         }
-        net
+        net.push(Layer::gemv(
+            format!("{prefix}.lm-head"),
+            group,
+            self.vocab,
+            self.d_model,
+        ))
     }
 
     /// Closed-form MAC count of the decoding slots: the sum over the
@@ -553,28 +599,29 @@ impl ServingModel {
             .sum()
     }
 
-    /// Pushes one prefill chunk — `slot.chunk` prompt tokens entering
-    /// the cache on top of `slot.cached` already-prefilled ones —
-    /// through the dense attention path: the [`crate::Attention`]
-    /// lowering at seq = chunk, with the attended length padded to the
-    /// KV bucket (so in-bucket chunks share signatures, the same
-    /// economics as decode) and the chunk's K/V writes charged through
-    /// the KV-residency accounting. No LM head: the first sampled
-    /// token is the first *decode* step's, preserving the decode-path
-    /// semantics of `output` tokens per request.
+    /// Pushes one prefill chunk of request `request` — `chunk` prompt
+    /// tokens entering the cache, attending over `len` positions (the
+    /// cache so far plus the chunk, padded to the quantum) — through the
+    /// dense attention path: the [`crate::Attention`] lowering at seq =
+    /// chunk, with the attended length padded to the KV quantum (so
+    /// in-bucket chunks share signatures, the same economics as decode)
+    /// and the chunk's K/V writes charged through the KV-residency
+    /// accounting. No LM head: the first sampled token is the first
+    /// *decode* step's, preserving the decode-path semantics of `output`
+    /// tokens per request.
     fn push_prefill_chunk(
         &self,
         mut net: Network,
-        slot: &PrefillSlot,
-        kv_bucket: usize,
+        request: usize,
+        len: usize,
+        chunk: usize,
         cow_tokens: usize,
     ) -> Network {
-        let (d, h, c) = (self.d_model, self.heads, slot.chunk);
-        let len = ServingModel::prefill_attend_len(slot, kv_bucket);
+        let (d, h, c) = (self.d_model, self.heads, chunk);
         let prefix = if cow_tokens > 0 {
-            format!("pf{}.kv{len}c{c}+cow{cow_tokens}", slot.request)
+            format!("pf{request}.kv{len}c{c}+cow{cow_tokens}")
         } else {
-            format!("pf{}.kv{len}c{c}", slot.request)
+            format!("pf{request}.kv{len}c{c}")
         };
         // A sharer's first private chunk privatises the shared prefix's
         // trailing partial page before its K/V land: `cow_tokens · d`
@@ -629,41 +676,59 @@ impl ServingModel {
     }
 
     /// Lowers one event-core step under a KV residency [`KvLayout`]:
-    /// the decoding slots plus one dense prefill stack per prefilling
-    /// slot. [`KvLayout::Bucketed`] groups the decoding slots by
-    /// bucket-padded attend length, one batched stack of decode blocks
-    /// per group; [`KvLayout::Paged`]
-    /// pads attend lengths to the page instead of the bucket (so decode
-    /// reads cover exactly the allocated pages), batches the
-    /// KV-independent layers over the *whole* decode set (see
-    /// [`ServingModel::push_decode_groups_paged`] — splitting them per
-    /// length class is an artifact of bucket padding), and charges each
-    /// sharer's first private chunk with the shared prefix's partial-page
-    /// copy-on-write (see [`Layer::with_kv_cow`]).
+    /// the concatenation of [`ServingModel::lower_segment`] over the
+    /// step's [`ServingModel::step_composition`] — the decoding slots
+    /// plus one dense prefill stack per prefilling slot.
+    /// [`KvLayout::Bucketed`] groups the decoding slots by bucket-padded
+    /// attend length, one batched stack of decode blocks per group;
+    /// [`KvLayout::Paged`] pads attend lengths to the page instead of
+    /// the bucket (so decode reads cover exactly the allocated pages),
+    /// batches the KV-independent layers over the *whole* decode set
+    /// (see [`ServingModel::push_decode_groups_paged`] — splitting them
+    /// per length class is an artifact of bucket padding), and charges
+    /// each sharer's first private chunk with the shared prefix's
+    /// partial-page copy-on-write (see [`Layer::with_kv_cow`]).
     ///
     /// # Panics
     ///
     /// Panics if the step is empty or the layout's quantum is zero.
     pub fn lower_serving_step_with(&self, step: &ServingStep, layout: &KvLayout) -> Network {
         assert!(step.occupancy() > 0, "a step lowers a nonempty active set");
-        let quantum = layout.quantum();
-        let mut net = Network::new(format!("{}-serving@occ{}", self.name, step.occupancy()));
-        let kv_lens = step.decode_kv_lens();
-        net = match layout {
-            KvLayout::Bucketed { bucket } => self.push_decode_groups(net, &kv_lens, *bucket),
-            KvLayout::Paged(table) => self.push_decode_groups_paged(net, &kv_lens, table.page()),
-        };
-        for slot in step.prefill() {
-            let cow = ServingModel::prefill_cow_tokens(layout, slot);
-            net = self.push_prefill_chunk(net, slot, quantum, cow);
+        let composition = ServingModel::step_composition(step, layout);
+        let net = Network::new(format!("{}-serving@occ{}", self.name, step.occupancy()));
+        composition
+            .segment_requests(step)
+            .fold(net, |net, (segment, request)| {
+                self.push_segment(net, segment, request)
+            })
+    }
+
+    /// Lowers one [`StepSegment`] on its own, its layers named as for
+    /// `request` (see [`StepComposition::segment_requests`]; decode
+    /// segments ignore it). A step's lowering is the concatenation of
+    /// its segments' lowerings.
+    pub fn lower_segment(&self, segment: &StepSegment, request: usize) -> Network {
+        self.push_segment(
+            Network::new(format!("{}-segment", self.name)),
+            segment,
+            request,
+        )
+    }
+
+    fn push_segment(&self, net: Network, segment: &StepSegment, request: usize) -> Network {
+        match *segment {
+            StepSegment::Decode { len, group } => self.push_decode_group(net, len, group),
+            StepSegment::PagedDecode { ref groups } => self.push_decode_groups_paged(net, groups),
+            StepSegment::Prefill { len, chunk, cow } => {
+                self.push_prefill_chunk(net, request, len, chunk, cow)
+            }
         }
-        net
     }
 
     /// The [`StepComposition`] of `step` under `layout`: everything
-    /// [`ServingModel::lower_serving_step_with`] reads from the step,
-    /// computed with the lowering's own helpers, and nothing it only
-    /// uses for names (request indices). Under one model, two steps
+    /// [`ServingModel::lower_serving_step_with`] reads from the step —
+    /// which lowers exactly these segments, in order — and nothing it
+    /// only uses for names (request indices). Under one model, two steps
     /// with equal compositions lower to identical
     /// [`crate::LayerSignature`] sequences.
     ///
@@ -672,22 +737,22 @@ impl ServingModel {
     /// Panics if the layout's quantum is zero.
     pub fn step_composition(step: &ServingStep, layout: &KvLayout) -> StepComposition {
         let quantum = layout.quantum();
-        StepComposition {
-            paged: matches!(layout, KvLayout::Paged(_)),
-            quantum,
-            decode: ServingModel::bucketed_composition(&step.decode_kv_lens(), quantum),
-            prefill: step
-                .prefill()
-                .iter()
-                .map(|slot| {
-                    (
-                        ServingModel::prefill_attend_len(slot, quantum),
-                        slot.chunk,
-                        ServingModel::prefill_cow_tokens(layout, slot),
-                    )
-                })
+        let kv_lens = step.decode().iter().map(|slot| slot.kv_len);
+        let groups = ServingModel::padded_groups(kv_lens, quantum);
+        let mut segments = match layout {
+            KvLayout::Bucketed { .. } => groups
+                .into_iter()
+                .map(|(len, group)| StepSegment::Decode { len, group })
                 .collect(),
-        }
+            KvLayout::Paged(_) if groups.is_empty() => Vec::new(),
+            KvLayout::Paged(_) => vec![StepSegment::PagedDecode { groups }],
+        };
+        segments.extend(step.prefill().iter().map(|slot| StepSegment::Prefill {
+            len: ServingModel::prefill_attend_len(slot, quantum),
+            chunk: slot.chunk,
+            cow: ServingModel::prefill_cow_tokens(layout, slot),
+        }));
+        StepComposition { segments }
     }
 
     /// Pushes the decoding slots under exact paged residency. The
@@ -695,7 +760,7 @@ impl ServingModel {
     /// and the LM head — batch over the whole decode set: every member
     /// multiplies the same weights, so one fetch serves all of them
     /// regardless of how long each member's cache is (the per-length
-    /// grouping of [`ServingModel::push_decode_groups`] is an artifact
+    /// grouping of [`ServingModel::push_decode_group`] is an artifact
     /// of bucket padding, and reproducing it at page granularity would
     /// shred the batch lever into near-singleton groups and *inflate*
     /// weight traffic). Only the logits/attend pair, whose reduction
@@ -703,26 +768,18 @@ impl ServingModel {
     /// each group reads exactly its allocated pages and appends one
     /// `d_model`-slice per member. Per-request MACs are identical to
     /// the bucketed lowering's at `kv_bucket = page`: batching moves
-    /// weight traffic, not arithmetic. A no-op on an empty
-    /// active set (a pure-prefill event step).
-    fn push_decode_groups_paged(
-        &self,
-        mut net: Network,
-        active_kv: &[usize],
-        page: usize,
-    ) -> Network {
-        if active_kv.is_empty() {
-            return net;
-        }
-        let (d, h, n) = (self.d_model, self.heads, active_kv.len());
-        let composition = ServingModel::bucketed_composition(active_kv, page);
+    /// weight traffic, not arithmetic. `groups` are the decode set's
+    /// `(page-padded attend length, group size)` classes.
+    fn push_decode_groups_paged(&self, mut net: Network, groups: &[(usize, usize)]) -> Network {
+        let (d, h) = (self.d_model, self.heads);
+        let n: usize = groups.iter().map(|&(_, group)| group).sum();
         for block in 0..self.blocks {
             let name = |part: &str| format!("pg.occ{n}.decoder.{block}.{part}");
             net = net
                 .push(Layer::gemv(name("attn.query"), n, d, d))
                 .push(Layer::gemv(name("attn.key"), n, d, d))
                 .push(Layer::gemv(name("attn.value"), n, d, d));
-            for &(len, group) in &composition {
+            for &(len, group) in groups {
                 let gname = |part: &str| format!("pg{len}x{group}.decoder.{block}.attn.{part}");
                 net = net
                     .push(
@@ -844,7 +901,11 @@ mod tests {
 
     /// `active_kv`'s bucketed decode groups, lowered on their own.
     fn decode_groups(model: &ServingModel, active_kv: &[usize], bucket: usize) -> Network {
-        model.push_decode_groups(Network::new("decode"), active_kv, bucket)
+        ServingModel::bucketed_composition(active_kv, bucket)
+            .into_iter()
+            .fold(Network::new("decode"), |net, (len, group)| {
+                model.push_decode_group(net, len, group)
+            })
     }
 
     #[test]
@@ -974,7 +1035,8 @@ mod tests {
                 chunk,
                 shared: 0,
             };
-            let net = model.push_prefill_chunk(Network::new("pf"), &slot, bucket, 0);
+            let len = ServingModel::prefill_attend_len(&slot, bucket);
+            let net = model.push_prefill_chunk(Network::new("pf"), 0, len, chunk, 0);
             assert_eq!(
                 net.total_macs(),
                 model.prefill_chunk_macs(cached, chunk, bucket),

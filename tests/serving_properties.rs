@@ -17,18 +17,20 @@
 //! chunks, prefill+decode occupancy respects capacity, and the
 //! evaluator charges every chunk exactly once.
 //!
-//! The step memo adds more: equal step compositions lower to identical
-//! layer signatures; a memoized trace equals an uncached one bit for bit
-//! with every layer of every step still accounted for; the memo's cost
-//! fold reproduces `evaluate_network`'s per-layer rows under batching and
-//! fusion; and scenario and fleet traces are bit-identical across thread
-//! counts and cache modes.
+//! The step memo adds more: a step lowers to exactly its segments'
+//! lowerings, so equal step compositions lower to identical layer
+//! signatures; a memoized trace equals an uncached one bit for bit with
+//! every layer of every step still accounted for; the memo's cost fold
+//! reproduces `evaluate_network`'s per-layer rows under batching and
+//! fusion; scenario and fleet traces are bit-identical across thread
+//! counts and cache modes and search each layer key once; and a trace
+//! fails with exactly its first failing step's mapping error.
 
 use lumen::arch::{ArchBuilder, Architecture, Domain, Fanout};
 use lumen::core::serving::{RequestLatency, ServingEvaluation, ServingStepPoint};
 use lumen::core::{
     fleet_trace, scenario_trace, CacheStats, EvalSession, FleetInstance, MappingStrategy,
-    NetworkOptions, SweepRunner, System,
+    NetworkOptions, SweepRunner, System, SystemError,
 };
 use lumen::mapper::search::{greedy_mapping, spatial_priority_for, TemporalPlan};
 use lumen::units::{Energy, Frequency};
@@ -41,7 +43,7 @@ use lumen::workload::{
     LayerSignature, Network, TensorSet,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -531,8 +533,10 @@ fn latency_bits(r: &RequestLatency) -> LatencyBits {
     )
 }
 
-/// The memo's key is sound: steps with equal compositions lower to
-/// identical layer-signature sequences, so they evaluate identically.
+/// The memo's key is sound: a step lowers to exactly the concatenation
+/// of its composition's segment lowerings — signatures and names — so
+/// steps with equal compositions lower to identical layer-signature
+/// sequences, and evaluate identically.
 #[test]
 fn equal_step_compositions_lower_to_identical_signatures() {
     let model = memo_model();
@@ -541,14 +545,30 @@ fn equal_step_compositions_lower_to_identical_signatures() {
             let schedule = scenario.schedule();
             let mut seen: HashMap<StepComposition, Vec<LayerSignature>> = HashMap::new();
             for step in schedule.steps() {
-                let signatures: Vec<LayerSignature> = model
-                    .lower_serving_step_with(step, scenario.layout())
-                    .layers()
-                    .iter()
-                    .map(Layer::signature)
+                let net = model.lower_serving_step_with(step, scenario.layout());
+                let composition = ServingModel::step_composition(step, scenario.layout());
+                let segments: Vec<Layer> = composition
+                    .segment_requests(step)
+                    .flat_map(|(segment, request)| {
+                        model.lower_segment(segment, request).layers().to_vec()
+                    })
                     .collect();
+                let layer_ids = |layers: &[Layer]| -> Vec<(LayerSignature, String)> {
+                    layers
+                        .iter()
+                        .map(|l| (l.signature(), l.name().to_string()))
+                        .collect()
+                };
+                assert_eq!(
+                    layer_ids(net.layers()),
+                    layer_ids(&segments),
+                    "seed {seed} wall {}: the step is its segments",
+                    step.wall()
+                );
+                let signatures: Vec<LayerSignature> =
+                    net.layers().iter().map(Layer::signature).collect();
                 let first = seen
-                    .entry(ServingModel::step_composition(step, scenario.layout()))
+                    .entry(composition)
                     .or_insert_with(|| signatures.clone());
                 assert_eq!(first, &signatures, "seed {seed} wall {}", step.wall());
             }
@@ -556,8 +576,8 @@ fn equal_step_compositions_lower_to_identical_signatures() {
                 seen.len() < schedule.steps().len(),
                 "compositions repeat, so the memo has work to do"
             );
-            // The layout kind is part of the key: a page and a bucket of
-            // one size lower decode differently.
+            // Decode segments carry the layout kind: a page and a bucket
+            // of one size lower decode differently.
             let step = &schedule.steps()[schedule.steps().len() - 1];
             assert_ne!(
                 ServingModel::step_composition(step, &KvLayout::Bucketed { bucket: 16 }),
@@ -680,66 +700,181 @@ fn step_cost_fold_matches_the_per_layer_rows() {
     }
 }
 
+/// A trace that meets an unmappable layer fails exactly as evaluating
+/// its first failing step on its own does: the same
+/// `SystemError::NoMapping`, naming the same layer — a prefill layer
+/// carrying its request index — though the trace lowers each segment
+/// once and resolves every step in one call.
+#[test]
+fn trace_errors_match_the_first_failing_step() {
+    // Every temporal loop at the compute level: the buffer must hold a
+    // layer's whole tensors, so the longer prompt's first 64-token chunk
+    // (admitted at step 4) is the first shape that overflows it.
+    let arch = ArchBuilder::new("tiny-buffer", Frequency::from_gigahertz(1.0))
+        .storage("dram", Domain::DigitalElectrical, TensorSet::all())
+        .done()
+        .storage("buf", Domain::DigitalElectrical, TensorSet::all())
+        .capacity_bits(1 << 17)
+        .done()
+        .compute("mac", Domain::DigitalElectrical, Energy::ZERO)
+        .build()
+        .expect("the tiny-buffer arch is valid");
+    let system = System::new(
+        arch,
+        MappingStrategy::Planned {
+            priority: lumen::mapper::search::DEFAULT_SPATIAL_PRIORITY.to_vec(),
+            plan: TemporalPlan::all_at(2),
+        },
+    );
+    let model = ServingModel::new("toy-lm", 64, 4, 128, 2, 100);
+    let mix = RequestMix::custom(
+        "late-long",
+        vec![
+            Request::new(40, 3),
+            Request::new(40, 3),
+            Request::new(200, 2),
+        ],
+    );
+    let scenario = ServingScenario::builder(mix, 2)
+        .arrival(ArrivalProcess::explicit(vec![0, 0, 6]))
+        .kv_bucket(16)
+        .prefill_chunk(64)
+        .build()
+        .expect("the late-long scenario is valid");
+    let options = NetworkOptions::baseline();
+    let schedule = scenario.schedule();
+    let lowered: Vec<Network> = schedule
+        .steps()
+        .iter()
+        .map(|step| model.lower_serving_step_with(step, scenario.layout()))
+        .collect();
+    let reference = EvalSession::new(system.clone());
+    let k = lowered
+        .iter()
+        .position(|net| reference.evaluate_network(net, &options).is_err())
+        .expect("some step cannot map");
+    assert!(k > 0, "the failing shape first appears after step 0");
+    let expected = EvalSession::new(system.clone())
+        .evaluate_network(&lowered[k], &options)
+        .expect_err("step k cannot map");
+    let SystemError::NoMapping { layer, .. } = &expected else {
+        panic!("expected NoMapping, got {expected}");
+    };
+    assert!(
+        layer.starts_with("pf2."),
+        "a prefill layer of request 2: {layer}"
+    );
+    for session in [
+        EvalSession::new(system.clone()),
+        EvalSession::new(system.clone()).with_runner(SweepRunner::with_threads(1)),
+        EvalSession::new(system.clone()).without_cache(),
+    ] {
+        let refused = scenario_trace(&session, &model, &scenario, &options)
+            .expect_err("the trace meets the unmappable step");
+        assert_eq!(refused, expected);
+    }
+}
+
+/// A layer lookup's identity as the evaluation cache keys it: the
+/// batched signature plus, under fusion, whether the position opens and
+/// whether it closes its step (which fixes its reroute).
+type LookupKey = (LayerSignature, bool, bool);
+
+/// Adds the lookup key of every position of every lowered step of
+/// `scenario` under `options` to `keys`.
+fn lookup_keys(
+    model: &ServingModel,
+    scenario: &ServingScenario,
+    options: &NetworkOptions,
+    keys: &mut HashSet<LookupKey>,
+) {
+    for step in scenario.schedule().steps() {
+        let net = model.lower_serving_step_with(step, scenario.layout());
+        let last = net.layers().len() - 1;
+        for (i, layer) in net.layers().iter().enumerate() {
+            let signature = if options.batch > 1 {
+                layer.clone().with_batch(options.batch).signature()
+            } else {
+                layer.signature()
+            };
+            let fused = options.fusion.is_some();
+            keys.insert((signature, fused && i > 0, fused && i < last));
+        }
+    }
+}
+
 /// Scenario and fleet traces read the same to the bit however the
 /// session resolves layers — one worker, four workers, or no cache at
-/// all (no memo, no grouping) — and the cached sessions still account
-/// for every layer of every step.
+/// all (no memo, no grouping) — under batching and fusion as well as
+/// the baseline. The cached sessions still account for every layer of
+/// every step, and search each distinct *(signature, reroute)* key of
+/// the lowered steps exactly once: a trace's single miss fan-out never
+/// searches a key twice.
 #[test]
 fn traces_are_bit_identical_across_thread_counts_and_cache_modes() {
     let model = memo_model();
     let system = System::new(toy_arch(), MappingStrategy::default());
-    let options = NetworkOptions::baseline();
+    let options = [
+        NetworkOptions::baseline(),
+        NetworkOptions::baseline().with_batch(3),
+        NetworkOptions::baseline().with_fusion("dram", "glb"),
+    ];
     for seed in [1, 2] {
         for scenario in memo_scenarios(seed) {
             let assignments = Fleet::uniform(scenario.clone(), FleetRouter::JoinShortestQueue, 2)
                 .dispatch()
                 .expect("the scenario's stream dispatches");
+            let instances = || assignments.iter().filter_map(|a| a.scenario.as_ref());
             let layers = lowered_layers(&model, &scenario);
-            let fleet_layers: usize = assignments
-                .iter()
-                .filter_map(|a| a.scenario.as_ref())
-                .map(|s| lowered_layers(&model, s))
-                .sum();
-            let sessions = [
-                EvalSession::new(system.clone()).with_runner(SweepRunner::with_threads(1)),
-                EvalSession::new(system.clone()).with_runner(SweepRunner::with_threads(4)),
-                EvalSession::new(system.clone()).without_cache(),
-            ];
-            let readings: Vec<_> = sessions
-                .iter()
-                .map(|session| {
-                    let single = scenario_trace(session, &model, &scenario, &options)
-                        .expect("trace evaluates");
-                    let single_stats = session.cache_stats();
-                    let members: Vec<FleetInstance<'_>> = assignments
-                        .iter()
-                        .map(|assignment| FleetInstance {
-                            session,
-                            model: &model,
-                            assignment,
-                        })
-                        .collect();
-                    let fleet = fleet_trace(&members, &options).expect("the fleet evaluates");
-                    let stats = session.cache_stats();
-                    if session.cache().is_some() {
-                        let lookups = |s: CacheStats| s.hits + s.misses;
-                        assert_eq!(lookups(single_stats), layers as u64, "seed {seed}");
-                        assert_eq!(
-                            lookups(stats),
-                            (layers + fleet_layers) as u64,
-                            "seed {seed}"
-                        );
-                    }
-                    let instances: Vec<_> = fleet
-                        .instances
-                        .iter()
-                        .map(|i| i.evaluation.as_ref().map(trace_bits))
-                        .collect();
-                    (trace_bits(&single), instances)
-                })
-                .collect();
-            assert_eq!(readings[0], readings[1], "seed {seed}: 1 vs 4 threads");
-            assert_eq!(readings[0], readings[2], "seed {seed}: cached vs uncached");
+            let fleet_layers: usize = instances().map(|s| lowered_layers(&model, s)).sum();
+            for options in &options {
+                let mut single_keys = HashSet::new();
+                lookup_keys(&model, &scenario, options, &mut single_keys);
+                let mut all_keys = single_keys.clone();
+                for instance in instances() {
+                    lookup_keys(&model, instance, options, &mut all_keys);
+                }
+                let sessions = [
+                    EvalSession::new(system.clone()).with_runner(SweepRunner::with_threads(1)),
+                    EvalSession::new(system.clone()).with_runner(SweepRunner::with_threads(4)),
+                    EvalSession::new(system.clone()).without_cache(),
+                ];
+                let readings: Vec<_> = sessions
+                    .iter()
+                    .map(|session| {
+                        let single = scenario_trace(session, &model, &scenario, options)
+                            .expect("trace evaluates");
+                        let single_stats = session.cache_stats();
+                        let members: Vec<FleetInstance<'_>> = assignments
+                            .iter()
+                            .map(|assignment| FleetInstance {
+                                session,
+                                model: &model,
+                                assignment,
+                            })
+                            .collect();
+                        let fleet = fleet_trace(&members, options).expect("the fleet evaluates");
+                        let stats = session.cache_stats();
+                        if session.cache().is_some() {
+                            let lookups = |s: CacheStats| s.hits + s.misses;
+                            let label = format!("seed {seed} {options:?}");
+                            assert_eq!(lookups(single_stats), layers as u64, "{label}");
+                            assert_eq!(single_stats.misses, single_keys.len() as u64, "{label}");
+                            assert_eq!(lookups(stats), (layers + fleet_layers) as u64, "{label}");
+                            assert_eq!(stats.misses, all_keys.len() as u64, "{label}");
+                        }
+                        let instances: Vec<_> = fleet
+                            .instances
+                            .iter()
+                            .map(|i| i.evaluation.as_ref().map(trace_bits))
+                            .collect();
+                        (trace_bits(&single), instances)
+                    })
+                    .collect();
+                let label = format!("seed {seed} {options:?}");
+                assert_eq!(readings[0], readings[1], "{label}: 1 vs 4 threads");
+                assert_eq!(readings[0], readings[2], "{label}: cached vs uncached");
+            }
         }
     }
 }
