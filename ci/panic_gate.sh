@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# Ratchet on panic!/unwrap()/expect() in library code.
+# Ratchet on panic!/unwrap()/expect()/assert!() in library code.
 #
-# Counts `panic!(`, `.unwrap()` and `.expect(` occurrences in non-test library
-# source (everything before the first `#[cfg(test)]` in each file under
-# crates/*/src and src/; shims/ and integration tests are out of
-# scope — test code may panic freely) and fails when any count rises
+# Counts `panic!(`, `.unwrap()`, `.expect(` and `assert!(` occurrences in
+# non-test library source (everything before the first `#[cfg(test)]` in
+# each file under crates/*/src and src/; shims/ and integration tests are
+# out of scope — test code may panic freely) and fails when any count rises
 # above the checked-in baseline. New fallible paths should return typed
-# errors (`ArchError`, `SystemError`, ...) instead.
+# errors (`ArchError`, `SystemError`, ...) instead. `assert!(` counts
+# only the bare macro: `assert_eq!`, `assert_ne!` and `debug_assert!`
+# are not counted.
 #
 # When a count legitimately drops, lower the baseline here so the
 # ratchet keeps holding the line.
@@ -15,7 +17,8 @@ cd "$(dirname "$0")/.."
 
 PANIC_BASELINE=0
 UNWRAP_BASELINE=0
-EXPECT_BASELINE=62
+EXPECT_BASELINE=54
+ASSERT_BASELINE=51
 
 count() {
   # Comment lines are excluded: doctest examples may unwrap().
@@ -31,11 +34,13 @@ count() {
 panics=$(count 'panic!\(')
 unwraps=$(count '\.unwrap\(\)')
 expects=$(count '\.expect\(')
+asserts=$(count '(^|[^_[:alnum:]])assert!\(')
 status=0
 
 echo "panic! in library code:   $panics (baseline $PANIC_BASELINE)"
 echo ".unwrap() in library code: $unwraps (baseline $UNWRAP_BASELINE)"
 echo ".expect( in library code: $expects (baseline $EXPECT_BASELINE)"
+echo "assert!( in library code: $asserts (baseline $ASSERT_BASELINE)"
 
 if [ "$panics" -gt "$PANIC_BASELINE" ]; then
   echo "error: new panic!() in library code; return a typed error instead" >&2
@@ -49,8 +54,12 @@ if [ "$expects" -gt "$EXPECT_BASELINE" ]; then
   echo "error: new .expect() in library code; return a typed error instead" >&2
   status=1
 fi
+if [ "$asserts" -gt "$ASSERT_BASELINE" ]; then
+  echo "error: new assert!() in library code; return a typed error instead" >&2
+  status=1
+fi
 if [ "$panics" -lt "$PANIC_BASELINE" ] || [ "$unwraps" -lt "$UNWRAP_BASELINE" ] ||
-  [ "$expects" -lt "$EXPECT_BASELINE" ]; then
+  [ "$expects" -lt "$EXPECT_BASELINE" ] || [ "$asserts" -lt "$ASSERT_BASELINE" ]; then
   echo "note: counts dropped below baseline; tighten ci/panic_gate.sh"
 fi
 exit "$status"

@@ -74,7 +74,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, LockResult, Mutex, OnceLock, PoisonError, RwLock};
 
 /// A content fingerprint of an architecture, for evaluation-cache keys.
 ///
@@ -123,7 +123,11 @@ struct EvalKey {
 /// One cache may back many [`EvalSession`]s — including sessions over
 /// *different* systems, since keys embed the architecture and strategy
 /// fingerprints. Reads take a shared lock; only insertions of freshly
-/// evaluated layers take the exclusive lock.
+/// evaluated layers take the exclusive lock. A lock poisoned by a
+/// panicking holder is recovered rather than propagated: the map only
+/// ever holds finished, content-addressed entries (each inserted whole,
+/// under one write), and the pin and fingerprint sets only grow, so no
+/// holder can leave them half-updated.
 #[derive(Default)]
 pub struct EvalCache {
     map: RwLock<HashMap<EvalKey, Result<LayerEvaluation, SystemError>>>,
@@ -154,6 +158,12 @@ impl fmt::Debug for EvalCache {
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
+}
+
+/// A lock guard, recovered if a panicking holder poisoned the lock: an
+/// [`EvalCache`]'s locked state is never left half-updated.
+fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The snapshot filename inside a cache directory. The fingerprint
@@ -217,11 +227,8 @@ impl EvalCache {
         let Some(path) = &self.persist_path else {
             return Ok(());
         };
-        let volatile = self.volatile_fps.lock().expect("volatile lock");
-        let entries: Vec<PersistEntry> = self
-            .map
-            .read()
-            .expect("cache lock")
+        let volatile = recover(self.volatile_fps.lock());
+        let entries: Vec<PersistEntry> = recover(self.map.read())
             .iter()
             .filter(|(k, _)| !volatile.contains(&k.strategy))
             .filter_map(|(k, v)| {
@@ -246,15 +253,12 @@ impl EvalCache {
     /// volatile so persistence never writes entries keyed on them.
     fn pin_strategy(&self, strategy: &crate::MappingStrategy) {
         if let crate::MappingStrategy::Custom(f) = strategy {
-            let mut pinned = self.pinned_strategies.lock().expect("pin lock");
+            let mut pinned = recover(self.pinned_strategies.lock());
             if !pinned.iter().any(|p| Arc::ptr_eq(p, f)) {
                 pinned.push(Arc::clone(f));
             }
             drop(pinned);
-            self.volatile_fps
-                .lock()
-                .expect("volatile lock")
-                .insert(strategy.fingerprint());
+            recover(self.volatile_fps.lock()).insert(strategy.fingerprint());
         }
     }
 
@@ -271,7 +275,7 @@ impl EvalCache {
         key: &EvalKey,
         read: impl FnOnce(Cow<'_, LayerEvaluation>) -> T,
     ) -> Option<Result<T, SystemError>> {
-        let map = self.map.read().expect("cache lock");
+        let map = recover(self.map.read());
         Some(match map.get(key)? {
             Ok(eval) => Ok(read(Cow::Borrowed(eval))),
             Err(error) => Err(error.clone()),
@@ -280,7 +284,7 @@ impl EvalCache {
 
     /// Number of distinct evaluations stored.
     pub fn len(&self) -> usize {
-        self.map.read().expect("cache lock").len()
+        recover(self.map.read()).len()
     }
 
     /// `true` if nothing has been cached yet.
@@ -303,7 +307,7 @@ impl EvalCache {
     /// insert entries under their identity fingerprints afterwards, so
     /// releasing the pins here could reopen the address-reuse hole.
     pub fn clear(&self) {
-        self.map.write().expect("cache lock").clear();
+        recover(self.map.write()).clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -815,10 +819,7 @@ impl EvalSession {
         let outcome = self.system.evaluate_layer_rerouted(layer, reroute);
         // Two threads may race to evaluate the same key; both compute the
         // same (deterministic) result, so first-in wins harmlessly.
-        cache
-            .map
-            .write()
-            .expect("cache lock")
+        recover(cache.map.write())
             .entry(key)
             .or_insert_with(|| outcome.clone());
         // Only successes are ever persisted, so failures need not dirty
@@ -989,6 +990,31 @@ mod tests {
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
+    }
+
+    /// A thread that panics while holding the map's write lock poisons
+    /// it; the cache recovers the lock and keeps serving its finished
+    /// entries instead of panicking every later caller.
+    #[test]
+    fn a_poisoned_lock_keeps_serving() {
+        let cache = EvalCache::shared();
+        let layer = Layer::conv2d("c", 1, 16, 8, 8, 8, 3, 3);
+        let session = EvalSession::new(toy_system()).with_cache(Arc::clone(&cache));
+        let first = session.evaluate_layer(&layer).unwrap();
+        let poisoner = Arc::clone(&cache);
+        std::thread::spawn(move || {
+            let _held = poisoner.map.write();
+            panic!("poison the cache lock");
+        })
+        .join()
+        .expect_err("the holder panicked");
+        assert!(cache.map.is_poisoned());
+        let again = session.evaluate_layer(&layer).unwrap();
+        assert_eq!(again.energy.total(), first.energy.total());
+        assert_eq!(cache.stats().misses, 1, "served from the poisoned map");
+        assert_eq!(cache.len(), 1);
+        cache.clear();
+        assert!(cache.is_empty());
     }
 
     #[test]

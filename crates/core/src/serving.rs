@@ -41,11 +41,15 @@
 //! 1. *Intern* each step's composition, keeping the step it first
 //!    occurs in.
 //! 2. *Lower* each distinct segment once, from the slot it first occurs
-//!    in, and drop the network once its layers are interned as shapes
-//!    (one per unbatched signature). Each composition lays its positions
-//!    out over *items*: a shape at one fusion position class (under
-//!    fusion, a position's reroute depends only on whether it opens and
-//!    whether it closes its step).
+//!    in, straight into shapes (one per unbatched signature), with no
+//!    named network in between: [`ServingModel::lower_segment_part`]
+//!    emits each layer unnamed, and the interner builds a layer's name
+//!    only when its shape is new. Only decoder block 0 and the tail (the
+//!    LM head) are lowered; blocks 1.. repeat block 0's shapes, since a
+//!    segment's blocks differ only in their names. Each composition
+//!    lays its positions out over *items*: a shape at one fusion
+//!    position class (under fusion, a position's reroute depends only
+//!    on whether it opens and whether it closes its step).
 //! 3. *Resolve* every item in one call: the resolution
 //!    [`EvalSession::evaluate_network`] also uses, which groups items
 //!    by *(signature, reroute)*, answers cached keys on the calling
@@ -67,7 +71,11 @@
 //! per item by `1 / batch` — exactly as [`EvalSession::evaluate_network`]'s
 //! rows and merged, scaled breakdown do. A point therefore carries the
 //! very `f64`s those rows give, and equal keys give equal `f64`s.
-//! Admission order is part of the key because it fixes that summation
+//! Block-once lowering changes none of this: block 0 comes before every
+//! other block of its segment, and segments intern in first-occurrence
+//! order, so every shape gets the id, first layer and name that
+//! interning each segment's full [`ServingModel::lower_segment`] would
+//! give it. Admission order is part of the key because it fixes that summation
 //! order. A mapping failure depends only on a layer's signature, so the
 //! first failing item in first-occurrence order belongs to the first
 //! failing step, and is named after that step's own layer, the one the
@@ -131,10 +139,10 @@ use crate::network::{fusion_class, fusion_reroute};
 use crate::{CostCategory, EvalSession, LayerEvaluation, NetworkOptions, SystemError};
 use lumen_units::{Energy, Frequency};
 use lumen_workload::serving::{
-    ActiveSlot, KvLayout, PrefillSlot, ServingModel, ServingScenario, ServingStep, StepComposition,
-    StepSegment,
+    ActiveSlot, KvLayout, PrefillSlot, SegmentPart, ServingModel, ServingScenario, ServingStep,
+    StepComposition, StepSegment,
 };
-use lumen_workload::{Layer, LayerSignature, TensorKind};
+use lumen_workload::{Layer, LayerSignature, LayerSink, TensorKind};
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -676,8 +684,8 @@ struct Shape {
     items: [u32; 4],
 }
 
-/// A trace's distinct segments, each lowered once and kept only as the
-/// sequence of its layers' shapes.
+/// A trace's distinct segments, each kept only as the sequence of its
+/// layers' shapes.
 #[derive(Default)]
 struct Segments {
     ids: TraceMap<StepSegment, usize>,
@@ -687,10 +695,49 @@ struct Segments {
     shapes: Vec<Shape>,
 }
 
+/// The interner's [`LayerSink`]: collects the shape id of each layer it
+/// is given, and names (and batches) a layer only when its shape is new.
+struct ShapeSink<'s> {
+    segments: &'s mut Segments,
+    batch: usize,
+    ids: Vec<u32>,
+}
+
+impl LayerSink for ShapeSink<'_> {
+    fn emit(&mut self, layer: Layer, name: impl FnOnce() -> String) {
+        let segments = &mut *self.segments;
+        let next = segments.shapes.len() as u32;
+        let id = *segments
+            .shape_ids
+            .entry(layer.signature())
+            .or_insert_with(|| {
+                let macs = layer.macs();
+                let layer = layer.with_name(name());
+                segments.shapes.push(Shape {
+                    layer: if self.batch > 1 {
+                        layer.with_batch(self.batch)
+                    } else {
+                        layer
+                    },
+                    macs,
+                    items: [u32::MAX; 4],
+                });
+                next
+            });
+        self.ids.push(id);
+    }
+}
+
 impl Segments {
-    /// The id of `segment`, lowering it on first sight with its layers
-    /// named as for `request`. The lowered network is dropped once its
-    /// layers are interned as shapes.
+    /// The id of `segment`, interning its shapes on first sight from
+    /// [`ServingModel::lower_segment_part`], which names a layer (as for
+    /// `request`) only when its shape is new. Block-once: only block 0
+    /// and the tail are lowered, and blocks 1.. repeat block 0's shape
+    /// ids, since a segment's blocks differ only in their layer names.
+    /// This is exact. Block 0 precedes every other block, and segments
+    /// intern in first-occurrence order, so every shape gets the id,
+    /// and its first layer the name, that interning the literal
+    /// [`ServingModel::lower_segment`] would give it.
     fn intern(
         &mut self,
         model: &ServingModel,
@@ -701,27 +748,18 @@ impl Segments {
         if let Some(&id) = self.ids.get(segment) {
             return id;
         }
-        let net = model.lower_segment(segment, request);
-        let layers = net
-            .layers()
-            .iter()
-            .map(|layer| {
-                let next = self.shapes.len() as u32;
-                *self.shape_ids.entry(layer.signature()).or_insert_with(|| {
-                    let batched = if batch > 1 {
-                        layer.clone().with_batch(batch)
-                    } else {
-                        layer.clone()
-                    };
-                    self.shapes.push(Shape {
-                        layer: batched,
-                        macs: layer.macs(),
-                        items: [u32::MAX; 4],
-                    });
-                    next
-                })
-            })
-            .collect();
+        let mut sink = ShapeSink {
+            segments: self,
+            batch,
+            ids: Vec::new(),
+        };
+        model.lower_segment_part(segment, request, SegmentPart::Block(0), &mut sink);
+        let block = sink.ids.len();
+        model.lower_segment_part(segment, request, SegmentPart::Tail, &mut sink);
+        let ShapeSink { ids, .. } = sink;
+        let (block, tail) = ids.split_at(block);
+        let mut layers = block.repeat(model.blocks());
+        layers.extend_from_slice(tail);
         self.ids.insert(segment.clone(), self.layer_shapes.len());
         self.layer_shapes.push(layers);
         self.layer_shapes.len() - 1
@@ -947,7 +985,10 @@ mod tests {
     use super::*;
     use crate::{MappingStrategy, System};
     use lumen_arch::{ArchBuilder, Domain, Fanout};
-    use lumen_workload::serving::{PrefillMode, RequestMix, ServingScenarioBuilder};
+    use lumen_workload::serving::{
+        ArrivalProcess, Fleet, FleetRouter, PrefillMode, Request, RequestMix,
+        ServingScenarioBuilder,
+    };
     use lumen_workload::{Dim, DimSet, TensorSet};
 
     fn session() -> EvalSession {
@@ -1384,5 +1425,168 @@ mod tests {
             batched.pj_per_token(),
             serial.pj_per_token()
         );
+    }
+
+    /// The seeded scenarios of `tests/serving_properties.rs`'s
+    /// `memo_scenarios`: closed-loop resident prefill, a lone-request
+    /// paged one whose owner and sharers differ only in copy-on-write,
+    /// and open-loop bucketed and paged ones with chunked prefill.
+    fn memo_scenarios(seed: u64) -> [ServingScenario; 4] {
+        let mix = || RequestMix::bimodal(seed, 10, (48, 6), (200, 10), 30);
+        let arrival = || ArrivalProcess::poisson(0.3, seed);
+        let mut lone = vec![Request::new(40, 3)];
+        lone.extend((0..4).map(|_| Request::new(48, 4)));
+        let spaced = (0..lone.len()).map(|i| i * 20 + seed as usize).collect();
+        let built = |builder: ServingScenarioBuilder| builder.build().unwrap();
+        [
+            built(
+                ServingScenario::builder(mix(), 3)
+                    .kv_bucket(64)
+                    .prefill(PrefillMode::Resident),
+            ),
+            built(
+                ServingScenario::builder(RequestMix::custom("lone", lone), 2)
+                    .arrival(ArrivalProcess::explicit(spaced))
+                    .kv_page(16)
+                    .shared_prefix(40)
+                    .prefill_chunk(32),
+            ),
+            built(
+                ServingScenario::builder(mix(), 4)
+                    .arrival(arrival())
+                    .kv_bucket(64)
+                    .prefill_chunk(64),
+            ),
+            built(
+                ServingScenario::builder(mix(), 4)
+                    .arrival(arrival())
+                    .kv_page(16)
+                    .shared_prefix(40)
+                    .prefill_chunk(64),
+            ),
+        ]
+    }
+
+    /// Interns `segments` (each with its naming request) both ways —
+    /// block-once through [`Segments::intern`], and literally, layer by
+    /// layer from [`ServingModel::lower_segment`] — and asserts equal
+    /// shape-id sequences and equal shape layers, names included.
+    /// Returns the literal lowering's shape layers.
+    fn assert_block_once_is_literal<'s>(
+        model: &ServingModel,
+        segments: impl IntoIterator<Item = (&'s StepSegment, usize)>,
+        batch: usize,
+    ) -> Vec<Layer> {
+        let mut interned = Segments::default();
+        let mut shape_ids: TraceMap<LayerSignature, u32> = TraceMap::default();
+        let mut shapes: Vec<Layer> = Vec::new();
+        for (segment, request) in segments {
+            if interned.ids.contains_key(segment) {
+                continue;
+            }
+            let id = interned.intern(model, segment, request, batch);
+            let literal: Vec<u32> = model
+                .lower_segment(segment, request)
+                .layers()
+                .iter()
+                .map(|layer| {
+                    let next = shapes.len() as u32;
+                    *shape_ids.entry(layer.signature()).or_insert_with(|| {
+                        shapes.push(layer.clone());
+                        next
+                    })
+                })
+                .collect();
+            assert_eq!(interned.layer_shapes[id], literal, "{segment:?}");
+        }
+        assert_eq!(interned.shapes.len(), shapes.len());
+        for (shape, layer) in interned.shapes.iter().zip(&shapes) {
+            let batched = if batch > 1 {
+                layer.clone().with_batch(batch)
+            } else {
+                layer.clone()
+            };
+            assert_eq!(shape.layer.name(), layer.name());
+            assert_eq!(shape.layer.signature(), batched.signature());
+            assert_eq!(shape.macs, layer.macs());
+        }
+        shapes
+    }
+
+    #[test]
+    fn block_once_interning_matches_the_literal_lowering() {
+        let models = [
+            ServingModel::new("toy-lm", 64, 4, 128, 2, 1000),
+            ServingModel::gpt2_small(),
+        ];
+        let segments = |scenario: &ServingScenario| -> Vec<(StepSegment, usize)> {
+            scenario
+                .schedule()
+                .steps()
+                .iter()
+                .flat_map(|step| {
+                    ServingModel::step_composition(step, scenario.layout())
+                        .segment_requests(step)
+                        .map(|(segment, request)| (segment.clone(), request))
+                        .collect::<Vec<_>>()
+                })
+                .collect()
+        };
+        for seed in [1, 2, 3] {
+            for scenario in memo_scenarios(seed) {
+                let mut traces = vec![segments(&scenario)];
+                if matches!(scenario.layout(), KvLayout::Paged(_)) {
+                    let fleet = Fleet::uniform(scenario.clone(), FleetRouter::JoinShortestQueue, 2);
+                    for assignment in fleet.dispatch().unwrap() {
+                        traces.extend(assignment.scenario.as_ref().map(segments));
+                    }
+                }
+                for model in &models {
+                    for trace in &traces {
+                        for batch in [1, 3] {
+                            let trace = trace.iter().map(|(segment, request)| (segment, *request));
+                            assert_block_once_is_literal(model, trace, batch);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A 1-token prefill chunk and a singleton paged decode set at the
+    /// same attend length share their logits shape across segment
+    /// kinds: whichever segment interns first names it.
+    #[test]
+    fn a_shape_shared_across_segment_kinds_keeps_its_first_name() {
+        let model = ServingModel::gpt2_small();
+        let prefill = StepSegment::Prefill {
+            len: 144,
+            chunk: 1,
+            cow: 0,
+        };
+        let paged = StepSegment::PagedDecode {
+            groups: vec![(144, 1)],
+        };
+        let logits = |segment: &StepSegment| -> Layer {
+            let net = model.lower_segment(segment, 7);
+            net.layers()
+                .iter()
+                .find(|layer| layer.name().ends_with(".decoder.0.attn.logits"))
+                .unwrap()
+                .clone()
+        };
+        let (prefill_logits, paged_logits) = (logits(&prefill), logits(&paged));
+        assert_eq!(prefill_logits.signature(), paged_logits.signature());
+        for (first, second, name) in [
+            (&prefill, &paged, prefill_logits.name()),
+            (&paged, &prefill, paged_logits.name()),
+        ] {
+            let shapes = assert_block_once_is_literal(&model, [(first, 7), (second, 7)], 1);
+            let shared = shapes
+                .iter()
+                .find(|layer| layer.signature() == prefill_logits.signature())
+                .unwrap();
+            assert_eq!(shared.name(), name);
+        }
     }
 }

@@ -138,27 +138,42 @@ impl DecodePhase {
     }
 
     /// Lowers the step into its six GEMV layers, execution order:
-    /// `query`, `key`, `value`, `logits`, `attend`, `out`.
+    /// `query`, `key`, `value`, `logits`, `attend`, `out`, each named
+    /// `{prefix}.{part}`.
     pub fn lower(&self) -> Vec<Layer> {
+        self.lower_parts()
+            .into_iter()
+            .map(|(part, layer)| layer.with_name(format!("{}.{part}", self.prefix)))
+            .collect()
+    }
+
+    /// [`DecodePhase::lower`]'s layers unnamed, each with its part name,
+    /// for a caller that names them itself (or not at all).
+    pub(crate) fn lower_parts(&self) -> [(&'static str, Layer); 6] {
         let (d, h, n) = (self.d_model, self.heads, self.batch);
         let len = self.attend_len();
-        let name = |suffix: &str| format!("{}.{suffix}", self.prefix);
-        vec![
-            Layer::gemv(name("query"), n, d, d),
-            Layer::gemv(name("key"), n, d, d),
-            Layer::gemv(name("value"), n, d, d),
+        [
+            ("query", Layer::gemv("", n, d, d)),
+            ("key", Layer::gemv("", n, d, d)),
+            ("value", Layer::gemv("", n, d, d)),
             // Per head: q[1, d/h] x K^T[d/h, L] -> logits[1, L]. The K
             // cache grows by the new token's d_model-element slice.
-            Layer::matmul(name("logits"), 1, h * len, d, 1)
-                .with_groups(h)
-                .with_kv_cache_residency(d)
-                .with_batch(n),
+            (
+                "logits",
+                Layer::matmul("", 1, h * len, d, 1)
+                    .with_groups(h)
+                    .with_kv_cache_residency(d)
+                    .with_batch(n),
+            ),
             // Per head: probs[1, L] x V[L, d/h] -> context[1, d/h].
-            Layer::matmul(name("attend"), 1, d, h * len, 1)
-                .with_groups(h)
-                .with_kv_cache_residency(d)
-                .with_batch(n),
-            Layer::gemv(name("out"), n, d, d),
+            (
+                "attend",
+                Layer::matmul("", 1, d, h * len, 1)
+                    .with_groups(h)
+                    .with_kv_cache_residency(d)
+                    .with_batch(n),
+            ),
+            ("out", Layer::gemv("", n, d, d)),
         ]
     }
 

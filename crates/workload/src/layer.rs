@@ -385,6 +385,14 @@ impl Layer {
         self
     }
 
+    /// Returns this layer under a new name (builder style). The name is
+    /// not part of the [`signature`](Layer::signature).
+    #[must_use]
+    pub fn with_name(mut self, name: impl Into<String>) -> Layer {
+        self.name = name.into();
+        self
+    }
+
     /// The layer's name.
     pub fn name(&self) -> &str {
         &self.name

@@ -56,12 +56,12 @@ pub use attention::{encoder_block_macs, push_encoder_block, Attention};
 pub use decode::{decode_block_macs, decode_trace, push_decode_block, DecodePhase};
 pub use dims::{Dim, DimMap, DimSet, Shape};
 pub use layer::{Layer, LayerError, LayerKind};
-pub use network::{Network, NetworkStats};
+pub use network::{LayerSink, Network, NetworkStats};
 pub use serving::{
     ActiveSlot, AdmissionPolicy, ArrivalProcess, Fleet, FleetRouter, InstanceAssignment, KvLayout,
-    PageTable, PagedResidency, PrefillMode, PrefillSlot, Request, RequestMix, ServingError,
-    ServingModel, ServingScenario, ServingScenarioBuilder, ServingSchedule, ServingStep,
-    StepComposition, StepResidency, StepSegment,
+    PageTable, PagedResidency, PrefillMode, PrefillSlot, Request, RequestMix, SegmentPart,
+    ServingError, ServingModel, ServingScenario, ServingScenarioBuilder, ServingSchedule,
+    ServingStep, StepComposition, StepResidency, StepSegment,
 };
 pub use signature::{fnv1a, fnv1a_bytes, LayerSignature};
 pub use tensor::{TensorKind, TensorMap, TensorSet};

@@ -135,6 +135,21 @@ impl Network {
     }
 }
 
+/// Where a lowering puts its layers. Each layer arrives unnamed, with
+/// the routine that builds its name, so a sink that keeps only some of
+/// the layers (a shape interner, say) formats only their names.
+pub trait LayerSink {
+    /// Takes the next layer in execution order; `name` builds its name.
+    fn emit(&mut self, layer: Layer, name: impl FnOnce() -> String);
+}
+
+/// The naming sink: appends every layer under its name.
+impl LayerSink for Network {
+    fn emit(&mut self, layer: Layer, name: impl FnOnce() -> String) {
+        self.layers.push(layer.with_name(name()));
+    }
+}
+
 /// Aggregate size statistics of a [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkStats {

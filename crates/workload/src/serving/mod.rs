@@ -45,6 +45,11 @@
 //!   reduces a step to the hashable [`StepComposition`]: its
 //!   [`StepSegment`]s (decode groups and prefill chunks), whose
 //!   [`ServingModel::lower_segment`] lowerings concatenate to the step's.
+//!   [`ServingModel::lower_segment_part`] is the one lowering behind
+//!   both: it emits a segment's layers one [`SegmentPart`] (decoder
+//!   block or tail) at a time into a [`crate::LayerSink`], unnamed, with
+//!   the routine that names each, so a sink that keeps only new shapes
+//!   formats only their names.
 //!
 //! # Examples
 //!
@@ -85,7 +90,7 @@ pub use policy::AdmissionPolicy;
 pub use scenario::{ServingScenario, ServingScenarioBuilder};
 
 use crate::decode::decode_block_macs;
-use crate::{DecodePhase, Layer, Network};
+use crate::{DecodePhase, Layer, LayerSink, Network};
 
 /// One serving request: `prompt` tokens to place in the KV cache
 /// before decoding starts, `output` tokens to generate.
@@ -405,6 +410,18 @@ pub enum StepSegment {
     },
 }
 
+/// One part of a [`StepSegment`]'s lowering: a segment lowers to its
+/// model's decoder blocks, in order, then its tail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegmentPart {
+    /// Decoder block `b`. Every block of a segment lowers to the same
+    /// layer shapes; only the layer names carry the block index.
+    Block(usize),
+    /// The layers after the blocks: a decode segment's LM head (a
+    /// prefill chunk has none).
+    Tail,
+}
+
 /// What an event-core step's lowering depends on, from
 /// [`ServingModel::step_composition`]: the step's [`StepSegment`]s in
 /// lowering order — the decode segments, then one prefill segment per
@@ -542,46 +559,32 @@ impl ServingModel {
         groups
     }
 
-    /// Pushes one bucketed decode group onto `net`: one batched stack of
-    /// decode blocks (plus LM head) for `group` requests attending over
-    /// `attend_len` padded positions. The whole group shares the padded
-    /// attend length — exactly the [`DecodePhase::with_kv_bucket`]
-    /// padded-MAC accounting — and the group size rides the batch lever
-    /// (projection weights shared across the group, KV caches replicated
-    /// per request).
-    fn push_decode_group(&self, mut net: Network, attend_len: usize, group: usize) -> Network {
-        let prefix = format!("kv{attend_len}x{group}");
-        for block in 0..self.blocks {
-            let phase = DecodePhase::new(
-                format!("{prefix}.decoder.{block}.attn"),
-                self.d_model,
-                self.heads,
-            )
-            .with_kv_len(attend_len - 1)
+    /// Lowers one part of a bucketed decode group into `sink`: `group`
+    /// requests attending over `len` padded positions, as one batched
+    /// decode block per [`SegmentPart::Block`] and the LM head as the
+    /// tail. The whole group shares the padded attend length — exactly
+    /// the [`DecodePhase::with_kv_bucket`] padded-MAC accounting — and
+    /// the group size rides the batch lever (projection weights shared
+    /// across the group, KV caches replicated per request).
+    fn decode_group(&self, len: usize, group: usize, part: SegmentPart, sink: &mut impl LayerSink) {
+        let d = self.d_model;
+        let SegmentPart::Block(block) = part else {
+            sink.emit(Layer::gemv("", group, self.vocab, d), || {
+                format!("kv{len}x{group}.lm-head")
+            });
+            return;
+        };
+        let phase = DecodePhase::new("", d, self.heads)
+            .with_kv_len(len - 1)
             .with_batch(group);
-            for layer in phase.lower() {
-                net = net.push(layer);
-            }
-            net = net
-                .push(Layer::gemv(
-                    format!("{prefix}.decoder.{block}.mlp.fc1"),
-                    group,
-                    self.d_ff,
-                    self.d_model,
-                ))
-                .push(Layer::gemv(
-                    format!("{prefix}.decoder.{block}.mlp.fc2"),
-                    group,
-                    self.d_model,
-                    self.d_ff,
-                ));
+        for (part, layer) in phase.lower_parts() {
+            sink.emit(layer, || {
+                format!("kv{len}x{group}.decoder.{block}.attn.{part}")
+            });
         }
-        net.push(Layer::gemv(
-            format!("{prefix}.lm-head"),
-            group,
-            self.vocab,
-            self.d_model,
-        ))
+        let name = |part: &str| format!("kv{len}x{group}.decoder.{block}.mlp.{part}");
+        sink.emit(Layer::gemv("", group, self.d_ff, d), || name("fc1"));
+        sink.emit(Layer::gemv("", group, d, self.d_ff), || name("fc2"));
     }
 
     /// Closed-form MAC count of the decoding slots: the sum over the
@@ -599,29 +602,36 @@ impl ServingModel {
             .sum()
     }
 
-    /// Pushes one prefill chunk of request `request` — `chunk` prompt
-    /// tokens entering the cache, attending over `len` positions (the
-    /// cache so far plus the chunk, padded to the quantum) — through the
-    /// dense attention path: the [`crate::Attention`] lowering at seq =
-    /// chunk, with the attended length padded to the KV quantum (so
-    /// in-bucket chunks share signatures, the same economics as decode)
-    /// and the chunk's K/V writes charged through the KV-residency
-    /// accounting. No LM head: the first sampled token is the first
+    /// Lowers one part of a prefill chunk of request `request` into
+    /// `sink` — `chunk` prompt tokens entering the cache, attending over
+    /// `len` positions (the cache so far plus the chunk, padded to the
+    /// quantum) — through the dense attention path: the
+    /// [`crate::Attention`] lowering at seq = chunk, with the attended
+    /// length padded to the KV quantum (so in-bucket chunks share
+    /// signatures, the same economics as decode) and the chunk's K/V
+    /// writes charged through the KV-residency accounting. The tail is
+    /// empty, with no LM head: the first sampled token is the first
     /// *decode* step's, preserving the decode-path semantics of `output`
     /// tokens per request.
-    fn push_prefill_chunk(
+    fn prefill_chunk(
         &self,
-        mut net: Network,
         request: usize,
         len: usize,
         chunk: usize,
         cow_tokens: usize,
-    ) -> Network {
+        part: SegmentPart,
+        sink: &mut impl LayerSink,
+    ) {
+        let SegmentPart::Block(block) = part else {
+            return;
+        };
         let (d, h, c) = (self.d_model, self.heads, chunk);
-        let prefix = if cow_tokens > 0 {
-            format!("pf{request}.kv{len}c{c}+cow{cow_tokens}")
-        } else {
-            format!("pf{request}.kv{len}c{c}")
+        let name = |part: &str| {
+            if cow_tokens > 0 {
+                format!("pf{request}.kv{len}c{c}+cow{cow_tokens}.decoder.{block}.{part}")
+            } else {
+                format!("pf{request}.kv{len}c{c}.decoder.{block}.{part}")
+            }
         };
         // A sharer's first private chunk privatises the shared prefix's
         // trailing partial page before its K/V land: `cow_tokens · d`
@@ -634,23 +644,24 @@ impl ServingModel {
                 layer
             }
         };
-        for block in 0..self.blocks {
-            let name = |part: &str| format!("{prefix}.decoder.{block}.{part}");
-            net = net
-                .push(Layer::matmul(name("attn.query"), 1, d, d, c))
-                .push(Layer::matmul(name("attn.key"), 1, d, d, c))
-                .push(Layer::matmul(name("attn.value"), 1, d, d, c))
-                .push(cow(Layer::matmul(name("attn.logits"), 1, h * len, d, c)
-                    .with_groups(h)
-                    .with_kv_cache_residency(c * d)))
-                .push(cow(Layer::matmul(name("attn.attend"), 1, d, h * len, c)
-                    .with_groups(h)
-                    .with_kv_cache_residency(c * d)))
-                .push(Layer::matmul(name("attn.out"), 1, d, d, c))
-                .push(Layer::matmul(name("mlp.fc1"), 1, self.d_ff, d, c))
-                .push(Layer::matmul(name("mlp.fc2"), 1, d, self.d_ff, c));
-        }
-        net
+        sink.emit(Layer::matmul("", 1, d, d, c), || name("attn.query"));
+        sink.emit(Layer::matmul("", 1, d, d, c), || name("attn.key"));
+        sink.emit(Layer::matmul("", 1, d, d, c), || name("attn.value"));
+        sink.emit(
+            cow(Layer::matmul("", 1, h * len, d, c)
+                .with_groups(h)
+                .with_kv_cache_residency(c * d)),
+            || name("attn.logits"),
+        );
+        sink.emit(
+            cow(Layer::matmul("", 1, d, h * len, c)
+                .with_groups(h)
+                .with_kv_cache_residency(c * d)),
+            || name("attn.attend"),
+        );
+        sink.emit(Layer::matmul("", 1, d, d, c), || name("attn.out"));
+        sink.emit(Layer::matmul("", 1, self.d_ff, d, c), || name("mlp.fc1"));
+        sink.emit(Layer::matmul("", 1, d, self.d_ff, c), || name("mlp.fc2"));
     }
 
     /// The padded attend length of a prefill chunk: every computed token
@@ -684,7 +695,7 @@ impl ServingModel {
     /// [`KvLayout::Paged`] pads attend lengths to the page instead of
     /// the bucket (so decode reads cover exactly the allocated pages),
     /// batches the KV-independent layers over the *whole* decode set
-    /// (see [`ServingModel::push_decode_groups_paged`] — splitting them
+    /// (see [`StepSegment::PagedDecode`] — splitting them
     /// per length class is an artifact of bucket padding), and charges
     /// each sharer's first private chunk with the shared prefix's
     /// partial-page copy-on-write (see [`Layer::with_kv_cow`]).
@@ -695,32 +706,57 @@ impl ServingModel {
     pub fn lower_serving_step_with(&self, step: &ServingStep, layout: &KvLayout) -> Network {
         assert!(step.occupancy() > 0, "a step lowers a nonempty active set");
         let composition = ServingModel::step_composition(step, layout);
-        let net = Network::new(format!("{}-serving@occ{}", self.name, step.occupancy()));
-        composition
-            .segment_requests(step)
-            .fold(net, |net, (segment, request)| {
-                self.push_segment(net, segment, request)
-            })
+        let mut net = Network::new(format!("{}-serving@occ{}", self.name, step.occupancy()));
+        for (segment, request) in composition.segment_requests(step) {
+            self.lower_segment_into(segment, request, &mut net);
+        }
+        net
     }
 
     /// Lowers one [`StepSegment`] on its own, its layers named as for
     /// `request` (see [`StepComposition::segment_requests`]; decode
-    /// segments ignore it). A step's lowering is the concatenation of
-    /// its segments' lowerings.
+    /// segments ignore it): every [`SegmentPart`] in order, through the
+    /// naming sink of [`ServingModel::lower_segment_part`]. A step's
+    /// lowering is the concatenation of its segments' lowerings.
     pub fn lower_segment(&self, segment: &StepSegment, request: usize) -> Network {
-        self.push_segment(
-            Network::new(format!("{}-segment", self.name)),
-            segment,
-            request,
-        )
+        let mut net = Network::new(format!("{}-segment", self.name));
+        self.lower_segment_into(segment, request, &mut net);
+        net
     }
 
-    fn push_segment(&self, net: Network, segment: &StepSegment, request: usize) -> Network {
+    /// [`ServingModel::lower_segment`] into any sink: every block, then
+    /// the tail.
+    fn lower_segment_into(&self, segment: &StepSegment, request: usize, sink: &mut impl LayerSink) {
+        for block in 0..self.blocks {
+            self.lower_segment_part(segment, request, SegmentPart::Block(block), sink);
+        }
+        self.lower_segment_part(segment, request, SegmentPart::Tail, sink);
+    }
+
+    /// The decoder blocks every segment repeats.
+    pub fn blocks(&self) -> usize {
+        self.blocks
+    }
+
+    /// Lowers one part of `segment` into `sink`, each layer unnamed with
+    /// the routine that builds its [`ServingModel::lower_segment`] name
+    /// as for `request`. This is the one lowering of every segment kind:
+    /// [`ServingModel::lower_segment`] and
+    /// [`ServingModel::lower_serving_step_with`] are its naming sink, and
+    /// a shape interner can lower [`SegmentPart::Block`]`(0)` and the
+    /// tail alone, since every block lowers to the same shapes.
+    pub fn lower_segment_part(
+        &self,
+        segment: &StepSegment,
+        request: usize,
+        part: SegmentPart,
+        sink: &mut impl LayerSink,
+    ) {
         match *segment {
-            StepSegment::Decode { len, group } => self.push_decode_group(net, len, group),
-            StepSegment::PagedDecode { ref groups } => self.push_decode_groups_paged(net, groups),
+            StepSegment::Decode { len, group } => self.decode_group(len, group, part, sink),
+            StepSegment::PagedDecode { ref groups } => self.paged_decode(groups, part, sink),
             StepSegment::Prefill { len, chunk, cow } => {
-                self.push_prefill_chunk(net, request, len, chunk, cow)
+                self.prefill_chunk(request, len, chunk, cow, part, sink);
             }
         }
     }
@@ -755,56 +791,64 @@ impl ServingModel {
         StepComposition { segments }
     }
 
-    /// Pushes the decoding slots under exact paged residency. The
-    /// KV-*independent* layers — QKV/output projections, the MLP pair
-    /// and the LM head — batch over the whole decode set: every member
-    /// multiplies the same weights, so one fetch serves all of them
-    /// regardless of how long each member's cache is (the per-length
-    /// grouping of [`ServingModel::push_decode_group`] is an artifact
-    /// of bucket padding, and reproducing it at page granularity would
-    /// shred the batch lever into near-singleton groups and *inflate*
-    /// weight traffic). Only the logits/attend pair, whose reduction
-    /// length *is* the cache, splits by page-padded attend length —
-    /// each group reads exactly its allocated pages and appends one
-    /// `d_model`-slice per member. Per-request MACs are identical to
-    /// the bucketed lowering's at `kv_bucket = page`: batching moves
-    /// weight traffic, not arithmetic. `groups` are the decode set's
-    /// `(page-padded attend length, group size)` classes.
-    fn push_decode_groups_paged(&self, mut net: Network, groups: &[(usize, usize)]) -> Network {
+    /// Lowers one part of the decoding slots under exact paged
+    /// residency into `sink`. The KV-*independent* layers — QKV/output
+    /// projections, the MLP pair and the LM head (the tail) — batch over
+    /// the whole decode set: every member multiplies the same weights,
+    /// so one fetch serves all of them regardless of how long each
+    /// member's cache is (the per-length grouping of
+    /// [`ServingModel::decode_group`] is an artifact of bucket padding,
+    /// and reproducing it at page granularity would shred the batch
+    /// lever into near-singleton groups and *inflate* weight traffic).
+    /// Only the logits/attend pair, whose reduction length *is* the
+    /// cache, splits by page-padded attend length — each group reads
+    /// exactly its allocated pages and appends one `d_model`-slice per
+    /// member. Per-request MACs are identical to the bucketed
+    /// lowering's at `kv_bucket = page`: batching moves weight traffic,
+    /// not arithmetic. `groups` are the decode set's `(page-padded
+    /// attend length, group size)` classes.
+    fn paged_decode(
+        &self,
+        groups: &[(usize, usize)],
+        part: SegmentPart,
+        sink: &mut impl LayerSink,
+    ) {
         let (d, h) = (self.d_model, self.heads);
         let n: usize = groups.iter().map(|&(_, group)| group).sum();
-        for block in 0..self.blocks {
-            let name = |part: &str| format!("pg.occ{n}.decoder.{block}.{part}");
-            net = net
-                .push(Layer::gemv(name("attn.query"), n, d, d))
-                .push(Layer::gemv(name("attn.key"), n, d, d))
-                .push(Layer::gemv(name("attn.value"), n, d, d));
-            for &(len, group) in groups {
-                let gname = |part: &str| format!("pg{len}x{group}.decoder.{block}.attn.{part}");
-                net = net
-                    .push(
-                        Layer::matmul(gname("logits"), 1, h * len, d, 1)
-                            .with_groups(h)
-                            .with_kv_cache_residency(d)
-                            .with_batch(group),
-                    )
-                    .push(
-                        Layer::matmul(gname("attend"), 1, d, h * len, 1)
-                            .with_groups(h)
-                            .with_kv_cache_residency(d)
-                            .with_batch(group),
-                    );
-            }
-            net = net
-                .push(Layer::gemv(name("attn.out"), n, d, d))
-                .push(Layer::gemv(name("mlp.fc1"), n, self.d_ff, d))
-                .push(Layer::gemv(name("mlp.fc2"), n, d, self.d_ff));
+        let SegmentPart::Block(block) = part else {
+            sink.emit(Layer::gemv("", n, self.vocab, d), || {
+                format!("pg.occ{n}.lm-head")
+            });
+            return;
+        };
+        let name = |part: &str| format!("pg.occ{n}.decoder.{block}.{part}");
+        sink.emit(Layer::gemv("", n, d, d), || name("attn.query"));
+        sink.emit(Layer::gemv("", n, d, d), || name("attn.key"));
+        sink.emit(Layer::gemv("", n, d, d), || name("attn.value"));
+        for &(len, group) in groups {
+            let name = |part: &str| format!("pg{len}x{group}.decoder.{block}.attn.{part}");
+            sink.emit(
+                Layer::matmul("", 1, h * len, d, 1)
+                    .with_groups(h)
+                    .with_kv_cache_residency(d)
+                    .with_batch(group),
+                || name("logits"),
+            );
+            sink.emit(
+                Layer::matmul("", 1, d, h * len, 1)
+                    .with_groups(h)
+                    .with_kv_cache_residency(d)
+                    .with_batch(group),
+                || name("attend"),
+            );
         }
-        net.push(Layer::gemv(format!("pg.occ{n}.lm-head"), n, self.vocab, d))
+        sink.emit(Layer::gemv("", n, d, d), || name("attn.out"));
+        sink.emit(Layer::gemv("", n, self.d_ff, d), || name("mlp.fc1"));
+        sink.emit(Layer::gemv("", n, d, self.d_ff), || name("mlp.fc2"));
     }
 
-    /// Closed-form MAC count of one prefill chunk, mirroring
-    /// [`ServingModel::push_prefill_chunk`]: per block `4·c·D² +
+    /// Closed-form MAC count of one prefill chunk, mirroring the
+    /// [`StepSegment::Prefill`] lowering: per block `4·c·D² +
     /// 2·c·L·D + 2·c·D·D_ff` at chunk size `c` and bucketed attended
     /// length `L` — [`crate::attention::encoder_block_macs`] when the
     /// whole prompt is one unpadded chunk.
@@ -901,11 +945,11 @@ mod tests {
 
     /// `active_kv`'s bucketed decode groups, lowered on their own.
     fn decode_groups(model: &ServingModel, active_kv: &[usize], bucket: usize) -> Network {
-        ServingModel::bucketed_composition(active_kv, bucket)
-            .into_iter()
-            .fold(Network::new("decode"), |net, (len, group)| {
-                model.push_decode_group(net, len, group)
-            })
+        let mut net = Network::new("decode");
+        for (len, group) in ServingModel::bucketed_composition(active_kv, bucket) {
+            model.lower_segment_into(&StepSegment::Decode { len, group }, 0, &mut net);
+        }
+        net
     }
 
     #[test]
@@ -1036,7 +1080,8 @@ mod tests {
                 shared: 0,
             };
             let len = ServingModel::prefill_attend_len(&slot, bucket);
-            let net = model.push_prefill_chunk(Network::new("pf"), 0, len, chunk, 0);
+            let segment = StepSegment::Prefill { len, chunk, cow: 0 };
+            let net = model.lower_segment(&segment, 0);
             assert_eq!(
                 net.total_macs(),
                 model.prefill_chunk_macs(cached, chunk, bucket),
