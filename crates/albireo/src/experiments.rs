@@ -7,7 +7,7 @@
 use crate::{reference, reference_layer, AlbireoConfig, ScalingProfile, WeightReuse};
 use lumen_core::report::Table;
 use lumen_core::{
-    EnergyBreakdown, EvalCache, EvalSession, NetworkOptions, SweepRunner, SystemError,
+    CacheStats, EnergyBreakdown, EvalCache, EvalSession, NetworkOptions, SweepRunner, SystemError,
 };
 use lumen_workload::networks;
 use std::fmt;
@@ -781,6 +781,32 @@ impl DecodeRow {
     }
 }
 
+/// Writes the `eval cache:` line that ends every trace study: the
+/// mapping searches (`stats.misses`) that served the study's
+/// `evaluations` (`stats.hits + stats.misses`), the hit rate, and `why`
+/// they dedupe. An uncached run counts no lookups and says so.
+fn write_cache_footer(
+    f: &mut fmt::Formatter<'_>,
+    stats: CacheStats,
+    evaluations: &str,
+    why: &str,
+) -> fmt::Result {
+    let lookups = stats.lookups();
+    if lookups == 0 {
+        return writeln!(f, "eval cache: disabled (uncached A/B run)");
+    }
+    // `1 - misses/lookups`, not `CacheStats::hit_rate`: the goldens pin
+    // this rounding.
+    let hit_rate = 1.0 - stats.misses as f64 / lookups as f64;
+    writeln!(
+        f,
+        "eval cache: {} mapping searches served {lookups} {evaluations} \
+         ({:.1}% hit rate — {why})",
+        stats.misses,
+        100.0 * hit_rate,
+    )
+}
+
 /// The decode study: photonic vs digital on autoregressive GPT-2 small
 /// decoding as the KV cache grows, with the prefill phase as the
 /// crossover reference and the evaluation cache's accounting for the
@@ -794,10 +820,9 @@ pub struct DecodeStudyResult {
     pub prefill: PhotonicVsDigital,
     /// One row per swept KV length.
     pub rows: Vec<DecodeRow>,
-    /// Layer evaluations the photonic decode sweep requested.
-    pub trace_layer_evals: u64,
-    /// Mapping searches those evaluations actually cost (cache misses).
-    pub trace_mapping_searches: u64,
+    /// Photonic cache lookups over the study's traces: `hits + misses`
+    /// layer evaluations requested, `misses` of them mapping searches.
+    pub trace_cache: CacheStats,
 }
 
 impl DecodeStudyResult {
@@ -807,16 +832,6 @@ impl DecodeStudyResult {
             .iter()
             .find(|r| r.kv_len == kv_len)
             .expect("every swept KV length evaluated")
-    }
-
-    /// Fraction of the decode sweep's layer evaluations answered from
-    /// the cache (0 when the sweep ran uncached — `--no-cache` /
-    /// `LUMEN_EVAL_CACHE=0` — and no lookups were counted).
-    pub fn trace_hit_rate(&self) -> f64 {
-        if self.trace_layer_evals == 0 {
-            return 0.0;
-        }
-        1.0 - self.trace_mapping_searches as f64 / self.trace_layer_evals as f64
     }
 
     /// Renders the study as a table.
@@ -880,16 +895,11 @@ impl fmt::Display for DecodeStudyResult {
             last.utilization_gap(),
             last.kv_len,
         )?;
-        if self.trace_layer_evals == 0 {
-            return writeln!(f, "eval cache: disabled (uncached A/B run)");
-        }
-        writeln!(
+        write_cache_footer(
             f,
-            "eval cache: {} mapping searches served {} photonic decode layer evaluations \
-             ({:.1}% hit rate — per-step layers dedupe by KV length)",
-            self.trace_mapping_searches,
-            self.trace_layer_evals,
-            100.0 * self.trace_hit_rate(),
+            self.trace_cache,
+            "photonic decode layer evaluations",
+            "per-step layers dedupe by KV length",
         )
     }
 }
@@ -937,7 +947,7 @@ pub fn decode_study(scaling: ScalingProfile) -> Result<DecodeStudyResult, System
         &NetworkOptions::baseline(),
         networks::gpt2_small_decode,
     )?;
-    let after = photonic.cache_stats();
+    let trace_cache = photonic.cache_stats().since(before);
     let d_points = decode_sweep(
         &digital,
         &DECODE_KV_LENGTHS,
@@ -966,8 +976,7 @@ pub fn decode_study(scaling: ScalingProfile) -> Result<DecodeStudyResult, System
         scaling,
         prefill,
         rows,
-        trace_layer_evals: (after.hits + after.misses) - (before.hits + before.misses),
-        trace_mapping_searches: after.misses - before.misses,
+        trace_cache,
     })
 }
 
@@ -1052,10 +1061,9 @@ pub struct ServingStudyResult {
     pub kv_bucket: usize,
     /// One row per (mix, capacity) pair, mixes outer, capacities inner.
     pub rows: Vec<ServingRow>,
-    /// Layer evaluations the photonic serving sweeps requested.
-    pub trace_layer_evals: u64,
-    /// Mapping searches those evaluations actually cost (cache misses).
-    pub trace_mapping_searches: u64,
+    /// Photonic cache lookups over the study's traces: `hits + misses`
+    /// layer evaluations requested, `misses` of them mapping searches.
+    pub trace_cache: CacheStats,
 }
 
 impl ServingStudyResult {
@@ -1065,16 +1073,6 @@ impl ServingStudyResult {
             .iter()
             .find(|r| r.mix == mix && r.capacity == capacity)
             .expect("every (mix, capacity) pair evaluated")
-    }
-
-    /// Fraction of the study's photonic layer evaluations answered from
-    /// the cache (0 when the study ran uncached — `--no-cache` /
-    /// `LUMEN_EVAL_CACHE=0` — and no lookups were counted).
-    pub fn trace_hit_rate(&self) -> f64 {
-        if self.trace_layer_evals == 0 {
-            return 0.0;
-        }
-        1.0 - self.trace_mapping_searches as f64 / self.trace_layer_evals as f64
     }
 
     /// Renders the study as a table.
@@ -1136,16 +1134,11 @@ impl fmt::Display for ServingStudyResult {
             wide.capacity,
             wide.photonic_mj_per_token,
         )?;
-        if self.trace_layer_evals == 0 {
-            return writeln!(f, "eval cache: disabled (uncached A/B run)");
-        }
-        writeln!(
+        write_cache_footer(
             f,
-            "eval cache: {} mapping searches served {} photonic serving layer evaluations \
-             ({:.1}% hit rate — steps dedupe by bucketed active-set composition)",
-            self.trace_mapping_searches,
-            self.trace_layer_evals,
-            100.0 * self.trace_hit_rate(),
+            self.trace_cache,
+            "photonic serving layer evaluations",
+            "steps dedupe by bucketed active-set composition",
         )
     }
 }
@@ -1203,14 +1196,13 @@ pub fn serving_study(scaling: ScalingProfile) -> Result<ServingStudyResult, Syst
             });
         }
     }
-    let after = photonic.cache_stats();
+    let trace_cache = photonic.cache_stats().since(before);
 
     Ok(ServingStudyResult {
         scaling,
         kv_bucket: SERVING_KV_BUCKET,
         rows,
-        trace_layer_evals: (after.hits + after.misses) - (before.hits + before.misses),
-        trace_mapping_searches: after.misses - before.misses,
+        trace_cache,
     })
 }
 
@@ -1357,10 +1349,9 @@ pub struct SloStudyResult {
     pub prefill_chunk: usize,
     /// One row per (arrival, policy) scenario, in scenario order.
     pub rows: Vec<SloRow>,
-    /// Layer evaluations the photonic traces requested.
-    pub trace_layer_evals: u64,
-    /// Mapping searches those evaluations actually cost (cache misses).
-    pub trace_mapping_searches: u64,
+    /// Photonic cache lookups over the study's traces: `hits + misses`
+    /// layer evaluations requested, `misses` of them mapping searches.
+    pub trace_cache: CacheStats,
 }
 
 impl SloStudyResult {
@@ -1370,15 +1361,6 @@ impl SloStudyResult {
         self.rows
             .iter()
             .find(|r| r.arrival == arrival && r.policy == policy)
-    }
-
-    /// Fraction of the study's photonic layer evaluations answered
-    /// from the cache.
-    pub fn trace_hit_rate(&self) -> f64 {
-        if self.trace_layer_evals == 0 {
-            return 0.0;
-        }
-        1.0 - self.trace_mapping_searches as f64 / self.trace_layer_evals as f64
     }
 
     /// Renders the study as a table. Latency cells are
@@ -1463,16 +1445,11 @@ impl fmt::Display for SloStudyResult {
                 row.prefill_tokens, self.prefill_chunk
             )?;
         }
-        if self.trace_layer_evals == 0 {
-            return writeln!(f, "eval cache: disabled (uncached A/B run)");
-        }
-        writeln!(
+        write_cache_footer(
             f,
-            "eval cache: {} mapping searches served {} photonic serving layer evaluations \
-             ({:.1}% hit rate — decode groups and prefill chunks dedupe by bucketed length)",
-            self.trace_mapping_searches,
-            self.trace_layer_evals,
-            100.0 * self.trace_hit_rate(),
+            self.trace_cache,
+            "photonic serving layer evaluations",
+            "decode groups and prefill chunks dedupe by bucketed length",
         )
     }
 }
@@ -1538,7 +1515,7 @@ pub fn serving_scenario_study(
             digital_tokens_per_s: d.tokens_per_second(digital_clock),
         });
     }
-    let after = photonic.cache_stats();
+    let trace_cache = photonic.cache_stats().since(before);
 
     Ok(SloStudyResult {
         scaling,
@@ -1546,8 +1523,7 @@ pub fn serving_scenario_study(
         capacity: SLO_CAPACITY,
         prefill_chunk: SLO_PREFILL_CHUNK,
         rows,
-        trace_layer_evals: (after.hits + after.misses) - (before.hits + before.misses),
-        trace_mapping_searches: after.misses - before.misses,
+        trace_cache,
     })
 }
 
@@ -1635,10 +1611,9 @@ pub struct PagedServingStudyResult {
     pub requests: usize,
     /// The rows, ordered bucketed / paged / paged+shared.
     pub rows: Vec<PagedServingRow>,
-    /// Layer evaluations the photonic traces requested.
-    pub trace_layer_evals: u64,
-    /// Mapping searches those evaluations actually cost (cache misses).
-    pub trace_mapping_searches: u64,
+    /// Photonic cache lookups over the study's traces: `hits + misses`
+    /// layer evaluations requested, `misses` of them mapping searches.
+    pub trace_cache: CacheStats,
 }
 
 impl PagedServingStudyResult {
@@ -1679,15 +1654,6 @@ impl PagedServingStudyResult {
     /// paged row (net of the copy-on-write charge).
     pub fn prefix_energy_savings(&self) -> f64 {
         1.0 - self.paged_shared().photonic_total_mj / self.paged().photonic_total_mj
-    }
-
-    /// Fraction of the study's photonic layer evaluations answered
-    /// from the cache.
-    pub fn trace_hit_rate(&self) -> f64 {
-        if self.trace_layer_evals == 0 {
-            return 0.0;
-        }
-        1.0 - self.trace_mapping_searches as f64 / self.trace_layer_evals as f64
     }
 
     /// Renders the study as a table.
@@ -1757,16 +1723,11 @@ impl fmt::Display for PagedServingStudyResult {
             100.0 * self.prefix_energy_savings(),
             self.shared_prefix % self.page,
         )?;
-        if self.trace_layer_evals == 0 {
-            return writeln!(f, "eval cache: disabled (uncached A/B run)");
-        }
-        writeln!(
+        write_cache_footer(
             f,
-            "eval cache: {} mapping searches served {} photonic serving layer evaluations \
-             ({:.1}% hit rate — page-residency variants still dedupe by signature)",
-            self.trace_mapping_searches,
-            self.trace_layer_evals,
-            100.0 * self.trace_hit_rate(),
+            self.trace_cache,
+            "photonic serving layer evaluations",
+            "page-residency variants still dedupe by signature",
         )
     }
 }
@@ -1905,7 +1866,7 @@ pub fn paged_serving_scenario_study(
             peak_fragmentation_tokens: residency.peak_fragmentation_tokens(),
         });
     }
-    let after = photonic.cache_stats();
+    let trace_cache = photonic.cache_stats().since(before);
 
     Ok(PagedServingStudyResult {
         scaling,
@@ -1919,8 +1880,7 @@ pub fn paged_serving_scenario_study(
         },
         requests: scenario.mix().len(),
         rows,
-        trace_layer_evals: (after.hits + after.misses) - (before.hits + before.misses),
-        trace_mapping_searches: after.misses - before.misses,
+        trace_cache,
     })
 }
 
@@ -2014,11 +1974,10 @@ pub struct CapacityPlanResult {
     pub mj_per_token: f64,
     /// Max minus min per-instance mean occupancy.
     pub occupancy_skew: f64,
-    /// Layer evaluations the fleet's traces requested (all instances
-    /// share one photonic session).
-    pub trace_layer_evals: u64,
-    /// Mapping searches those evaluations actually cost (cache misses).
-    pub trace_mapping_searches: u64,
+    /// Cache lookups over the fleet's traces, which all share one
+    /// photonic session: `hits + misses` layer evaluations requested,
+    /// `misses` of them mapping searches.
+    pub trace_cache: CacheStats,
 }
 
 impl CapacityPlanResult {
@@ -2031,15 +1990,6 @@ impl CapacityPlanResult {
     /// the SLO search judges a fleet by.
     pub fn p99_ttft_ms(&self) -> f64 {
         1e3 * self.ttft.p99
-    }
-
-    /// Fraction of the fleet's layer evaluations answered from the
-    /// shared cache.
-    pub fn trace_hit_rate(&self) -> f64 {
-        if self.trace_layer_evals == 0 {
-            return 0.0;
-        }
-        1.0 - self.trace_mapping_searches as f64 / self.trace_layer_evals as f64
     }
 
     /// Renders the per-instance table.
@@ -2095,16 +2045,11 @@ impl fmt::Display for CapacityPlanResult {
             self.mj_per_token,
             100.0 * self.occupancy_skew,
         )?;
-        if self.trace_layer_evals == 0 {
-            return writeln!(f, "eval cache: disabled (uncached A/B run)");
-        }
-        writeln!(
+        write_cache_footer(
             f,
-            "eval cache: {} mapping searches served {} layer evaluations across the fleet \
-             ({:.1}% hit rate — instances share one session, so identical shards dedupe)",
-            self.trace_mapping_searches,
-            self.trace_layer_evals,
-            100.0 * self.trace_hit_rate(),
+            self.trace_cache,
+            "layer evaluations across the fleet",
+            "instances share one session, so identical shards dedupe",
         )
     }
 }
@@ -2153,7 +2098,7 @@ pub fn capacity_plan_study(
 
     let before = photonic.cache_stats();
     let evaluation = fleet_trace(&members, &options)?;
-    let after = photonic.cache_stats();
+    let trace_cache = photonic.cache_stats().since(before);
 
     let occupancies = evaluation.occupancies();
     let rows = evaluation
@@ -2189,8 +2134,7 @@ pub fn capacity_plan_study(
         tokens_per_s: evaluation.tokens_per_second(),
         mj_per_token: evaluation.pj_per_token() / 1e9,
         occupancy_skew: evaluation.occupancy_skew(),
-        trace_layer_evals: (after.hits + after.misses) - (before.hits + before.misses),
-        trace_mapping_searches: after.misses - before.misses,
+        trace_cache,
     })
 }
 
@@ -2476,13 +2420,13 @@ mod tests {
         }
         // The content-addressed sweep: 5 per-step networks x 97 layers
         // collapse to a handful of mapping searches.
-        assert_eq!(result.trace_layer_evals, 5 * 97);
+        assert_eq!(result.trace_cache.lookups(), 5 * 97);
         assert!(
-            result.trace_mapping_searches <= 14,
+            result.trace_cache.misses <= 14,
             "searches {}",
-            result.trace_mapping_searches
+            result.trace_cache.misses
         );
-        assert!(result.trace_hit_rate() >= 0.9);
+        assert!(result.trace_cache.hit_rate() >= 0.9);
     }
 
     #[test]
@@ -2568,11 +2512,11 @@ mod tests {
         // The content-addressed sweep: tens of thousands of step-layer
         // evaluations collapse to a few dozen mapping searches.
         assert!(
-            result.trace_mapping_searches <= 100,
+            result.trace_cache.misses <= 100,
             "searches {}",
-            result.trace_mapping_searches
+            result.trace_cache.misses
         );
-        assert!(result.trace_hit_rate() >= 0.99);
+        assert!(result.trace_cache.hit_rate() >= 0.99);
     }
 
     #[test]
@@ -2664,9 +2608,9 @@ mod tests {
         );
         // Chunked prefill + bucketed decode keep the cache economics.
         assert!(
-            result.trace_hit_rate() >= 0.95,
+            result.trace_cache.hit_rate() >= 0.95,
             "{:.3}",
-            result.trace_hit_rate()
+            result.trace_cache.hit_rate()
         );
     }
 
@@ -2749,11 +2693,11 @@ mod tests {
         // more distinct attend lengths than the bucketed trace, but the
         // search count stays bounded by the unique signatures, not the
         // three traces' step count.
-        assert!(result.trace_layer_evals > 0);
+        assert!(result.trace_cache.lookups() > 0);
         assert!(
-            result.trace_hit_rate() >= 0.9,
+            result.trace_cache.hit_rate() >= 0.9,
             "hit rate {:.3}",
-            result.trace_hit_rate()
+            result.trace_cache.hit_rate()
         );
     }
 

@@ -1,5 +1,7 @@
 //! Typed flag parsing for the `lumen serving` and `lumen fleet`
-//! subcommands.
+//! subcommands, and the option check every `lumen` subcommand runs
+//! first ([`check_flags`]): an option the command does not read is an
+//! error, not a silent default run.
 //!
 //! The CLI binary used to hand-validate flag combinations with ad-hoc
 //! string checks ("--shared-prefix needs --kv-page", and so on),
@@ -72,6 +74,15 @@ pub enum FlagError {
     PagedOpenLoop,
     /// The combination parsed but failed scenario validation.
     Scenario(ServingError),
+    /// An argument the subcommand does not read.
+    UnknownFlag {
+        /// The subcommand, e.g. `serving`.
+        command: String,
+        /// The rejected argument, e.g. `--bogus`.
+        flag: String,
+    },
+    /// A flag that takes a value came last, without one.
+    MissingValue(&'static str),
 }
 
 impl fmt::Display for FlagError {
@@ -106,6 +117,10 @@ impl fmt::Display for FlagError {
                 "--kv-page runs the closed-loop paged study; drop --arrival/--policy"
             ),
             FlagError::Scenario(e) => write!(f, "{e}"),
+            FlagError::UnknownFlag { command, flag } => {
+                write!(f, "unknown option `{flag}` for `lumen {command}`")
+            }
+            FlagError::MissingValue(flag) => write!(f, "{flag} expects a value"),
         }
     }
 }
@@ -123,6 +138,74 @@ impl From<ServingError> for FlagError {
     fn from(e: ServingError) -> FlagError {
         FlagError::Scenario(e)
     }
+}
+
+/// Every option `lumen <command>` reads, as `(flag, takes_value)`;
+/// `None` for `help` and unknown commands, which the dispatcher handles.
+fn command_options(command: &str) -> Option<&'static [(&'static str, bool)]> {
+    const SCALING: (&str, bool) = ("--scaling", true);
+    Some(match command {
+        "fig2" | "fig3" | "fig4" | "fig5" | "all" | "networks" | "components" | "precision" => &[],
+        "arch" | "transformers" | "decode" | "baseline" => &[SCALING],
+        "layers" => &[SCALING, ("--network", true), ("--dedup", false)],
+        "serving" => &[
+            SCALING,
+            ("--arrival", true),
+            ("--policy", true),
+            ("--kv-page", true),
+            ("--shared-prefix", true),
+        ],
+        "fleet" => &[
+            SCALING,
+            ("--instances", true),
+            ("--router", true),
+            ("--arrival", true),
+            ("--slo", true),
+        ],
+        "check" => &[
+            SCALING,
+            ("--arch", true),
+            ("--network", true),
+            ("--format", true),
+            ("--allow", true),
+            ("--deny", true),
+        ],
+        _ => return None,
+    })
+}
+
+/// Checks a `lumen` argument list (the command, then its options, with
+/// the global flags already stripped) against the options that command
+/// reads.
+///
+/// # Errors
+///
+/// [`FlagError::UnknownFlag`] for any argument that is neither one of
+/// the command's options nor the value of one, and
+/// [`FlagError::MissingValue`] for a trailing option that needs a value.
+pub fn check_flags(args: &[String]) -> Result<(), FlagError> {
+    let Some((command, rest)) = args.split_first() else {
+        return Ok(());
+    };
+    let Some(options) = command_options(command) else {
+        return Ok(());
+    };
+    let mut iter = rest.iter();
+    while let Some(arg) = iter.next() {
+        match options.iter().find(|(flag, _)| flag == arg) {
+            Some(&(flag, true)) => {
+                iter.next().ok_or(FlagError::MissingValue(flag))?;
+            }
+            Some(_) => {}
+            None => {
+                return Err(FlagError::UnknownFlag {
+                    command: command.clone(),
+                    flag: arg.clone(),
+                })
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The value following `flag`, when present.
@@ -474,6 +557,11 @@ mod tests {
             FlagError::UnknownSlo("p50".into()),
             FlagError::PagedOpenLoop,
             FlagError::Scenario(ServingError::EmptyFleet),
+            FlagError::UnknownFlag {
+                command: "all".into(),
+                flag: "--bogus".into(),
+            },
+            FlagError::MissingValue("--kv-page"),
         ];
         for e in cases {
             let msg = e.to_string();
@@ -483,6 +571,74 @@ mod tests {
                 !first.is_uppercase(),
                 "message should start lowercase or with a flag: {msg}"
             );
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let unknown = |command: &str, flag: &str| {
+            Err(FlagError::UnknownFlag {
+                command: command.into(),
+                flag: flag.into(),
+            })
+        };
+        assert_eq!(
+            check_flags(&args(&["serving", "--bogus", "3"])),
+            unknown("serving", "--bogus")
+        );
+        assert_eq!(
+            check_flags(&args(&["all", "--cachedir", "x"])),
+            unknown("all", "--cachedir")
+        );
+        // A flag one command reads is still unknown to another.
+        assert_eq!(
+            check_flags(&args(&["decode", "--kv-page", "16"])),
+            unknown("decode", "--kv-page")
+        );
+        assert_eq!(
+            check_flags(&args(&["precision", "extra"])),
+            unknown("precision", "extra")
+        );
+        assert_eq!(
+            check_flags(&args(&["serving", "--scaling", "aggressive", "--kv-page"])),
+            Err(FlagError::MissingValue("--kv-page"))
+        );
+        // `help` and unknown commands are left to the dispatcher.
+        assert_eq!(check_flags(&args(&["help", "serving"])), Ok(()));
+        assert_eq!(check_flags(&args(&[])), Ok(()));
+    }
+
+    #[test]
+    fn the_removed_cache_dir_flag_is_unknown() {
+        for command in ["all", "serving", "fleet", "layers"] {
+            assert_eq!(
+                check_flags(&args(&[command, "--cache-dir", "D"])),
+                Err(FlagError::UnknownFlag {
+                    command: command.into(),
+                    flag: "--cache-dir".into(),
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn every_ci_invocation_passes_the_check() {
+        for invocation in [
+            "all",
+            "transformers --scaling aggressive",
+            "decode --scaling aggressive",
+            "serving --scaling conservative",
+            "serving --arrival poisson:0.1 --policy shortest-prompt --scaling conservative",
+            "serving --arrival bursty --policy slo --scaling aggressive",
+            "serving --kv-page 16 --shared-prefix 40 --scaling conservative",
+            "fleet --instances 3 --router least-loaded-kv --scaling conservative",
+            "fleet --slo p99-ttft:20 --router join-shortest-queue --scaling aggressive",
+            "check --deny warnings",
+            "check --format json",
+            "layers --network bert-base --dedup",
+        ] {
+            let list: Vec<&str> = invocation.split_whitespace().collect();
+            assert_eq!(check_flags(&args(&list)), Ok(()), "{invocation}");
         }
     }
 }

@@ -1,23 +1,18 @@
-//! Mapper throughput: pruned/deduplicated search and the persistent
-//! eval cache.
+//! Mapper throughput: pruned and deduplicated random search.
 //!
-//! Pins the two performance claims of the mapper-speed refactor:
+//! Pins the performance claim of the mapper-speed refactor: **search
+//! does less work for the same answer.** On a transformer GEMM (the
+//! attention score matmul of a bert-base encoder block),
+//! `random_search` (candidate dedup) and `random_search_pruned` (dedup
+//! plus a lower-bound early exit) must land on the bit-identical winning
+//! mapping and cost of the naive baseline while calling `analyze` on
+//! strictly fewer candidates. The contract is asserted on every run,
+//! the CI smoke profile included.
 //!
-//! * **Search does less work for the same answer.** On a transformer
-//!   GEMM, `random_search` (candidate dedup) and `random_search_pruned`
-//!   (dedup + lower-bound early exit) must land on the bit-identical
-//!   winning mapping of the naive baseline while calling `analyze` on
-//!   strictly fewer candidates.
-//! * **Persistence pays across processes.** A warm-from-disk
-//!   [`lumen_core::EvalCache`] must make a repeated bert-base evaluation
-//!   at least 2x faster than the cold run that populated it (in
-//!   practice the warm run does no mapping search at all), with
-//!   bit-identical results.
-//!
-//! Besides the criterion timings, the bench emits `BENCH_mapper.json`
-//! at the repo root (searches/s, candidates analyzed vs. skipped, cold
-//! vs. persisted-warm wall times on bert-base and the decode serving
-//! workload), so the perf trajectory is tracked as an artifact.
+//! Besides the criterion timings, a full run outside CI writes
+//! `BENCH_mapper.json` at the repo root (searches/s and candidates
+//! analyzed vs. skipped per variant), so the trajectory is tracked as an
+//! artifact.
 //!
 //! Run `cargo bench -p lumen-bench --bench mapper` for timings, or
 //! append `-- --test` for the CI smoke profile (one iteration per
@@ -26,22 +21,16 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use lumen_albireo::{AlbireoConfig, ScalingProfile};
 use lumen_bench::print_once;
-use lumen_core::{EvalCache, EvalSession, MappingStrategy, NetworkOptions, System};
+use lumen_core::System;
 use lumen_mapper::search::{
     random_search, random_search_baseline, random_search_pruned, Preview, SearchConfig,
     SearchResult,
 };
 use lumen_mapper::LayerAnalysis;
-use lumen_workload::{networks, Layer, Network};
+use lumen_workload::{networks, Layer};
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::path::Path;
 use std::time::Instant;
-
-/// Cross-process warm-start floor asserted under
-/// `LUMEN_BENCH_ASSERT_SPEEDUP` (the trajectory in `BENCH_mapper.json`
-/// is several times above it: the warm run searches nothing).
-const PERSIST_SPEEDUP_FLOOR: f64 = 2.0;
 
 const SEARCH: SearchConfig = SearchConfig {
     iterations: 400,
@@ -80,13 +69,6 @@ fn albireo_system() -> System {
     AlbireoConfig::new(ScalingProfile::Aggressive).build_system()
 }
 
-/// A scratch cache directory unique to this bench invocation.
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lumen-bench-mapper-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Runs the three search variants on `layer` and checks the refactor's
 /// contract: identical winning mapping and cost, strictly less
 /// `analyze` work. Returns `(baseline, deduped, pruned)`.
@@ -118,51 +100,6 @@ fn search_contract(system: &System, layer: &Layer) -> (SearchResult, SearchResul
         );
     }
     (baseline, deduped, pruned)
-}
-
-/// Cold-populates a persistent cache in `dir` with `net`, saves it, then
-/// warm-starts a second cache from disk — two sessions over fresh
-/// `EvalCache::persistent_in` instances, exactly what two CLI processes
-/// sharing `--cache-dir` do. Returns `(cold, warm)` seconds.
-fn persist_walls(system: &System, net: &Network, dir: &Path) -> (f64, f64) {
-    let options = NetworkOptions::baseline();
-
-    let start = Instant::now();
-    let cache = EvalCache::persistent_in(dir);
-    let session = EvalSession::new(system.clone()).with_cache(Arc::clone(&cache));
-    let cold_eval = session.evaluate_network(net, &options).expect("cold maps");
-    cache.save().expect("snapshot writes");
-    let cold = start.elapsed().as_secs_f64();
-    assert!(session.cache_stats().misses > 0, "cold run really searched");
-    drop(session);
-    drop(cache);
-
-    // "Second process": re-read the snapshot from disk, then evaluate.
-    let warm = best_seconds(3, || {
-        let cache = EvalCache::persistent_in(dir);
-        let session = EvalSession::new(system.clone()).with_cache(Arc::clone(&cache));
-        let warm_eval = session.evaluate_network(net, &options).expect("warm maps");
-        assert_eq!(
-            session.cache_stats().misses,
-            0,
-            "{}: warm-from-disk run re-ran a search",
-            net.name()
-        );
-        assert_eq!(
-            cold_eval.energy.total().picojoules().to_bits(),
-            warm_eval.energy.total().picojoules().to_bits(),
-            "{}: warm energy drifted from the cold run",
-            net.name()
-        );
-        assert_eq!(
-            cold_eval.cycles.to_bits(),
-            warm_eval.cycles.to_bits(),
-            "{}: warm cycles drifted from the cold run",
-            net.name()
-        );
-        warm_eval.energy.total()
-    });
-    (cold, warm)
 }
 
 fn write_json(path: &Path, times: &[(&str, f64)], extras: &[(&str, f64)]) {
@@ -215,67 +152,23 @@ fn bench_mapper(c: &mut Criterion) {
         },
     );
 
-    let gate = std::env::var_os("LUMEN_BENCH_ASSERT_SPEEDUP").is_some();
-    let write_artifact = !c.is_smoke() && std::env::var_os("CI").is_none();
-    if gate || write_artifact {
-        // The persistence claim is made where persistence matters: a
-        // searched strategy, whose cold run pays a 400-candidate search
-        // per unique signature while the warm run searches nothing.
-        let searched = System::new(
-            AlbireoConfig::new(ScalingProfile::Aggressive).build_arch(),
-            MappingStrategy::RandomSearch(SEARCH),
+    if !c.is_smoke() && std::env::var_os("CI").is_none() {
+        let search_wall = best_seconds(3, || {
+            random_search(system.arch(), &layer, SEARCH, cost).expect("search maps")
+        });
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        write_json(
+            &root.join("BENCH_mapper.json"),
+            &[("random_search_400", search_wall)],
+            &[
+                ("searches_per_s", 1.0 / search_wall),
+                ("candidates_analyzed_baseline", baseline.evaluated as f64),
+                ("candidates_analyzed_dedup", deduped.evaluated as f64),
+                ("candidates_analyzed_pruned", pruned.evaluated as f64),
+                ("candidates_skipped_dedup", deduped.skipped() as f64),
+                ("candidates_skipped_pruned", pruned.skipped() as f64),
+            ],
         );
-        let decode = networks::by_name("gpt2-small-decode").expect("decode workload resolves");
-        let bert_dir = scratch_dir("bert");
-        let (bert_cold, bert_warm) = persist_walls(&searched, &bert, &bert_dir);
-        let decode_dir = scratch_dir("decode");
-        let (decode_cold, decode_warm) = persist_walls(&searched, &decode, &decode_dir);
-        let _ = std::fs::remove_dir_all(&bert_dir);
-        let _ = std::fs::remove_dir_all(&decode_dir);
-        let (bert_speedup, decode_speedup) = (bert_cold / bert_warm, decode_cold / decode_warm);
-        println!(
-            "bert-base:        cold {:.1} ms -> warm-from-disk {:.2} ms ({bert_speedup:.0}x)",
-            bert_cold * 1e3,
-            bert_warm * 1e3
-        );
-        println!(
-            "gpt2-small-decode: cold {:.1} ms -> warm-from-disk {:.2} ms ({decode_speedup:.0}x)",
-            decode_cold * 1e3,
-            decode_warm * 1e3
-        );
-        if gate {
-            assert!(
-                bert_speedup >= PERSIST_SPEEDUP_FLOOR,
-                "persistent warm-start regressed below the floor on bert-base: \
-                 {bert_speedup:.2}x < {PERSIST_SPEEDUP_FLOOR:.1}x"
-            );
-        }
-        if write_artifact {
-            let search_wall = best_seconds(3, || {
-                random_search(system.arch(), &layer, SEARCH, cost).expect("search maps")
-            });
-            let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-            write_json(
-                &root.join("BENCH_mapper.json"),
-                &[
-                    ("random_search_400", search_wall),
-                    ("bert_base_persist_cold", bert_cold),
-                    ("bert_base_persist_warm", bert_warm),
-                    ("decode_persist_cold", decode_cold),
-                    ("decode_persist_warm", decode_warm),
-                ],
-                &[
-                    ("searches_per_s", 1.0 / search_wall),
-                    ("candidates_analyzed_baseline", baseline.evaluated as f64),
-                    ("candidates_analyzed_dedup", deduped.evaluated as f64),
-                    ("candidates_analyzed_pruned", pruned.evaluated as f64),
-                    ("candidates_skipped_dedup", deduped.skipped() as f64),
-                    ("candidates_skipped_pruned", pruned.skipped() as f64),
-                    ("bert_base_persist_speedup", bert_speedup),
-                    ("decode_persist_speedup", decode_speedup),
-                ],
-            );
-        }
     }
 
     let mut group = c.benchmark_group("mapper");

@@ -44,6 +44,10 @@ fn main() -> ExitCode {
         }
     };
     let command = args.first().map_or("help", String::as_str);
+    if let Err(e) = lumen_albireo::flags::check_flags(&args) {
+        eprintln!("error: {e} (try `lumen help`)");
+        return ExitCode::FAILURE;
+    }
     let result = match command {
         "fig2" => fig2(),
         "fig3" => fig3(),
@@ -61,7 +65,6 @@ fn main() -> ExitCode {
         "serving" => serving_cmd(&args),
         "fleet" => fleet_cmd(&args),
         "components" => components_cmd(),
-        "cache" => cache_cmd(&args),
         "check" => check_cmd(&args),
         "baseline" => baseline(&args),
         "precision" => precision(&args),
@@ -69,14 +72,11 @@ fn main() -> ExitCode {
             print_help();
             Ok(())
         }
+        other if other.starts_with('-') => {
+            Err(format!("unknown option `{other}` (try `lumen help`)"))
+        }
         other => Err(format!("unknown command `{other}` (try `lumen help`)")),
     };
-    // The persistent cache configured by --cache-dir / LUMEN_CACHE_DIR
-    // lives in a process-wide static whose Drop never runs; flush it
-    // here so this run's evaluations warm-start the next process.
-    if let Err(e) = lumen_core::flush_persistent_cache() {
-        eprintln!("warning: failed to save the persistent eval cache: {e}");
-    }
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
@@ -90,9 +90,7 @@ fn main() -> ExitCode {
 /// forces the sweep/eval worker count (the `LUMEN_SWEEP_THREADS`
 /// override made reachable), `--no-cache` disables the
 /// content-addressed evaluation cache for A/B debugging
-/// (`LUMEN_EVAL_CACHE=0`), and `--cache-dir DIR` persists the cache to
-/// a snapshot in `DIR` so repeated runs warm-start across processes
-/// (`LUMEN_CACHE_DIR`). All work by setting the corresponding
+/// (`LUMEN_EVAL_CACHE=0`). Both work by setting the corresponding
 /// environment variable before any evaluation starts — the knobs are
 /// resolved once per process, so this must run first. Returns the
 /// remaining arguments (command + per-command options), so the global
@@ -118,15 +116,6 @@ fn apply_global_flags(args: &[String]) -> Result<Vec<String>, String> {
                 std::env::set_var("LUMEN_SWEEP_THREADS", n.to_string());
             }
             "--no-cache" => std::env::set_var("LUMEN_EVAL_CACHE", "0"),
-            "--cache-dir" => {
-                let Some(dir) = iter.next() else {
-                    return Err("--cache-dir expects a directory".to_string());
-                };
-                if dir.is_empty() {
-                    return Err("--cache-dir expects a non-empty directory".to_string());
-                }
-                std::env::set_var("LUMEN_CACHE_DIR", dir);
-            }
             _ => rest.push(arg.clone()),
         }
     }
@@ -160,7 +149,6 @@ fn print_help() {
     println!("              [--arrival closed-loop|poisson[:rate]|bursty|diurnal]");
     println!("              [--slo p99-ttft:MS]  (search the smallest fleet meeting the SLO)");
     println!("  components  print the component library report");
-    println!("  cache       inspect the persistent eval cache [--clear] (needs --cache-dir)");
     println!("  check       static pre-flight lint of architectures x workloads x strategies");
     println!("              [--arch albireo|digital] [--network <name>] [--scaling <corner>]");
     println!(
@@ -173,7 +161,6 @@ fn print_help() {
     println!("GLOBAL OPTIONS:");
     println!("  --threads N   force the evaluation worker count (default: machine parallelism)");
     println!("  --no-cache    disable the content-addressed evaluation cache (A/B debugging)");
-    println!("  --cache-dir D persist the eval cache to a snapshot in D (warm-start reruns)");
     println!();
     println!("Corners: conservative | moderate | aggressive");
     println!("Networks: {}", networks::NAMES.join(" | "));
@@ -451,83 +438,22 @@ fn components_cmd() -> Result<(), String> {
     Ok(())
 }
 
-fn cache_cmd(args: &[String]) -> Result<(), String> {
-    let dir = std::env::var_os("LUMEN_CACHE_DIR")
-        .filter(|d| !d.is_empty())
-        .ok_or_else(|| {
-            "no cache directory configured (pass --cache-dir DIR or set LUMEN_CACHE_DIR)"
-                .to_string()
-        })?;
-    let dir = std::path::PathBuf::from(dir);
-    if args.iter().any(|a| a == "--clear") {
-        return match lumen_core::clear_cache_dir(&dir).map_err(|e| e.to_string())? {
-            true => {
-                println!("cleared persistent eval cache in {}", dir.display());
-                Ok(())
-            }
-            false => {
-                println!("no persistent eval cache in {}", dir.display());
-                Ok(())
-            }
-        };
-    }
-    let Some(info) = lumen_core::inspect_cache_dir(&dir) else {
-        println!(
-            "no persistent eval cache in {} (missing or invalid snapshot)",
-            dir.display()
-        );
-        return Ok(());
-    };
-    println!("persistent eval cache: {}", info.path.display());
-    println!("  entries: {}", info.entries);
-    println!("  size:    {} bytes", info.bytes);
-    if !info.per_system.is_empty() {
-        let mut table = Table::new(vec![
-            "arch fingerprint".into(),
-            "strategy fingerprint".into(),
-            "entries".into(),
-        ]);
-        for (arch, strategy, count) in &info.per_system {
-            table.row(vec![
-                format!("{arch:016x}"),
-                format!("{strategy:016x}"),
-                count.to_string(),
-            ]);
-        }
-        print!("{}", table.render());
-    }
-    Ok(())
-}
-
 fn check_cmd(args: &[String]) -> Result<(), String> {
     use lumen_albireo::{check, DigitalBaseline};
     use lumen_lint::{LintConfig, Report};
 
     // `--deny warnings` escalates every warning; `--deny L####` escalates
     // one code; `--allow L####` drops one code. The flags repeat, so walk
-    // the argument list instead of using `option_value`.
+    // the (flag, value) pairs instead of using `option_value`;
+    // `check_flags` has already rejected a flag without a value.
     let mut config = LintConfig::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--allow" => {
-                let Some(code) = iter.next() else {
-                    return Err("--allow expects a lint code".to_string());
-                };
-                config = config.allow(code);
-            }
-            "--deny" => {
-                let Some(what) = iter.next() else {
-                    return Err("--deny expects `warnings` or a lint code".to_string());
-                };
-                config = if what == "warnings" {
-                    config.deny_warnings()
-                } else {
-                    config.deny(what)
-                };
-            }
-            _ => {}
-        }
+    for pair in args.windows(2) {
+        config = match (pair[0].as_str(), pair[1].as_str()) {
+            ("--allow", code) => config.allow(code),
+            ("--deny", "warnings") => config.deny_warnings(),
+            ("--deny", code) => config.deny(code),
+            _ => config,
+        };
     }
 
     let format = option_value(args, "--format").unwrap_or("text");

@@ -62,7 +62,6 @@
 use crate::evaluator::MappingFn;
 use crate::evaluator::Reroute;
 use crate::network::fusion_reroute;
-use crate::persist::{read_snapshot, write_snapshot, PersistEntry};
 use crate::{
     EnergyBreakdown, LayerEvaluation, NetworkEvaluation, NetworkOptions, SweepRunner, System,
     SystemError,
@@ -70,10 +69,9 @@ use crate::{
 use lumen_arch::Architecture;
 use lumen_workload::{fnv1a_bytes, Layer, LayerSignature, Network, TensorKind};
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LockResult, Mutex, OnceLock, PoisonError, RwLock};
 
 /// A content fingerprint of an architecture, for evaluation-cache keys.
@@ -96,9 +94,24 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// The lookups counted since `before`, an earlier reading of the
+    /// same counters.
+    #[must_use]
+    pub fn since(self, before: CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits - before.hits,
+            misses: self.misses - before.misses,
+        }
+    }
+
+    /// Lookups counted: hits plus misses.
+    pub fn lookups(&self) -> u64 {
+        self.hits + self.misses
+    }
+
     /// Fraction of lookups answered from the cache (0 when idle).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.lookups();
         if total == 0 {
             return 0.0;
         }
@@ -126,8 +139,8 @@ struct EvalKey {
 /// evaluated layers take the exclusive lock. A lock poisoned by a
 /// panicking holder is recovered rather than propagated: the map only
 /// ever holds finished, content-addressed entries (each inserted whole,
-/// under one write), and the pin and fingerprint sets only grow, so no
-/// holder can leave them half-updated.
+/// under one write), and the pin set only grows, so no holder can leave
+/// either half-updated.
 #[derive(Default)]
 pub struct EvalCache {
     map: RwLock<HashMap<EvalKey, Result<LayerEvaluation, SystemError>>>,
@@ -139,16 +152,6 @@ pub struct EvalCache {
     /// hole: an address can never be freed and reused by a different
     /// closure while entries keyed on it are still servable.
     pinned_strategies: Mutex<Vec<Arc<MappingFn>>>,
-    /// Snapshot file backing this cache, when persistent (see
-    /// [`EvalCache::persistent_in`]).
-    persist_path: Option<PathBuf>,
-    /// Whether entries were inserted since the last successful save.
-    dirty: AtomicBool,
-    /// Strategy fingerprints that are only meaningful inside this
-    /// process — address-fingerprinted `Custom` closures, whose `Arc`
-    /// address another process (or a later run) could hand to a
-    /// different closure. Entries keyed on these are never persisted.
-    volatile_fps: Mutex<HashSet<u64>>,
 }
 
 impl fmt::Debug for EvalCache {
@@ -166,99 +169,20 @@ fn recover<G>(result: LockResult<G>) -> G {
     result.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The snapshot filename inside a cache directory. The fingerprint
-/// scheme version is part of the name, so a future scheme change starts
-/// a fresh file instead of fighting the old one.
-const SNAPSHOT_FILE: &str = "evalcache-v1.bin";
-
 impl EvalCache {
     /// Creates an empty shareable cache.
     pub fn shared() -> Arc<EvalCache> {
         Arc::new(EvalCache::default())
     }
 
-    /// Opens (or cold-starts) a **persistent** cache backed by a
-    /// snapshot file in `dir`.
-    ///
-    /// An existing valid snapshot warm-starts the cache: every persisted
-    /// evaluation is served bit-identically to a cold computation, since
-    /// keys embed the stable content fingerprints and all floats are
-    /// stored as raw bits. A missing, truncated, corrupt or
-    /// version-mismatched snapshot silently yields an empty cache.
-    ///
-    /// New entries are flushed back atomically (temp file + rename) by
-    /// [`EvalCache::save`] or on drop. Entries keyed on
-    /// address-fingerprinted `Custom` strategies are never written out —
-    /// their fingerprints do not survive the process.
-    pub fn persistent_in(dir: &Path) -> Arc<EvalCache> {
-        let path = dir.join(SNAPSHOT_FILE);
-        let mut map = HashMap::new();
-        if let Some(entries) = read_snapshot(&path) {
-            for e in entries {
-                let key = EvalKey {
-                    arch: e.arch,
-                    strategy: e.strategy,
-                    signature: e.signature,
-                    reroute: e.reroute,
-                };
-                map.insert(key, Ok(e.value));
-            }
-        }
-        Arc::new(EvalCache {
-            map: RwLock::new(map),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            pinned_strategies: Mutex::new(Vec::new()),
-            persist_path: Some(path),
-            dirty: AtomicBool::new(false),
-            volatile_fps: Mutex::new(HashSet::new()),
-        })
-    }
-
-    /// Writes the cache's successful entries to its snapshot file
-    /// (no-op for non-persistent caches). Atomic: a concurrent reader
-    /// sees either the old snapshot or the new one, never a torn file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures from writing the snapshot; the in-memory
-    /// cache is unaffected either way.
-    pub fn save(&self) -> std::io::Result<()> {
-        let Some(path) = &self.persist_path else {
-            return Ok(());
-        };
-        let volatile = recover(self.volatile_fps.lock());
-        let entries: Vec<PersistEntry> = recover(self.map.read())
-            .iter()
-            .filter(|(k, _)| !volatile.contains(&k.strategy))
-            .filter_map(|(k, v)| {
-                let value = v.as_ref().ok()?.clone();
-                Some(PersistEntry {
-                    arch: k.arch,
-                    strategy: k.strategy,
-                    signature: k.signature,
-                    reroute: k.reroute.clone(),
-                    value,
-                })
-            })
-            .collect();
-        drop(volatile);
-        write_snapshot(path, &entries)?;
-        self.dirty.store(false, Ordering::Relaxed);
-        Ok(())
-    }
-
     /// Keeps identity-fingerprinted strategy closures alive as long as
-    /// the cache (see `pinned_strategies`), and marks their fingerprints
-    /// volatile so persistence never writes entries keyed on them.
+    /// the cache (see `pinned_strategies`).
     fn pin_strategy(&self, strategy: &crate::MappingStrategy) {
         if let crate::MappingStrategy::Custom(f) = strategy {
             let mut pinned = recover(self.pinned_strategies.lock());
             if !pinned.iter().any(|p| Arc::ptr_eq(p, f)) {
                 pinned.push(Arc::clone(f));
             }
-            drop(pinned);
-            recover(self.volatile_fps.lock()).insert(strategy.fingerprint());
         }
     }
 
@@ -313,110 +237,6 @@ impl EvalCache {
     }
 }
 
-impl Drop for EvalCache {
-    /// Persistent caches flush themselves when the last `Arc` drops.
-    /// Save errors at this point have no caller to return to, but they
-    /// must not vanish either — a full disk or revoked permission would
-    /// otherwise silently cost every future run its warm start — so the
-    /// failure is reported once on stderr and the drop continues (the
-    /// next cold run simply re-pays the searches).
-    fn drop(&mut self) {
-        if self.persist_path.is_some() && self.dirty.load(Ordering::Relaxed) {
-            if let Err(e) = self.save() {
-                let path = self
-                    .persist_path
-                    .as_deref()
-                    .map_or_else(String::new, |p| p.display().to_string());
-                eprintln!("warning: failed to save the eval-cache snapshot to {path}: {e}");
-            }
-        }
-    }
-}
-
-/// The process-wide persistent cache configured by the `LUMEN_CACHE_DIR`
-/// environment variable (the CLI's `--cache-dir` flag sets it), if any.
-/// Resolved once per process; every [`EvalSession`] with caching enabled
-/// then shares this cache, warm-starting from its snapshot.
-fn persistent_cache_from_env() -> Option<Arc<EvalCache>> {
-    static CACHE: OnceLock<Option<Arc<EvalCache>>> = OnceLock::new();
-    CACHE
-        .get_or_init(|| {
-            let dir = std::env::var_os("LUMEN_CACHE_DIR")?;
-            if dir.is_empty() {
-                return None;
-            }
-            Some(EvalCache::persistent_in(Path::new(&dir)))
-        })
-        .clone()
-}
-
-/// Flushes the process-wide persistent cache to disk, if `LUMEN_CACHE_DIR`
-/// configured one and new entries were inserted since the last save. The
-/// env-configured cache lives in a process-wide static whose `Drop`
-/// never runs, so CLI entry points call this before exiting. The dirty
-/// check keeps read-only invocations (`lumen cache`, failed argument
-/// parses) from rewriting — or resurrecting a just-cleared — snapshot.
-///
-/// # Errors
-///
-/// Propagates snapshot-write I/O failures.
-pub fn flush_persistent_cache() -> std::io::Result<()> {
-    match persistent_cache_from_env() {
-        Some(cache) if cache.dirty.load(Ordering::Relaxed) => cache.save(),
-        _ => Ok(()),
-    }
-}
-
-/// What [`inspect_cache_dir`] reports about a persistent cache directory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PersistentCacheInfo {
-    /// The snapshot file inspected.
-    pub path: PathBuf,
-    /// Snapshot size on disk in bytes.
-    pub bytes: u64,
-    /// Total persisted evaluations.
-    pub entries: usize,
-    /// Entry counts per `(arch fingerprint, strategy fingerprint)` pair,
-    /// most-populated first.
-    pub per_system: Vec<(u64, u64, usize)>,
-}
-
-/// Reads the snapshot in `dir` and summarizes it without touching the
-/// process-wide cache. `None` if there is no valid snapshot (missing,
-/// corrupt or version-mismatched — the same cases a session treats as
-/// cold).
-pub fn inspect_cache_dir(dir: &Path) -> Option<PersistentCacheInfo> {
-    let path = dir.join(SNAPSHOT_FILE);
-    let bytes = std::fs::metadata(&path).ok()?.len();
-    let entries = read_snapshot(&path)?;
-    let mut counts: HashMap<(u64, u64), usize> = HashMap::new();
-    for e in &entries {
-        *counts.entry((e.arch, e.strategy)).or_insert(0) += 1;
-    }
-    let mut per_system: Vec<(u64, u64, usize)> =
-        counts.into_iter().map(|((a, s), n)| (a, s, n)).collect();
-    per_system.sort_by(|x, y| y.2.cmp(&x.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
-    Some(PersistentCacheInfo {
-        path,
-        bytes,
-        entries: entries.len(),
-        per_system,
-    })
-}
-
-/// Deletes the snapshot in `dir`. Returns whether a snapshot existed.
-///
-/// # Errors
-///
-/// Propagates filesystem errors other than "not found".
-pub fn clear_cache_dir(dir: &Path) -> std::io::Result<bool> {
-    match std::fs::remove_file(dir.join(SNAPSHOT_FILE)) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-        Err(e) => Err(e),
-    }
-}
-
 /// `true` unless the `LUMEN_EVAL_CACHE` environment variable disables
 /// caching process-wide (`0` / `off` / `false` / `no`; the CLI's
 /// `--no-cache` flag sets it). Resolved once per process.
@@ -465,12 +285,9 @@ impl EvalSession {
     /// Wraps `system` with a fresh private cache and a default
     /// [`SweepRunner`] (machine parallelism, `LUMEN_SWEEP_THREADS`
     /// override). Caching is disabled process-wide when the
-    /// `LUMEN_EVAL_CACHE` environment variable says so; when
-    /// `LUMEN_CACHE_DIR` names a directory, the process-wide persistent
-    /// cache backed by its snapshot is used instead of a private one.
+    /// `LUMEN_EVAL_CACHE` environment variable says so.
     pub fn new(system: System) -> EvalSession {
-        let cache = cache_enabled_by_env()
-            .then(|| persistent_cache_from_env().unwrap_or_else(EvalCache::shared));
+        let cache = cache_enabled_by_env().then(EvalCache::shared);
         EvalSession::build(system, cache, SweepRunner::new())
     }
 
@@ -484,17 +301,9 @@ impl EvalSession {
     /// uncached. That precedence is load-bearing: it is how the CLI's
     /// `--no-cache` A/B escape hatch overrides the shared caches the
     /// figure drivers and `dse::sweep` pass in.
-    ///
-    /// Similarly, when `LUMEN_CACHE_DIR` configures a persistent cache,
-    /// that cache is used instead of the argument: the figure drivers
-    /// all pass in process-local shared caches, and substituting here is
-    /// what lets their evaluations warm-start from (and flow back into)
-    /// the snapshot. Keys embed the system fingerprints either way, so
-    /// the substitution is behavior-preserving.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<EvalCache>) -> EvalSession {
         if self.cache.is_some() {
-            let cache = persistent_cache_from_env().unwrap_or(cache);
             cache.pin_strategy(self.system.strategy());
             self.cache = Some(cache);
         }
@@ -822,11 +631,6 @@ impl EvalSession {
         recover(cache.map.write())
             .entry(key)
             .or_insert_with(|| outcome.clone());
-        // Only successes are ever persisted, so failures need not dirty
-        // the snapshot.
-        if outcome.is_ok() {
-            cache.dirty.store(true, Ordering::Relaxed);
-        }
         outcome
     }
 }
@@ -1352,181 +1156,6 @@ mod tests {
         session
             .evaluate_network(&repeated_net(), &NetworkOptions::baseline())
             .expect("preflight is opt-in");
-    }
-
-    /// A fresh, unique scratch directory for one persistence test.
-    fn scratch_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("lumen-cache-test-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn persistent_cache_warm_starts_bit_identically() {
-        let dir = scratch_dir("warm");
-        let layer = Layer::conv2d("c", 1, 16, 8, 8, 8, 3, 3);
-        let searched = || {
-            System::new(
-                toy_arch(0.05),
-                MappingStrategy::RandomSearch(SearchConfig {
-                    iterations: 60,
-                    seed: 9,
-                }),
-            )
-        };
-
-        // "Process one": cold evaluation, explicit save.
-        let cold = {
-            let cache = EvalCache::persistent_in(&dir);
-            let session = EvalSession::new(searched()).with_cache(Arc::clone(&cache));
-            let eval = session.evaluate_layer(&layer).unwrap();
-            assert_eq!(session.cache_stats().misses, 1);
-            cache.save().unwrap();
-            eval
-        };
-
-        // "Process two": a fresh cache re-reads the snapshot from disk.
-        let cache = EvalCache::persistent_in(&dir);
-        assert_eq!(cache.len(), 1, "snapshot warm-started the cache");
-        let session = EvalSession::new(searched()).with_cache(Arc::clone(&cache));
-        let warm = session.evaluate_layer(&layer).unwrap();
-        assert_eq!(session.cache_stats().misses, 0, "no search re-ran");
-        assert_eq!(session.cache_stats().hits, 1);
-
-        assert_eq!(cold.mapping, warm.mapping);
-        assert_eq!(
-            cold.energy.total().picojoules().to_bits(),
-            warm.energy.total().picojoules().to_bits()
-        );
-        assert_eq!(cold.analysis, warm.analysis);
-        assert_eq!(cold.energy, warm.energy);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dirty_caches_flush_on_drop() {
-        let dir = scratch_dir("drop");
-        {
-            let cache = EvalCache::persistent_in(&dir);
-            let session = EvalSession::new(toy_system()).with_cache(Arc::clone(&cache));
-            session
-                .evaluate_layer(&Layer::conv2d("c", 1, 16, 8, 8, 8, 3, 3))
-                .unwrap();
-            // No explicit save: the last Arc dropping at end of scope
-            // must write the snapshot.
-        }
-        let info = inspect_cache_dir(&dir).expect("snapshot written on drop");
-        assert_eq!(info.entries, 1);
-        assert!(info.bytes > 0);
-        assert_eq!(info.per_system.len(), 1);
-        assert_eq!(info.per_system[0].2, 1);
-        assert!(clear_cache_dir(&dir).unwrap());
-        assert!(!clear_cache_dir(&dir).unwrap(), "already cleared");
-        assert!(inspect_cache_dir(&dir).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_snapshots_cold_start_without_panicking() {
-        let dir = scratch_dir("corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(SNAPSHOT_FILE), b"not a snapshot at all").unwrap();
-        let cache = EvalCache::persistent_in(&dir);
-        assert!(cache.is_empty(), "garbage snapshot treated as cold");
-        assert!(inspect_cache_dir(&dir).is_none());
-        // The cold cache still works and can overwrite the bad file.
-        let session = EvalSession::new(toy_system()).with_cache(Arc::clone(&cache));
-        session
-            .evaluate_layer(&Layer::conv2d("c", 1, 16, 8, 8, 8, 3, 3))
-            .unwrap();
-        cache.save().unwrap();
-        assert_eq!(inspect_cache_dir(&dir).unwrap().entries, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn save_skips_entries_keyed_on_volatile_custom_strategies() {
-        use lumen_mapper::search::{greedy_mapping, spatial_priority_for, TemporalPlan};
-        let dir = scratch_dir("volatile");
-        let cache = EvalCache::persistent_in(&dir);
-        let layer = Layer::conv2d("c", 1, 16, 8, 8, 8, 3, 3);
-        // One entry under a stable fingerprint, one under an
-        // address-fingerprinted Custom closure.
-        EvalSession::new(toy_system())
-            .with_cache(Arc::clone(&cache))
-            .evaluate_layer(&layer)
-            .unwrap();
-        let custom: Arc<MappingFn> = Arc::new(|arch, layer| {
-            greedy_mapping(
-                arch,
-                layer,
-                spatial_priority_for(layer),
-                &TemporalPlan::all_at(1),
-            )
-        });
-        EvalSession::new(System::new(toy_arch(0.05), MappingStrategy::Custom(custom)))
-            .with_cache(Arc::clone(&cache))
-            .evaluate_layer(&layer)
-            .unwrap();
-        assert_eq!(cache.len(), 2);
-        cache.save().unwrap();
-        assert_eq!(
-            inspect_cache_dir(&dir).unwrap().entries,
-            1,
-            "address-fingerprinted entry must not be persisted"
-        );
-        // Keyed Custom strategies have caller-vouched stable
-        // fingerprints, so they *do* persist.
-        let keyed = MappingStrategy::custom_keyed(
-            0xBEEF,
-            Arc::new(|arch, layer| {
-                greedy_mapping(
-                    arch,
-                    layer,
-                    spatial_priority_for(layer),
-                    &TemporalPlan::all_at(1),
-                )
-            }),
-        );
-        EvalSession::new(System::new(toy_arch(0.05), keyed))
-            .with_cache(Arc::clone(&cache))
-            .evaluate_layer(&layer)
-            .unwrap();
-        cache.save().unwrap();
-        assert_eq!(inspect_cache_dir(&dir).unwrap().entries, 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mapping_failures_are_not_persisted() {
-        let dir = scratch_dir("failures");
-        let arch = ArchBuilder::new("tiny", Frequency::from_gigahertz(1.0))
-            .storage("dram", Domain::DigitalElectrical, TensorSet::all())
-            .done()
-            .storage("buf", Domain::DigitalElectrical, TensorSet::all())
-            .capacity_bits(8)
-            .done()
-            .compute("mac", Domain::DigitalElectrical, Energy::ZERO)
-            .build()
-            .unwrap();
-        let cache = EvalCache::persistent_in(&dir);
-        let session = EvalSession::new(System::new(
-            arch,
-            MappingStrategy::Greedy { temporal_level: 1 },
-        ))
-        .with_cache(Arc::clone(&cache));
-        session
-            .evaluate_layer(&Layer::conv2d("c", 1, 16, 8, 8, 8, 3, 3))
-            .unwrap_err();
-        assert_eq!(cache.len(), 1, "the failure is cached in memory");
-        cache.save().unwrap();
-        assert_eq!(
-            inspect_cache_dir(&dir).unwrap().entries,
-            0,
-            "failures never reach the snapshot"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -66,15 +66,11 @@ mod energy;
 mod evaluator;
 pub mod fleet;
 mod network;
-mod persist;
 pub mod report;
 pub mod serving;
 pub mod sweep;
 
-pub use cache::{
-    arch_fingerprint, clear_cache_dir, flush_persistent_cache, inspect_cache_dir, CacheStats,
-    EvalCache, EvalSession, PersistentCacheInfo,
-};
+pub use cache::{arch_fingerprint, CacheStats, EvalCache, EvalSession};
 pub use decode::{decode_sweep, DecodePoint};
 pub use energy::{CostCategory, EnergyBreakdown, EnergyItem};
 pub use evaluator::{

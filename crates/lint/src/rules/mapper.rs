@@ -34,8 +34,7 @@ impl Lint for AddressFingerprint {
                 self.code(),
                 Severity::Warn,
                 format!("strategy/{}", facts.label),
-                "fingerprint hashes the closure's address; cached results cannot be \
-                 shared or persisted"
+                "fingerprint hashes the closure's address; cached results cannot be shared"
                     .to_string(),
                 "use MappingStrategy::custom_keyed with a stable content key",
             ));

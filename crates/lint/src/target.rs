@@ -21,8 +21,8 @@ pub struct StrategyFacts {
     /// Human-readable strategy description (used in diagnostic paths).
     pub label: String,
     /// Whether the strategy's cache fingerprint hashes a closure
-    /// *address* rather than content — unsound to persist or share
-    /// across processes.
+    /// *address* rather than content, so results cached under it cannot
+    /// be shared with a rebuilt copy of the strategy.
     pub address_fingerprinted: bool,
     /// The random-search configuration, when the strategy searches.
     pub search: Option<SearchConfig>,

@@ -148,81 +148,6 @@ impl LayerSignature {
         }
         fnv1a(b"layer", &words)
     }
-
-    /// Number of words in the [`LayerSignature::encode_words`] encoding.
-    pub const ENCODED_WORDS: usize = 17;
-
-    /// A lossless fixed-width word encoding of the signature, suitable
-    /// for on-disk cache snapshots. Unlike [`LayerSignature::digest`]
-    /// (which is a one-way hash), [`LayerSignature::decode_words`]
-    /// reconstructs the exact signature, so persisted cache entries can
-    /// be re-keyed without collisions.
-    ///
-    /// Layout: kind tag, the 7 shape bounds in [`Dim::ALL`] order,
-    /// stride (h, w), dilation (h, w), groups, batch replicas, the
-    /// per-sample-stationary flag, the KV append count and the
-    /// copy-on-write count.
-    pub fn encode_words(&self) -> [u64; Self::ENCODED_WORDS] {
-        let mut words = [0u64; Self::ENCODED_WORDS];
-        words[0] = match self.kind {
-            LayerKind::Conv2d => 0,
-            LayerKind::FullyConnected => 1,
-            LayerKind::DepthwiseConv2d => 2,
-            LayerKind::Matmul => 3,
-        };
-        for (i, d) in Dim::ALL.into_iter().enumerate() {
-            words[1 + i] = self.shape[d] as u64;
-        }
-        words[8] = self.stride.0 as u64;
-        words[9] = self.stride.1 as u64;
-        words[10] = self.dilation.0 as u64;
-        words[11] = self.dilation.1 as u64;
-        words[12] = self.groups as u64;
-        words[13] = self.batch_replicas as u64;
-        words[14] = u64::from(self.per_sample_stationary);
-        words[15] = self.kv_append as u64;
-        words[16] = self.kv_cow as u64;
-        words
-    }
-
-    /// Inverse of [`LayerSignature::encode_words`]. Returns `None` for
-    /// words that are not a valid encoding (unknown kind tag, non-boolean
-    /// flag, or values outside `usize`), so corrupt snapshots degrade to
-    /// a cache miss instead of a bogus key.
-    pub fn decode_words(words: &[u64; Self::ENCODED_WORDS]) -> Option<LayerSignature> {
-        let kind = match words[0] {
-            0 => LayerKind::Conv2d,
-            1 => LayerKind::FullyConnected,
-            2 => LayerKind::DepthwiseConv2d,
-            3 => LayerKind::Matmul,
-            _ => return None,
-        };
-        let to_usize = |w: u64| usize::try_from(w).ok();
-        let mut dims = [0usize; 7];
-        for (slot, &w) in dims.iter_mut().zip(&words[1..8]) {
-            *slot = to_usize(w)?;
-        }
-        let [n, m, c, p, q, r, s] = dims;
-        if words[14] > 1 {
-            return None;
-        }
-        // A copy-on-write count without an append count has no valid
-        // `Layer` constructor; reject it like any other corrupt word.
-        if words[16] > 0 && words[15] == 0 {
-            return None;
-        }
-        Some(LayerSignature {
-            kind,
-            shape: Shape::new(n, m, c, p, q, r, s),
-            stride: (to_usize(words[8])?, to_usize(words[9])?),
-            dilation: (to_usize(words[10])?, to_usize(words[11])?),
-            groups: to_usize(words[12])?,
-            batch_replicas: to_usize(words[13])?,
-            per_sample_stationary: words[14] == 1,
-            kv_append: to_usize(words[15])?,
-            kv_cow: to_usize(words[16])?,
-        })
-    }
 }
 
 impl fmt::Display for LayerSignature {
@@ -348,49 +273,6 @@ mod tests {
         // Tags domain-separate.
         assert_ne!(fnv1a(b"a", &words), fnv1a(b"b", &words));
         assert_ne!(fnv1a_bytes(b"a", &bytes), fnv1a_bytes(b"b", &bytes));
-    }
-
-    #[test]
-    fn encode_words_round_trips_exactly() {
-        let layers = [
-            Layer::conv2d("c", 1, 64, 3, 56, 56, 3, 3)
-                .with_stride(2, 1)
-                .with_dilation(1, 2)
-                .with_groups(1),
-            Layer::matmul("mm", 1, 768, 768, 128),
-            Layer::matmul("a", 2, 96, 96, 16)
-                .with_groups(4)
-                .with_per_sample_stationary(),
-            Layer::matmul("kv", 1, 96, 96, 1)
-                .with_groups(4)
-                .with_kv_cache_residency(192),
-            Layer::matmul("cow", 1, 96, 96, 1)
-                .with_groups(4)
-                .with_kv_cache_residency(192)
-                .with_kv_cow(960),
-            Layer::fully_connected("fc", 8, 1000, 2048),
-        ];
-        for l in &layers {
-            let sig = l.signature();
-            let decoded = LayerSignature::decode_words(&sig.encode_words());
-            assert_eq!(decoded, Some(sig), "{l}");
-            assert_eq!(decoded.map(|d| d.digest()), Some(sig.digest()));
-        }
-    }
-
-    #[test]
-    fn decode_words_rejects_invalid_encodings() {
-        let good = Layer::matmul("mm", 1, 8, 8, 8).signature().encode_words();
-        let mut bad_kind = good;
-        bad_kind[0] = 17;
-        assert_eq!(LayerSignature::decode_words(&bad_kind), None);
-        let mut bad_flag = good;
-        bad_flag[14] = 2;
-        assert_eq!(LayerSignature::decode_words(&bad_flag), None);
-        // A cow count without an append count is unconstructible.
-        let mut bad_cow = good;
-        bad_cow[16] = 5;
-        assert_eq!(LayerSignature::decode_words(&bad_cow), None);
     }
 
     #[test]

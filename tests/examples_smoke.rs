@@ -186,7 +186,7 @@ fn decode_study_gap_widens_and_trace_is_cheap() {
             result.prefill.utilization_gap()
         );
     }
-    assert!(result.trace_hit_rate() >= 0.9);
+    assert!(result.trace_cache.hit_rate() >= 0.9);
 
     // The example's trace segment: 32 steps in 16-token buckets through
     // one content-addressed session (the shared smoke-suite cache can

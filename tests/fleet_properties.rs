@@ -274,17 +274,17 @@ fn capacity_plan_fleet_shares_one_eval_cache() {
         experiments::fleet_arrival(),
     )
     .expect("the capacity plan evaluates");
-    assert!(plan.trace_layer_evals > 0, "the plan evaluated layers");
+    assert!(plan.trace_cache.lookups() > 0, "the plan evaluated layers");
     assert!(
-        plan.trace_mapping_searches < plan.trace_layer_evals / 10,
+        plan.trace_cache.misses < plan.trace_cache.lookups() / 10,
         "identical shards should dedupe: {} searches for {} evals",
-        plan.trace_mapping_searches,
-        plan.trace_layer_evals
+        plan.trace_cache.misses,
+        plan.trace_cache.lookups()
     );
     assert!(
-        plan.trace_hit_rate() > 0.9,
+        plan.trace_cache.hit_rate() > 0.9,
         "shared-session hit rate {:.3} should be near one",
-        plan.trace_hit_rate()
+        plan.trace_cache.hit_rate()
     );
 }
 
