@@ -187,62 +187,10 @@ fn baseline_mapping(arch: &Architecture, layer: &lumen_workload::Layer) -> lumen
     last.expect("plan cascade is nonempty")
 }
 
-/// One row of the photonic-vs-digital comparison.
-#[derive(Debug, Clone)]
-pub struct BaselineComparison {
-    /// Workload name.
-    pub network: String,
-    /// Digital-baseline energy per MAC (pJ).
-    pub digital_pj_per_mac: f64,
-    /// Photonic (Albireo) energy per MAC at the given corner (pJ).
-    pub photonic_pj_per_mac: f64,
-    /// Digital throughput (MACs/cycle × clock), in GMAC/s.
-    pub digital_gmacs: f64,
-    /// Photonic throughput in GMAC/s.
-    pub photonic_gmacs: f64,
-}
-
-impl BaselineComparison {
-    /// Photonic energy advantage (digital / photonic; >1 favors photonics).
-    pub fn energy_advantage(&self) -> f64 {
-        self.digital_pj_per_mac / self.photonic_pj_per_mac
-    }
-
-    /// Photonic throughput advantage.
-    pub fn throughput_advantage(&self) -> f64 {
-        self.photonic_gmacs / self.digital_gmacs
-    }
-}
-
-/// Compares full-system (accelerator + DRAM) energy and throughput of the
-/// digital baseline against Albireo at one scaling corner, per workload.
-pub fn compare_with_digital(
-    scaling: crate::ScalingProfile,
-) -> Result<Vec<BaselineComparison>, lumen_core::SystemError> {
-    use lumen_core::NetworkOptions;
-    use lumen_workload::networks;
-
-    let digital = DigitalBaseline::new().build_system();
-    let photonic = crate::AlbireoConfig::new(scaling).build_system();
-    let mut rows = Vec::new();
-    for name in networks::NAMES {
-        let net = networks::by_name(name).expect("built-in network");
-        let d = digital.evaluate_network(&net, &NetworkOptions::baseline())?;
-        let p = photonic.evaluate_network(&net, &NetworkOptions::baseline())?;
-        rows.push(BaselineComparison {
-            network: name.to_string(),
-            digital_pj_per_mac: d.energy_per_mac().picojoules(),
-            photonic_pj_per_mac: p.energy_per_mac().picojoules(),
-            digital_gmacs: d.throughput_macs_per_cycle() * digital.arch().clock().gigahertz(),
-            photonic_gmacs: p.throughput_macs_per_cycle() * photonic.arch().clock().gigahertz(),
-        });
-    }
-    Ok(rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::baseline_study;
     use crate::ScalingProfile;
 
     #[test]
@@ -278,14 +226,14 @@ mod tests {
 
     #[test]
     fn aggressive_photonics_beat_digital_on_energy_for_convs() {
-        let rows = compare_with_digital(ScalingProfile::Aggressive).unwrap();
+        let rows = baseline_study(ScalingProfile::Aggressive).unwrap().rows;
         let vgg = rows.iter().find(|r| r.network == "vgg16").unwrap();
         // Conv-dominated workloads: the scaled photonic system wins on
         // energy per MAC (the paper's motivating claim).
         assert!(
-            vgg.energy_advantage() > 1.0,
+            vgg.vs.energy_advantage() > 1.0,
             "photonic advantage {:.2}x",
-            vgg.energy_advantage()
+            vgg.vs.energy_advantage()
         );
         // And on raw throughput: 5 GHz symbol rate vs 1 GHz digital clock.
         assert!(vgg.throughput_advantage() > 1.0);
@@ -296,7 +244,7 @@ mod tests {
         // The flexible MAC array tolerates AlexNet's shapes far better
         // than the photonic fabric: its utilization advantage shows up as
         // a smaller throughput edge for photonics on AlexNet than VGG.
-        let rows = compare_with_digital(ScalingProfile::Aggressive).unwrap();
+        let rows = baseline_study(ScalingProfile::Aggressive).unwrap().rows;
         let vgg = rows.iter().find(|r| r.network == "vgg16").unwrap();
         let alex = rows.iter().find(|r| r.network == "alexnet").unwrap();
         assert!(alex.throughput_advantage() < vgg.throughput_advantage());

@@ -4,6 +4,8 @@
 //! paper plots, renderable as an ASCII table (`table()` / `Display`). The
 //! benches in `lumen-bench` and the `lumen` CLI call straight into these.
 
+pub use crate::harness::{NetworkRow, PhotonicVsDigital, TokenRates};
+use crate::harness::{ServingPair, Testbed};
 use crate::{reference, reference_layer, AlbireoConfig, ScalingProfile, WeightReuse};
 use lumen_core::report::Table;
 use lumen_core::{
@@ -568,43 +570,65 @@ pub fn fig5_reuse_exploration() -> Result<Fig5Result, SystemError> {
 }
 
 // ---------------------------------------------------------------------
-// Transformer study — beyond the paper: attention/matmul workloads
+// Baseline study — photonic vs digital on every built-in network
 // ---------------------------------------------------------------------
 
-/// One workload of the transformer study.
+/// The `lumen baseline` comparison: every built-in network on the
+/// Albireo system at one scaling corner and on the peak-matched digital
+/// baseline, full system (accelerator + DRAM).
 #[derive(Debug, Clone)]
-pub struct TransformerRow {
-    /// Workload name.
-    pub network: String,
-    /// Total GMACs per inference.
-    pub gmacs: f64,
-    /// Fraction of MACs in GEMM-shaped layers.
-    pub gemm_fraction: f64,
-    /// Photonic (Albireo) energy per MAC in pJ.
-    pub photonic_pj_per_mac: f64,
-    /// Digital-baseline energy per MAC in pJ.
-    pub digital_pj_per_mac: f64,
-    /// Photonic MAC-weighted compute utilization (0, 1].
-    pub photonic_utilization: f64,
-    /// Digital MAC-weighted compute utilization (0, 1].
-    pub digital_utilization: f64,
-    /// Photonic throughput in GMAC/s (MACs/cycle × symbol rate).
-    pub photonic_gmacs_per_s: f64,
-    /// Digital throughput in GMAC/s.
-    pub digital_gmacs_per_s: f64,
+pub struct BaselineStudyResult {
+    /// The photonic system's scaling corner.
+    pub scaling: ScalingProfile,
+    /// One row per built-in network, in [`networks::NAMES`] order.
+    pub rows: Vec<NetworkRow>,
 }
 
-impl TransformerRow {
-    /// Photonic energy advantage (>1 favors photonics).
-    pub fn energy_advantage(&self) -> f64 {
-        self.digital_pj_per_mac / self.photonic_pj_per_mac
-    }
-
-    /// Photonic throughput advantage (>1 favors photonics).
-    pub fn throughput_advantage(&self) -> f64 {
-        self.photonic_gmacs_per_s / self.digital_gmacs_per_s
+impl BaselineStudyResult {
+    /// Renders the study as a table.
+    pub fn table(&self) -> Table {
+        let mut t = Table::new(vec![
+            "network".into(),
+            "digital pJ/MAC".into(),
+            format!("photonic pJ/MAC ({})", self.scaling),
+            "energy advantage".into(),
+            "throughput advantage".into(),
+        ]);
+        for row in &self.rows {
+            t.row(vec![
+                row.network.clone(),
+                format!("{:.3}", row.vs.digital_pj_per_mac),
+                format!("{:.3}", row.vs.photonic_pj_per_mac),
+                format!("{:.2}x", row.vs.energy_advantage()),
+                format!("{:.2}x", row.throughput_advantage()),
+            ]);
+        }
+        t
     }
 }
+
+impl fmt::Display for BaselineStudyResult {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "photonic (Albireo) vs digital baseline, full system incl. DRAM:"
+        )?;
+        write!(f, "{}", self.table().render())
+    }
+}
+
+/// Runs the baseline study: per-MAC energy and throughput of every
+/// built-in network on the Albireo system at `scaling` and on the
+/// digital baseline, which isolates what the optical domain buys (and
+/// costs) at that corner.
+pub fn baseline_study(scaling: ScalingProfile) -> Result<BaselineStudyResult, SystemError> {
+    let rows = Testbed::new(scaling).compare_networks(&networks::NAMES)?;
+    Ok(BaselineStudyResult { scaling, rows })
+}
+
+// ---------------------------------------------------------------------
+// Transformer study — beyond the paper: attention/matmul workloads
+// ---------------------------------------------------------------------
 
 /// The transformer study: photonic vs digital on attention-dominated
 /// workloads at one scaling corner.
@@ -613,12 +637,12 @@ pub struct TransformerStudyResult {
     /// The photonic system's scaling corner.
     pub scaling: ScalingProfile,
     /// One row per transformer workload.
-    pub rows: Vec<TransformerRow>,
+    pub rows: Vec<NetworkRow>,
 }
 
 impl TransformerStudyResult {
     /// The row for a named workload.
-    pub fn row(&self, network: &str) -> &TransformerRow {
+    pub fn row(&self, network: &str) -> &NetworkRow {
         self.rows
             .iter()
             .find(|r| r.network == network)
@@ -643,11 +667,11 @@ impl TransformerStudyResult {
                 row.network.clone(),
                 format!("{:.2}", row.gmacs),
                 format!("{:.0}%", 100.0 * row.gemm_fraction),
-                format!("{:.3}", row.photonic_pj_per_mac),
-                format!("{:.3}", row.digital_pj_per_mac),
-                format!("{:.2}x", row.energy_advantage()),
-                format!("{:.1}%", 100.0 * row.photonic_utilization),
-                format!("{:.1}%", 100.0 * row.digital_utilization),
+                format!("{:.3}", row.vs.photonic_pj_per_mac),
+                format!("{:.3}", row.vs.digital_pj_per_mac),
+                format!("{:.2}x", row.vs.energy_advantage()),
+                format!("{:.1}%", 100.0 * row.vs.photonic_utilization),
+                format!("{:.1}%", 100.0 * row.vs.digital_utilization),
                 format!("{:.2}x", row.throughput_advantage()),
             ]);
         }
@@ -683,34 +707,12 @@ impl fmt::Display for TransformerStudyResult {
 /// matmuls, whose reuse comes from the sequence dimension rather than a
 /// sliding window, and whose K/V operands must be converted like weights.
 pub fn transformer_study(scaling: ScalingProfile) -> Result<TransformerStudyResult, SystemError> {
-    use crate::DigitalBaseline;
-
     // The transformer workloads are the content-addressed pipeline's
     // showcase: bert-base repeats one encoder block 12x (96 layers, 5
     // unique signatures), so each session maps a handful of layers and
     // answers the rest from cache, fanning the unique work out over the
     // sweep threads.
-    let photonic = EvalSession::new(AlbireoConfig::new(scaling).build_system());
-    let digital = EvalSession::new(DigitalBaseline::new().build_system());
-    let photonic_clock = photonic.system().arch().clock().gigahertz();
-    let digital_clock = digital.system().arch().clock().gigahertz();
-    let mut rows = Vec::new();
-    for name in networks::TRANSFORMER_NAMES {
-        let net = networks::by_name(name).expect("transformer networks exist");
-        let p = photonic.evaluate_network(&net, &NetworkOptions::baseline())?;
-        let d = digital.evaluate_network(&net, &NetworkOptions::baseline())?;
-        rows.push(TransformerRow {
-            network: name.to_string(),
-            gmacs: net.total_macs() as f64 / 1e9,
-            gemm_fraction: net.gemm_mac_fraction(),
-            photonic_pj_per_mac: p.energy_per_mac().picojoules(),
-            digital_pj_per_mac: d.energy_per_mac().picojoules(),
-            photonic_utilization: p.average_utilization(),
-            digital_utilization: d.average_utilization(),
-            photonic_gmacs_per_s: p.throughput_macs_per_cycle() * photonic_clock,
-            digital_gmacs_per_s: d.throughput_macs_per_cycle() * digital_clock,
-        });
-    }
+    let rows = Testbed::new(scaling).compare_networks(&networks::TRANSFORMER_NAMES)?;
     Ok(TransformerStudyResult { scaling, rows })
 }
 
@@ -722,36 +724,6 @@ pub fn transformer_study(scaling: ScalingProfile) -> Result<TransformerStudyResu
 /// step), spanning a short chat turn to beyond GPT-2 small's training
 /// context.
 pub const DECODE_KV_LENGTHS: [usize; 5] = [128, 256, 512, 1024, 2048];
-
-/// Photonic-vs-digital comparison at one operating point: energy per MAC
-/// and utilization on both systems. The decode study's prefill reference
-/// is exactly one of these, and every [`DecodeRow`] embeds one — so the
-/// derived ratio metrics the study compares across the crossover are
-/// defined in one place.
-#[derive(Debug, Clone)]
-pub struct PhotonicVsDigital {
-    /// Photonic (Albireo) energy per MAC in pJ.
-    pub photonic_pj_per_mac: f64,
-    /// Digital-baseline energy per MAC in pJ.
-    pub digital_pj_per_mac: f64,
-    /// Photonic MAC-weighted compute utilization (0, 1].
-    pub photonic_utilization: f64,
-    /// Digital MAC-weighted compute utilization (0, 1].
-    pub digital_utilization: f64,
-}
-
-impl PhotonicVsDigital {
-    /// Photonic energy advantage (>1 favors photonics).
-    pub fn energy_advantage(&self) -> f64 {
-        self.digital_pj_per_mac / self.photonic_pj_per_mac
-    }
-
-    /// Digital-over-photonic utilization ratio (>1 means the digital
-    /// array keeps more of its fabric busy than the photonic one).
-    pub fn utilization_gap(&self) -> f64 {
-        self.digital_utilization / self.photonic_utilization
-    }
-}
 
 /// One KV length of the decode study.
 #[derive(Debug, Clone)]
@@ -766,19 +738,6 @@ pub struct DecodeRow {
     pub photonic_tokens_per_s: f64,
     /// Digital decode throughput in generated tokens per second.
     pub digital_tokens_per_s: f64,
-}
-
-impl DecodeRow {
-    /// Photonic energy advantage (>1 favors photonics).
-    pub fn energy_advantage(&self) -> f64 {
-        self.vs.energy_advantage()
-    }
-
-    /// Digital-over-photonic utilization ratio (>1 means the digital
-    /// array keeps more of its fabric busy than the photonic one).
-    pub fn utilization_gap(&self) -> f64 {
-        self.vs.utilization_gap()
-    }
 }
 
 /// Writes the `eval cache:` line that ends every trace study: the
@@ -854,10 +813,10 @@ impl DecodeStudyResult {
                 format!("{:.1}", row.mmacs_per_token),
                 format!("{:.3}", row.vs.photonic_pj_per_mac),
                 format!("{:.3}", row.vs.digital_pj_per_mac),
-                format!("{:.2}x", row.energy_advantage()),
+                format!("{:.2}x", row.vs.energy_advantage()),
                 format!("{:.1}%", 100.0 * row.vs.photonic_utilization),
                 format!("{:.1}%", 100.0 * row.vs.digital_utilization),
-                format!("{:.1}x", row.utilization_gap()),
+                format!("{:.1}x", row.vs.utilization_gap()),
                 format!("{:.0}", row.photonic_tokens_per_s),
                 format!("{:.0}", row.digital_tokens_per_s),
             ]);
@@ -892,7 +851,7 @@ impl fmt::Display for DecodeStudyResult {
              kv={} decode: seq-1 GEMVs idle the photonic cluster fan-out that prefill's \
              sequence extent kept busy",
             self.prefill.utilization_gap(),
-            last.utilization_gap(),
+            last.vs.utilization_gap(),
             last.kv_len,
         )?;
         write_cache_footer(
@@ -917,43 +876,32 @@ impl fmt::Display for DecodeStudyResult {
 /// is the current KV length, with the cache read in full (and appended
 /// to) every step.
 pub fn decode_study(scaling: ScalingProfile) -> Result<DecodeStudyResult, SystemError> {
-    use crate::DigitalBaseline;
     use lumen_core::decode::decode_sweep;
 
-    let photonic = EvalSession::new(AlbireoConfig::new(scaling).build_system());
-    let digital = EvalSession::new(DigitalBaseline::new().build_system());
-    let photonic_clock = photonic.system().arch().clock();
-    let digital_clock = digital.system().arch().clock();
+    let testbed = Testbed::new(scaling);
+    let options = NetworkOptions::baseline();
 
     // Prefill reference: same sessions (the projections/MLP signatures
     // are prefill-specific at seq 1024, so this costs its own searches
     // but shares nothing incorrectly).
     let prefill_net = networks::gpt2_small();
-    let p_prefill = photonic.evaluate_network(&prefill_net, &NetworkOptions::baseline())?;
-    let d_prefill = digital.evaluate_network(&prefill_net, &NetworkOptions::baseline())?;
-    let prefill = PhotonicVsDigital {
-        photonic_pj_per_mac: p_prefill.energy_per_mac().picojoules(),
-        digital_pj_per_mac: d_prefill.energy_per_mac().picojoules(),
-        photonic_utilization: p_prefill.average_utilization(),
-        digital_utilization: d_prefill.average_utilization(),
-    };
+    let (p_prefill, d_prefill) =
+        testbed.both(|session| session.evaluate_network(&prefill_net, &options))?;
+    let prefill = PhotonicVsDigital::from_networks(&p_prefill, &d_prefill);
 
     // Snapshot the cache counters so the reported trace accounting
-    // covers exactly the decode sweep.
-    let before = photonic.cache_stats();
-    let p_points = decode_sweep(
-        &photonic,
-        &DECODE_KV_LENGTHS,
-        &NetworkOptions::baseline(),
-        networks::gpt2_small_decode,
-    )?;
-    let trace_cache = photonic.cache_stats().since(before);
-    let d_points = decode_sweep(
-        &digital,
-        &DECODE_KV_LENGTHS,
-        &NetworkOptions::baseline(),
-        networks::gpt2_small_decode,
-    )?;
+    // covers exactly the decode sweep (the digital sweep never touches
+    // the photonic cache).
+    let before = testbed.photonic_cache();
+    let (p_points, d_points) = testbed.both(|session| {
+        decode_sweep(
+            session,
+            &DECODE_KV_LENGTHS,
+            &options,
+            networks::gpt2_small_decode,
+        )
+    })?;
+    let trace_cache = testbed.photonic_cache().since(before);
 
     let rows = p_points
         .iter()
@@ -961,14 +909,9 @@ pub fn decode_study(scaling: ScalingProfile) -> Result<DecodeStudyResult, System
         .map(|(p, d)| DecodeRow {
             kv_len: p.kv_len,
             mmacs_per_token: p.evaluation.macs as f64 / 1e6,
-            vs: PhotonicVsDigital {
-                photonic_pj_per_mac: p.evaluation.energy_per_mac().picojoules(),
-                digital_pj_per_mac: d.evaluation.energy_per_mac().picojoules(),
-                photonic_utilization: p.evaluation.average_utilization(),
-                digital_utilization: d.evaluation.average_utilization(),
-            },
-            photonic_tokens_per_s: p.tokens_per_second(photonic_clock),
-            digital_tokens_per_s: d.tokens_per_second(digital_clock),
+            vs: PhotonicVsDigital::from_networks(&p.evaluation, &d.evaluation),
+            photonic_tokens_per_s: p.tokens_per_second(testbed.photonic_clock()),
+            digital_tokens_per_s: d.tokens_per_second(testbed.digital_clock()),
         })
         .collect();
 
@@ -1026,28 +969,8 @@ pub struct ServingRow {
     pub mean_occupancy: f64,
     /// Energy per MAC and utilization on both systems over the trace.
     pub vs: PhotonicVsDigital,
-    /// Photonic energy per generated token, in millijoules.
-    pub photonic_mj_per_token: f64,
-    /// Digital energy per generated token, in millijoules.
-    pub digital_mj_per_token: f64,
-    /// Photonic aggregate serving throughput, generated tokens/s.
-    pub photonic_tokens_per_s: f64,
-    /// Digital aggregate serving throughput, generated tokens/s.
-    pub digital_tokens_per_s: f64,
-}
-
-impl ServingRow {
-    /// Photonic energy advantage (>1 favors photonics). Both systems
-    /// run the same schedule, so the per-token and per-MAC ratios agree.
-    pub fn energy_advantage(&self) -> f64 {
-        self.vs.energy_advantage()
-    }
-
-    /// Digital-over-photonic utilization ratio (>1 means the digital
-    /// array keeps more of its fabric busy than the photonic one).
-    pub fn utilization_gap(&self) -> f64 {
-        self.vs.utilization_gap()
-    }
+    /// Energy per generated token and token throughput on both systems.
+    pub tokens: TokenRates,
 }
 
 /// The serving study: photonic vs digital on continuous batching of
@@ -1097,14 +1020,14 @@ impl ServingStudyResult {
                 row.capacity.to_string(),
                 row.steps.to_string(),
                 format!("{:.0}%", 100.0 * row.mean_occupancy),
-                format!("{:.2}", row.photonic_mj_per_token),
-                format!("{:.2}", row.digital_mj_per_token),
-                format!("{:.2}x", row.energy_advantage()),
+                format!("{:.2}", row.tokens.photonic_mj_per_token),
+                format!("{:.2}", row.tokens.digital_mj_per_token),
+                format!("{:.2}x", row.vs.energy_advantage()),
                 format!("{:.1}%", 100.0 * row.vs.photonic_utilization),
                 format!("{:.1}%", 100.0 * row.vs.digital_utilization),
-                format!("{:.1}x", row.utilization_gap()),
-                format!("{:.0}", row.photonic_tokens_per_s),
-                format!("{:.0}", row.digital_tokens_per_s),
+                format!("{:.1}x", row.vs.utilization_gap()),
+                format!("{:.0}", row.tokens.photonic_tokens_per_s),
+                format!("{:.0}", row.tokens.digital_tokens_per_s),
             ]);
         }
         t
@@ -1130,9 +1053,9 @@ impl fmt::Display for ServingStudyResult {
              traffic; per-request KV caches never amortize)",
             backlogged.capacity,
             100.0 * backlogged.mean_occupancy,
-            backlogged.photonic_mj_per_token,
+            backlogged.tokens.photonic_mj_per_token,
             wide.capacity,
-            wide.photonic_mj_per_token,
+            wide.tokens.photonic_mj_per_token,
         )?;
         write_cache_footer(
             f,
@@ -1155,48 +1078,38 @@ impl fmt::Display for ServingStudyResult {
 /// admission/retirement dynamics, where the batch lever photonics need
 /// is only available when the scheduler can keep slots occupied.
 pub fn serving_study(scaling: ScalingProfile) -> Result<ServingStudyResult, SystemError> {
-    use crate::DigitalBaseline;
-    use lumen_core::scenario_trace;
-    use lumen_workload::{PrefillMode, ServingModel, ServingScenario};
+    use lumen_workload::{PrefillMode, ServingScenario};
 
-    let photonic = EvalSession::new(AlbireoConfig::new(scaling).build_system());
-    let digital = EvalSession::new(DigitalBaseline::new().build_system());
-    let photonic_clock = photonic.system().arch().clock();
-    let digital_clock = digital.system().arch().clock();
-    let model = ServingModel::gpt2_small();
-    let options = NetworkOptions::baseline();
-
-    let before = photonic.cache_stats();
-    let mut rows = Vec::new();
-    for mix in serving_mixes() {
-        for capacity in SERVING_CAPACITIES {
-            let scenario = ServingScenario::builder(mix.clone(), capacity)
-                .kv_bucket(SERVING_KV_BUCKET)
-                .prefill(PrefillMode::Resident)
-                .build()
-                .expect("the closed-loop study's fixed parameters are valid");
-            let p = scenario_trace(&photonic, &model, &scenario, &options)?;
-            let d = scenario_trace(&digital, &model, &scenario, &options)?;
-            rows.push(ServingRow {
-                mix: scenario.mix().name().to_string(),
-                capacity,
-                requests: scenario.mix().len(),
-                steps: p.points.len(),
-                mean_occupancy: p.mean_occupancy(),
-                vs: PhotonicVsDigital {
-                    photonic_pj_per_mac: p.pj_per_mac(),
-                    digital_pj_per_mac: d.pj_per_mac(),
-                    photonic_utilization: p.average_utilization(),
-                    digital_utilization: d.average_utilization(),
-                },
-                photonic_mj_per_token: p.pj_per_token() / 1e9,
-                digital_mj_per_token: d.pj_per_token() / 1e9,
-                photonic_tokens_per_s: p.tokens_per_second(photonic_clock),
-                digital_tokens_per_s: d.tokens_per_second(digital_clock),
-            });
-        }
-    }
-    let trace_cache = photonic.cache_stats().since(before);
+    let scenarios: Vec<ServingScenario> = serving_mixes()
+        .into_iter()
+        .flat_map(|mix| {
+            SERVING_CAPACITIES.map(|capacity| {
+                ServingScenario::builder(mix.clone(), capacity)
+                    .kv_bucket(SERVING_KV_BUCKET)
+                    .prefill(PrefillMode::Resident)
+                    .build()
+                    .expect("the closed-loop study's fixed parameters are valid")
+            })
+        })
+        .collect();
+    let (rows, trace_cache) = Testbed::new(scaling).trace_scenarios(
+        &scenarios,
+        |scenario,
+         ServingPair {
+             photonic,
+             vs,
+             tokens,
+             ..
+         }| ServingRow {
+            mix: scenario.mix().name().to_string(),
+            capacity: scenario.capacity(),
+            requests: scenario.mix().len(),
+            steps: photonic.points.len(),
+            mean_occupancy: photonic.mean_occupancy(),
+            vs,
+            tokens,
+        },
+    )?;
 
     Ok(ServingStudyResult {
         scaling,
@@ -1316,21 +1229,8 @@ pub struct SloRow {
     pub digital_ttft: lumen_core::Percentiles,
     /// Energy per MAC and utilization on both systems over the trace.
     pub vs: PhotonicVsDigital,
-    /// Photonic energy per generated token, in millijoules.
-    pub photonic_mj_per_token: f64,
-    /// Digital energy per generated token, in millijoules.
-    pub digital_mj_per_token: f64,
-    /// Photonic aggregate serving throughput, generated tokens/s.
-    pub photonic_tokens_per_s: f64,
-    /// Digital aggregate serving throughput, generated tokens/s.
-    pub digital_tokens_per_s: f64,
-}
-
-impl SloRow {
-    /// Photonic energy advantage (>1 favors photonics).
-    pub fn energy_advantage(&self) -> f64 {
-        self.vs.energy_advantage()
-    }
+    /// Energy per generated token and token throughput on both systems.
+    pub tokens: TokenRates,
 }
 
 /// The serving SLO study: photonic vs digital GPT-2 small serving
@@ -1404,9 +1304,9 @@ impl SloStudyResult {
                     ms(row.digital_ttft.p95),
                     ms(row.digital_ttft.p99)
                 ),
-                format!("{:.0}", row.photonic_tokens_per_s),
-                format!("{:.2}", row.photonic_mj_per_token),
-                format!("{:.2}x", row.energy_advantage()),
+                format!("{:.0}", row.tokens.photonic_tokens_per_s),
+                format!("{:.2}", row.tokens.photonic_mj_per_token),
+                format!("{:.2}x", row.vs.energy_advantage()),
             ]);
         }
         t
@@ -1422,7 +1322,7 @@ impl fmt::Display for SloStudyResult {
             self.scaling, self.capacity, self.kv_bucket, self.prefill_chunk
         )?;
         write!(f, "{}", self.table().render())?;
-        let overload = ArrivalProcessLabel::OVERLOAD;
+        let overload = OVERLOAD_ARRIVAL;
         if let (Some(fifo), Some(slo)) = (
             self.row(overload, "fifo"),
             self.row(overload, &slo_policy().to_string()),
@@ -1456,11 +1356,7 @@ impl fmt::Display for SloStudyResult {
 
 /// The display label of the overloaded Poisson scenario, shared by the
 /// Display footer and the tests.
-struct ArrivalProcessLabel;
-
-impl ArrivalProcessLabel {
-    const OVERLOAD: &'static str = "poisson(r0.5,sfeedf00d)";
-}
+const OVERLOAD_ARRIVAL: &str = "poisson(r0.5,sfeedf00d)";
 
 /// Runs [`serving_slo_study`] over an explicit scenario list — the CLI
 /// uses this to run a single user-chosen (arrival, policy) pair.
@@ -1475,47 +1371,28 @@ pub fn serving_scenario_study(
         lumen_workload::AdmissionPolicy,
     )],
 ) -> Result<SloStudyResult, SystemError> {
-    use crate::DigitalBaseline;
-    use lumen_core::scenario_trace;
-    use lumen_workload::ServingModel;
-
-    let photonic = EvalSession::new(AlbireoConfig::new(scaling).build_system());
-    let digital = EvalSession::new(DigitalBaseline::new().build_system());
-    let photonic_clock = photonic.system().arch().clock();
-    let digital_clock = digital.system().arch().clock();
-    let model = ServingModel::gpt2_small();
-    let options = NetworkOptions::baseline();
-
-    let before = photonic.cache_stats();
-    let mut rows = Vec::new();
-    for (arrival, policy) in scenarios {
-        let scenario = slo_scenario(arrival.clone(), *policy);
+    let testbed = Testbed::new(scaling);
+    let scenarios: Vec<_> = scenarios
+        .iter()
+        .map(|(arrival, policy)| slo_scenario(arrival.clone(), *policy))
+        .collect();
+    let (photonic_clock, digital_clock) = (testbed.photonic_clock(), testbed.digital_clock());
+    let (rows, trace_cache) = testbed.trace_scenarios(&scenarios, |scenario, pair| {
         let schedule = scenario.schedule();
-        let p = scenario_trace(&photonic, &model, &scenario, &options)?;
-        let d = scenario_trace(&digital, &model, &scenario, &options)?;
-        rows.push(SloRow {
-            arrival: arrival.to_string(),
-            policy: policy.to_string(),
+        SloRow {
+            arrival: scenario.arrival().to_string(),
+            policy: scenario.policy().to_string(),
             requests: scenario.mix().len(),
             steps: schedule.total_steps(),
             mean_occupancy: schedule.mean_occupancy(),
-            prefill_tokens: p.total_prefill_tokens(),
-            photonic_ttft: p.ttft_percentiles(photonic_clock),
-            photonic_tbt: p.tbt_percentiles(photonic_clock),
-            digital_ttft: d.ttft_percentiles(digital_clock),
-            vs: PhotonicVsDigital {
-                photonic_pj_per_mac: p.pj_per_mac(),
-                digital_pj_per_mac: d.pj_per_mac(),
-                photonic_utilization: p.average_utilization(),
-                digital_utilization: d.average_utilization(),
-            },
-            photonic_mj_per_token: p.pj_per_token() / 1e9,
-            digital_mj_per_token: d.pj_per_token() / 1e9,
-            photonic_tokens_per_s: p.tokens_per_second(photonic_clock),
-            digital_tokens_per_s: d.tokens_per_second(digital_clock),
-        });
-    }
-    let trace_cache = photonic.cache_stats().since(before);
+            prefill_tokens: pair.photonic.total_prefill_tokens(),
+            photonic_ttft: pair.photonic.ttft_percentiles(photonic_clock),
+            photonic_tbt: pair.photonic.tbt_percentiles(photonic_clock),
+            digital_ttft: pair.digital.ttft_percentiles(digital_clock),
+            vs: pair.vs,
+            tokens: pair.tokens,
+        }
+    })?;
 
     Ok(SloStudyResult {
         scaling,
@@ -2342,20 +2219,20 @@ mod tests {
         for row in &result.rows {
             // Aggressive photonics keep the energy edge on matmuls...
             assert!(
-                row.energy_advantage() > 1.0,
+                row.vs.energy_advantage() > 1.0,
                 "{}: energy advantage {:.2}",
                 row.network,
-                row.energy_advantage()
+                row.vs.energy_advantage()
             );
             // ...but the sliding-window fabric starves: the digital
             // array's utilization edge flips the throughput comparison.
             assert!(
-                row.photonic_utilization < 0.2,
+                row.vs.photonic_utilization < 0.2,
                 "{}: photonic util {:.2}",
                 row.network,
-                row.photonic_utilization
+                row.vs.photonic_utilization
             );
-            assert!(row.digital_utilization > 0.5);
+            assert!(row.vs.digital_utilization > 0.5);
             assert!(
                 row.throughput_advantage() < 1.0,
                 "{}: throughput advantage {:.2}",
@@ -2374,8 +2251,8 @@ mod tests {
         let cons = transformer_study(ScalingProfile::Conservative).unwrap();
         let aggr = transformer_study(ScalingProfile::Aggressive).unwrap();
         for name in networks::TRANSFORMER_NAMES {
-            assert!(cons.row(name).energy_advantage() < 1.0, "{name}");
-            assert!(aggr.row(name).energy_advantage() > 1.0, "{name}");
+            assert!(cons.row(name).vs.energy_advantage() < 1.0, "{name}");
+            assert!(aggr.row(name).vs.energy_advantage() > 1.0, "{name}");
         }
     }
 
@@ -2397,10 +2274,10 @@ mod tests {
             assert!(row.vs.digital_utilization > 0.5, "kv={}", row.kv_len);
             // So the photonic/digital gap widens from prefill to decode.
             assert!(
-                row.utilization_gap() > 2.0 * result.prefill.utilization_gap(),
+                row.vs.utilization_gap() > 2.0 * result.prefill.utilization_gap(),
                 "kv={}: gap {:.1} vs prefill {:.1}",
                 row.kv_len,
-                row.utilization_gap(),
+                row.vs.utilization_gap(),
                 result.prefill.utilization_gap()
             );
             // Decode is memory-bound: per-MAC energy an order of
@@ -2439,10 +2316,10 @@ mod tests {
         assert!(result.prefill.energy_advantage() > 2.0);
         for row in &result.rows {
             assert!(
-                row.energy_advantage() < 1.2 && row.energy_advantage() > 0.8,
+                row.vs.energy_advantage() < 1.2 && row.vs.energy_advantage() > 0.8,
                 "kv={}: advantage {:.2}",
                 row.kv_len,
-                row.energy_advantage()
+                row.vs.energy_advantage()
             );
         }
     }
@@ -2477,22 +2354,24 @@ mod tests {
             );
             assert!(row.vs.digital_utilization > 0.5);
             assert!(
-                row.utilization_gap() > 10.0,
+                row.vs.utilization_gap() > 10.0,
                 "{} cap {}: gap {:.1}",
                 row.mix,
                 row.capacity,
-                row.utilization_gap()
+                row.vs.utilization_gap()
             );
             // Energy sits near the decode parity the decode study pinned.
             assert!(
-                row.energy_advantage() > 0.8 && row.energy_advantage() < 1.3,
+                row.vs.energy_advantage() > 0.8 && row.vs.energy_advantage() < 1.3,
                 "{} cap {}: advantage {:.2}",
                 row.mix,
                 row.capacity,
-                row.energy_advantage()
+                row.vs.energy_advantage()
             );
             assert!(row.mean_occupancy > 0.0 && row.mean_occupancy <= 1.0 + 1e-12);
-            assert!(row.photonic_tokens_per_s > 0.0 && row.digital_tokens_per_s > 0.0);
+            assert!(
+                row.tokens.photonic_tokens_per_s > 0.0 && row.tokens.digital_tokens_per_s > 0.0
+            );
             assert!(row.steps > 0 && row.requests > 0);
         }
         // The occupancy lever: wider schedules batch larger groups, and
@@ -2501,13 +2380,13 @@ mod tests {
             let few = result.row(mix.name(), SERVING_CAPACITIES[0]);
             let many = result.row(mix.name(), SERVING_CAPACITIES[1]);
             assert!(
-                many.photonic_mj_per_token <= few.photonic_mj_per_token,
+                many.tokens.photonic_mj_per_token <= few.tokens.photonic_mj_per_token,
                 "{}: {:.2} vs {:.2} mJ/token photonic",
                 mix.name(),
-                many.photonic_mj_per_token,
-                few.photonic_mj_per_token
+                many.tokens.photonic_mj_per_token,
+                few.tokens.photonic_mj_per_token
             );
-            assert!(many.digital_mj_per_token <= few.digital_mj_per_token);
+            assert!(many.tokens.digital_mj_per_token <= few.tokens.digital_mj_per_token);
         }
         // The content-addressed sweep: tens of thousands of step-layer
         // evaluations collapse to a few dozen mapping searches.
@@ -2529,18 +2408,18 @@ mod tests {
         assert_eq!(cons.rows.len(), aggr.rows.len());
         for (c, a) in cons.rows.iter().zip(&aggr.rows) {
             assert!(
-                c.energy_advantage() < 1.0,
+                c.vs.energy_advantage() < 1.0,
                 "{} cap {}: conservative advantage {:.2}",
                 c.mix,
                 c.capacity,
-                c.energy_advantage()
+                c.vs.energy_advantage()
             );
             assert!(
-                a.energy_advantage() > 1.0,
+                a.vs.energy_advantage() > 1.0,
                 "{} cap {}: aggressive advantage {:.2}",
                 a.mix,
                 a.capacity,
-                a.energy_advantage()
+                a.vs.energy_advantage()
             );
         }
     }
@@ -2574,21 +2453,23 @@ mod tests {
             // The digital clock serves the same schedule faster.
             assert!(row.digital_ttft.p99 < row.photonic_ttft.p99);
             assert!(row.mean_occupancy > 0.0 && row.mean_occupancy <= 1.0 + 1e-12);
-            assert!(row.photonic_tokens_per_s > 0.0 && row.digital_tokens_per_s > 0.0);
+            assert!(
+                row.tokens.photonic_tokens_per_s > 0.0 && row.tokens.digital_tokens_per_s > 0.0
+            );
             // Prefill is dense work: it pulls the aggressive corner's
             // energy edge above the decode-parity floor.
             assert!(
-                row.energy_advantage() > 1.0,
+                row.vs.energy_advantage() > 1.0,
                 "{} {}: advantage {:.2}",
                 row.arrival,
                 row.policy,
-                row.energy_advantage()
+                row.vs.energy_advantage()
             );
         }
         // Queueing shows: the overloaded regime has a worse TTFT tail
         // than the underloaded one under the same FIFO policy.
         let under = result.row("poisson(r0.1,sfeedf00d)", "fifo").unwrap();
-        let over = result.row(ArrivalProcessLabel::OVERLOAD, "fifo").unwrap();
+        let over = result.row(OVERLOAD_ARRIVAL, "fifo").unwrap();
         assert!(
             over.photonic_ttft.p99 > under.photonic_ttft.p99,
             "overload p99 {:.4}s vs underload {:.4}s",
@@ -2598,7 +2479,7 @@ mod tests {
         // The admission lever: under overload, prioritizing short
         // prompts cuts the median TTFT vs FIFO.
         let slo = result
-            .row(ArrivalProcessLabel::OVERLOAD, &slo_policy().to_string())
+            .row(OVERLOAD_ARRIVAL, &slo_policy().to_string())
             .unwrap();
         assert!(
             slo.photonic_ttft.p50 < over.photonic_ttft.p50,
@@ -2621,7 +2502,7 @@ mod tests {
         // baseline even with dense prefill in the trace.
         let result =
             serving_scenario_study(ScalingProfile::Conservative, &slo_scenarios()[..1]).unwrap();
-        assert!(result.rows[0].energy_advantage() < 1.0);
+        assert!(result.rows[0].vs.energy_advantage() < 1.0);
     }
 
     /// The aggressive-corner paged study, computed once per test binary

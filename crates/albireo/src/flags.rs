@@ -209,7 +209,7 @@ pub fn check_flags(args: &[String]) -> Result<(), FlagError> {
 }
 
 /// The value following `flag`, when present.
-fn option_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
+pub fn option_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))

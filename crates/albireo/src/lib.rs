@@ -52,9 +52,10 @@ mod config;
 mod dataflow;
 pub mod experiments;
 pub mod flags;
+mod harness;
 pub mod reference;
 
-pub use baseline::{compare_with_digital, BaselineComparison, DigitalBaseline};
+pub use baseline::DigitalBaseline;
 pub use config::{AlbireoConfig, WeightReuse};
 pub use dataflow::albireo_mapping;
 pub use lumen_components::ScalingProfile;

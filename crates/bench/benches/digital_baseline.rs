@@ -6,7 +6,8 @@
 //! materialize once conversions and DRAM are managed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lumen_albireo::{compare_with_digital, DigitalBaseline, ScalingProfile};
+use lumen_albireo::experiments::baseline_study;
+use lumen_albireo::{DigitalBaseline, ScalingProfile};
 use lumen_bench::print_once;
 use lumen_core::NetworkOptions;
 use lumen_workload::networks;
@@ -17,25 +18,8 @@ fn bench_digital_baseline(c: &mut Criterion) {
         "Extension — photonic vs digital baseline (full system)",
         || {
             for scaling in [ScalingProfile::Conservative, ScalingProfile::Aggressive] {
-                let rows = compare_with_digital(scaling).expect("comparison evaluates");
-                println!("scaling corner: {scaling}");
-                println!(
-                    "network      digital pJ/MAC  photonic pJ/MAC  energy adv.  throughput adv."
-                );
-                println!(
-                    "--------------------------------------------------------------------------"
-                );
-                for row in rows {
-                    println!(
-                        "{:<12} {:>14.3} {:>16.3} {:>11.2}x {:>15.2}x",
-                        row.network,
-                        row.digital_pj_per_mac,
-                        row.photonic_pj_per_mac,
-                        row.energy_advantage(),
-                        row.throughput_advantage()
-                    );
-                }
-                println!();
+                let result = baseline_study(scaling).expect("comparison evaluates");
+                println!("{result}");
             }
         },
     );
@@ -55,8 +39,9 @@ fn bench_digital_baseline(c: &mut Criterion) {
     group.bench_function("full_comparison", |b| {
         b.iter(|| {
             black_box(
-                compare_with_digital(ScalingProfile::Aggressive)
+                baseline_study(ScalingProfile::Aggressive)
                     .unwrap()
+                    .rows
                     .len(),
             )
         });

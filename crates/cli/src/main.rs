@@ -20,7 +20,8 @@
 //! lumen check                # static pre-flight lint of the whole matrix
 //! ```
 
-use lumen_albireo::{compare_with_digital, experiments, AlbireoConfig, ScalingProfile};
+use lumen_albireo::flags::option_value;
+use lumen_albireo::{experiments, AlbireoConfig, ScalingProfile};
 use lumen_components::NoiseBudget;
 use lumen_components::{
     Adc, ComponentCatalog, Dac, DigitalMac, Dram, DramKind, MachZehnder, Microring, NocLink,
@@ -165,13 +166,6 @@ fn print_help() {
     println!("Corners: conservative | moderate | aggressive");
     println!("Networks: {}", networks::NAMES.join(" | "));
     println!("`layers` also takes --dedup to collapse identical layers into one xN row");
-}
-
-fn option_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
 }
 
 fn parse_scaling(args: &[String]) -> Result<ScalingProfile, String> {
@@ -523,25 +517,8 @@ fn check_cmd(args: &[String]) -> Result<(), String> {
 
 fn baseline(args: &[String]) -> Result<(), String> {
     let scaling = parse_scaling(args)?;
-    let rows = compare_with_digital(scaling).map_err(|e| e.to_string())?;
-    let mut table = Table::new(vec![
-        "network".into(),
-        "digital pJ/MAC".into(),
-        format!("photonic pJ/MAC ({scaling})"),
-        "energy advantage".into(),
-        "throughput advantage".into(),
-    ]);
-    for row in &rows {
-        table.row(vec![
-            row.network.clone(),
-            format!("{:.3}", row.digital_pj_per_mac),
-            format!("{:.3}", row.photonic_pj_per_mac),
-            format!("{:.2}x", row.energy_advantage()),
-            format!("{:.2}x", row.throughput_advantage()),
-        ]);
-    }
-    println!("photonic (Albireo) vs digital baseline, full system incl. DRAM:");
-    print!("{}", table.render());
+    let result = experiments::baseline_study(scaling).map_err(|e| e.to_string())?;
+    print!("{result}");
     Ok(())
 }
 

@@ -179,10 +179,10 @@ fn decode_study_gap_widens_and_trace_is_cheap() {
     assert_eq!(result.rows.len(), experiments::DECODE_KV_LENGTHS.len());
     for row in &result.rows {
         assert!(
-            row.utilization_gap() > result.prefill.utilization_gap(),
+            row.vs.utilization_gap() > result.prefill.utilization_gap(),
             "kv={}: decode gap {:.1}x vs prefill {:.1}x",
             row.kv_len,
-            row.utilization_gap(),
+            row.vs.utilization_gap(),
             result.prefill.utilization_gap()
         );
     }

@@ -248,28 +248,13 @@ fn baseline_matches_snapshot() {
     // Both corners of `lumen baseline`: every built-in network on the
     // photonic system and the peak-matched digital baseline, rendered
     // exactly as the CLI prints it.
-    use lumen::core::report::Table;
     let mut rendered = String::new();
     for scaling in [ScalingProfile::Conservative, ScalingProfile::Aggressive] {
-        let rows = lumen::albireo::compare_with_digital(scaling).expect("comparison evaluates");
-        let mut table = Table::new(vec![
-            "network".into(),
-            "digital pJ/MAC".into(),
-            format!("photonic pJ/MAC ({scaling})"),
-            "energy advantage".into(),
-            "throughput advantage".into(),
-        ]);
-        for row in &rows {
-            table.row(vec![
-                row.network.clone(),
-                format!("{:.3}", row.digital_pj_per_mac),
-                format!("{:.3}", row.photonic_pj_per_mac),
-                format!("{:.2}x", row.energy_advantage()),
-                format!("{:.2}x", row.throughput_advantage()),
-            ]);
-        }
-        rendered.push_str("photonic (Albireo) vs digital baseline, full system incl. DRAM:\n");
-        rendered.push_str(&table.render());
+        rendered.push_str(
+            &experiments::baseline_study(scaling)
+                .expect("study evaluates")
+                .to_string(),
+        );
         rendered.push('\n');
     }
     assert_golden("baseline", &rendered);
