@@ -4,8 +4,8 @@
 //! paper plots, renderable as an ASCII table (`table()` / `Display`). The
 //! benches in `lumen-bench` and the `lumen` CLI call straight into these.
 
+use crate::harness::Testbed;
 pub use crate::harness::{NetworkRow, PhotonicVsDigital, TokenRates};
-use crate::harness::{ServingPair, Testbed};
 use crate::{reference, reference_layer, AlbireoConfig, ScalingProfile, WeightReuse};
 use lumen_core::report::Table;
 use lumen_core::{
@@ -892,7 +892,7 @@ pub fn decode_study(scaling: ScalingProfile) -> Result<DecodeStudyResult, System
     // Snapshot the cache counters so the reported trace accounting
     // covers exactly the decode sweep (the digital sweep never touches
     // the photonic cache).
-    let before = testbed.photonic_cache();
+    let before = testbed.photonic.cache_stats();
     let (p_points, d_points) = testbed.both(|session| {
         decode_sweep(
             session,
@@ -901,7 +901,7 @@ pub fn decode_study(scaling: ScalingProfile) -> Result<DecodeStudyResult, System
             networks::gpt2_small_decode,
         )
     })?;
-    let trace_cache = testbed.photonic_cache().since(before);
+    let trace_cache = testbed.photonic.cache_stats().since(before);
 
     let rows = p_points
         .iter()
@@ -1092,24 +1092,16 @@ pub fn serving_study(scaling: ScalingProfile) -> Result<ServingStudyResult, Syst
             })
         })
         .collect();
-    let (rows, trace_cache) = Testbed::new(scaling).trace_scenarios(
-        &scenarios,
-        |scenario,
-         ServingPair {
-             photonic,
-             vs,
-             tokens,
-             ..
-         }| ServingRow {
-            mix: scenario.mix().name().to_string(),
-            capacity: scenario.capacity(),
-            requests: scenario.mix().len(),
-            steps: photonic.points.len(),
-            mean_occupancy: photonic.mean_occupancy(),
-            vs,
-            tokens,
-        },
-    )?;
+    let testbed = Testbed::new(scaling);
+    let (rows, trace_cache) = testbed.trace_scenarios(&scenarios, |scenario, p, d| ServingRow {
+        mix: scenario.mix().name().to_string(),
+        capacity: scenario.capacity(),
+        requests: scenario.mix().len(),
+        steps: p.points.len(),
+        mean_occupancy: p.mean_occupancy(),
+        vs: PhotonicVsDigital::from_serving(p, d),
+        tokens: testbed.token_rates(p, d),
+    })?;
 
     Ok(ServingStudyResult {
         scaling,
@@ -1174,36 +1166,31 @@ pub fn slo_scenario(
         .expect("the SLO study's fixed parameters are valid under every arrival and policy")
 }
 
-/// The (arrival, policy) scenarios of [`serving_slo_study`]: the
-/// closed-loop saturation baseline, an underloaded and an overloaded
-/// Poisson regime (the server drains ~0.16 requests/step at this mix),
-/// the overloaded regime under both non-FIFO policies, and a bursty
-/// process under the SLO policy.
-pub fn slo_scenarios() -> Vec<(
-    lumen_workload::ArrivalProcess,
-    lumen_workload::AdmissionPolicy,
-)> {
+/// The [`slo_scenario`]s of [`serving_slo_study`]: the closed-loop
+/// saturation baseline, an underloaded and an overloaded Poisson regime
+/// (the server drains ~0.16 requests/step at this mix), the overloaded
+/// regime under both non-FIFO policies, and a bursty process under the
+/// SLO policy.
+pub fn slo_scenarios() -> Vec<lumen_workload::ServingScenario> {
     use lumen_workload::{AdmissionPolicy, ArrivalProcess};
-    vec![
+    let overload = ArrivalProcess::poisson(0.5, 0xFEED_F00D);
+    [
         (ArrivalProcess::ClosedLoop, AdmissionPolicy::Fifo),
         (
             ArrivalProcess::poisson(0.1, 0xFEED_F00D),
             AdmissionPolicy::Fifo,
         ),
-        (
-            ArrivalProcess::poisson(0.5, 0xFEED_F00D),
-            AdmissionPolicy::Fifo,
-        ),
-        (
-            ArrivalProcess::poisson(0.5, 0xFEED_F00D),
-            AdmissionPolicy::ShortestPrompt,
-        ),
-        (ArrivalProcess::poisson(0.5, 0xFEED_F00D), slo_policy()),
+        (overload.clone(), AdmissionPolicy::Fifo),
+        (overload.clone(), AdmissionPolicy::ShortestPrompt),
+        (overload, slo_policy()),
         (
             ArrivalProcess::bursty(0.02, 48, 6, 0xB125_7EED),
             slo_policy(),
         ),
     ]
+    .into_iter()
+    .map(|(arrival, policy)| slo_scenario(arrival, policy))
+    .collect()
 }
 
 /// One (arrival, policy) operating point of the SLO study.
@@ -1358,26 +1345,19 @@ impl fmt::Display for SloStudyResult {
 /// Display footer and the tests.
 const OVERLOAD_ARRIVAL: &str = "poisson(r0.5,sfeedf00d)";
 
-/// Runs [`serving_slo_study`] over an explicit scenario list — the CLI
-/// uses this to run a single user-chosen (arrival, policy) pair.
+/// Runs [`serving_slo_study`] over an explicit list of [`slo_scenario`]s
+/// — the CLI uses this to run a single user-chosen scenario. The result
+/// reports the SLO study's fixed capacity, bucket and prefill chunk.
 ///
 /// # Errors
 ///
 /// [`SystemError::NoMapping`] if any step has an unmappable layer.
 pub fn serving_scenario_study(
     scaling: ScalingProfile,
-    scenarios: &[(
-        lumen_workload::ArrivalProcess,
-        lumen_workload::AdmissionPolicy,
-    )],
+    scenarios: &[lumen_workload::ServingScenario],
 ) -> Result<SloStudyResult, SystemError> {
     let testbed = Testbed::new(scaling);
-    let scenarios: Vec<_> = scenarios
-        .iter()
-        .map(|(arrival, policy)| slo_scenario(arrival.clone(), *policy))
-        .collect();
-    let (photonic_clock, digital_clock) = (testbed.photonic_clock(), testbed.digital_clock());
-    let (rows, trace_cache) = testbed.trace_scenarios(&scenarios, |scenario, pair| {
+    let (rows, trace_cache) = testbed.trace_scenarios(scenarios, |scenario, p, d| {
         let schedule = scenario.schedule();
         SloRow {
             arrival: scenario.arrival().to_string(),
@@ -1385,12 +1365,12 @@ pub fn serving_scenario_study(
             requests: scenario.mix().len(),
             steps: schedule.total_steps(),
             mean_occupancy: schedule.mean_occupancy(),
-            prefill_tokens: pair.photonic.total_prefill_tokens(),
-            photonic_ttft: pair.photonic.ttft_percentiles(photonic_clock),
-            photonic_tbt: pair.photonic.tbt_percentiles(photonic_clock),
-            digital_ttft: pair.digital.ttft_percentiles(digital_clock),
-            vs: pair.vs,
-            tokens: pair.tokens,
+            prefill_tokens: p.total_prefill_tokens(),
+            photonic_ttft: p.ttft_percentiles(testbed.photonic_clock()),
+            photonic_tbt: p.tbt_percentiles(testbed.photonic_clock()),
+            digital_ttft: d.ttft_percentiles(testbed.digital_clock()),
+            vs: PhotonicVsDigital::from_serving(p, d),
+            tokens: testbed.token_rates(p, d),
         }
     })?;
 
@@ -1981,19 +1961,17 @@ pub fn capacity_plan_study(
     let rows = evaluation
         .instances
         .iter()
-        .map(|trace| FleetInstanceRow {
-            instance: trace.instance,
-            requests: trace.requests.len(),
-            steps: trace.evaluation.as_ref().map_or(0, |e| e.points.len()),
-            occupancy: occupancies[trace.instance],
-            tokens: trace
-                .evaluation
-                .as_ref()
-                .map_or(0, lumen_core::ServingEvaluation::total_tokens),
-            total_mj: trace
-                .evaluation
-                .as_ref()
-                .map_or(0.0, |e| e.total_energy().picojoules() / 1e9),
+        .map(|trace| {
+            // An instance the router sent nothing has no trace.
+            let eval = trace.evaluation.as_ref();
+            FleetInstanceRow {
+                instance: trace.instance,
+                requests: trace.requests.len(),
+                steps: eval.map_or(0, |e| e.points.len()),
+                occupancy: occupancies[trace.instance],
+                tokens: eval.map_or(0, lumen_core::ServingEvaluation::total_tokens),
+                total_mj: eval.map_or(0.0, |e| e.total_energy().picojoules() / 1e9),
+            }
         })
         .collect();
 

@@ -106,19 +106,10 @@ pub struct TokenRates {
     pub digital_tokens_per_s: f64,
 }
 
-/// One serving scenario traced on both systems of a [`Testbed`], with
-/// the comparison tail every serving-study row ends with.
-pub(crate) struct ServingPair {
-    pub(crate) photonic: ServingEvaluation,
-    pub(crate) digital: ServingEvaluation,
-    pub(crate) vs: PhotonicVsDigital,
-    pub(crate) tokens: TokenRates,
-}
-
 /// The two systems of a comparison study: Albireo at one scaling corner
 /// and the digital baseline, each behind its own [`EvalSession`].
 pub(crate) struct Testbed {
-    photonic: EvalSession,
+    pub(crate) photonic: EvalSession,
     digital: EvalSession,
 }
 
@@ -128,12 +119,6 @@ impl Testbed {
             photonic: EvalSession::new(AlbireoConfig::new(scaling).build_system()),
             digital: EvalSession::new(DigitalBaseline::new().build_system()),
         }
-    }
-
-    /// The photonic session's cache lookups so far; a study reports the
-    /// [`CacheStats::since`] delta over its traces.
-    pub(crate) fn photonic_cache(&self) -> CacheStats {
-        self.photonic.cache_stats()
     }
 
     pub(crate) fn photonic_clock(&self) -> Frequency {
@@ -155,10 +140,6 @@ impl Testbed {
     /// Evaluates each named built-in network on both systems, in order.
     pub(crate) fn compare_networks(&self, names: &[&str]) -> Result<Vec<NetworkRow>, SystemError> {
         let options = NetworkOptions::baseline();
-        let (photonic_ghz, digital_ghz) = (
-            self.photonic_clock().gigahertz(),
-            self.digital_clock().gigahertz(),
-        );
         // Every built-in name resolves (`networks::by_name`'s own tests
         // pin that), so nothing is skipped here.
         names
@@ -171,45 +152,46 @@ impl Testbed {
                     gmacs: net.total_macs() as f64 / 1e9,
                     gemm_fraction: net.gemm_mac_fraction(),
                     vs: PhotonicVsDigital::from_networks(&p, &d),
-                    photonic_gmacs_per_s: p.throughput_macs_per_cycle() * photonic_ghz,
-                    digital_gmacs_per_s: d.throughput_macs_per_cycle() * digital_ghz,
+                    photonic_gmacs_per_s: p.throughput_macs_per_cycle()
+                        * self.photonic_clock().gigahertz(),
+                    digital_gmacs_per_s: d.throughput_macs_per_cycle()
+                        * self.digital_clock().gigahertz(),
                 })
             })
             .collect()
     }
 
+    /// Energy per generated token and token throughput of one schedule
+    /// traced on both systems: with [`PhotonicVsDigital::from_serving`],
+    /// the comparison tail every serving-study row ends with.
+    pub(crate) fn token_rates(&self, p: &ServingEvaluation, d: &ServingEvaluation) -> TokenRates {
+        TokenRates {
+            photonic_mj_per_token: p.pj_per_token() / 1e9,
+            digital_mj_per_token: d.pj_per_token() / 1e9,
+            photonic_tokens_per_s: p.tokens_per_second(self.photonic_clock()),
+            digital_tokens_per_s: d.tokens_per_second(self.digital_clock()),
+        }
+    }
+
     /// Traces GPT-2 small serving every scenario on both systems and
-    /// builds one row per scenario with `row`. Returns the rows and the
-    /// photonic cache lookups over the traces.
+    /// builds one row per scenario from its photonic and digital traces.
+    /// Returns the rows and the photonic cache lookups over the traces.
     pub(crate) fn trace_scenarios<R>(
         &self,
         scenarios: &[ServingScenario],
-        mut row: impl FnMut(&ServingScenario, ServingPair) -> R,
+        mut row: impl FnMut(&ServingScenario, &ServingEvaluation, &ServingEvaluation) -> R,
     ) -> Result<(Vec<R>, CacheStats), SystemError> {
         let model = ServingModel::gpt2_small();
         let options = NetworkOptions::baseline();
-        let before = self.photonic_cache();
-        let mut rows = Vec::with_capacity(scenarios.len());
-        for scenario in scenarios {
-            let (photonic, digital) =
-                self.both(|session| scenario_trace(session, &model, scenario, &options))?;
-            let tokens = TokenRates {
-                photonic_mj_per_token: photonic.pj_per_token() / 1e9,
-                digital_mj_per_token: digital.pj_per_token() / 1e9,
-                photonic_tokens_per_s: photonic.tokens_per_second(self.photonic_clock()),
-                digital_tokens_per_s: digital.tokens_per_second(self.digital_clock()),
-            };
-            let vs = PhotonicVsDigital::from_serving(&photonic, &digital);
-            rows.push(row(
-                scenario,
-                ServingPair {
-                    photonic,
-                    digital,
-                    vs,
-                    tokens,
-                },
-            ));
-        }
-        Ok((rows, self.photonic_cache().since(before)))
+        let before = self.photonic.cache_stats();
+        let rows = scenarios
+            .iter()
+            .map(|scenario| {
+                let (p, d) =
+                    self.both(|session| scenario_trace(session, &model, scenario, &options))?;
+                Ok(row(scenario, &p, &d))
+            })
+            .collect::<Result<_, SystemError>>()?;
+        Ok((rows, self.photonic.cache_stats().since(before)))
     }
 }

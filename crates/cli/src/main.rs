@@ -28,7 +28,7 @@ use lumen_components::{
     Photodiode, RegisterFile, SampleAndHold, Sram, StarCoupler, Waveguide,
 };
 use lumen_core::report::{network_table, network_table_deduped, Table};
-use lumen_core::{EvalSession, NetworkOptions};
+use lumen_core::{EvalSession, NetworkOptions, SystemError};
 use lumen_units::{Frequency, Power};
 use lumen_workload::networks;
 use std::process::ExitCode;
@@ -50,19 +50,21 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     let result = match command {
-        "fig2" => fig2(),
-        "fig3" => fig3(),
-        "fig4" => fig4(),
-        "fig5" => fig5(),
-        "all" => fig2()
-            .and_then(|()| fig3())
-            .and_then(|()| fig4())
-            .and_then(|()| fig5()),
+        "fig2" => show(experiments::fig2_energy_breakdown()),
+        "fig3" => show(experiments::fig3_throughput()),
+        "fig4" => show(experiments::fig4_memory_exploration()),
+        "fig5" => show(experiments::fig5_reuse_exploration()),
+        "all" => show(experiments::fig2_energy_breakdown())
+            .and_then(|()| show(experiments::fig3_throughput()))
+            .and_then(|()| show(experiments::fig4_memory_exploration()))
+            .and_then(|()| show(experiments::fig5_reuse_exploration())),
         "arch" => arch(&args),
         "layers" => layers(&args),
         "networks" => networks_cmd(),
-        "transformers" => transformers_cmd(&args),
-        "decode" => decode_cmd(&args),
+        "transformers" => {
+            parse_scaling(&args).and_then(|s| show(experiments::transformer_study(s)))
+        }
+        "decode" => parse_scaling(&args).and_then(|s| show(experiments::decode_study(s))),
         "serving" => serving_cmd(&args),
         "fleet" => fleet_cmd(&args),
         "components" => components_cmd(),
@@ -178,28 +180,20 @@ fn parse_scaling(args: &[String]) -> Result<ScalingProfile, String> {
     }
 }
 
-fn fig2() -> Result<(), String> {
-    let result = experiments::fig2_energy_breakdown().map_err(|e| e.to_string())?;
-    println!("{result}");
+/// Prints a study's rendering and a blank line, or reports its error.
+fn show(study: Result<impl std::fmt::Display, SystemError>) -> Result<(), String> {
+    println!("{}", study.map_err(|e| e.to_string())?);
     Ok(())
 }
 
-fn fig3() -> Result<(), String> {
-    let result = experiments::fig3_throughput().map_err(|e| e.to_string())?;
-    println!("{result}");
-    Ok(())
-}
-
-fn fig4() -> Result<(), String> {
-    let result = experiments::fig4_memory_exploration().map_err(|e| e.to_string())?;
-    println!("{result}");
-    Ok(())
-}
-
-fn fig5() -> Result<(), String> {
-    let result = experiments::fig5_reuse_exploration().map_err(|e| e.to_string())?;
-    println!("{result}");
-    Ok(())
+/// The built-in network `name`, or the error listing the valid names.
+fn network_named(name: &str) -> Result<lumen_workload::Network, String> {
+    networks::by_name(name).ok_or_else(|| {
+        format!(
+            "unknown network `{name}` (try: {})",
+            networks::NAMES.join(", ")
+        )
+    })
 }
 
 fn arch(args: &[String]) -> Result<(), String> {
@@ -219,12 +213,7 @@ fn arch(args: &[String]) -> Result<(), String> {
 fn layers(args: &[String]) -> Result<(), String> {
     let scaling = parse_scaling(args)?;
     let name = option_value(args, "--network").unwrap_or("resnet18");
-    let net = networks::by_name(name).ok_or_else(|| {
-        format!(
-            "unknown network `{name}` (try: {})",
-            networks::NAMES.join(", ")
-        )
-    })?;
+    let net = network_named(name)?;
     let session = EvalSession::new(AlbireoConfig::new(scaling).build_system());
     let eval = session
         .evaluate_network(&net, &NetworkOptions::baseline())
@@ -290,20 +279,6 @@ fn networks_cmd() -> Result<(), String> {
     Ok(())
 }
 
-fn transformers_cmd(args: &[String]) -> Result<(), String> {
-    let scaling = parse_scaling(args)?;
-    let result = experiments::transformer_study(scaling).map_err(|e| e.to_string())?;
-    println!("{result}");
-    Ok(())
-}
-
-fn decode_cmd(args: &[String]) -> Result<(), String> {
-    let scaling = parse_scaling(args)?;
-    let result = experiments::decode_study(scaling).map_err(|e| e.to_string())?;
-    println!("{result}");
-    Ok(())
-}
-
 /// Shared lint pre-flight for the serving and fleet paths: print every
 /// diagnostic, abort only on errors (an overloaded arrival rate is a
 /// legitimate thing to study, so L0403/L0409 warn).
@@ -348,28 +323,22 @@ fn serving_cmd(args: &[String]) -> Result<(), String> {
     use lumen_albireo::flags::{parse_serving_flags, ServingPlan};
     let scaling = parse_scaling(args)?;
     match parse_serving_flags(args).map_err(|e| e.to_string())? {
-        ServingPlan::ClosedLoopStudy => {
-            // Legacy closed-loop study: capacity sweep over the three mixes.
-            let result = experiments::serving_study(scaling).map_err(|e| e.to_string())?;
-            println!("{result}");
-        }
+        // Legacy closed-loop study: capacity sweep over the three mixes.
+        ServingPlan::ClosedLoopStudy => show(experiments::serving_study(scaling)),
         ServingPlan::Scenario(scenario) => {
             preflight(&scenario, None)?;
-            let result = experiments::serving_scenario_study(
+            show(experiments::serving_scenario_study(
                 scaling,
-                &[(scenario.arrival().clone(), scenario.policy())],
-            )
-            .map_err(|e| e.to_string())?;
-            println!("{result}");
+                std::slice::from_ref(&scenario),
+            ))
         }
         ServingPlan::Paged(scenario) => {
             preflight(&scenario, None)?;
-            let result = experiments::paged_serving_scenario_study(scaling, &scenario)
-                .map_err(|e| e.to_string())?;
-            println!("{result}");
+            show(experiments::paged_serving_scenario_study(
+                scaling, &scenario,
+            ))
         }
     }
-    Ok(())
 }
 
 /// `lumen fleet`: route one arrival stream across N serving instances
@@ -383,23 +352,19 @@ fn fleet_cmd(args: &[String]) -> Result<(), String> {
     let template = experiments::fleet_template(plan.arrival.clone());
     preflight(&template, Some((plan.instances, plan.router)))?;
     match plan.slo_p99_ttft_ms {
-        Some(slo) => {
-            let result = experiments::fleet_slo_search(scaling, slo, plan.router, plan.arrival)
-                .map_err(|e| e.to_string())?;
-            println!("{result}");
-        }
-        None => {
-            let result = experiments::capacity_plan_study(
-                scaling,
-                plan.instances,
-                plan.router,
-                plan.arrival,
-            )
-            .map_err(|e| e.to_string())?;
-            println!("{result}");
-        }
+        Some(slo) => show(experiments::fleet_slo_search(
+            scaling,
+            slo,
+            plan.router,
+            plan.arrival,
+        )),
+        None => show(experiments::capacity_plan_study(
+            scaling,
+            plan.instances,
+            plan.router,
+            plan.arrival,
+        )),
     }
-    Ok(())
 }
 
 fn components_cmd() -> Result<(), String> {
@@ -472,12 +437,7 @@ fn check_cmd(args: &[String]) -> Result<(), String> {
     };
     let nets = match option_value(args, "--network") {
         None => check::check_networks(),
-        Some(name) => vec![networks::by_name(name).ok_or_else(|| {
-            format!(
-                "unknown network `{name}` (try: {})",
-                networks::NAMES.join(", ")
-            )
-        })?],
+        Some(name) => vec![network_named(name)?],
     };
 
     let mut systems = Vec::new();
@@ -518,6 +478,7 @@ fn check_cmd(args: &[String]) -> Result<(), String> {
 fn baseline(args: &[String]) -> Result<(), String> {
     let scaling = parse_scaling(args)?;
     let result = experiments::baseline_study(scaling).map_err(|e| e.to_string())?;
+    // Unlike the other studies, `lumen baseline` ends without a blank line.
     print!("{result}");
     Ok(())
 }
