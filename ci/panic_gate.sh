@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 
 PANIC_BASELINE=0
 UNWRAP_BASELINE=0
-EXPECT_BASELINE=52
+EXPECT_BASELINE=47
 ASSERT_BASELINE=51
 
 count() {

@@ -7,7 +7,11 @@
 //! plus a lower-bound early exit) must land on the bit-identical winning
 //! mapping and cost of the naive baseline while calling `analyze` on
 //! strictly fewer candidates. The contract is asserted on every run,
-//! the CI smoke profile included.
+//! the CI smoke profile included, and so is the search's exact work:
+//! each variant's analyzed and skipped candidate counts must equal the
+//! ones recorded in `BENCH_mapper.json`. The counts are a pure function
+//! of the search's RNG stream, so a drift means candidate generation
+//! changed; a deliberate change re-records them.
 //!
 //! Besides the criterion timings, a full run outside CI writes
 //! `BENCH_mapper.json` at the repo root (searches/s and candidates
@@ -102,6 +106,28 @@ fn search_contract(system: &System, layer: &Layer) -> (SearchResult, SearchResul
     (baseline, deduped, pruned)
 }
 
+/// The number recorded under `key` in a `BENCH_*.json` artifact body.
+fn recorded(body: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\":");
+    let rest = &body[body.find(&needle)? + needle.len()..];
+    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
+}
+
+/// Asserts every candidate count against `BENCH_mapper.json`.
+fn assert_recorded_counts(root: &Path, counts: &[(&str, f64)]) {
+    let path = root.join("BENCH_mapper.json");
+    let body = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read the recorded counts in {path:?}: {e}"));
+    for &(key, count) in counts {
+        assert_eq!(
+            recorded(&body, key),
+            Some(count),
+            "{key}: the search did {count} where BENCH_mapper.json records otherwise"
+        );
+    }
+}
+
 fn write_json(path: &Path, times: &[(&str, f64)], extras: &[(&str, f64)]) {
     let mut body = String::from("{\n  \"bench\": \"mapper\",\n");
     for (key, value) in times {
@@ -152,22 +178,26 @@ fn bench_mapper(c: &mut Criterion) {
         },
     );
 
+    let counts = [
+        ("candidates_analyzed_baseline", baseline.evaluated as f64),
+        ("candidates_analyzed_dedup", deduped.evaluated as f64),
+        ("candidates_analyzed_pruned", pruned.evaluated as f64),
+        ("candidates_skipped_dedup", deduped.skipped() as f64),
+        ("candidates_skipped_pruned", pruned.skipped() as f64),
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    assert_recorded_counts(&root, &counts);
+
     if !c.is_smoke() && std::env::var_os("CI").is_none() {
         let search_wall = best_seconds(3, || {
             random_search(system.arch(), &layer, SEARCH, cost).expect("search maps")
         });
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut extras = vec![("searches_per_s", 1.0 / search_wall)];
+        extras.extend(counts);
         write_json(
             &root.join("BENCH_mapper.json"),
             &[("random_search_400", search_wall)],
-            &[
-                ("searches_per_s", 1.0 / search_wall),
-                ("candidates_analyzed_baseline", baseline.evaluated as f64),
-                ("candidates_analyzed_dedup", deduped.evaluated as f64),
-                ("candidates_analyzed_pruned", pruned.evaluated as f64),
-                ("candidates_skipped_dedup", deduped.skipped() as f64),
-                ("candidates_skipped_pruned", pruned.skipped() as f64),
-            ],
+            &extras,
         );
     }
 

@@ -63,8 +63,8 @@ use crate::evaluator::MappingFn;
 use crate::evaluator::Reroute;
 use crate::network::fusion_reroute;
 use crate::{
-    EnergyBreakdown, LayerEvaluation, NetworkEvaluation, NetworkOptions, SweepRunner, System,
-    SystemError,
+    EnergyBreakdown, LayerEvaluation, MappingStrategy, NetworkEvaluation, NetworkOptions,
+    SweepRunner, System, SystemError,
 };
 use lumen_arch::Architecture;
 use lumen_workload::{fnv1a_bytes, Layer, LayerSignature, Network, TensorKind};
@@ -177,8 +177,8 @@ impl EvalCache {
 
     /// Keeps identity-fingerprinted strategy closures alive as long as
     /// the cache (see `pinned_strategies`).
-    fn pin_strategy(&self, strategy: &crate::MappingStrategy) {
-        if let crate::MappingStrategy::Custom(f) = strategy {
+    fn pin_strategy(&self, strategy: &MappingStrategy) {
+        if let MappingStrategy::Custom(f) = strategy {
             let mut pinned = recover(self.pinned_strategies.lock());
             if !pinned.iter().any(|p| Arc::ptr_eq(p, f)) {
                 pinned.push(Arc::clone(f));
@@ -507,9 +507,11 @@ impl EvalSession {
     /// layer: groups `items` — layers, already batched, each with its
     /// fusion reroute — by *(signature, reroute)*, answers cached keys
     /// on the calling thread, fans the misses out over the runner in one
-    /// call, and credits the hits. Each unique key's evaluation is read
-    /// through `read` once, on the calling thread — a cached one
-    /// borrowed in place, a fresh one owned — and callers fold the results by item
+    /// call (a random-search session only; other strategies' misses are
+    /// cheap and stay on the calling thread), and credits the hits. Each
+    /// unique key's evaluation is read through `read` once, on the
+    /// calling thread — a cached one borrowed in place, a fresh one
+    /// owned — and callers fold the results by item
     /// through [`Resolved::get`]: [`evaluate_network`] into per-layer
     /// rows, a serving trace into its compact cost table. An uncached
     /// session groups nothing and evaluates every item.
@@ -573,10 +575,18 @@ impl EvalSession {
             outcomes.push(cached.map(|outcome| outcome.map_err(|e| renamed(e, layer.name()))));
         }
         self.credit_cache_hits((outcomes.len() - misses.len()) as u64);
-        let fresh = self.runner.run(misses, |(slot, i)| {
+        let miss = |(slot, i): (usize, usize)| {
             let (layer, reroute) = &items[i];
             (slot, self.cached_eval(layer, reroute))
-        });
+        };
+        // Only a search is worth a thread: every other strategy builds
+        // its mapping directly, so a miss is a few analyses (~10 µs),
+        // less than spawning the runner's workers costs.
+        let fresh: Vec<_> = if matches!(self.system.strategy(), MappingStrategy::RandomSearch(_)) {
+            self.runner.run(misses, miss)
+        } else {
+            misses.into_iter().map(miss).collect()
+        };
         for (slot, outcome) in fresh {
             outcomes[slot] = Some(outcome.map(|eval| read(Cow::Owned(eval))));
         }
@@ -688,7 +698,6 @@ impl<T> Resolved<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MappingStrategy;
     use lumen_arch::{ArchBuilder, Domain, Fanout};
     use lumen_mapper::search::SearchConfig;
     use lumen_units::{Energy, Frequency};
@@ -1028,6 +1037,38 @@ mod tests {
             "cache pins identity-fingerprinted closures for its lifetime"
         );
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    #[test]
+    fn non_search_misses_stay_on_the_calling_thread() {
+        use crate::MappingFn;
+        use lumen_mapper::search::{greedy_mapping, spatial_priority_for, TemporalPlan};
+        use std::thread::ThreadId;
+        let threads: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+        let seen = Arc::clone(&threads);
+        let f: Arc<MappingFn> = Arc::new(move |arch, layer| {
+            recover(seen.lock()).push(std::thread::current().id());
+            greedy_mapping(
+                arch,
+                layer,
+                spatial_priority_for(layer),
+                &TemporalPlan::all_at(1),
+            )
+        });
+        let net = Network::new("distinct")
+            .push(Layer::conv2d("a", 1, 8, 8, 8, 8, 3, 3))
+            .push(Layer::conv2d("b", 1, 16, 8, 8, 8, 3, 3))
+            .push(Layer::conv2d("c", 1, 32, 8, 8, 8, 3, 3));
+        let custom = EvalSession::new(System::new(toy_arch(0.05), MappingStrategy::Custom(f)))
+            .with_runner(SweepRunner::with_threads(4));
+        custom
+            .evaluate_network(&net, &NetworkOptions::baseline())
+            .unwrap();
+        // Three misses, all mapped on the calling thread.
+        assert_eq!(
+            *recover(threads.lock()),
+            vec![std::thread::current().id(); 3]
+        );
     }
 
     #[test]

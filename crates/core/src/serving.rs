@@ -142,9 +142,9 @@ use lumen_workload::serving::{
     ActiveSlot, KvLayout, PrefillSlot, SegmentPart, ServingModel, ServingScenario, ServingStep,
     StepComposition, StepSegment,
 };
-use lumen_workload::{Layer, LayerSignature, LayerSink, TensorKind};
+use lumen_workload::{Layer, LayerSignature, LayerSink, TensorKind, WordHasher};
 use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::ops::Range;
 
 /// One scheduler step of a serving sweep, reduced to scalars so a long
@@ -643,36 +643,9 @@ impl<'t> Fold<'t> {
 }
 
 /// A map keyed on a trace's own interned values (compositions,
-/// segments, layer signatures), hashed word by word with a
-/// multiply-rotate mix: keys come from the model, not from an
-/// adversary, so the hash need not resist flooding.
+/// segments, layer signatures), hashed word by word with
+/// [`WordHasher`].
 type TraceMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
-
-/// The multiply-rotate word hasher behind [`TraceMap`].
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.write_u64(word as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// A distinct layer shape of a trace: the first layer lowered with its
 /// unbatched signature (batched when the options ask for a batch), its

@@ -23,7 +23,7 @@
 //! ```
 
 use std::num::NonZeroUsize;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{LockResult, Mutex, OnceLock, PoisonError};
 use std::thread;
 
 /// Largest worker count the `LUMEN_SWEEP_THREADS` override accepts.
@@ -91,8 +91,7 @@ impl SweepRunner {
         if let Some(forced) = forced {
             return SweepRunner::with_threads(forced);
         }
-        let threads =
-            thread::available_parallelism().unwrap_or(NonZeroUsize::new(1).expect("1 is nonzero"));
+        let threads = thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
         SweepRunner { threads }
     }
 
@@ -101,7 +100,7 @@ impl SweepRunner {
     /// thread — useful for debugging and deterministic profiling.
     pub fn with_threads(threads: usize) -> SweepRunner {
         SweepRunner {
-            threads: NonZeroUsize::new(threads.max(1)).expect("clamped to >= 1"),
+            threads: NonZeroUsize::new(threads).unwrap_or(NonZeroUsize::MIN),
         }
     }
 
@@ -187,20 +186,28 @@ impl SweepRunner {
                 scope.spawn(|| {
                     let mut local = Vec::new();
                     loop {
-                        let next = queue.lock().expect("queue lock").next();
+                        let next = recover(queue.lock()).next();
                         let Some((i, point)) = next else { break };
                         local.push((i, eval(point)));
                     }
-                    merged.lock().expect("merge lock").extend(local);
+                    recover(merged.lock()).extend(local);
                 });
             }
         });
 
-        let mut outcomes = merged.into_inner().expect("workers joined");
+        let mut outcomes = recover(merged.into_inner());
         debug_assert_eq!(outcomes.len(), n, "every point evaluated exactly once");
         outcomes.sort_by_key(|(i, _)| *i);
         outcomes.into_iter().map(|(_, outcome)| outcome).collect()
     }
+}
+
+/// A lock guard (or a lock's contents), recovered if a panicking holder
+/// poisoned the lock: the queue is only popped and the merge buffer only
+/// extended under it, so neither is ever left half-updated. (A panicking
+/// worker still propagates out of `thread::scope`.)
+fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Local stand-in for the unstable `!` type, so [`SweepRunner::run`] can

@@ -26,6 +26,7 @@
 use crate::{Mapping, MappingError};
 use lumen_arch::Architecture;
 use lumen_workload::{Dim, DimMap, Layer, TensorKind, TensorMap};
+use std::ops::Range;
 
 /// Traffic observed at one architecture level for one layer.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -140,7 +141,7 @@ pub fn outer_read_traffic(
     mapping: &Mapping,
 ) -> Vec<(usize, TensorKind, f64)> {
     let mut nest = Nest::new(arch, layer, mapping);
-    nest.load(mapping);
+    nest.load_preview(mapping);
     nest.outer_reads().to_vec()
 }
 
@@ -153,6 +154,12 @@ pub fn outer_read_traffic(
 /// [`Nest::load`] then computes each per-candidate quantity once into
 /// the reused buffers, so analyzing one more candidate allocates
 /// nothing. [`analyze`] is this context plus one candidate.
+///
+/// A load comes in two parts, so a search can skip most of it for a
+/// candidate its lower bound prunes: [`Nest::load_preview`] computes
+/// what the preview and [`Nest::overflow`] read, and
+/// [`Nest::load_rest`] the per-tensor quantities of the levels they do
+/// not.
 pub(crate) struct Nest<'a> {
     arch: &'a Architecture,
     layer: &'a Layer,
@@ -169,6 +176,9 @@ pub(crate) struct Nest<'a> {
     spatial_product: u64,
     /// Utilized instance count of each level (spatial products above it).
     util_inst: Vec<u64>,
+    /// Levels `0..preview_levels` are those whose per-tensor quantities
+    /// the outermost reads and the capacity check read.
+    preview_levels: usize,
 
     // Per-candidate quantities, written by `load`.
     /// Extents of all loops strictly below level `x`'s temporal loops,
@@ -195,6 +205,8 @@ pub(crate) struct Nest<'a> {
     /// Outermost-keeper reads of the read tensors (`outer_len` valid).
     outer: [(usize, TensorKind, f64); 2],
     outer_len: usize,
+    /// Whether [`Nest::load_rest`] completed the last load.
+    complete: bool,
 }
 
 impl<'a> Nest<'a> {
@@ -217,6 +229,22 @@ impl<'a> Nest<'a> {
                 .map(|(i, _)| i)
                 .collect::<Vec<usize>>()
         });
+        // A read tensor's outermost reads need its tiles and sharing down
+        // to its next keeper (all levels when compute is next); the
+        // capacity check needs every bounded level's tiles.
+        let read_levels = [TensorKind::Weight, TensorKind::Input]
+            .into_iter()
+            .filter_map(|t| match keepers[t].get(1) {
+                Some(&inner) => Some(inner + 1),
+                None => keepers[t].first().map(|_| num_levels),
+            });
+        let bounded_levels = arch
+            .levels()
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.capacity_bits().is_some())
+            .map(|(x, _)| x + 1);
+        let preview_levels = read_levels.chain(bounded_levels).max().unwrap_or(0);
         Nest {
             arch,
             layer,
@@ -228,6 +256,7 @@ impl<'a> Nest<'a> {
             spatial_product: s_prod.iter().product(),
             s_prod,
             util_inst,
+            preview_levels,
             below_incl: vec![DimMap::filled(1); num_levels],
             below_excl: vec![DimMap::filled(1); num_levels],
             tile: vec![TensorMap::filled(0); num_levels],
@@ -239,6 +268,7 @@ impl<'a> Nest<'a> {
             temporal_product: 1,
             outer: [(0, TensorKind::Weight, 0.0); 2],
             outer_len: 0,
+            complete: false,
         }
     }
 
@@ -246,6 +276,15 @@ impl<'a> Nest<'a> {
     /// have one [`crate::LevelLoops`] per level and this context's
     /// spatial loops.
     pub(crate) fn load(&mut self, mapping: &Mapping) {
+        self.load_preview(mapping);
+        self.load_rest(mapping);
+    }
+
+    /// The first part of [`Nest::load`]: the extents, cycles, padded
+    /// MACs and outermost reads, plus every per-tensor quantity of the
+    /// levels the capacity check reads. Enough for a preview and for
+    /// [`Nest::overflow`], not for [`Nest::run`].
+    pub(crate) fn load_preview(&mut self, mapping: &Mapping) {
         let n = self.num_levels;
         debug_assert!(
             (0..n).all(|x| mapping.level(x).spatial_product() == self.s_prod[x]),
@@ -273,34 +312,8 @@ impl<'a> Nest<'a> {
         self.padded_volume = Dim::ALL.iter().map(|&d| acc[d]).product();
         self.temporal_product = temporal_product;
 
-        for t in TensorKind::ALL {
-            let relevant = t.relevant_dims();
-            // Walking the temporal loops outer→inner: a loop multiplies
-            // the refetches of a tile below it if it is relevant, or if a
-            // relevant loop iterates inside it — so the multiplicity is
-            // the product of every loop down to the innermost relevant
-            // one.
-            let (mut all, mut visits, mut distinct) = (1u64, 1u64, 1u64);
-            for x in 0..n {
-                for l in &mapping.level(x).temporal {
-                    all *= l.bound as u64;
-                    if relevant.contains(l.dim) {
-                        visits = all;
-                        distinct *= l.bound as u64;
-                    }
-                }
-                self.visits[x][t] = visits;
-                self.distinct[x][t] = distinct;
-                let union = self.footprint(t, &self.below_incl[x]);
-                self.tile[x][t] = union;
-                self.share[x][t] = if self.s_prod[x] <= 1 {
-                    1.0
-                } else {
-                    let child = self.footprint(t, &self.below_excl[x]) as f64;
-                    (self.s_prod[x] as f64 * child / union as f64).max(1.0)
-                };
-            }
-        }
+        self.load_tensors(mapping, 0..self.preview_levels);
+        self.complete = self.preview_levels == n;
 
         let g = self.groups as f64;
         self.outer_len = 0;
@@ -312,6 +325,51 @@ impl<'a> Nest<'a> {
                 let reads = self.fills_total(t, inner) / self.share_gap(t, k, inner) * g;
                 self.outer[self.outer_len] = (k, t, reads);
                 self.outer_len += 1;
+            }
+        }
+    }
+
+    /// The second part of [`Nest::load`], after
+    /// [`Nest::load_preview`] of the same mapping: the per-tensor
+    /// quantities of the remaining levels.
+    pub(crate) fn load_rest(&mut self, mapping: &Mapping) {
+        self.load_tensors(mapping, self.preview_levels..self.num_levels);
+        self.complete = true;
+    }
+
+    /// The per-tensor quantities of `levels` (visits, distinct tiles,
+    /// tiles and sharing). The temporal products run from the outermost
+    /// level, so any range gives what a walk over every level would.
+    fn load_tensors(&mut self, mapping: &Mapping, levels: Range<usize>) {
+        for t in TensorKind::ALL {
+            let relevant = t.relevant_dims();
+            // Walking the temporal loops outer→inner: a loop multiplies
+            // the refetches of a tile below it if it is relevant, or if a
+            // relevant loop iterates inside it — so the multiplicity is
+            // the product of every loop down to the innermost relevant
+            // one.
+            let (mut all, mut visits, mut distinct) = (1u64, 1u64, 1u64);
+            for x in 0..levels.end {
+                for l in &mapping.level(x).temporal {
+                    all *= l.bound as u64;
+                    if relevant.contains(l.dim) {
+                        visits = all;
+                        distinct *= l.bound as u64;
+                    }
+                }
+                if x < levels.start {
+                    continue;
+                }
+                self.visits[x][t] = visits;
+                self.distinct[x][t] = distinct;
+                let union = self.footprint(t, &self.below_incl[x]);
+                self.tile[x][t] = union;
+                self.share[x][t] = if self.s_prod[x] <= 1 {
+                    1.0
+                } else {
+                    let child = self.footprint(t, &self.below_excl[x]) as f64;
+                    (self.s_prod[x] as f64 * child / union as f64).max(1.0)
+                };
             }
         }
     }
@@ -422,6 +480,7 @@ impl<'a> Nest<'a> {
     /// Writes the loaded candidate's analysis into `out`, reusing its
     /// buffers.
     pub(crate) fn run(&self, out: &mut LayerAnalysis) {
+        debug_assert!(self.complete, "run on a preview-only load");
         let g = self.groups as f64;
         let levels = &mut out.levels;
         levels.clear();

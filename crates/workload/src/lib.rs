@@ -63,5 +63,5 @@ pub use serving::{
     ServingError, ServingModel, ServingScenario, ServingScenarioBuilder, ServingSchedule,
     ServingStep, StepComposition, StepResidency, StepSegment,
 };
-pub use signature::{fnv1a, fnv1a_bytes, LayerSignature};
+pub use signature::{fnv1a, fnv1a_bytes, LayerSignature, WordHasher};
 pub use tensor::{TensorKind, TensorMap, TensorSet};

@@ -25,6 +25,7 @@
 
 use crate::{Dim, Layer, LayerKind, Shape};
 use std::fmt;
+use std::hash::Hasher;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -61,6 +62,39 @@ pub fn fnv1a(tag: &[u8], words: &[u64]) -> u64 {
         }
     }
     h
+}
+
+/// A multiply-rotate word hasher, for in-process maps keyed on the
+/// model's own values (segments, layer signatures, search candidates).
+///
+/// One rotate, xor and multiply per word, against FNV-1a's eight
+/// multiplies: the keys come from the model, not from an adversary, so
+/// the hash need not resist flooding. Unlike [`fnv1a`] it makes no
+/// stability promise; use it as `BuildHasherDefault<WordHasher>` or
+/// feed it words directly with [`Hasher::write_u64`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// The canonical identity of a [`Layer`] for mapping and evaluation.

@@ -11,7 +11,10 @@
 //! bits and `evaluated`/`deduped`/`pruned` counts, and
 //! `System::map_layer` the same winner, on the unique layers of every
 //! built-in network on both Albireo corners and on the toy architectures
-//! of the mapper's unit tests.
+//! of the mapper's unit tests. A property test adds random small conv,
+//! matmul, grouped and strided layers on random 2–3-storage-level toy
+//! architectures with a converter, multicast fan-outs, partial keepers
+//! and bounded buffers.
 
 use lumen::albireo::{AlbireoConfig, ScalingProfile};
 use lumen::arch::{ArchBuilder, Architecture, Domain, Fanout};
@@ -23,6 +26,7 @@ use lumen::mapper::search::{
 use lumen::mapper::{analyze, outer_read_traffic, LayerAnalysis, Mapping};
 use lumen::units::{Energy, Frequency};
 use lumen::workload::{networks, Dim, DimSet, Layer, TensorKind, TensorSet};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
@@ -417,5 +421,203 @@ fn search_matches_the_transcription_on_the_toy_archs() {
                 );
             }
         }
+    }
+}
+
+/// Spatial dim sets a property-test fan-out may wire.
+const FANOUT_DIMS: [&[Dim]; 6] = [
+    &[Dim::M, Dim::C],
+    &[Dim::M, Dim::P],
+    &[Dim::M, Dim::C, Dim::P],
+    &[Dim::M, Dim::Q],
+    &[Dim::C, Dim::S],
+    &[Dim::N, Dim::M],
+];
+
+/// What a property-test buffer or register file may keep: with the
+/// buffer keeping outputs only, DRAM is the only keeper of the read
+/// tensors.
+const KEEPS: [&[TensorKind]; 4] = [
+    &TensorKind::ALL,
+    &[TensorKind::Weight, TensorKind::Output],
+    &[TensorKind::Input, TensorKind::Output],
+    &[TensorKind::Output],
+];
+
+/// A toy architecture of 2–3 storage levels with a converter: DRAM, a
+/// buffer, an optional register file, and a DAC whose fan-out multicasts
+/// what it converts. `Q` and `S` lanes need unit stride.
+#[derive(Debug, Clone)]
+struct ToyArch {
+    registers: bool,
+    /// `KEEPS` indices of the buffer and the register file.
+    keeps: (usize, usize),
+    /// The DAC sits below the register file (when there is one) rather
+    /// than below the buffer.
+    dac_below_registers: bool,
+    dac_converts_weights: bool,
+    /// `(lanes, FANOUT_DIMS index)` of the buffer and the DAC.
+    buf_fanout: (usize, usize),
+    dac_fanout: (usize, usize),
+    /// Innermost storage capacity as `2^bits` bits; 0 leaves it
+    /// unbounded. 16 bits hold no candidate's tiles, 256 bits few.
+    capacity_log2: usize,
+    /// A gateable per-cycle cost, so utilization enters the objective.
+    laser: bool,
+}
+
+impl ToyArch {
+    fn build(&self) -> Architecture {
+        let fanout = |(lanes, dims): (usize, usize)| {
+            Fanout::new(lanes)
+                .allow(DimSet::from_dims(FANOUT_DIMS[dims]))
+                .require_unit_stride(DimSet::from_dims(&[Dim::Q, Dim::S]))
+        };
+        let capacity = (self.capacity_log2 > 0).then(|| 1u64 << self.capacity_log2);
+        let keeps = |i: usize| TensorSet::from_kinds(KEEPS[i]);
+        let dac_keeps = if self.dac_converts_weights {
+            TensorSet::from_kinds(&[TensorKind::Input, TensorKind::Weight])
+        } else {
+            TensorSet::only(TensorKind::Input)
+        };
+        let mut b = ArchBuilder::new("prop", Frequency::from_gigahertz(1.0))
+            .storage("dram", Domain::DigitalElectrical, TensorSet::all())
+            .read_energy(Energy::from_picojoules(100.0))
+            .write_energy(Energy::from_picojoules(120.0))
+            .done();
+        let mut buf = b
+            .storage("buf", Domain::DigitalElectrical, keeps(self.keeps.0))
+            .read_energy(Energy::from_picojoules(2.0))
+            .write_energy(Energy::from_picojoules(3.0))
+            .fanout(fanout(self.buf_fanout));
+        if let (false, Some(bits)) = (self.registers, capacity) {
+            buf = buf.capacity_bits(bits);
+        }
+        b = buf.done();
+        let dac = |b: ArchBuilder| {
+            b.converter("dac", Domain::AnalogElectrical, dac_keeps)
+                .convert_energy(Energy::from_picojoules(0.5))
+                .fanout(fanout(self.dac_fanout))
+                .done()
+        };
+        if self.registers {
+            if !self.dac_below_registers {
+                b = dac(b);
+            }
+            let mut reg = b
+                .storage("reg", Domain::DigitalElectrical, keeps(self.keeps.1))
+                .read_energy(Energy::from_picojoules(0.2))
+                .write_energy(Energy::from_picojoules(0.3));
+            if let Some(bits) = capacity {
+                reg = reg.capacity_bits(bits);
+            }
+            b = reg.done();
+            if self.dac_below_registers {
+                b = dac(b);
+            }
+        } else {
+            b = dac(b);
+        }
+        if self.laser {
+            b = b.per_cycle("laser", Energy::from_picojoules(7.0), true);
+        }
+        b.compute(
+            "mac",
+            Domain::AnalogElectrical,
+            Energy::from_picojoules(0.1),
+        )
+        .build()
+        .expect("the toy architecture is valid")
+    }
+}
+
+fn toy_arch_strategy() -> impl Strategy<Value = ToyArch> {
+    let lanes = || (0usize..4).prop_map(|k| 1 << k);
+    (
+        (
+            0usize..2,
+            0usize..2,
+            0usize..2,
+            0..KEEPS.len(),
+            0..KEEPS.len(),
+        ),
+        (lanes(), 0..FANOUT_DIMS.len()),
+        (lanes(), 0..FANOUT_DIMS.len()),
+        (0usize..5).prop_map(|k| [0, 4, 8, 10, 13][k]),
+        0usize..2,
+    )
+        .prop_map(
+            |(
+                (registers, below, weights, buf, reg),
+                buf_fanout,
+                dac_fanout,
+                capacity_log2,
+                laser,
+            )| ToyArch {
+                registers: registers == 1,
+                keeps: (buf, reg),
+                dac_below_registers: below == 1,
+                dac_converts_weights: weights == 1,
+                buf_fanout,
+                dac_fanout,
+                capacity_log2,
+                laser: laser == 1,
+            },
+        )
+}
+
+/// A small conv, matmul, grouped conv or strided conv.
+fn toy_layer_strategy() -> impl Strategy<Value = Layer> {
+    (
+        0usize..4,
+        (1usize..=2, 1usize..=12, 1usize..=12),
+        (1usize..=8, 1usize..=8, 1usize..=3, 1usize..=3),
+    )
+        .prop_map(|(kind, (n, m, c), (p, q, r, s))| match kind {
+            0 => Layer::conv2d("conv", n, m, c, p, q, r, s),
+            1 => Layer::matmul("matmul", n, m, c, p),
+            2 => Layer::conv2d("grouped", n, 2 * m, 2 * c, p, q, r, s).with_groups(2),
+            _ => Layer::conv2d("strided", n, m, c, p, q, r, s).with_stride(2, 2),
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Beyond the built-in layers: random small layers on random toy
+    /// architectures with converters, multicast fan-outs, stride-gated
+    /// lanes and (sometimes) buffers too small for many candidates.
+    #[test]
+    fn search_matches_the_transcription_on_random_layers_and_archs(
+        toy in toy_arch_strategy(),
+        layer in toy_layer_strategy(),
+        search in (40usize..=160, 0usize..1000),
+    ) {
+        let arch = toy.build();
+        let cfg = SearchConfig { iterations: search.0, seed: search.1 as u64 };
+        let what = format!("{toy:?}/{layer:?}/{cfg:?}");
+        let dram_reads = |reads: &[(usize, TensorKind, f64)]| -> f64 {
+            reads.iter().filter(|(level, _, _)| *level == 0).map(|(_, _, r)| r).sum()
+        };
+        check_variants(
+            &format!("{what} dram"),
+            &arch,
+            &layer,
+            cfg,
+            &|a| a.level(0).total_accesses(),
+            &|m| dram_reads(&outer_read_traffic(&arch, &layer, m)),
+            &|p| dram_reads(p.outer_reads),
+        );
+        let found = check_variants(
+            &format!("{what} energy"),
+            &arch,
+            &layer,
+            cfg,
+            &|a| breakdown_cost(&arch, a),
+            &|m| mapping_bound(&arch, &layer, m),
+            &|p| preview_bound(&arch, p),
+        );
+        // With no bounded buffer every candidate is legal.
+        prop_assert!(toy.capacity_log2 > 0 || found.is_some(), "{what}: no mapping");
     }
 }
