@@ -4,14 +4,19 @@
 //! does less work for the same answer.** On a transformer GEMM (the
 //! attention score matmul of a bert-base encoder block),
 //! `random_search` (candidate dedup) and `random_search_pruned` (dedup
-//! plus a lower-bound early exit) must land on the bit-identical winning
-//! mapping and cost of the naive baseline while calling `analyze` on
-//! strictly fewer candidates. The contract is asserted on every run,
-//! the CI smoke profile included, and so is the search's exact work:
-//! each variant's analyzed and skipped candidate counts must equal the
-//! ones recorded in `BENCH_mapper.json`. The counts are a pure function
-//! of the search's RNG stream, so a drift means candidate generation
-//! changed; a deliberate change re-records them.
+//! plus a lower-bound early exit, under two bounds) must land on the
+//! bit-identical winning mapping and cost of the naive baseline while
+//! calling `analyze` on strictly fewer candidates. One bound is the DRAM
+//! reads of the read tensors; the other, the complete traffic at every
+//! tensor's outermost keeper, is exact for the objective, so its variant
+//! analyzes only candidates that beat (or tie) the incumbent. The
+//! contract is asserted on every run, the CI smoke profile included,
+//! and so is the search's exact work: each variant's analyzed and
+//! skipped candidate counts must equal the ones recorded in
+//! `BENCH_mapper.json`. The counts are a pure function of the search's
+//! RNG stream and the bounds' terms, so a drift means candidate
+//! generation or a preview changed; a deliberate change re-records
+//! them.
 //!
 //! Besides the criterion timings, a full run outside CI writes
 //! `BENCH_mapper.json` at the repo root (searches/s and candidates
@@ -58,6 +63,21 @@ fn outer_dram_reads(preview: &Preview<'_>) -> f64 {
         .sum()
 }
 
+/// The DRAM traffic of every tensor's outermost keeper: on Albireo,
+/// whose DRAM is every tensor's outermost keeper, [`cost`] itself, bit
+/// for bit (the same sums in the same order).
+fn outer_dram_traffic(preview: &Preview<'_>) -> f64 {
+    preview
+        .outer_traffic
+        .iter()
+        .filter(|keeper| keeper.level == 0)
+        .map(|keeper| keeper.reads + keeper.writes)
+        .sum()
+}
+
+/// The search's relative pruning margin.
+const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
+
 /// Best-of-`runs` wall time of `f`, in seconds.
 fn best_seconds<O>(runs: usize, mut f: impl FnMut() -> O) -> f64 {
     let mut best = f64::INFINITY;
@@ -73,16 +93,37 @@ fn albireo_system() -> System {
     AlbireoConfig::new(ScalingProfile::Aggressive).build_system()
 }
 
-/// Runs the three search variants on `layer` and checks the refactor's
+/// Runs the four search variants on `layer` and checks the refactor's
 /// contract: identical winning mapping and cost, strictly less
-/// `analyze` work. Returns `(baseline, deduped, pruned)`.
-fn search_contract(system: &System, layer: &Layer) -> (SearchResult, SearchResult, SearchResult) {
+/// `analyze` work, and under the exact traffic bound an analysis only
+/// for a candidate that beats or ties the incumbent. Returns
+/// `(baseline, deduped, pruned, pruned on traffic)`.
+fn search_contract(
+    system: &System,
+    layer: &Layer,
+) -> (SearchResult, SearchResult, SearchResult, SearchResult) {
     let arch = system.arch();
     let baseline = random_search_baseline(arch, layer, SEARCH, cost).expect("baseline search maps");
     let deduped = random_search(arch, layer, SEARCH, cost).expect("deduped search maps");
     let pruned = random_search_pruned(arch, layer, SEARCH, outer_dram_reads, cost)
         .expect("pruned search maps");
-    for (name, result) in [("dedup", &deduped), ("prune", &pruned)] {
+    let mut incumbent = f64::INFINITY;
+    let traffic = random_search_pruned(arch, layer, SEARCH, outer_dram_traffic, |analysis| {
+        let c = cost(analysis);
+        assert!(
+            c * PRUNE_MARGIN < incumbent,
+            "the exact bound let a losing candidate through on {}: {c} against {incumbent}",
+            layer.name()
+        );
+        incumbent = incumbent.min(c);
+        c
+    })
+    .expect("traffic-pruned search maps");
+    for (name, result) in [
+        ("dedup", &deduped),
+        ("prune", &pruned),
+        ("prune on traffic", &traffic),
+    ] {
         assert_eq!(
             baseline.mapping,
             result.mapping,
@@ -103,7 +144,7 @@ fn search_contract(system: &System, layer: &Layer) -> (SearchResult, SearchResul
             result.evaluated
         );
     }
-    (baseline, deduped, pruned)
+    (baseline, deduped, pruned, traffic)
 }
 
 /// The number recorded under `key` in a `BENCH_*.json` artifact body.
@@ -154,7 +195,7 @@ fn bench_mapper(c: &mut Criterion) {
         .expect("bert-base has matmul layers")
         .clone();
 
-    let (baseline, deduped, pruned) = search_contract(&system, &layer);
+    let (baseline, deduped, pruned, traffic) = search_contract(&system, &layer);
     print_once(
         "Mapper — pruned/deduplicated search vs naive baseline",
         || {
@@ -175,6 +216,10 @@ fn bench_mapper(c: &mut Criterion) {
                 "dedup+lb   {:>8}  {:>7}  {:>6}",
                 pruned.evaluated, pruned.deduped, pruned.pruned
             );
+            println!(
+                "dedup+lb*  {:>8}  {:>7}  {:>6}   (* exact outermost-keeper traffic bound)",
+                traffic.evaluated, traffic.deduped, traffic.pruned
+            );
         },
     );
 
@@ -184,6 +229,14 @@ fn bench_mapper(c: &mut Criterion) {
         ("candidates_analyzed_pruned", pruned.evaluated as f64),
         ("candidates_skipped_dedup", deduped.skipped() as f64),
         ("candidates_skipped_pruned", pruned.skipped() as f64),
+        (
+            "candidates_analyzed_pruned_traffic",
+            traffic.evaluated as f64,
+        ),
+        (
+            "candidates_skipped_pruned_traffic",
+            traffic.skipped() as f64,
+        ),
     ];
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     assert_recorded_counts(&root, &counts);
@@ -230,6 +283,17 @@ fn bench_mapper(c: &mut Criterion) {
                 black_box(&layer),
                 SEARCH,
                 outer_dram_reads,
+                cost,
+            ))
+        });
+    });
+    group.bench_function("random_search_400_pruned_traffic", |b| {
+        b.iter(|| {
+            black_box(random_search_pruned(
+                system.arch(),
+                black_box(&layer),
+                SEARCH,
+                outer_dram_traffic,
                 cost,
             ))
         });

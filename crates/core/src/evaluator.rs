@@ -463,19 +463,34 @@ fn search_min_energy(
 /// nest analysis.
 ///
 /// The bound sums exactly the terms of the true objective that the
-/// preview determines — compute (padded MACs), per-cycle, static, and
-/// the outermost-keeper read traffic of the read tensors (bit-identical
-/// to the analyzer's entries) — and omits the rest. Omission is only
-/// conservative when every omitted term is non-negative, so
-/// architectures with a negative storage or conversion energy
-/// (nonsensical, but representable) get `None` and the caller falls
-/// back to the unpruned search.
+/// preview determines, each bit-identical to the analyzer's entry:
+/// compute (padded MACs), per-cycle, static, the complete traffic at
+/// every tensor's outermost keeper (DRAM on every built-in architecture:
+/// the read tensors' reads, the output's updates and read-backs), and,
+/// in the search's second stage, the crossings of every converter that
+/// feeds compute (all of Albireo's DACs, modulators, ADCs and
+/// detectors). It omits the rest: the inner keepers' traffic and the
+/// crossings of converters above an inner keeper.
+///
+/// Both the charged and the omitted terms must be nonnegative: a
+/// negative charged term can make the bound negative, which the
+/// search's relative safety margin raises instead of lowering, and a
+/// negative omitted one can put the objective below the bound. So an
+/// architecture with any negative energy or static power (nonsensical,
+/// but representable; the linter flags it) gets `None`, and the caller
+/// falls back to the unpruned search.
 fn energy_lower_bound(arch: &Architecture) -> Option<impl Fn(&Preview<'_>) -> f64 + '_> {
-    let omitted_terms_nonnegative = arch.levels().iter().all(|l| {
-        (!l.kind().is_storage() || (l.read_energy().raw() >= 0.0 && l.write_energy().raw() >= 0.0))
-            && (!l.kind().is_converter() || l.convert_energy().raw() >= 0.0)
-    });
-    if !omitted_terms_nonnegative {
+    let nonnegative = |e: Energy| e.raw() >= 0.0;
+    let every_term_nonnegative = arch.levels().iter().all(|l| {
+        (!l.kind().is_storage() || (nonnegative(l.read_energy()) && nonnegative(l.write_energy())))
+            && (!l.kind().is_converter() || nonnegative(l.convert_energy()))
+    }) && nonnegative(arch.mac_energy())
+        && arch
+            .per_cycle_costs()
+            .iter()
+            .all(|cost| nonnegative(cost.energy_per_cycle))
+        && arch.total_static_power().raw() >= 0.0;
+    if !every_term_nonnegative {
         return None;
     }
     // The architecture's constant terms, fetched once per search.
@@ -495,8 +510,13 @@ fn energy_lower_bound(arch: &Architecture) -> Option<impl Fn(&Preview<'_>) -> f6
             total += cost.energy_per_cycle * (p.cycles as f64) * factor;
         }
         total += static_power * (period * p.cycles as f64);
-        for &(level, _tensor, reads) in p.outer_reads {
-            total += arch.levels()[level].read_energy() * reads;
+        for keeper in p.outer_traffic {
+            let level = &arch.levels()[keeper.level];
+            total += level.read_energy() * keeper.reads;
+            total += level.write_energy() * keeper.writes;
+        }
+        for &(converter, _tensor, crossings) in p.conversions {
+            total += arch.levels()[converter].convert_energy() * crossings;
         }
         total.picojoules()
     })
@@ -597,6 +617,10 @@ mod tests {
     use lumen_workload::{Dim, DimSet, TensorSet};
 
     fn toy_arch() -> Architecture {
+        toy_arch_with_mac(0.1)
+    }
+
+    fn toy_arch_with_mac(mac_pj: f64) -> Architecture {
         ArchBuilder::new("toy", Frequency::from_gigahertz(1.0))
             .storage("dram", Domain::DigitalElectrical, TensorSet::all())
             .read_energy(Energy::from_picojoules(100.0))
@@ -610,7 +634,7 @@ mod tests {
             .compute(
                 "mac",
                 Domain::DigitalElectrical,
-                Energy::from_picojoules(0.1),
+                Energy::from_picojoules(mac_pj),
             )
             .build()
             .unwrap()
@@ -837,6 +861,304 @@ mod tests {
                 .unwrap();
             assert_eq!(searched.analysis, explicit.analysis);
             assert_eq!(searched.energy, explicit.energy);
+        }
+    }
+
+    #[test]
+    fn a_negative_energy_turns_pruning_off() {
+        // A negative MAC energy is representable (only linted). It would
+        // make the bound negative, where the safety margin raises it.
+        let cfg = SearchConfig {
+            iterations: 150,
+            seed: 42,
+        };
+        let positive = search_min_energy(&toy_arch(), &layer(), cfg).unwrap();
+        assert!(positive.pruned > 0, "the bound prunes on the positive twin");
+        let negative = toy_arch_with_mac(-0.1);
+        assert!(energy_lower_bound(&negative).is_none());
+        let searched = search_min_energy(&negative, &layer(), cfg).unwrap();
+        assert_eq!(searched.pruned, 0);
+        assert_eq!(
+            searched.mapping,
+            random_search(&negative, &layer(), cfg, |a| {
+                energy_from_analysis(&negative, a, &Reroute::default())
+                    .total()
+                    .picojoules()
+            })
+            .unwrap()
+            .mapping
+        );
+    }
+
+    /// What a property-test buffer may keep: without outputs, DRAM is
+    /// the output's only keeper; without a read tensor, DRAM serves it
+    /// straight to compute.
+    const KEEPS: [&[TensorKind]; 5] = [
+        &TensorKind::ALL,
+        &[TensorKind::Weight, TensorKind::Output],
+        &[TensorKind::Input, TensorKind::Output],
+        &[TensorKind::Weight, TensorKind::Input],
+        &[TensorKind::Input],
+    ];
+
+    /// Spatial dim sets a property-test fan-out may wire.
+    const FANOUT_DIMS: [&[Dim]; 5] = [
+        &[Dim::M, Dim::C],
+        &[Dim::M, Dim::P],
+        &[Dim::C, Dim::S],
+        &[Dim::M, Dim::Q],
+        &[Dim::C, Dim::R],
+    ];
+
+    /// DRAM, an optional converter above the buffer (inputs and outputs),
+    /// a buffer, a DAC (inputs, optionally weights) and an ADC (outputs)
+    /// feeding compute, each with its own fan-out.
+    #[derive(Debug, Clone)]
+    struct ToyArch {
+        /// `KEEPS` index of the buffer.
+        buf_keeps: usize,
+        /// Whether a converter sits between DRAM and the buffer.
+        upper_converter: bool,
+        dac_converts_weights: bool,
+        /// `(lanes, FANOUT_DIMS index)` of the buffer, the DAC and the
+        /// ADC.
+        fanouts: [(usize, usize); 3],
+        /// The buffer's capacity as `2^bits` bits; 0 leaves it unbounded.
+        capacity_log2: usize,
+        laser: bool,
+    }
+
+    impl ToyArch {
+        fn build(&self) -> Architecture {
+            use lumen_units::Power;
+            let fanout = |(lanes, dims): (usize, usize)| {
+                Fanout::new(lanes)
+                    .allow(DimSet::from_dims(FANOUT_DIMS[dims]))
+                    .require_unit_stride(DimSet::from_dims(&[Dim::Q, Dim::S]))
+            };
+            let mut b = ArchBuilder::new("prop", Frequency::from_gigahertz(1.0))
+                .storage("dram", Domain::DigitalElectrical, TensorSet::all())
+                .read_energy(Energy::from_picojoules(100.0))
+                .write_energy(Energy::from_picojoules(120.0))
+                .done();
+            if self.upper_converter {
+                b = b
+                    .converter(
+                        "io",
+                        Domain::DigitalElectrical,
+                        TensorSet::from_kinds(&[TensorKind::Input, TensorKind::Output]),
+                    )
+                    .convert_energy(Energy::from_picojoules(0.7))
+                    .done();
+            }
+            let mut buf = b
+                .storage(
+                    "buf",
+                    Domain::DigitalElectrical,
+                    TensorSet::from_kinds(KEEPS[self.buf_keeps]),
+                )
+                .read_energy(Energy::from_picojoules(2.0))
+                .write_energy(Energy::from_picojoules(3.0))
+                .static_power(Power::from_milliwatts(1.5))
+                .fanout(fanout(self.fanouts[0]));
+            if self.capacity_log2 > 0 {
+                buf = buf.capacity_bits(1 << self.capacity_log2);
+            }
+            let dac_keeps = if self.dac_converts_weights {
+                TensorSet::from_kinds(&[TensorKind::Input, TensorKind::Weight])
+            } else {
+                TensorSet::only(TensorKind::Input)
+            };
+            let mut b = buf
+                .done()
+                .converter("dac", Domain::AnalogElectrical, dac_keeps)
+                .convert_energy(Energy::from_picojoules(0.5))
+                .fanout(fanout(self.fanouts[1]))
+                .done()
+                .converter(
+                    "adc",
+                    Domain::DigitalElectrical,
+                    TensorSet::only(TensorKind::Output),
+                )
+                .convert_energy(Energy::from_picojoules(1.3))
+                .fanout(fanout(self.fanouts[2]))
+                .done();
+            if self.laser {
+                b = b.per_cycle("laser", Energy::from_picojoules(7.0), true);
+            }
+            b.compute(
+                "mac",
+                Domain::AnalogElectrical,
+                Energy::from_picojoules(0.1),
+            )
+            .build()
+            .unwrap()
+        }
+    }
+
+    fn toy_arch_strategy() -> impl proptest::strategy::Strategy<Value = ToyArch> {
+        use proptest::prelude::*;
+        let fanout = || ((0usize..4).prop_map(|k| 1 << k), 0..FANOUT_DIMS.len());
+        (
+            (0..KEEPS.len(), 0usize..2, 0usize..2, 0usize..2),
+            (fanout(), fanout(), fanout()),
+            (0usize..4).prop_map(|k| [0, 8, 10, 13][k]),
+        )
+            .prop_map(
+                |((buf_keeps, upper, weights, laser), (buf, dac, adc), capacity_log2)| ToyArch {
+                    buf_keeps,
+                    upper_converter: upper == 1,
+                    dac_converts_weights: weights == 1,
+                    fanouts: [buf, dac, adc],
+                    capacity_log2,
+                    laser: laser == 1,
+                },
+            )
+    }
+
+    fn toy_layer_strategy() -> impl proptest::strategy::Strategy<Value = Layer> {
+        use proptest::prelude::*;
+        (
+            0usize..4,
+            (1usize..=2, 1usize..=12, 1usize..=12),
+            (1usize..=8, 1usize..=8, 1usize..=3, 1usize..=3),
+        )
+            .prop_map(|(kind, (n, m, c), (p, q, r, s))| match kind {
+                0 => Layer::conv2d("conv", n, m, c, p, q, r, s),
+                1 => Layer::matmul("matmul", n, m, c, p),
+                2 => Layer::conv2d("grouped", n, 2 * m, 2 * c, p, q, r, s).with_groups(2),
+                _ => Layer::conv2d("strided", n, m, c, p, q, r, s).with_stride(2, 2),
+            })
+    }
+
+    /// One stage's preview of a candidate, as the bound saw it.
+    struct Previewed {
+        bound: f64,
+        traffic: Vec<lumen_mapper::KeeperTraffic>,
+        conversions: Vec<(usize, TensorKind, f64)>,
+    }
+
+    /// Each kept tensor's outermost keeper, with its complete traffic
+    /// read off the analysis.
+    fn expected_traffic(
+        arch: &Architecture,
+        a: &LayerAnalysis,
+    ) -> Vec<(usize, TensorKind, u64, u64)> {
+        TensorKind::ALL
+            .into_iter()
+            .filter_map(|t| {
+                let k = arch
+                    .levels()
+                    .iter()
+                    .position(|l| l.kind().is_storage() && l.keep().contains(t))?;
+                Some((
+                    k,
+                    t,
+                    a.level(k).reads[t].to_bits(),
+                    a.level(k).writes[t].to_bits(),
+                ))
+            })
+            .collect()
+    }
+
+    /// The crossings of every converter whose next keeper is compute,
+    /// read off the analysis.
+    fn expected_conversions(
+        arch: &Architecture,
+        a: &LayerAnalysis,
+    ) -> Vec<(usize, TensorKind, u64)> {
+        let levels = arch.levels();
+        (0..levels.len())
+            .filter(|&c| levels[c].kind().is_converter())
+            .flat_map(|c| {
+                levels[c]
+                    .keep()
+                    .iter()
+                    .filter(move |&t| {
+                        !levels[c + 1..]
+                            .iter()
+                            .any(|l| l.kind().is_storage() && l.keep().contains(t))
+                    })
+                    .map(move |t| (c, t, a.level(c).conversions[t].to_bits()))
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+
+        /// Every legal candidate a search draws, pruned or not: both
+        /// stages' bounds stay at or below the objective, and each term
+        /// the preview adds equals the analysis's entry bit for bit.
+        #[test]
+        fn energy_bound_is_sound_and_exact_on_random_candidates(
+            toy in toy_arch_strategy(),
+            layer in toy_layer_strategy(),
+            search in (40usize..=120, 0usize..1000),
+        ) {
+            use std::cell::RefCell;
+            let arch = toy.build();
+            let what = format!("{toy:?}/{layer:?}/{search:?}");
+            let lb = energy_lower_bound(&arch).unwrap();
+            let stages: RefCell<(Option<Previewed>, Option<Previewed>)> = RefCell::default();
+            // Records each stage's preview and bound, and prunes nothing,
+            // so every legal candidate reaches the objective.
+            let record = |p: &Preview<'_>| {
+                let previewed = Previewed {
+                    bound: lb(p),
+                    traffic: p.outer_traffic.to_vec(),
+                    conversions: p.conversions.to_vec(),
+                };
+                let mut stages = stages.borrow_mut();
+                if p.conversions.is_empty() {
+                    *stages = (Some(previewed), None);
+                } else {
+                    stages.1 = Some(previewed);
+                }
+                f64::NEG_INFINITY
+            };
+            let mut total = EnergyTotal::default();
+            let mut checked = 0usize;
+            let cfg = SearchConfig { iterations: search.0, seed: search.1 as u64 };
+            let objective = |a: &LayerAnalysis| {
+                total.clear();
+                energy_into(&arch, a, &Reroute::default(), &mut total);
+                let cost = total.total().picojoules();
+                let (first, second) = std::mem::take(&mut *stages.borrow_mut());
+                let first = first.expect("the first stage previewed the candidate");
+                let traffic = first
+                    .traffic
+                    .iter()
+                    .map(|k| (k.level, k.tensor, k.reads.to_bits(), k.writes.to_bits()))
+                    .collect::<Vec<_>>();
+                assert_eq!(traffic, expected_traffic(&arch, a), "{what}: outermost keepers");
+                assert!(first.conversions.is_empty(), "{what}");
+                assert!(first.bound * (1.0 - 1e-9) <= cost, "{what}: {} > {cost}", first.bound);
+                let conversions = expected_conversions(&arch, a);
+                match second {
+                    Some(second) => {
+                        let seen = second
+                            .conversions
+                            .iter()
+                            .map(|&(c, t, x)| (c, t, x.to_bits()))
+                            .collect::<Vec<_>>();
+                        assert_eq!(seen, conversions, "{what}: crossings");
+                        assert!(
+                            second.bound * (1.0 - 1e-9) <= cost,
+                            "{what}: {} > {cost}",
+                            second.bound
+                        );
+                        assert!(second.bound >= first.bound, "{what}");
+                    }
+                    None => assert!(conversions.is_empty(), "{what}: no second stage"),
+                }
+                checked += 1;
+                cost
+            };
+            let found = random_search_pruned(&arch, &layer, cfg, record, objective);
+            // With no bounded buffer every candidate is legal.
+            assert!(toy.capacity_log2 > 0 || found.is_some(), "{what}: no mapping");
+            assert_eq!(checked, found.map_or(0, |r| r.evaluated), "{what}");
         }
     }
 

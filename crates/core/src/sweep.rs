@@ -71,27 +71,29 @@ impl SweepRunner {
     /// [`MAX_FORCED_THREADS`] — are ignored with a one-time warning and
     /// the runner falls back to available parallelism.
     pub fn new() -> SweepRunner {
-        // The override is resolved (and any parse warning printed) once
-        // per process: sweeps are constructed inside bench iteration
-        // loops, where a per-construction warning would flood stderr.
-        static FORCED: OnceLock<Option<usize>> = OnceLock::new();
-        let forced = *FORCED.get_or_init(|| match std::env::var("LUMEN_SWEEP_THREADS") {
-            Ok(value) => match parse_thread_override(&value) {
-                Ok(n) => Some(n),
-                Err(reason) => {
-                    eprintln!(
-                        "warning: ignoring LUMEN_SWEEP_THREADS={value:?} ({reason}); \
-                         using available parallelism"
-                    );
-                    None
-                }
-            },
-            Err(_) => None,
+        // Resolved (and any parse warning printed) once per process:
+        // sweeps are constructed inside bench iteration loops, where a
+        // per-construction warning would flood stderr, and every
+        // evaluation session builds a runner, where re-reading the
+        // machine's parallelism (cgroup files on Linux) would cost
+        // ~20 µs each time.
+        static THREADS: OnceLock<NonZeroUsize> = OnceLock::new();
+        let threads = *THREADS.get_or_init(|| {
+            let forced = match std::env::var("LUMEN_SWEEP_THREADS") {
+                Ok(value) => match parse_thread_override(&value) {
+                    Ok(n) => NonZeroUsize::new(n),
+                    Err(reason) => {
+                        eprintln!(
+                            "warning: ignoring LUMEN_SWEEP_THREADS={value:?} ({reason}); \
+                             using available parallelism"
+                        );
+                        None
+                    }
+                },
+                Err(_) => None,
+            };
+            forced.unwrap_or_else(|| thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
         });
-        if let Some(forced) = forced {
-            return SweepRunner::with_threads(forced);
-        }
-        let threads = thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
         SweepRunner { threads }
     }
 

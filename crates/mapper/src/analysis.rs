@@ -129,7 +129,9 @@ pub fn analyze(
 /// since the outermost level is the most expensive per access) *lower
 /// bound* on a candidate mapping's traffic cost. The search engine hands
 /// the same triples to a lower bound as [`crate::search::Preview`]'s
-/// `outer_reads`; see [`crate::search::random_search_pruned`].
+/// `outer_reads`, next to the outermost keeper's complete traffic of
+/// every tensor (the output's updates and read-backs included) as its
+/// `outer_traffic`; see [`crate::search::random_search_pruned`].
 ///
 /// The mapping is **not** validated: an illegal candidate yields a
 /// number that would never be charged, which is harmless for pruning
@@ -145,6 +147,21 @@ pub fn outer_read_traffic(
     nest.outer_reads().to_vec()
 }
 
+/// One tensor's complete traffic at one storage level: the `reads` and
+/// `writes` entries the full [`LayerAnalysis`] records there, bit for
+/// bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KeeperTraffic {
+    /// The storage level's architecture index.
+    pub level: usize,
+    /// The tensor.
+    pub tensor: TensorKind,
+    /// [`LevelTraffic::reads`] of `tensor` at `level`.
+    pub reads: f64,
+    /// [`LevelTraffic::writes`] of `tensor` at `level`.
+    pub writes: f64,
+}
+
 /// The nest context of one *(architecture, layer, spatial loops)*
 /// triple, plus buffers for the per-candidate quantities.
 ///
@@ -155,11 +172,13 @@ pub fn outer_read_traffic(
 /// the reused buffers, so analyzing one more candidate allocates
 /// nothing. [`analyze`] is this context plus one candidate.
 ///
-/// A load comes in two parts, so a search can skip most of it for a
+/// A load comes in three parts, so a search can skip most of it for a
 /// candidate its lower bound prunes: [`Nest::load_preview`] computes
-/// what the preview and [`Nest::overflow`] read, and
-/// [`Nest::load_rest`] the per-tensor quantities of the levels they do
-/// not.
+/// what the preview and [`Nest::overflow`] read (the shallow levels),
+/// [`Nest::load_deep_footprints`] the tiles and sharing factors of the
+/// deep levels, which is all [`Nest::load_crossings`] needs for the
+/// crossings of the converters that feed compute, and
+/// [`Nest::load_rest`] the temporal multiplicities of the deep levels.
 pub(crate) struct Nest<'a> {
     arch: &'a Architecture,
     layer: &'a Layer,
@@ -170,14 +189,18 @@ pub(crate) struct Nest<'a> {
     keepers: TensorMap<Vec<usize>>,
     /// Converter level indices, outer→inner.
     converters: Vec<usize>,
+    /// `(converter level, tensor)` pairs whose next keeper is compute,
+    /// in [`Nest::run`]'s order.
+    compute_fed: Vec<(usize, TensorKind)>,
     /// Spatial bound product per level.
     s_prod: Vec<u64>,
     /// Product of every spatial bound.
     spatial_product: u64,
     /// Utilized instance count of each level (spatial products above it).
     util_inst: Vec<u64>,
-    /// Levels `0..preview_levels` are those whose per-tensor quantities
-    /// the outermost reads and the capacity check read.
+    /// Levels `0..preview_levels` are the shallow ones: those whose
+    /// per-tensor quantities the outermost keepers' traffic and the
+    /// capacity check read.
     preview_levels: usize,
 
     // Per-candidate quantities, written by `load`.
@@ -186,11 +209,13 @@ pub(crate) struct Nest<'a> {
     below_incl: Vec<DimMap<u64>>,
     /// Extents of all loops at levels `> x` (excluding `x`'s spatial).
     below_excl: Vec<DimMap<u64>>,
-    /// Tile of each tensor stored at level `x` (its fan-out and below).
+    /// Tile of each tensor stored at storage level `x` (its fan-out and
+    /// below); unused, and left at 0, at other levels.
     tile: Vec<TensorMap<u64>>,
     /// Footprint-based sharing factor of each tensor at level `x`'s
     /// fan-out: how many child deliveries one parent-side element
-    /// serves (≥ 1).
+    /// serves (≥ 1; always 1 below a level whose fan-out the spatial
+    /// loops leave unused).
     share: Vec<TensorMap<f64>>,
     /// Temporal refetch multiplicity of the tile stored at level `x`.
     visits: Vec<TensorMap<u64>>,
@@ -202,11 +227,27 @@ pub(crate) struct Nest<'a> {
     padded_volume: u64,
     /// Product of every temporal bound.
     temporal_product: u64,
-    /// Outermost-keeper reads of the read tensors (`outer_len` valid).
-    outer: [(usize, TensorKind, f64); 2],
+    /// Outermost-keeper reads of the read tensors (`outer_reads_len`
+    /// valid).
+    outer_reads: [(usize, TensorKind, f64); 2],
+    outer_reads_len: usize,
+    /// Outermost-keeper traffic of every kept tensor (`outer_len` valid).
+    outer: [KeeperTraffic; 3],
     outer_len: usize,
-    /// Whether [`Nest::load_rest`] completed the last load.
-    complete: bool,
+    /// Crossings of the `compute_fed` pairs, as [`LevelTraffic`]'s
+    /// `conversions` entries.
+    crossings: Vec<(usize, TensorKind, f64)>,
+    /// How much of the last load is done.
+    loaded: Loaded,
+}
+
+/// The parts of a [`Nest`] load that are done.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Loaded {
+    Nothing,
+    Preview,
+    Footprints,
+    All,
 }
 
 impl<'a> Nest<'a> {
@@ -229,10 +270,22 @@ impl<'a> Nest<'a> {
                 .map(|(i, _)| i)
                 .collect::<Vec<usize>>()
         });
-        // A read tensor's outermost reads need its tiles and sharing down
-        // to its next keeper (all levels when compute is next); the
+        let converters = arch.converter_levels();
+        let compute_fed: Vec<(usize, TensorKind)> = converters
+            .iter()
+            .flat_map(|&c| {
+                let keepers = &keepers;
+                arch.levels()[c]
+                    .keep()
+                    .iter()
+                    .filter(move |&t| keepers[t].iter().all(|&k| k < c))
+                    .map(move |t| (c, t))
+            })
+            .collect();
+        // A tensor's outermost-keeper traffic needs its tiles and sharing
+        // down to its next keeper (all levels when compute is next); the
         // capacity check needs every bounded level's tiles.
-        let read_levels = [TensorKind::Weight, TensorKind::Input]
+        let keeper_levels = TensorKind::ALL
             .into_iter()
             .filter_map(|t| match keepers[t].get(1) {
                 Some(&inner) => Some(inner + 1),
@@ -244,7 +297,7 @@ impl<'a> Nest<'a> {
             .enumerate()
             .filter(|(_, l)| l.capacity_bits().is_some())
             .map(|(x, _)| x + 1);
-        let preview_levels = read_levels.chain(bounded_levels).max().unwrap_or(0);
+        let preview_levels = keeper_levels.chain(bounded_levels).max().unwrap_or(0);
         Nest {
             arch,
             layer,
@@ -252,7 +305,9 @@ impl<'a> Nest<'a> {
             groups: layer.groups() as u64,
             peak: arch.peak_parallelism() as f64,
             keepers,
-            converters: arch.converter_levels(),
+            converters,
+            crossings: Vec::with_capacity(compute_fed.len()),
+            compute_fed,
             spatial_product: s_prod.iter().product(),
             s_prod,
             util_inst,
@@ -266,9 +321,16 @@ impl<'a> Nest<'a> {
             padded: DimMap::filled(1),
             padded_volume: 1,
             temporal_product: 1,
-            outer: [(0, TensorKind::Weight, 0.0); 2],
+            outer_reads: [(0, TensorKind::Weight, 0.0); 2],
+            outer_reads_len: 0,
+            outer: [KeeperTraffic {
+                level: 0,
+                tensor: TensorKind::Weight,
+                reads: 0.0,
+                writes: 0.0,
+            }; 3],
             outer_len: 0,
-            complete: false,
+            loaded: Loaded::Nothing,
         }
     }
 
@@ -277,12 +339,13 @@ impl<'a> Nest<'a> {
     /// spatial loops.
     pub(crate) fn load(&mut self, mapping: &Mapping) {
         self.load_preview(mapping);
+        self.load_deep_footprints();
         self.load_rest(mapping);
     }
 
     /// The first part of [`Nest::load`]: the extents, cycles, padded
-    /// MACs and outermost reads, plus every per-tensor quantity of the
-    /// levels the capacity check reads. Enough for a preview and for
+    /// MACs and the outermost keepers' traffic, plus every per-tensor
+    /// quantity of the shallow levels. Enough for a preview and for
     /// [`Nest::overflow`], not for [`Nest::run`].
     pub(crate) fn load_preview(&mut self, mapping: &Mapping) {
         let n = self.num_levels;
@@ -312,35 +375,135 @@ impl<'a> Nest<'a> {
         self.padded_volume = Dim::ALL.iter().map(|&d| acc[d]).product();
         self.temporal_product = temporal_product;
 
-        self.load_tensors(mapping, 0..self.preview_levels);
-        self.complete = self.preview_levels == n;
+        self.load_footprints(0..self.preview_levels);
+        self.load_multiplicities(mapping, 0..self.preview_levels);
+        self.loaded = if self.preview_levels == n {
+            Loaded::All
+        } else {
+            Loaded::Preview
+        };
 
+        // Each tensor's outermost keeper, charged term by term as the
+        // passes of `Nest::run` charge it there.
         let g = self.groups as f64;
+        self.outer_reads_len = 0;
         self.outer_len = 0;
-        for t in [TensorKind::Weight, TensorKind::Input] {
+        for t in TensorKind::ALL {
             let chain = &self.keepers[t];
-            if let Some(&k) = chain.first() {
-                let inner = chain.get(1).copied().unwrap_or(n - 1);
-                // Mirrors the read-tensor pass of `Nest::run` exactly.
-                let reads = self.fills_total(t, inner) / self.share_gap(t, k, inner) * g;
-                self.outer[self.outer_len] = (k, t, reads);
-                self.outer_len += 1;
+            let Some(&k) = chain.first() else {
+                continue;
+            };
+            let inner = chain.get(1).copied().unwrap_or(n - 1);
+            let (mut reads, mut writes) = (0.0, 0.0);
+            match t {
+                TensorKind::Weight | TensorKind::Input => {
+                    reads += self.fills_total(t, inner) / self.share_gap(t, k, inner) * g;
+                    if k != 0 {
+                        writes += self.fills_total(t, k) * g;
+                    }
+                    self.outer_reads[self.outer_reads_len] = (k, t, reads);
+                    self.outer_reads_len += 1;
+                }
+                TensorKind::Output => {
+                    let red = self.share_gap(t, k, inner);
+                    writes += self.writes_up_total(inner) / red * g;
+                    reads += self.reads_down_total(inner) / red * g;
+                    if k != 0 {
+                        reads += self.writes_up_total(k) * g;
+                        writes += self.reads_down_total(k) * g;
+                    }
+                }
+            }
+            self.outer[self.outer_len] = KeeperTraffic {
+                level: k,
+                tensor: t,
+                reads,
+                writes,
+            };
+            self.outer_len += 1;
+        }
+    }
+
+    /// The second part of [`Nest::load`], after [`Nest::load_preview`]:
+    /// the tiles and sharing factors of the deep levels. Enough for
+    /// [`Nest::load_crossings`].
+    pub(crate) fn load_deep_footprints(&mut self) {
+        debug_assert!(self.loaded >= Loaded::Preview);
+        if self.loaded == Loaded::Preview {
+            self.load_footprints(self.preview_levels..self.num_levels);
+            self.loaded = Loaded::Footprints;
+        }
+    }
+
+    /// After [`Nest::load_deep_footprints`]: the crossings of every
+    /// converter whose next keeper is compute (see [`Nest::crossings`]).
+    pub(crate) fn load_crossings(&mut self) {
+        debug_assert!(self.loaded >= Loaded::Footprints);
+        let g = self.groups as f64;
+        let compute = self.num_levels - 1;
+        self.crossings.clear();
+        for i in 0..self.compute_fed.len() {
+            let (c, t) = self.compute_fed[i];
+            // Mirrors the converter pass of `Nest::run` exactly.
+            let gap = self.share_gap(t, c, compute);
+            let crossings = match t {
+                TensorKind::Weight | TensorKind::Input => self.fills_total(t, compute) / gap,
+                TensorKind::Output => {
+                    (self.writes_up_total(compute) + self.reads_down_total(compute)) / gap
+                }
+            };
+            // `run` adds the crossings onto a zeroed entry.
+            self.crossings.push((c, t, 0.0 + crossings * g));
+        }
+    }
+
+    /// The last part of [`Nest::load`], after
+    /// [`Nest::load_deep_footprints`] of the same mapping: the temporal
+    /// multiplicities of the deep levels.
+    pub(crate) fn load_rest(&mut self, mapping: &Mapping) {
+        debug_assert!(
+            self.loaded >= Loaded::Footprints,
+            "load_rest before the footprints"
+        );
+        if self.loaded == Loaded::Footprints {
+            self.load_multiplicities(mapping, self.preview_levels..self.num_levels);
+            self.loaded = Loaded::All;
+        }
+    }
+
+    /// Whether any converter's next keeper of a tensor it converts is
+    /// compute, so that [`Nest::load_crossings`] yields any.
+    pub(crate) fn feeds_compute(&self) -> bool {
+        !self.compute_fed.is_empty()
+    }
+
+    /// The tiles (storage levels only) and sharing factors of `levels`:
+    /// footprints over the suffix extents.
+    fn load_footprints(&mut self, levels: Range<usize>) {
+        for x in levels {
+            // Tiles are read only at storage levels.
+            let storage = self.arch.levels()[x].kind().is_storage();
+            let lanes = self.s_prod[x];
+            if !storage && lanes <= 1 {
+                continue;
+            }
+            for t in TensorKind::ALL {
+                let union = self.footprint(t, &self.below_incl[x]);
+                if storage {
+                    self.tile[x][t] = union;
+                }
+                if lanes > 1 {
+                    let child = self.footprint(t, &self.below_excl[x]) as f64;
+                    self.share[x][t] = (lanes as f64 * child / union as f64).max(1.0);
+                }
             }
         }
     }
 
-    /// The second part of [`Nest::load`], after
-    /// [`Nest::load_preview`] of the same mapping: the per-tensor
-    /// quantities of the remaining levels.
-    pub(crate) fn load_rest(&mut self, mapping: &Mapping) {
-        self.load_tensors(mapping, self.preview_levels..self.num_levels);
-        self.complete = true;
-    }
-
-    /// The per-tensor quantities of `levels` (visits, distinct tiles,
-    /// tiles and sharing). The temporal products run from the outermost
-    /// level, so any range gives what a walk over every level would.
-    fn load_tensors(&mut self, mapping: &Mapping, levels: Range<usize>) {
+    /// The temporal multiplicities of `levels` (visits and distinct
+    /// tiles). The temporal products run from the outermost level, so
+    /// any range gives what a walk over every level would.
+    fn load_multiplicities(&mut self, mapping: &Mapping, levels: Range<usize>) {
         for t in TensorKind::ALL {
             let relevant = t.relevant_dims();
             // Walking the temporal loops outer→inner: a loop multiplies
@@ -357,19 +520,10 @@ impl<'a> Nest<'a> {
                         distinct *= l.bound as u64;
                     }
                 }
-                if x < levels.start {
-                    continue;
+                if x >= levels.start {
+                    self.visits[x][t] = visits;
+                    self.distinct[x][t] = distinct;
                 }
-                self.visits[x][t] = visits;
-                self.distinct[x][t] = distinct;
-                let union = self.footprint(t, &self.below_incl[x]);
-                self.tile[x][t] = union;
-                self.share[x][t] = if self.s_prod[x] <= 1 {
-                    1.0
-                } else {
-                    let child = self.footprint(t, &self.below_excl[x]) as f64;
-                    (self.s_prod[x] as f64 * child / union as f64).max(1.0)
-                };
             }
         }
     }
@@ -377,7 +531,22 @@ impl<'a> Nest<'a> {
     /// The loaded candidate's outermost-keeper reads of the read tensors
     /// (see [`outer_read_traffic`]).
     pub(crate) fn outer_reads(&self) -> &[(usize, TensorKind, f64)] {
+        &self.outer_reads[..self.outer_reads_len]
+    }
+
+    /// The loaded candidate's complete traffic at each kept tensor's
+    /// outermost keeper, weights, inputs and outputs in that order.
+    pub(crate) fn outer_traffic(&self) -> &[KeeperTraffic] {
         &self.outer[..self.outer_len]
+    }
+
+    /// The loaded candidate's crossings at every converter whose next
+    /// keeper of the crossing tensor is compute, as `(converter level,
+    /// tensor, conversions)` triples equal to the
+    /// [`LevelTraffic::conversions`] entries, as of the last
+    /// [`Nest::load_crossings`].
+    pub(crate) fn crossings(&self) -> &[(usize, TensorKind, f64)] {
+        &self.crossings
     }
 
     /// The loaded candidate's cycles, as [`LayerAnalysis::cycles`].
@@ -480,7 +649,7 @@ impl<'a> Nest<'a> {
     /// Writes the loaded candidate's analysis into `out`, reusing its
     /// buffers.
     pub(crate) fn run(&self, out: &mut LayerAnalysis) {
-        debug_assert!(self.complete, "run on a preview-only load");
+        debug_assert!(self.loaded == Loaded::All, "run on a partial load");
         let g = self.groups as f64;
         let levels = &mut out.levels;
         levels.clear();

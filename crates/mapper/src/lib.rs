@@ -59,6 +59,6 @@ mod error;
 mod mapping;
 pub mod search;
 
-pub use analysis::{analyze, outer_read_traffic, LayerAnalysis, LevelTraffic};
+pub use analysis::{analyze, outer_read_traffic, KeeperTraffic, LayerAnalysis, LevelTraffic};
 pub use error::MappingError;
 pub use mapping::{LevelLoops, Loop, Mapping};

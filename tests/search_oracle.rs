@@ -15,6 +15,11 @@
 //! matmul, grouped and strided layers on random 2–3-storage-level toy
 //! architectures with a converter, multicast fan-outs, partial keepers
 //! and bounded buffers.
+//!
+//! A second transcription covers the system energy bound's two stages:
+//! every term it charges is read off the candidate's full analysis,
+//! and the engine, reading the same terms from its previews, must prune
+//! exactly the same candidates.
 
 use lumen::albireo::{AlbireoConfig, ScalingProfile};
 use lumen::arch::{ArchBuilder, Architecture, Domain, Fanout};
@@ -618,6 +623,167 @@ proptest! {
             &|p| preview_bound(&arch, p),
         );
         // With no bounded buffer every candidate is legal.
+        prop_assert!(toy.capacity_log2 > 0 || found.is_some(), "{what}: no mapping");
+    }
+}
+
+/// An architecture index's tensors whose next keeper below it is
+/// compute, in the analysis's order.
+fn compute_fed(arch: &Architecture, converter: usize) -> impl Iterator<Item = TensorKind> + '_ {
+    let levels = arch.levels();
+    levels[converter].keep().iter().filter(move |&t| {
+        !levels[converter + 1..]
+            .iter()
+            .any(|l| l.kind().is_storage() && l.keep().contains(t))
+    })
+}
+
+/// The system energy bound, transcribed from the full analysis: the
+/// compute, per-cycle and static terms, the complete traffic at each
+/// tensor's outermost keeper and, for a candidate that fits `arch`'s
+/// buffers, the crossings of every converter that feeds compute.
+/// `unbounded` is `arch` with buffers that hold every tile, so that an
+/// over-capacity candidate has an analysis too.
+///
+/// The transcription checks its bound once, before the analysis, where
+/// the engine checks a first stage before its capacity check and a
+/// second, with the crossings, after it. The second stage only adds
+/// nonnegative terms to the first's sum, so both prune exactly the same
+/// candidates.
+fn staged_mapping_bound(
+    arch: &Architecture,
+    unbounded: &Architecture,
+    layer: &Layer,
+    m: &Mapping,
+) -> f64 {
+    let a = analyze(unbounded, layer, m).expect("every candidate fits the unbounded twin");
+    let mut total = arch.mac_energy() * a.padded_macs as f64;
+    for cost in arch.per_cycle_costs() {
+        let factor = if cost.gateable {
+            a.spatial_utilization
+        } else {
+            1.0
+        };
+        total += cost.energy_per_cycle * (a.cycles as f64) * factor;
+    }
+    total += arch.total_static_power() * (arch.clock().period() * a.cycles as f64);
+    for t in TensorKind::ALL {
+        let outermost = arch
+            .levels()
+            .iter()
+            .position(|l| l.kind().is_storage() && l.keep().contains(t));
+        if let Some(k) = outermost {
+            let level = &arch.levels()[k];
+            total += level.read_energy() * a.level(k).reads[t];
+            total += level.write_energy() * a.level(k).writes[t];
+        }
+    }
+    if analyze(arch, layer, m).is_ok() {
+        for c in arch.converter_levels() {
+            for t in compute_fed(arch, c) {
+                total += arch.levels()[c].convert_energy() * a.level(c).conversions[t];
+            }
+        }
+    }
+    total.picojoules()
+}
+
+/// The same bound over the engine's previews.
+fn staged_preview_bound(arch: &Architecture, p: &Preview<'_>) -> f64 {
+    let mut total = arch.mac_energy() * p.padded_macs as f64;
+    for cost in arch.per_cycle_costs() {
+        let factor = if cost.gateable {
+            p.spatial_utilization
+        } else {
+            1.0
+        };
+        total += cost.energy_per_cycle * (p.cycles as f64) * factor;
+    }
+    total += arch.total_static_power() * (arch.clock().period() * p.cycles as f64);
+    for keeper in p.outer_traffic {
+        let level = &arch.levels()[keeper.level];
+        total += level.read_energy() * keeper.reads;
+        total += level.write_energy() * keeper.writes;
+    }
+    for &(c, _, crossings) in p.conversions {
+        total += arch.levels()[c].convert_energy() * crossings;
+    }
+    total.picojoules()
+}
+
+/// The pruned engine under the two-stage energy bound against the
+/// transcription; returns the transcription's result.
+fn check_staged(
+    what: &str,
+    arch: &Architecture,
+    unbounded: &Architecture,
+    layer: &Layer,
+    cfg: SearchConfig,
+) -> Option<SearchResult> {
+    let cost = |a: &LayerAnalysis| breakdown_cost(arch, a);
+    let oracle = transcribed_search(
+        arch,
+        layer,
+        cfg,
+        Some(&|m: &Mapping| staged_mapping_bound(arch, unbounded, layer, m)),
+        true,
+        cost,
+    );
+    assert_same(
+        &format!("{what} staged"),
+        random_search_pruned(arch, layer, cfg, |p| staged_preview_bound(arch, p), cost),
+        oracle.clone(),
+    );
+    oracle
+}
+
+#[test]
+fn the_two_stage_energy_bound_prunes_as_the_transcription_on_every_builtin_layer() {
+    let cfg = SearchConfig {
+        iterations: 160,
+        seed: 0xBEEF,
+    };
+    for scaling in [ScalingProfile::Conservative, ScalingProfile::Aggressive] {
+        let config = AlbireoConfig::new(scaling);
+        let arch = config.build_arch();
+        let unbounded = config.with_glb_mebibytes(1 << 20).build_arch();
+        let system = System::new(arch.clone(), MappingStrategy::RandomSearch(cfg));
+        let mut signatures = HashSet::new();
+        let mut pruned = 0;
+        for name in networks::NAMES {
+            let net = networks::by_name(name).unwrap();
+            for layer in net.layers() {
+                if !signatures.insert(layer.signature()) {
+                    continue;
+                }
+                let what = format!("{scaling}/{name}/{}", layer.name());
+                let oracle = check_staged(&what, &arch, &unbounded, layer, cfg)
+                    .unwrap_or_else(|| panic!("{what}: no legal mapping"));
+                pruned += oracle.pruned;
+                assert_eq!(system.map_layer(layer).unwrap(), oracle.mapping, "{what}");
+            }
+        }
+        assert!(signatures.len() > 30, "{} unique layers", signatures.len());
+        assert!(pruned > 0, "the bound never pruned on {scaling}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The two-stage energy bound on random small layers and random toy
+    /// architectures, bounded buffers included.
+    #[test]
+    fn the_two_stage_energy_bound_prunes_as_the_transcription_on_random_archs(
+        toy in toy_arch_strategy(),
+        layer in toy_layer_strategy(),
+        search in (40usize..=160, 0usize..1000),
+    ) {
+        let arch = toy.build();
+        let unbounded = ToyArch { capacity_log2: 0, ..toy.clone() }.build();
+        let cfg = SearchConfig { iterations: search.0, seed: search.1 as u64 };
+        let what = format!("{toy:?}/{layer:?}/{cfg:?}");
+        let found = check_staged(&what, &arch, &unbounded, &layer, cfg);
         prop_assert!(toy.capacity_log2 > 0 || found.is_some(), "{what}: no mapping");
     }
 }
