@@ -36,7 +36,7 @@ use lumen_mapper::search::{
     SearchResult,
 };
 use lumen_mapper::LayerAnalysis;
-use lumen_workload::{networks, Layer};
+use lumen_workload::{networks, Layer, TensorKind};
 use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
@@ -56,10 +56,10 @@ fn cost(analysis: &LayerAnalysis) -> f64 {
 /// read tensors, a subset of the DRAM accesses.
 fn outer_dram_reads(preview: &Preview<'_>) -> f64 {
     preview
-        .outer_reads
+        .outer_traffic
         .iter()
-        .filter(|(level, _, _)| *level == 0)
-        .map(|(_, _, reads)| reads)
+        .filter(|keeper| keeper.level == 0 && keeper.tensor != TensorKind::Output)
+        .map(|keeper| keeper.reads)
         .sum()
 }
 
@@ -78,15 +78,21 @@ fn outer_dram_traffic(preview: &Preview<'_>) -> f64 {
 /// The search's relative pruning margin.
 const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
 
-/// Best-of-`runs` wall time of `f`, in seconds.
-fn best_seconds<O>(runs: usize, mut f: impl FnMut() -> O) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let start = Instant::now();
-        black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
+/// Runs the recorded timing takes the median of.
+const TIMED_RUNS: usize = 201;
+
+/// Median wall time of `runs` runs of `f`, in seconds: on a shared host
+/// a best-of-few follows its quietest moment, a median the code.
+fn median_seconds<O>(runs: usize, mut f: impl FnMut() -> O) -> f64 {
+    let mut times: Vec<f64> = (0..runs)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[runs / 2]
 }
 
 fn albireo_system() -> System {
@@ -242,7 +248,7 @@ fn bench_mapper(c: &mut Criterion) {
     assert_recorded_counts(&root, &counts);
 
     if !c.is_smoke() && std::env::var_os("CI").is_none() {
-        let search_wall = best_seconds(3, || {
+        let search_wall = median_seconds(TIMED_RUNS, || {
             random_search(system.arch(), &layer, SEARCH, cost).expect("search maps")
         });
         let mut extras = vec![("searches_per_s", 1.0 / search_wall)];

@@ -194,20 +194,34 @@ impl Percentiles {
     /// drifted off by one whenever `q·n` landed an ulp above an integer
     /// — `0.95 × 20 = 19.000000000000004` rounded up to rank 20 —
     /// which exact-value tests now pin.
+    ///
+    /// The three ranks are selected, not sorted for: p99's over the
+    /// whole sample, then p95's and p50's among the samples left of it,
+    /// each in [`f64::total_cmp`]'s order, so every value is the sorted
+    /// sample's at that rank, bit for bit.
     pub fn from_samples(mut samples: Vec<f64>) -> Percentiles {
-        samples.sort_by(f64::total_cmp);
-        let rank = |percent: usize| -> f64 {
-            if samples.is_empty() {
-                return 0.0;
-            }
-            let rank = (percent * samples.len()).div_ceil(100).max(1);
-            samples[rank - 1]
-        };
-        Percentiles {
-            p50: rank(50),
-            p95: rank(95),
-            p99: rank(99),
+        if samples.is_empty() {
+            return Percentiles {
+                p50: 0.0,
+                p95: 0.0,
+                p99: 0.0,
+            };
         }
+        let n = samples.len();
+        let index = |percent: usize| (percent * n).div_ceil(100).max(1) - 1;
+        // Selecting index `i` leaves every sample ordered before it in
+        // `..i`, so a lower rank is selected there (or is `i` itself).
+        let mut select = |i: usize, within: usize| {
+            if i < within {
+                samples[..within].select_nth_unstable_by(i, f64::total_cmp);
+            }
+            samples[i]
+        };
+        let (i99, i95, i50) = (index(99), index(95), index(50));
+        let p99 = select(i99, n);
+        let p95 = select(i95, i99);
+        let p50 = select(i50, i95);
+        Percentiles { p50, p95, p99 }
     }
 }
 
@@ -1271,6 +1285,31 @@ mod tests {
         v.reverse();
         let p = Percentiles::from_samples(v);
         assert_eq!((p.p50, p.p95, p.p99), (100.0, 190.0, 198.0));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(200))]
+
+        /// Selection reads the sorted sample's ranks bit for bit, on
+        /// samples with repeats and zeros of both signs.
+        #[test]
+        fn percentiles_select_the_sorted_ranks(
+            picks in proptest::collection::vec(0usize..12, 1..300),
+        ) {
+            const VALUES: [f64; 12] =
+                [0.0, -0.0, 1.0, -1.0, 2.5, 1e-9, -3.0, 7.0, 1.0, 0.0, 1e300, -1e-300];
+            let samples: Vec<f64> = picks.iter().map(|&i| VALUES[i]).collect();
+            let mut sorted = samples.clone();
+            sorted.sort_by(f64::total_cmp);
+            let rank = |percent: usize| {
+                sorted[(percent * sorted.len()).div_ceil(100).max(1) - 1].to_bits()
+            };
+            let p = Percentiles::from_samples(samples);
+            proptest::prop_assert_eq!(
+                (p.p50.to_bits(), p.p95.to_bits(), p.p99.to_bits()),
+                (rank(50), rank(95), rank(99))
+            );
+        }
     }
 
     #[test]

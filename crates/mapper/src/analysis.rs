@@ -128,10 +128,10 @@ pub fn analyze(
 /// [`LayerAnalysis`], so the triples are a sound (and usually dominant,
 /// since the outermost level is the most expensive per access) *lower
 /// bound* on a candidate mapping's traffic cost. The search engine hands
-/// the same triples to a lower bound as [`crate::search::Preview`]'s
-/// `outer_reads`, next to the outermost keeper's complete traffic of
-/// every tensor (the output's updates and read-backs included) as its
-/// `outer_traffic`; see [`crate::search::random_search_pruned`].
+/// a lower bound the same reads as the read tensors' entries of
+/// [`crate::search::Preview`]'s `outer_traffic`, which also holds their
+/// fills and the output's complete traffic at its outermost keeper; see
+/// [`crate::search::random_search_pruned`].
 ///
 /// The mapping is **not** validated: an illegal candidate yields a
 /// number that would never be charged, which is harmless for pruning
@@ -144,7 +144,11 @@ pub fn outer_read_traffic(
 ) -> Vec<(usize, TensorKind, f64)> {
     let mut nest = Nest::new(arch, layer, mapping);
     nest.load_preview(mapping);
-    nest.outer_reads().to_vec()
+    nest.outer_traffic()
+        .iter()
+        .filter(|keeper| keeper.tensor != TensorKind::Output)
+        .map(|keeper| (keeper.level, keeper.tensor, keeper.reads))
+        .collect()
 }
 
 /// One tensor's complete traffic at one storage level: the `reads` and
@@ -162,23 +166,49 @@ pub struct KeeperTraffic {
     pub writes: f64,
 }
 
+/// The positions in a tensor's keeper chain whose multiplicities
+/// [`Nest::load_preview`] computes: its outermost keeper and the next.
+const PREVIEW_KEEPERS: Range<usize> = 0..2;
+
+/// The `(level, tensor)` tiles and sharing factors one part of a
+/// [`Nest`] load computes.
+#[derive(Debug, Default)]
+struct Footprints {
+    tiles: Vec<(usize, TensorKind)>,
+    shares: Vec<(usize, TensorKind)>,
+}
+
 /// The nest context of one *(architecture, layer, spatial loops)*
 /// triple, plus buffers for the per-candidate quantities.
 ///
 /// [`Nest::new`] holds what every candidate of a search shares: the
-/// keeper chains, the converter levels and the spatial products (the
-/// search fixes its spatial loops, so every candidate shares them).
-/// [`Nest::load`] then computes each per-candidate quantity once into
-/// the reused buffers, so analyzing one more candidate allocates
-/// nothing. [`analyze`] is this context plus one candidate.
+/// keeper chains, the converter levels, the spatial products (the
+/// search fixes its spatial loops, so every candidate shares them) and
+/// which quantities each part of a load computes. [`Nest::load`] then
+/// computes each per-candidate quantity once into the reused buffers, so
+/// analyzing one more candidate allocates nothing. [`analyze`] is this
+/// context plus one candidate.
 ///
-/// A load comes in three parts, so a search can skip most of it for a
-/// candidate its lower bound prunes: [`Nest::load_preview`] computes
-/// what the preview and [`Nest::overflow`] read (the shallow levels),
-/// [`Nest::load_deep_footprints`] the tiles and sharing factors of the
-/// deep levels, which is all [`Nest::load_crossings`] needs for the
-/// crossings of the converters that feed compute, and
-/// [`Nest::load_rest`] the temporal multiplicities of the deep levels.
+/// A load is demand-driven and comes in three parts, so a search pays
+/// little more than its first-stage bound reads for a candidate that
+/// bound prunes:
+///
+/// * [`Nest::load_preview`] computes only what the preview and
+///   [`Nest::overflow`] read: each tensor's tile and multiplicities at
+///   its inner keeper (the next below its outermost one) and at its
+///   outermost keeper unless that is level 0, the sharing factors of the
+///   fan-outs between the two, and every bounded level's tiles. It walks
+///   the extents of the shallow levels those read, with the deeper
+///   levels folded into one per-search spatial product times their
+///   temporal loops. On Albireo that is three GLB tiles over the DRAM
+///   and GLB loops.
+/// * [`Nest::load_deep_footprints`] computes every other tile and sharing
+///   factor: the deep levels' extents, the level-0 tiles and the shares
+///   of the fan-outs below the inner keepers. That is all
+///   [`Nest::load_crossings`] needs for the crossings of the converters
+///   that feed compute.
+/// * [`Nest::load_rest`] computes the multiplicities at the deeper
+///   keepers, the only other ones [`Nest::run`] reads.
 pub(crate) struct Nest<'a> {
     arch: &'a Architecture,
     layer: &'a Layer,
@@ -198,10 +228,15 @@ pub(crate) struct Nest<'a> {
     spatial_product: u64,
     /// Utilized instance count of each level (spatial products above it).
     util_inst: Vec<u64>,
-    /// Levels `0..preview_levels` are the shallow ones: those whose
-    /// per-tensor quantities the outermost keepers' traffic and the
-    /// capacity check read.
-    preview_levels: usize,
+    /// Levels `0..shallow` are those whose extents a preview reads.
+    shallow: usize,
+    /// Per-dimension product of the spatial bounds at levels `shallow..`.
+    deep_spatial: DimMap<u64>,
+    /// The footprints a preview computes.
+    preview: Footprints,
+    /// Every other tile [`Nest::run`] records and sharing factor at a
+    /// fan-out the spatial loops use.
+    deep: Footprints,
 
     // Per-candidate quantities, written by `load`.
     /// Extents of all loops strictly below level `x`'s temporal loops,
@@ -210,27 +245,23 @@ pub(crate) struct Nest<'a> {
     /// Extents of all loops at levels `> x` (excluding `x`'s spatial).
     below_excl: Vec<DimMap<u64>>,
     /// Tile of each tensor stored at storage level `x` (its fan-out and
-    /// below); unused, and left at 0, at other levels.
+    /// below); unused, and left at 0, where `x` does not keep it.
     tile: Vec<TensorMap<u64>>,
     /// Footprint-based sharing factor of each tensor at level `x`'s
     /// fan-out: how many child deliveries one parent-side element
     /// serves (≥ 1; always 1 below a level whose fan-out the spatial
     /// loops leave unused).
     share: Vec<TensorMap<f64>>,
-    /// Temporal refetch multiplicity of the tile stored at level `x`.
+    /// Temporal refetch multiplicity of the tile stored at keeper level
+    /// `x` (unused elsewhere).
     visits: Vec<TensorMap<u64>>,
-    /// Distinct tiles traversed by the temporal loops of levels `0..=x`.
+    /// Distinct tiles traversed by the temporal loops of levels `0..=x`,
+    /// at keeper level `x` (unused elsewhere).
     distinct: Vec<TensorMap<u64>>,
     /// Padded extent of each dimension.
     padded: DimMap<u64>,
     /// Padded iteration volume of one channel group.
     padded_volume: u64,
-    /// Product of every temporal bound.
-    temporal_product: u64,
-    /// Outermost-keeper reads of the read tensors (`outer_reads_len`
-    /// valid).
-    outer_reads: [(usize, TensorKind, f64); 2],
-    outer_reads_len: usize,
     /// Outermost-keeper traffic of every kept tensor (`outer_len` valid).
     outer: [KeeperTraffic; 3],
     outer_len: usize,
@@ -254,7 +285,8 @@ impl<'a> Nest<'a> {
     /// The context of `layer` on `arch` under `spatial`'s spatial loops;
     /// every mapping later passed to [`Nest::load`] must share them.
     pub(crate) fn new(arch: &'a Architecture, layer: &'a Layer, spatial: &Mapping) -> Nest<'a> {
-        let num_levels = arch.levels().len();
+        let levels = arch.levels();
+        let num_levels = levels.len();
         let s_prod: Vec<u64> = (0..num_levels)
             .map(|x| spatial.level(x).spatial_product())
             .collect();
@@ -263,7 +295,7 @@ impl<'a> Nest<'a> {
             util_inst[x] = util_inst[x - 1] * s_prod[x - 1];
         }
         let keepers = TensorMap::from_fn(|t| {
-            arch.levels()
+            levels
                 .iter()
                 .enumerate()
                 .filter(|(_, l)| l.kind().is_storage() && l.keep().contains(t))
@@ -275,29 +307,62 @@ impl<'a> Nest<'a> {
             .iter()
             .flat_map(|&c| {
                 let keepers = &keepers;
-                arch.levels()[c]
+                levels[c]
                     .keep()
                     .iter()
                     .filter(move |&t| keepers[t].iter().all(|&k| k < c))
                     .map(move |t| (c, t))
             })
             .collect();
-        // A tensor's outermost-keeper traffic needs its tiles and sharing
-        // down to its next keeper (all levels when compute is next); the
-        // capacity check needs every bounded level's tiles.
-        let keeper_levels = TensorKind::ALL
-            .into_iter()
-            .filter_map(|t| match keepers[t].get(1) {
-                Some(&inner) => Some(inner + 1),
-                None => keepers[t].first().map(|_| num_levels),
-            });
-        let bounded_levels = arch
-            .levels()
+        // A tensor's outermost-keeper traffic reads its tiles at its
+        // inner keeper and at its outermost one (whose fills count unless
+        // it is level 0), and the sharing factors between the two, down
+        // to compute when no keeper is next; the capacity check reads
+        // every bounded level's tiles.
+        let mut preview = Footprints::default();
+        for t in TensorKind::ALL {
+            let Some(&outer) = keepers[t].first() else {
+                continue;
+            };
+            let inner = keepers[t].get(1).copied();
+            let charged = inner.into_iter().chain((outer != 0).then_some(outer));
+            preview.tiles.extend(charged.map(|x| (x, t)));
+            let to = inner.unwrap_or(num_levels - 1);
+            let shared = (outer..to).filter(|&x| s_prod[x] > 1);
+            preview.shares.extend(shared.map(|x| (x, t)));
+        }
+        for (x, level) in levels.iter().enumerate() {
+            if level.capacity_bits().is_some() {
+                preview.tiles.extend(level.keep().iter().map(|t| (x, t)));
+            }
+        }
+        preview.tiles.sort_unstable();
+        preview.tiles.dedup();
+        let deep = Footprints {
+            tiles: (0..num_levels)
+                .filter(|&x| levels[x].kind().is_storage())
+                .flat_map(|x| levels[x].keep().iter().map(move |t| (x, t)))
+                .filter(|p| !preview.tiles.contains(p))
+                .collect(),
+            shares: (0..num_levels)
+                .filter(|&x| s_prod[x] > 1)
+                .flat_map(|x| TensorKind::ALL.map(|t| (x, t)))
+                .filter(|p| !preview.shares.contains(p))
+                .collect(),
+        };
+        let shallow = preview
+            .tiles
             .iter()
-            .enumerate()
-            .filter(|(_, l)| l.capacity_bits().is_some())
-            .map(|(x, _)| x + 1);
-        let preview_levels = keeper_levels.chain(bounded_levels).max().unwrap_or(0);
+            .chain(&preview.shares)
+            .map(|&(x, _)| x + 1)
+            .max()
+            .unwrap_or(0);
+        let mut deep_spatial = DimMap::filled(1u64);
+        for x in shallow..num_levels {
+            for l in &spatial.level(x).spatial {
+                deep_spatial[l.dim] *= l.bound as u64;
+            }
+        }
         Nest {
             arch,
             layer,
@@ -311,7 +376,10 @@ impl<'a> Nest<'a> {
             spatial_product: s_prod.iter().product(),
             s_prod,
             util_inst,
-            preview_levels,
+            shallow,
+            deep_spatial,
+            preview,
+            deep,
             below_incl: vec![DimMap::filled(1); num_levels],
             below_excl: vec![DimMap::filled(1); num_levels],
             tile: vec![TensorMap::filled(0); num_levels],
@@ -320,9 +388,6 @@ impl<'a> Nest<'a> {
             distinct: vec![TensorMap::filled(1); num_levels],
             padded: DimMap::filled(1),
             padded_volume: 1,
-            temporal_product: 1,
-            outer_reads: [(0, TensorKind::Weight, 0.0); 2],
-            outer_reads_len: 0,
             outer: [KeeperTraffic {
                 level: 0,
                 tensor: TensorKind::Weight,
@@ -339,54 +404,44 @@ impl<'a> Nest<'a> {
     /// spatial loops.
     pub(crate) fn load(&mut self, mapping: &Mapping) {
         self.load_preview(mapping);
-        self.load_deep_footprints();
+        self.load_deep_footprints(mapping);
         self.load_rest(mapping);
     }
 
-    /// The first part of [`Nest::load`]: the extents, cycles, padded
-    /// MACs and the outermost keepers' traffic, plus every per-tensor
-    /// quantity of the shallow levels. Enough for a preview and for
-    /// [`Nest::overflow`], not for [`Nest::run`].
+    /// The first part of [`Nest::load`]: the padded extents and the
+    /// outermost keepers' traffic, from only the tiles, sharing factors
+    /// and multiplicities that traffic and [`Nest::overflow`] read.
+    /// Enough for a preview, not for [`Nest::run`].
     pub(crate) fn load_preview(&mut self, mapping: &Mapping) {
-        let n = self.num_levels;
         debug_assert!(
-            (0..n).all(|x| mapping.level(x).spatial_product() == self.s_prod[x]),
+            (0..self.num_levels).all(|x| mapping.level(x).spatial_product() == self.s_prod[x]),
             "candidate's spatial loops differ from the nest context's"
         );
-        // Suffix extents, innermost level first.
-        let mut acc = DimMap::filled(1u64);
-        let mut temporal_product = 1u64;
-        for x in (0..n).rev() {
-            self.below_excl[x] = acc;
-            let mut incl = acc;
-            for l in &mapping.level(x).spatial {
-                incl[l.dim] *= l.bound as u64;
-            }
-            self.below_incl[x] = incl;
-            // Everything at level x (temporal + spatial) joins the suffix
-            // for the level above.
-            acc = incl;
+        // The deep levels fold into their spatial product times their
+        // temporal loops; the shallow ones' suffix extents follow,
+        // innermost level first.
+        let mut acc = self.deep_spatial;
+        for x in self.shallow..self.num_levels {
             for l in &mapping.level(x).temporal {
                 acc[l.dim] *= l.bound as u64;
-                temporal_product *= l.bound as u64;
             }
+        }
+        for x in (0..self.shallow).rev() {
+            acc = self.load_extents(mapping, x, acc);
         }
         self.padded = acc;
         self.padded_volume = Dim::ALL.iter().map(|&d| acc[d]).product();
-        self.temporal_product = temporal_product;
 
-        self.load_footprints(0..self.preview_levels);
-        self.load_multiplicities(mapping, 0..self.preview_levels);
-        self.loaded = if self.preview_levels == n {
-            Loaded::All
-        } else {
-            Loaded::Preview
-        };
+        let preview = std::mem::take(&mut self.preview);
+        self.load_footprints(&preview);
+        self.preview = preview;
+        self.load_multiplicities(mapping, PREVIEW_KEEPERS);
+        self.loaded = Loaded::Preview;
 
         // Each tensor's outermost keeper, charged term by term as the
         // passes of `Nest::run` charge it there.
         let g = self.groups as f64;
-        self.outer_reads_len = 0;
+        let n = self.num_levels;
         self.outer_len = 0;
         for t in TensorKind::ALL {
             let chain = &self.keepers[t];
@@ -401,8 +456,6 @@ impl<'a> Nest<'a> {
                     if k != 0 {
                         writes += self.fills_total(t, k) * g;
                     }
-                    self.outer_reads[self.outer_reads_len] = (k, t, reads);
-                    self.outer_reads_len += 1;
                 }
                 TensorKind::Output => {
                     let red = self.share_gap(t, k, inner);
@@ -424,13 +477,21 @@ impl<'a> Nest<'a> {
         }
     }
 
-    /// The second part of [`Nest::load`], after [`Nest::load_preview`]:
-    /// the tiles and sharing factors of the deep levels. Enough for
+    /// The second part of [`Nest::load`], after [`Nest::load_preview`]
+    /// of the same mapping: the deep levels' extents and every tile and
+    /// sharing factor the preview left out. Enough for
     /// [`Nest::load_crossings`].
-    pub(crate) fn load_deep_footprints(&mut self) {
+    pub(crate) fn load_deep_footprints(&mut self, mapping: &Mapping) {
         debug_assert!(self.loaded >= Loaded::Preview);
         if self.loaded == Loaded::Preview {
-            self.load_footprints(self.preview_levels..self.num_levels);
+            let mut acc = DimMap::filled(1u64);
+            for x in (self.shallow..self.num_levels).rev() {
+                acc = self.load_extents(mapping, x, acc);
+            }
+            debug_assert!(self.shallow == 0 || acc == self.below_excl[self.shallow - 1]);
+            let deep = std::mem::take(&mut self.deep);
+            self.load_footprints(&deep);
+            self.deep = deep;
             self.loaded = Loaded::Footprints;
         }
     }
@@ -458,15 +519,15 @@ impl<'a> Nest<'a> {
     }
 
     /// The last part of [`Nest::load`], after
-    /// [`Nest::load_deep_footprints`] of the same mapping: the temporal
-    /// multiplicities of the deep levels.
+    /// [`Nest::load_deep_footprints`] of the same mapping: the
+    /// multiplicities at the keepers the preview left out.
     pub(crate) fn load_rest(&mut self, mapping: &Mapping) {
         debug_assert!(
             self.loaded >= Loaded::Footprints,
             "load_rest before the footprints"
         );
         if self.loaded == Loaded::Footprints {
-            self.load_multiplicities(mapping, self.preview_levels..self.num_levels);
+            self.load_multiplicities(mapping, PREVIEW_KEEPERS.end..usize::MAX);
             self.loaded = Loaded::All;
         }
     }
@@ -477,34 +538,54 @@ impl<'a> Nest<'a> {
         !self.compute_fed.is_empty()
     }
 
-    /// The tiles (storage levels only) and sharing factors of `levels`:
-    /// footprints over the suffix extents.
-    fn load_footprints(&mut self, levels: Range<usize>) {
-        for x in levels {
-            // Tiles are read only at storage levels.
-            let storage = self.arch.levels()[x].kind().is_storage();
-            let lanes = self.s_prod[x];
-            if !storage && lanes <= 1 {
-                continue;
-            }
-            for t in TensorKind::ALL {
-                let union = self.footprint(t, &self.below_incl[x]);
-                if storage {
-                    self.tile[x][t] = union;
-                }
-                if lanes > 1 {
-                    let child = self.footprint(t, &self.below_excl[x]) as f64;
-                    self.share[x][t] = (lanes as f64 * child / union as f64).max(1.0);
-                }
-            }
+    /// Records level `x`'s suffix extents, given `below`, the extents of
+    /// every loop at deeper levels; returns them with level `x`'s own
+    /// loops joined.
+    fn load_extents(&mut self, mapping: &Mapping, x: usize, below: DimMap<u64>) -> DimMap<u64> {
+        self.below_excl[x] = below;
+        let mut acc = below;
+        for l in &mapping.level(x).spatial {
+            acc[l.dim] *= l.bound as u64;
+        }
+        self.below_incl[x] = acc;
+        for l in &mapping.level(x).temporal {
+            acc[l.dim] *= l.bound as u64;
+        }
+        acc
+    }
+
+    /// The tiles and sharing factors `part` lists, from the footprints
+    /// over the suffix extents (moved out of `self` for the call, which
+    /// allocates nothing).
+    fn load_footprints(&mut self, part: &Footprints) {
+        for &(x, t) in &part.tiles {
+            self.tile[x][t] = self.footprint(t, &self.below_incl[x]);
+        }
+        for &(x, t) in &part.shares {
+            self.share[x][t] = self.share_at(x, t);
         }
     }
 
-    /// The temporal multiplicities of `levels` (visits and distinct
-    /// tiles). The temporal products run from the outermost level, so
-    /// any range gives what a walk over every level would.
-    fn load_multiplicities(&mut self, mapping: &Mapping, levels: Range<usize>) {
+    /// The sharing factor of tensor `t` at level `x`'s fan-out.
+    fn share_at(&self, x: usize, t: TensorKind) -> f64 {
+        let union = self.footprint(t, &self.below_incl[x]);
+        let child = self.footprint(t, &self.below_excl[x]) as f64;
+        (self.s_prod[x] as f64 * child / union as f64).max(1.0)
+    }
+
+    /// The temporal multiplicities (visits and distinct tiles) of each
+    /// tensor at its keepers `chain[positions]`. The temporal products
+    /// run from the outermost level, so any positions give what a walk
+    /// over every keeper would.
+    fn load_multiplicities(&mut self, mapping: &Mapping, positions: Range<usize>) {
         for t in TensorKind::ALL {
+            let chain = &self.keepers[t];
+            let Some(at) = chain.get(positions.start..positions.end.min(chain.len())) else {
+                continue;
+            };
+            let Some(&deepest) = at.last() else {
+                continue;
+            };
             let relevant = t.relevant_dims();
             // Walking the temporal loops outer→inner: a loop multiplies
             // the refetches of a tile below it if it is relevant, or if a
@@ -512,7 +593,8 @@ impl<'a> Nest<'a> {
             // the product of every loop down to the innermost relevant
             // one.
             let (mut all, mut visits, mut distinct) = (1u64, 1u64, 1u64);
-            for x in 0..levels.end {
+            let mut next = 0;
+            for x in 0..=deepest {
                 for l in &mapping.level(x).temporal {
                     all *= l.bound as u64;
                     if relevant.contains(l.dim) {
@@ -520,18 +602,13 @@ impl<'a> Nest<'a> {
                         distinct *= l.bound as u64;
                     }
                 }
-                if x >= levels.start {
+                if x == at[next] {
                     self.visits[x][t] = visits;
                     self.distinct[x][t] = distinct;
+                    next += 1;
                 }
             }
         }
-    }
-
-    /// The loaded candidate's outermost-keeper reads of the read tensors
-    /// (see [`outer_read_traffic`]).
-    pub(crate) fn outer_reads(&self) -> &[(usize, TensorKind, f64)] {
-        &self.outer_reads[..self.outer_reads_len]
     }
 
     /// The loaded candidate's complete traffic at each kept tensor's
@@ -551,7 +628,8 @@ impl<'a> Nest<'a> {
 
     /// The loaded candidate's cycles, as [`LayerAnalysis::cycles`].
     pub(crate) fn cycles(&self) -> u64 {
-        self.temporal_product * self.groups
+        // Every padded iteration is one cycle on one lane.
+        self.padded_volume / self.spatial_product * self.groups
     }
 
     /// The loaded candidate's padded MACs, as
@@ -736,6 +814,63 @@ impl<'a> Nest<'a> {
         out.spatial_utilization = self.spatial_utilization();
         out.padding_factor = padded / self.layer.shape().volume() as f64;
     }
+}
+
+/// A load without the demand split, for tests: every quantity at every
+/// level from one full suffix walk, as a load computed them before the
+/// split.
+#[cfg(test)]
+impl Nest<'_> {
+    fn load_exhaustively(&mut self, mapping: &Mapping) {
+        let mut acc = DimMap::filled(1u64);
+        for x in (0..self.num_levels).rev() {
+            acc = self.load_extents(mapping, x, acc);
+        }
+        self.padded = acc;
+        self.padded_volume = Dim::ALL.iter().map(|&d| acc[d]).product();
+        for x in 0..self.num_levels {
+            for t in TensorKind::ALL {
+                if self.arch.levels()[x].kind().is_storage() {
+                    self.tile[x][t] = self.footprint(t, &self.below_incl[x]);
+                }
+                if self.s_prod[x] > 1 {
+                    self.share[x][t] = self.share_at(x, t);
+                }
+            }
+        }
+        for t in TensorKind::ALL {
+            let relevant = t.relevant_dims();
+            let (mut all, mut visits, mut distinct) = (1u64, 1u64, 1u64);
+            for x in 0..self.num_levels {
+                for l in &mapping.level(x).temporal {
+                    all *= l.bound as u64;
+                    if relevant.contains(l.dim) {
+                        visits = all;
+                        distinct *= l.bound as u64;
+                    }
+                }
+                self.visits[x][t] = visits;
+                self.distinct[x][t] = distinct;
+            }
+        }
+        self.loaded = Loaded::All;
+    }
+}
+
+/// [`analyze`] over [`Nest`]'s exhaustive test load.
+#[cfg(test)]
+pub(crate) fn analyze_exhaustively(
+    arch: &Architecture,
+    layer: &Layer,
+    mapping: &Mapping,
+) -> Result<LayerAnalysis, MappingError> {
+    mapping.validate(arch, layer)?;
+    let mut nest = Nest::new(arch, layer, mapping);
+    nest.load_exhaustively(mapping);
+    nest.check_capacity()?;
+    let mut analysis = LayerAnalysis::default();
+    nest.run(&mut analysis);
+    Ok(analysis)
 }
 
 #[cfg(test)]

@@ -197,10 +197,15 @@ pub struct SearchResult {
     pub analysis: LayerAnalysis,
     /// Its cost under the caller's objective.
     pub cost: f64,
-    /// Legal candidates whose cost was actually evaluated (structural
-    /// duplicates and pruned candidates are excluded).
+    /// Legal candidates whose cost was actually evaluated (duplicates
+    /// and pruned candidates are excluded).
     pub evaluated: usize,
-    /// Structurally-identical candidates skipped before analysis.
+    /// Candidates skipped before their preview because an earlier
+    /// candidate had the same temporal loops, in the same order, at
+    /// every level above compute: the loops [`analyze`] reads (the
+    /// compute level's are fixed by the rest, and their order is never
+    /// read). Such a candidate's analysis and cost equal the earlier
+    /// one's bit for bit, so it could never strictly beat it.
     pub deduped: usize,
     /// Candidates skipped because a lower bound on their cost already
     /// met or exceeded the incumbent's.
@@ -231,14 +236,12 @@ pub struct Preview<'a> {
     pub padded_macs: u64,
     /// [`LayerAnalysis::spatial_utilization`].
     pub spatial_utilization: f64,
-    /// The outermost-keeper reads of the read tensors, as
-    /// [`outer_read_traffic`](crate::outer_read_traffic) returns them.
-    pub outer_reads: &'a [(usize, TensorKind, f64)],
     /// The complete traffic at each kept tensor's outermost keeper:
-    /// the read tensors' reads (as in `outer_reads`) and fills, and the
-    /// output's updates, read-backs, flushes and refills. Weights,
-    /// inputs and outputs, in that order; a tensor no level keeps is
-    /// absent.
+    /// the read tensors' reads (the values
+    /// [`outer_read_traffic`](crate::outer_read_traffic) returns) and
+    /// fills, and the output's updates, read-backs, flushes and
+    /// refills. Weights, inputs and outputs, in that order; a tensor no
+    /// level keeps is absent.
     pub outer_traffic: &'a [KeeperTraffic],
     /// `(converter level, tensor, conversions)` of every converter whose
     /// next keeper of that tensor is compute, each equal to the
@@ -251,10 +254,12 @@ pub struct Preview<'a> {
 ///
 /// Spatial packing is fixed (greedy); temporal factorizations and level
 /// placements are randomized. Candidates failing validation or capacity
-/// checks are discarded, and structurally-identical repeat draws are
-/// deduplicated before analysis (the winner is unaffected: a duplicate
-/// can never *strictly* beat the identical candidate that preceded it).
-/// Returns `None` if no legal candidate was found.
+/// checks are discarded, and a candidate whose analysis an earlier one
+/// already fixes (the same temporal loops at every level above compute;
+/// see [`SearchResult::deduped`]) is skipped before analysis (the winner
+/// is unaffected: a duplicate can never *strictly* beat the identical
+/// candidate that preceded it). Returns `None` if no legal candidate was
+/// found.
 pub fn random_search(
     arch: &Architecture,
     layer: &Layer,
@@ -325,19 +330,21 @@ const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
 /// win, so a candidate costs no heap allocation.
 ///
 /// Whatever every candidate shares is settled once per search: the
-/// [`Divisors`] each chunk is drawn from, and the [`Mapping::validate`]
-/// verdict (the spatial loops are the base's, temporal loops go only to
-/// storage levels, and each dimension's temporal chunks multiply to
-/// exactly its leftover extent). A candidate then costs its draws, one
-/// [`KeySet`] probe and, if it is new, a [`Nest::load_preview`], the
-/// first-stage bound and a capacity check. A candidate that passes both
-/// pays for [`Nest::load_deep_footprints`], [`Nest::load_crossings`] and
-/// the second-stage bound; only one that passes that too pays for
+/// [`Candidates`] tables each chunk is drawn from, and the
+/// [`Mapping::validate`] verdict (the spatial loops are the base's,
+/// temporal loops go only to storage levels and compute, and each
+/// dimension's temporal chunks multiply to exactly its leftover extent).
+/// A candidate then costs its draws and one [`KeySet`] probe on the loops
+/// its analysis reads. Only if those are new does it pay for a
+/// [`Nest::load_preview`] of just what the first-stage bound and the
+/// capacity check read, the bound and the check. A candidate that passes
+/// both pays for [`Nest::load_deep_footprints`], [`Nest::load_crossings`]
+/// and the second-stage bound; only one that passes that too pays for
 /// [`Nest::load_rest`], the analysis and the cost. Under the system
 /// energy bound, which charges every DRAM and conversion term the
 /// preview fixes, the `dse_search` sweep (Albireo, 400 candidates, 1088
-/// searches) analyzes ~45 k of its 292 k previewed candidates, against
-/// 151 k when the bound charged only the read tensors' DRAM reads.
+/// searches, seed 1) dedups 169 k of its 435 k candidates, previews the
+/// other 266 k and analyzes 32 k of those.
 fn search_core(
     arch: &Architecture,
     layer: &Layer,
@@ -346,31 +353,20 @@ fn search_core(
     dedup: bool,
     mut cost: impl FnMut(&LayerAnalysis) -> f64,
 ) -> Option<SearchResult> {
-    let mut rng = StdRng::seed_from_u64(config.seed);
     let (base, leftover) = greedy_spatial(arch, layer, spatial_priority_for(layer));
-    let storage_levels: Vec<usize> = arch
-        .levels()
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| !l.kind().is_converter())
-        .map(|(i, _)| i)
-        .collect();
-
+    let mut candidates = Candidates::new(arch, &leftover, config.seed);
     // Every candidate validates exactly as the base with its leftover
-    // extents placed whole at one storage level does.
+    // extents placed whole at one temporal level does.
     let representative =
-        TemporalPlan::all_at(*storage_levels.first()?).apply(base.clone(), &leftover);
+        TemporalPlan::all_at(*candidates.levels.first()?).apply(base.clone(), &leftover);
     if representative.validate(arch, layer).is_err() {
         return None;
     }
-    let divisors = Divisors::new(Dim::ALL.iter().map(|&d| leftover[d]));
-    // Each dimension's first chunk divides its whole leftover extent.
-    let firsts = Dim::ALL.map(|d| divisors.entry(leftover[d]));
     let mut nest = Nest::new(arch, layer, &base);
-    // A split dimension draws at most `storage_levels.len()` chunks, one
-    // loop each.
-    let max_loops = storage_levels.len() * firsts.iter().flatten().count();
-    let mut seen = KeySet::new(max_loops, if dedup { config.iterations } else { 0 });
+    let mut seen = KeySet::new(
+        candidates.max_loops(),
+        if dedup { config.iterations } else { 0 },
+    );
     let mut candidate = base.clone();
     let mut analysis = LayerAnalysis::default();
     let mut best_mapping = base;
@@ -380,41 +376,10 @@ fn search_core(
     let mut deduped = 0usize;
     let mut pruned = 0usize;
     for _ in 0..config.iterations {
-        // Temporal loops only ever go to storage levels.
-        for &x in &storage_levels {
-            candidate.temporal_mut(x).clear();
-        }
-        // Randomly split each leftover extent across storage levels.
-        for (d, first) in Dim::ALL.into_iter().zip(firsts) {
-            let Some(mut remaining) = first else {
-                continue;
-            };
-            // Up to `storage_levels.len()` chunks; the last takes what
-            // remains, and every chunk is a divisor above 1.
-            let chunks = rng.gen_range(1..=storage_levels.len());
-            for i in 0..chunks {
-                let (f, rest) = if i + 1 == chunks {
-                    (divisors.values[remaining], None)
-                } else {
-                    divisors.draw(remaining, &mut rng)
-                };
-                let level = storage_levels[rng.gen_range(0..storage_levels.len())];
-                candidate
-                    .temporal_mut(level)
-                    .push(Loop { dim: d, bound: f });
-                match rest {
-                    Some(rest) => remaining = rest,
-                    None => break,
-                }
-            }
-        }
-        // Random order within each level.
-        for &x in &storage_levels {
-            shuffle(candidate.temporal_mut(x), &mut rng);
-        }
+        candidates.draw(&mut candidate);
         // All RNG draws for this iteration are complete: skipping from
         // here on cannot perturb later candidates.
-        if dedup && !seen.insert(&candidate) {
+        if dedup && seen.find_or_insert(&candidate).is_some() {
             deduped += 1;
             continue;
         }
@@ -434,7 +399,7 @@ fn search_core(
         if nest.overflow().is_some() {
             continue;
         }
-        nest.load_deep_footprints();
+        nest.load_deep_footprints(&candidate);
         let second = match lower_bound {
             Some(lb) if nest.feeds_compute() => {
                 nest.load_crossings();
@@ -485,14 +450,99 @@ fn preview<'n>(nest: &'n Nest<'_>, crossings: bool) -> Preview<'n> {
         cycles: nest.cycles(),
         padded_macs: nest.padded_macs(),
         spatial_utilization: nest.spatial_utilization(),
-        outer_reads: nest.outer_reads(),
         outer_traffic: nest.outer_traffic(),
         conversions: if crossings { nest.crossings() } else { &[] },
     }
 }
 
-/// An exact set of search candidates, keyed on their temporal loops
-/// alone (every candidate of one search shares its spatial loops).
+/// The candidate stream of one search.
+///
+/// A candidate splits each dimension's leftover extent into up to one
+/// chunk per temporal level (every level but the converters takes
+/// temporal loops), each a divisor above 1 of what the earlier ones
+/// left and the last taking the rest, so a dimension's chunks multiply
+/// to exactly its leftover extent. Each chunk goes to a random temporal
+/// level, and then each level's loops are shuffled.
+struct Candidates {
+    rng: StdRng,
+    /// The temporal levels, outer→inner.
+    levels: Vec<usize>,
+    divisors: Divisors,
+    /// Each dimension's first chunk divides its whole leftover extent.
+    firsts: [Option<usize>; 7],
+}
+
+impl Candidates {
+    /// The stream of a search of `arch` with these leftover extents,
+    /// drawn from an [`StdRng`] seeded with `seed`.
+    fn new(arch: &Architecture, leftover: &DimMap<usize>, seed: u64) -> Candidates {
+        let levels = arch
+            .levels()
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| !l.kind().is_converter())
+            .map(|(i, _)| i)
+            .collect();
+        let divisors = Divisors::new(Dim::ALL.iter().map(|&d| leftover[d]));
+        let firsts = Dim::ALL.map(|d| divisors.entry(leftover[d]));
+        Candidates {
+            rng: StdRng::seed_from_u64(seed),
+            levels,
+            divisors,
+            firsts,
+        }
+    }
+
+    /// The most loops a candidate has: a split dimension draws at most
+    /// one chunk per temporal level.
+    fn max_loops(&self) -> usize {
+        self.levels.len() * self.firsts.iter().flatten().count()
+    }
+
+    /// Rebuilds `candidate`'s temporal loops as the next draw.
+    fn draw(&mut self, candidate: &mut Mapping) {
+        for &x in &self.levels {
+            candidate.temporal_mut(x).clear();
+        }
+        for (d, first) in Dim::ALL.into_iter().zip(self.firsts) {
+            let Some(mut remaining) = first else {
+                continue;
+            };
+            let chunks = self.rng.gen_range(1..=self.levels.len());
+            for i in 0..chunks {
+                let (f, rest) = if i + 1 == chunks {
+                    (self.divisors.values[remaining], None)
+                } else {
+                    self.divisors.draw(remaining, &mut self.rng)
+                };
+                let level = self.levels[self.rng.gen_range(0..self.levels.len())];
+                candidate
+                    .temporal_mut(level)
+                    .push(Loop { dim: d, bound: f });
+                match rest {
+                    Some(rest) => remaining = rest,
+                    None => break,
+                }
+            }
+        }
+        // Random order within each level.
+        for &x in &self.levels {
+            shuffle(candidate.temporal_mut(x), &mut self.rng);
+        }
+    }
+}
+
+/// An exact set of search candidates, keyed on what [`analyze`] reads of
+/// them: their temporal loops, in order, at every level above compute
+/// (every candidate of one search shares its spatial loops).
+///
+/// Every storage level keeps a tensor (a builder rejects one that keeps
+/// none), so every level above compute that takes temporal loops is a
+/// keeper, and a keeper's refetch multiplicities read the order of every
+/// loop down to it. Compute's loops reach the analysis only through
+/// their per-dimension products, which the leftover extents fix given
+/// the loops above. So two candidates with equal keys have bit-identical
+/// analyses, and the later one can never strictly beat the earlier.
 ///
 /// Keys are stored flat, each as the words its loops pack into, so once
 /// the capacity for a search's candidates is reserved, testing and
@@ -527,14 +577,16 @@ impl KeySet {
         }
     }
 
-    /// Inserts `mapping`'s temporal loops; `false` if they were already
-    /// present.
-    fn insert(&mut self, mapping: &Mapping) -> bool {
+    /// The index of the earlier key equal to `mapping`'s, or `None`
+    /// after inserting it (keys are numbered in insertion order).
+    fn find_or_insert(&mut self, mapping: &Mapping) -> Option<usize> {
         // A loop packs exactly as `(bound, level · 7 + dim)`, levels in
         // order, so equal words are equal loops.
         let start = self.words.len();
         let mut hasher = WordHasher::default();
-        for (x, level) in mapping.levels().iter().enumerate() {
+        // Compute is the last level.
+        let above_compute = &mapping.levels()[..mapping.levels().len().saturating_sub(1)];
+        for (x, level) in above_compute.iter().enumerate() {
             for l in &level.temporal {
                 for word in [l.bound as u64, (x * Dim::ALL.len() + l.dim.index()) as u64] {
                     hasher.write_u64(word);
@@ -547,14 +599,14 @@ impl KeySet {
         while let Some(i) = at {
             if self.words[self.starts[i]..self.starts[i + 1]] == self.words[start..] {
                 self.words.truncate(start);
-                return false;
+                return Some(i);
             }
             at = self.older[i];
         }
         self.older
             .push(self.heads.insert(fingerprint, self.older.len()));
         self.starts.push(self.words.len());
-        true
+        None
     }
 }
 
@@ -702,10 +754,12 @@ fn shuffle<T>(items: &mut [T], rng: &mut StdRng) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::analyze_exhaustively;
     use crate::outer_read_traffic;
     use lumen_arch::{ArchBuilder, Domain, Fanout};
     use lumen_units::{Energy, Frequency};
     use lumen_workload::{DimSet, TensorSet};
+    use proptest::prelude::*;
 
     fn arch() -> Architecture {
         ArchBuilder::new("t", Frequency::from_gigahertz(1.0))
@@ -916,10 +970,10 @@ mod tests {
             &l,
             cfg,
             |p: &Preview<'_>| {
-                p.outer_reads
+                p.outer_traffic
                     .iter()
-                    .filter(|(level, _, _)| *level == 0)
-                    .map(|(_, _, reads)| reads)
+                    .filter(|k| k.level == 0 && k.tensor != TensorKind::Output)
+                    .map(|k| k.reads)
                     .sum()
             },
             cost,
@@ -1031,6 +1085,193 @@ mod tests {
             }
             // Both consumed the stream identically.
             assert_eq!(fast.next_u64(), scan.next_u64());
+        }
+    }
+
+    /// `n` candidates of a `seed`ed search of `layer` on `arch`, drawn
+    /// with the engine's generator.
+    fn draw(arch: &Architecture, layer: &Layer, seed: u64, n: usize) -> Vec<Mapping> {
+        let (mut candidate, leftover) = greedy_spatial(arch, layer, spatial_priority_for(layer));
+        let mut candidates = Candidates::new(arch, &leftover, seed);
+        (0..n)
+            .map(|_| {
+                candidates.draw(&mut candidate);
+                candidate.clone()
+            })
+            .collect()
+    }
+
+    /// [`analyze`]'s outcome on `mapping`, printed: `Debug` prints each
+    /// `f64` in its shortest round-trip form, so equal outcomes print
+    /// equal strings bit for bit.
+    fn outcome(arch: &Architecture, layer: &Layer, mapping: &Mapping) -> String {
+        format!("{:?}", analyze(arch, layer, mapping))
+    }
+
+    /// Keys `drawn` as the engine does. Returns how many candidates
+    /// repeated an earlier one's key with a different mapping, and how
+    /// many of those had a different [`analyze`] outcome from it.
+    fn key_collisions(arch: &Architecture, layer: &Layer, drawn: &[Mapping]) -> (usize, usize) {
+        // Capacity only: the set grows past it.
+        let mut seen = KeySet::new(0, drawn.len());
+        let mut firsts: Vec<(&Mapping, String)> = Vec::new();
+        let (mut collisions, mut differing) = (0, 0);
+        for candidate in drawn {
+            match seen.find_or_insert(candidate) {
+                None => firsts.push((candidate, outcome(arch, layer, candidate))),
+                Some(i) if firsts[i].0 != candidate => {
+                    collisions += 1;
+                    differing += usize::from(firsts[i].1 != outcome(arch, layer, candidate));
+                }
+                Some(_) => {}
+            }
+        }
+        (collisions, differing)
+    }
+
+    /// What a toy buffer or register file keeps: partial keepers leave
+    /// DRAM the only keeper of some tensors.
+    const KEEPS: [&[TensorKind]; 5] = [
+        &TensorKind::ALL,
+        &[TensorKind::Weight, TensorKind::Output],
+        &[TensorKind::Input, TensorKind::Output],
+        &[TensorKind::Output],
+        &[TensorKind::Weight],
+    ];
+
+    /// Spatial dim sets a toy fan-out may wire.
+    const FANOUT_DIMS: [&[Dim]; 4] = [
+        &[Dim::M, Dim::C],
+        &[Dim::M, Dim::P],
+        &[Dim::C, Dim::S],
+        &[Dim::N, Dim::Q],
+    ];
+
+    /// DRAM, a buffer, an optional register file and a DAC above
+    /// compute: `keeps` are the buffer's and register file's `KEEPS`,
+    /// `fanouts` the buffer's and DAC's `(lanes, FANOUT_DIMS)`, and a
+    /// nonzero `capacity_log2` bounds the innermost storage level.
+    fn toy_arch(
+        registers: bool,
+        keeps: (usize, usize),
+        fanouts: [(usize, usize); 2],
+        capacity_log2: usize,
+    ) -> Architecture {
+        let fanout = |(lanes, dims): (usize, usize)| {
+            Fanout::new(lanes).allow(DimSet::from_dims(FANOUT_DIMS[dims]))
+        };
+        let capacity = (capacity_log2 > 0).then(|| 1u64 << capacity_log2);
+        let mut b = ArchBuilder::new("keyed", Frequency::from_gigahertz(1.0))
+            .storage("dram", Domain::DigitalElectrical, TensorSet::all())
+            .done();
+        let mut buf = b
+            .storage(
+                "buf",
+                Domain::DigitalElectrical,
+                TensorSet::from_kinds(KEEPS[keeps.0]),
+            )
+            .fanout(fanout(fanouts[0]));
+        if let (false, Some(bits)) = (registers, capacity) {
+            buf = buf.capacity_bits(bits);
+        }
+        b = buf.done();
+        if registers {
+            let mut reg = b.storage(
+                "reg",
+                Domain::DigitalElectrical,
+                TensorSet::from_kinds(KEEPS[keeps.1]),
+            );
+            if let Some(bits) = capacity {
+                reg = reg.capacity_bits(bits);
+            }
+            b = reg.done();
+        }
+        b.converter("dac", Domain::AnalogElectrical, TensorSet::all())
+            .fanout(fanout(fanouts[1]))
+            .done()
+            .compute("mac", Domain::AnalogElectrical, Energy::ZERO)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn candidates_differing_only_in_compute_loops_share_a_key() {
+        // Four temporal levels and small leftover extents: repeats of the
+        // loops above compute are common.
+        let arch = toy_arch(true, (0, 3), [(4, 0), (2, 2)], 0);
+        let layer = Layer::conv2d("l", 1, 8, 4, 2, 4, 1, 1);
+        let drawn = draw(&arch, &layer, 5, 400);
+        let (collisions, differing) = key_collisions(&arch, &layer, &drawn);
+        assert!(
+            collisions > 0,
+            "no two candidates differed only in compute's loops"
+        );
+        assert_eq!(differing, 0, "{differing} of {collisions} collisions");
+    }
+
+    /// A random toy architecture (partial keepers, keeper chains of up
+    /// to three levels, multicast fan-outs above and below the deepest
+    /// keeper, and sometimes buffers too small for many candidates), a
+    /// small conv, matmul or strided conv, and a search seed.
+    fn toy_case() -> impl Strategy<Value = (Architecture, Layer, u64)> {
+        let fanout = || ((0usize..4).prop_map(|k| 1 << k), 0..FANOUT_DIMS.len());
+        (
+            (
+                (0usize..2, 0..KEEPS.len(), 0..KEEPS.len()),
+                fanout(),
+                fanout(),
+                (0usize..4).prop_map(|k| [0, 8, 10, 13][k]),
+            ),
+            (
+                (1usize..=2, 1usize..=12, 1usize..=12),
+                (1usize..=8, 1usize..=8, 1usize..=3, 1usize..=3),
+                0usize..3,
+            ),
+            0usize..1000,
+        )
+            .prop_map(|(arch, shape, seed)| {
+                let ((registers, buf, reg), buf_fanout, dac_fanout, capacity_log2) = arch;
+                let arch = toy_arch(
+                    registers == 1,
+                    (buf, reg),
+                    [buf_fanout, dac_fanout],
+                    capacity_log2,
+                );
+                let ((n, m, c), (p, q, r, s), kind) = shape;
+                let layer = match kind {
+                    0 => Layer::conv2d("conv", n, m, c, p, q, r, s),
+                    1 => Layer::matmul("matmul", n, m, c, p),
+                    _ => Layer::conv2d("strided", n, m, c, p, q, r, s).with_stride(2, 2),
+                };
+                (arch, layer, seed as u64)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Candidates the engine draws and keys alike analyze alike.
+        #[test]
+        fn candidates_with_equal_keys_analyze_bit_identically(case in toy_case()) {
+            let (arch, layer, seed) = case;
+            let drawn = draw(&arch, &layer, seed, 200);
+            let (collisions, differing) = key_collisions(&arch, &layer, &drawn);
+            prop_assert_eq!(differing, 0, "{} of {} collisions on {:?}", differing, collisions, layer);
+        }
+
+        /// The demand-driven load computes everything the analysis
+        /// reads: it analyzes every drawn candidate as a load of every
+        /// quantity at every level does.
+        #[test]
+        fn the_demand_driven_load_analyzes_as_an_exhaustive_one(case in toy_case()) {
+            let (arch, layer, seed) = case;
+            for candidate in draw(&arch, &layer, seed, 100) {
+                prop_assert_eq!(
+                    outcome(&arch, &layer, &candidate),
+                    format!("{:?}", analyze_exhaustively(&arch, &layer, &candidate)),
+                    "{} on {:?}", candidate, layer
+                );
+            }
         }
     }
 }

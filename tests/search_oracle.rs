@@ -4,17 +4,20 @@
 //! The transcription keeps everything the engine's candidates and costs
 //! were first built from: a cloned [`Mapping`] per candidate, a
 //! `Vec<Vec<_>>` of per-level loops, a divisor pick that collects every
-//! divisor, dedup on a `HashSet<Mapping>`, a lower bound over
+//! divisor, dedup on a `HashSet` of the temporal loops its analysis
+//! reads (every level's but compute's), a lower bound over
 //! [`outer_read_traffic`], and an energy cost read off a full
 //! [`EnergyBreakdown`]. `random_search`, `random_search_pruned` and
 //! `random_search_baseline` must return the same mapping, analysis, cost
 //! bits and `evaluated`/`deduped`/`pruned` counts, and
 //! `System::map_layer` the same winner, on the unique layers of every
 //! built-in network on both Albireo corners and on the toy architectures
-//! of the mapper's unit tests. A property test adds random small conv,
-//! matmul, grouped and strided layers on random 2–3-storage-level toy
-//! architectures with a converter, multicast fan-outs, partial keepers
-//! and bounded buffers.
+//! of the mapper's unit tests. A second pass dedups only whole repeated
+//! mappings, on a `HashSet<Mapping>`: it analyzes more candidates, and
+//! the engine must still pick its winner, analysis and cost bits. A
+//! property test adds random small conv, matmul, grouped and strided
+//! layers on random 2–3-storage-level toy architectures with a
+//! converter, multicast fan-outs, partial keepers and bounded buffers.
 //!
 //! A second transcription covers the system energy bound's two stages:
 //! every term it charges is read off the candidate's full analysis,
@@ -28,7 +31,7 @@ use lumen::mapper::search::{
     greedy_spatial, random_search, random_search_baseline, random_search_pruned,
     spatial_priority_for, Preview, SearchConfig, SearchResult,
 };
-use lumen::mapper::{analyze, outer_read_traffic, LayerAnalysis, Mapping};
+use lumen::mapper::{analyze, outer_read_traffic, LayerAnalysis, Loop, Mapping};
 use lumen::units::{Energy, Frequency};
 use lumen::workload::{networks, Dim, DimSet, Layer, TensorKind, TensorSet};
 use proptest::prelude::*;
@@ -38,14 +41,32 @@ use std::collections::HashSet;
 
 const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
 
+/// Which repeat candidates the transcription skips.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dedup {
+    /// None: every candidate is analyzed.
+    Off,
+    /// One whose temporal loops at every level but compute repeat an
+    /// earlier candidate's, in order: all that its analysis reads.
+    Analysis,
+    /// One whose whole mapping repeats an earlier candidate's.
+    Mapping,
+}
+
+/// The temporal loops of every level of `m` but compute, in order.
+fn analysis_key(m: &Mapping) -> Vec<Vec<Loop>> {
+    let above_compute = &m.levels()[..m.levels().len() - 1];
+    above_compute.iter().map(|l| l.temporal.clone()).collect()
+}
+
 /// The transcribed engine: `lower_bound` reads the candidate mapping,
-/// and `dedup` turns the `HashSet<Mapping>` on.
+/// and `dedup` picks the repeats it skips.
 fn transcribed_search(
     arch: &Architecture,
     layer: &Layer,
     config: SearchConfig,
     lower_bound: Option<&dyn Fn(&Mapping) -> f64>,
-    dedup: bool,
+    dedup: Dedup,
     mut cost: impl FnMut(&LayerAnalysis) -> f64,
 ) -> Option<SearchResult> {
     let mut rng = StdRng::seed_from_u64(config.seed);
@@ -58,7 +79,8 @@ fn transcribed_search(
         .map(|(i, _)| i)
         .collect();
 
-    let mut seen: HashSet<Mapping> = HashSet::new();
+    let mut seen_mappings: HashSet<Mapping> = HashSet::new();
+    let mut seen_keys: HashSet<Vec<Vec<Loop>>> = HashSet::new();
     let mut best: Option<SearchResult> = None;
     let mut evaluated = 0usize;
     let mut deduped = 0usize;
@@ -101,7 +123,12 @@ fn transcribed_search(
                 candidate.push_temporal(level, d, f);
             }
         }
-        if dedup && !seen.insert(candidate.clone()) {
+        let repeat = match dedup {
+            Dedup::Off => false,
+            Dedup::Analysis => !seen_keys.insert(analysis_key(&candidate)),
+            Dedup::Mapping => !seen_mappings.insert(candidate.clone()),
+        };
+        if repeat {
             deduped += 1;
             continue;
         }
@@ -252,28 +279,34 @@ fn mapping_bound(arch: &Architecture, layer: &Layer, m: &Mapping) -> f64 {
     )
 }
 
+/// The outermost-keeper reads of the read tensors in a preview, as
+/// [`outer_read_traffic`] returns them.
+fn preview_reads(p: &Preview<'_>) -> Vec<(usize, TensorKind, f64)> {
+    p.outer_traffic
+        .iter()
+        .filter(|keeper| keeper.tensor != TensorKind::Output)
+        .map(|keeper| (keeper.level, keeper.tensor, keeper.reads))
+        .collect()
+}
+
 fn preview_bound(arch: &Architecture, p: &Preview<'_>) -> f64 {
     bound_terms(
         arch,
         p.cycles,
         p.padded_macs,
         p.spatial_utilization,
-        p.outer_reads,
+        &preview_reads(p),
     )
 }
 
-fn assert_same(what: &str, engine: Option<SearchResult>, oracle: Option<SearchResult>) {
+/// The same winning mapping, analysis and cost bits.
+fn assert_same_winner(what: &str, engine: Option<&SearchResult>, oracle: Option<&SearchResult>) {
     match (engine, oracle) {
         (None, None) => {}
         (Some(e), Some(o)) => {
             assert_eq!(e.mapping, o.mapping, "{what}: mapping");
             assert_eq!(e.analysis, o.analysis, "{what}: analysis");
             assert_eq!(e.cost.to_bits(), o.cost.to_bits(), "{what}: cost");
-            assert_eq!(
-                (e.evaluated, e.deduped, e.pruned),
-                (o.evaluated, o.deduped, o.pruned),
-                "{what}: evaluated/deduped/pruned"
-            );
         }
         (e, o) => panic!(
             "{what}: engine found {}, oracle found {}",
@@ -283,8 +316,21 @@ fn assert_same(what: &str, engine: Option<SearchResult>, oracle: Option<SearchRe
     }
 }
 
+/// The same winner and the same `evaluated`/`deduped`/`pruned` counts.
+fn assert_same(what: &str, engine: Option<&SearchResult>, oracle: Option<&SearchResult>) {
+    assert_same_winner(what, engine, oracle);
+    if let (Some(e), Some(o)) = (engine, oracle) {
+        assert_eq!(
+            (e.evaluated, e.deduped, e.pruned),
+            (o.evaluated, o.deduped, o.pruned),
+            "{what}: evaluated/deduped/pruned"
+        );
+    }
+}
+
 /// All three engine variants against the transcription under `cost`
-/// and a bound over the objective's pre-analysis terms.
+/// and a bound over the objective's pre-analysis terms, and the
+/// deduplicating ones' winners against the whole-mapping dedup.
 fn check_variants(
     what: &str,
     arch: &Architecture,
@@ -294,21 +340,34 @@ fn check_variants(
     mapping_lb: &dyn Fn(&Mapping) -> f64,
     preview_lb: &dyn Fn(&Preview<'_>) -> f64,
 ) -> Option<SearchResult> {
-    let oracle_pruned = transcribed_search(arch, layer, cfg, Some(mapping_lb), true, cost);
+    let oracle_pruned =
+        transcribed_search(arch, layer, cfg, Some(mapping_lb), Dedup::Analysis, cost);
     assert_same(
         &format!("{what} baseline"),
-        random_search_baseline(arch, layer, cfg, cost),
-        transcribed_search(arch, layer, cfg, None, false, cost),
+        random_search_baseline(arch, layer, cfg, cost).as_ref(),
+        transcribed_search(arch, layer, cfg, None, Dedup::Off, cost).as_ref(),
     );
+    let deduped = random_search(arch, layer, cfg, cost);
     assert_same(
         &format!("{what} dedup"),
-        random_search(arch, layer, cfg, cost),
-        transcribed_search(arch, layer, cfg, None, true, cost),
+        deduped.as_ref(),
+        transcribed_search(arch, layer, cfg, None, Dedup::Analysis, cost).as_ref(),
     );
+    assert_same_winner(
+        &format!("{what} dedup on whole mappings"),
+        deduped.as_ref(),
+        transcribed_search(arch, layer, cfg, None, Dedup::Mapping, cost).as_ref(),
+    );
+    let pruned = random_search_pruned(arch, layer, cfg, preview_lb, cost);
     assert_same(
         &format!("{what} pruned"),
-        random_search_pruned(arch, layer, cfg, preview_lb, cost),
-        oracle_pruned.clone(),
+        pruned.as_ref(),
+        oracle_pruned.as_ref(),
+    );
+    assert_same_winner(
+        &format!("{what} pruned, dedup on whole mappings"),
+        pruned.as_ref(),
+        transcribed_search(arch, layer, cfg, Some(mapping_lb), Dedup::Mapping, cost).as_ref(),
     );
     oracle_pruned
 }
@@ -413,7 +472,7 @@ fn search_matches_the_transcription_on_the_toy_archs() {
                     cfg,
                     &dram,
                     &|m| dram_reads(&outer_read_traffic(&arch, layer, m)),
-                    &|p| dram_reads(p.outer_reads),
+                    &|p| dram_reads(&preview_reads(p)),
                 );
                 check_variants(
                     &format!("{what} energy"),
@@ -611,7 +670,7 @@ proptest! {
             cfg,
             &|a| a.level(0).total_accesses(),
             &|m| dram_reads(&outer_read_traffic(&arch, &layer, m)),
-            &|p| dram_reads(p.outer_reads),
+            &|p| dram_reads(&preview_reads(p)),
         );
         let found = check_variants(
             &format!("{what} energy"),
@@ -712,7 +771,8 @@ fn staged_preview_bound(arch: &Architecture, p: &Preview<'_>) -> f64 {
 }
 
 /// The pruned engine under the two-stage energy bound against the
-/// transcription; returns the transcription's result.
+/// transcription, and its winner against the whole-mapping dedup's;
+/// returns the transcription's result.
 fn check_staged(
     what: &str,
     arch: &Architecture,
@@ -721,18 +781,14 @@ fn check_staged(
     cfg: SearchConfig,
 ) -> Option<SearchResult> {
     let cost = |a: &LayerAnalysis| breakdown_cost(arch, a);
-    let oracle = transcribed_search(
-        arch,
-        layer,
-        cfg,
-        Some(&|m: &Mapping| staged_mapping_bound(arch, unbounded, layer, m)),
-        true,
-        cost,
-    );
-    assert_same(
-        &format!("{what} staged"),
-        random_search_pruned(arch, layer, cfg, |p| staged_preview_bound(arch, p), cost),
-        oracle.clone(),
+    let bound = |m: &Mapping| staged_mapping_bound(arch, unbounded, layer, m);
+    let oracle = transcribed_search(arch, layer, cfg, Some(&bound), Dedup::Analysis, cost);
+    let engine = random_search_pruned(arch, layer, cfg, |p| staged_preview_bound(arch, p), cost);
+    assert_same(&format!("{what} staged"), engine.as_ref(), oracle.as_ref());
+    assert_same_winner(
+        &format!("{what} staged, dedup on whole mappings"),
+        engine.as_ref(),
+        transcribed_search(arch, layer, cfg, Some(&bound), Dedup::Mapping, cost).as_ref(),
     );
     oracle
 }
