@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 
 PANIC_BASELINE=0
 UNWRAP_BASELINE=0
-EXPECT_BASELINE=47
+EXPECT_BASELINE=46
 ASSERT_BASELINE=51
 
 count() {

@@ -1932,6 +1932,19 @@ pub fn capacity_plan_study(
     router: lumen_workload::FleetRouter,
     arrival: lumen_workload::ArrivalProcess,
 ) -> Result<CapacityPlanResult, SystemError> {
+    let photonic = EvalSession::new(AlbireoConfig::new(scaling).build_system());
+    capacity_plan_on(&photonic, scaling, instances, router, arrival)
+}
+
+/// [`capacity_plan_study`] on `photonic`, a session over the Albireo
+/// system at `scaling`.
+fn capacity_plan_on(
+    photonic: &EvalSession,
+    scaling: ScalingProfile,
+    instances: usize,
+    router: lumen_workload::FleetRouter,
+    arrival: lumen_workload::ArrivalProcess,
+) -> Result<CapacityPlanResult, SystemError> {
     use lumen_core::{fleet_trace, FleetInstance};
     use lumen_workload::{Fleet, ServingModel};
 
@@ -1941,13 +1954,12 @@ pub fn capacity_plan_study(
         .dispatch()
         .expect("a uniform fleet serves any sub-stream of its own mix");
 
-    let photonic = EvalSession::new(AlbireoConfig::new(scaling).build_system());
     let model = ServingModel::gpt2_small();
     let options = NetworkOptions::baseline();
     let members: Vec<FleetInstance<'_>> = assignments
         .iter()
         .map(|assignment| FleetInstance {
-            session: &photonic,
+            session: photonic,
             model: &model,
             assignment,
         })
@@ -2087,7 +2099,8 @@ impl fmt::Display for FleetSloSearchResult {
 /// Answers the capacity question: sweeps the instance count upward from
 /// one, running [`capacity_plan_study`] at each size, until the
 /// fleet-wide p99 TTFT meets `slo_p99_ttft_ms` (or the sweep hits
-/// [`FLEET_SEARCH_MAX_INSTANCES`]).
+/// [`FLEET_SEARCH_MAX_INSTANCES`]). Every probe runs on one photonic
+/// session, so a layer mapped for one fleet size is reused by the rest.
 ///
 /// # Errors
 ///
@@ -2098,10 +2111,11 @@ pub fn fleet_slo_search(
     router: lumen_workload::FleetRouter,
     arrival: lumen_workload::ArrivalProcess,
 ) -> Result<FleetSloSearchResult, SystemError> {
+    let photonic = EvalSession::new(AlbireoConfig::new(scaling).build_system());
     let mut rows = Vec::new();
     let mut min_instances = None;
     for instances in 1..=FLEET_SEARCH_MAX_INSTANCES {
-        let plan = capacity_plan_study(scaling, instances, router, arrival.clone())?;
+        let plan = capacity_plan_on(&photonic, scaling, instances, router, arrival.clone())?;
         let p99 = plan.p99_ttft_ms();
         let met = p99 <= slo_p99_ttft_ms;
         rows.push(FleetSloRow {

@@ -28,7 +28,7 @@ fn albireo_system() -> System {
 /// The speedup floor the content-addressed pipeline must clear on
 /// transformer workloads — asserted by the full bench on developer
 /// machines and by the `LUMEN_BENCH_ASSERT_SPEEDUP` smoke gate in CI
-/// (`BENCH_eval.json` tracks the actual trajectory: ~4.4x cold, ~7.5x
+/// (`BENCH_eval.json` tracks the actual trajectory: ~3.8x cold, ~6.9x
 /// warm).
 const SPEEDUP_FLOOR: f64 = 3.0;
 

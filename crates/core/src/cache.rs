@@ -18,8 +18,9 @@
 //! per-layer results in execution order — **bit-identical** to the
 //! sequential [`System::evaluate_network`] path, which the golden suite
 //! pins. A serving trace resolves every distinct layer of the trace in
-//! one such call and reads each evaluation in place into a compact cost
-//! table, without building those per-layer rows.
+//! one such call and reads each evaluation in place into a layer cost
+//! (its scalars and its energy breakdown), without building those
+//! per-layer rows.
 //!
 //! Cache invalidation is by construction: keys embed content fingerprints
 //! of the architecture and the strategy, so a changed device constant or
@@ -63,8 +64,8 @@ use crate::evaluator::MappingFn;
 use crate::evaluator::Reroute;
 use crate::network::fusion_reroute;
 use crate::{
-    EnergyBreakdown, LayerEvaluation, MappingStrategy, NetworkEvaluation, NetworkOptions,
-    SweepRunner, System, SystemError,
+    LayerEvaluation, MappingStrategy, NetworkEvaluation, NetworkOptions, SweepRunner, System,
+    SystemError,
 };
 use lumen_arch::Architecture;
 use lumen_workload::{fnv1a_bytes, Layer, LayerSignature, Network, TensorKind};
@@ -184,11 +185,6 @@ impl EvalCache {
                 pinned.push(Arc::clone(f));
             }
         }
-    }
-
-    /// The stored outcome for `key`, if any (counts nothing).
-    fn lookup(&self, key: &EvalKey) -> Option<Result<LayerEvaluation, SystemError>> {
-        self.lookup_with(key, owned)
     }
 
     /// The stored outcome for `key` with a success read through `read`
@@ -434,7 +430,7 @@ impl EvalSession {
         // not scaled by multiplicity — so floating-point accumulation
         // matches the sequential path bit for bit.
         let mut per_layer = Vec::with_capacity(items.len());
-        let mut energy = EnergyBreakdown::new();
+        let mut energy = self.system.energy_breakdown();
         let mut cycles = 0u64;
         for (i, (layer, _)) in items.iter().enumerate() {
             let eval = resolved.get(i);
@@ -513,7 +509,7 @@ impl EvalSession {
     /// calling thread — a cached one borrowed in place, a fresh one
     /// owned — and callers fold the results by item
     /// through [`Resolved::get`]: [`evaluate_network`] into per-layer
-    /// rows, a serving trace into its compact cost table. An uncached
+    /// rows, a serving trace into its layer costs. An uncached
     /// session groups nothing and evaluates every item.
     ///
     /// [`evaluate_network`]: EvalSession::evaluate_network
@@ -629,7 +625,7 @@ impl EvalSession {
             return self.system.evaluate_layer_rerouted(layer, reroute);
         };
         let key = self.key(layer, reroute);
-        if let Some(found) = cache.lookup(&key) {
+        if let Some(found) = cache.lookup_with(&key, owned) {
             self.credit_cache_hits(1);
             return rename(found, layer.name());
         }

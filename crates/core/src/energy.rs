@@ -1,8 +1,11 @@
 //! Itemized energy accounting.
 
+use lumen_arch::Architecture;
 use lumen_units::Energy;
-use lumen_workload::TensorKind;
+use lumen_workload::{TensorKind, TensorMap};
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// The kind of cost an [`EnergyItem`] represents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,11 +35,12 @@ impl fmt::Display for CostCategory {
     }
 }
 
-/// One itemized energy contribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnergyItem {
+/// One itemized energy contribution, its label borrowed from the
+/// architecture's item table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EnergyItem<'a> {
     /// The contributing component / level (e.g. `"glb"`, `"input-dac"`).
-    pub label: String,
+    pub label: &'a str,
     /// Cost class.
     pub category: CostCategory,
     /// The tensor responsible, when attributable.
@@ -45,119 +49,245 @@ pub struct EnergyItem {
     pub energy: Energy,
 }
 
+/// The identity of an energy item: contributions with equal keys merge,
+/// whatever their source.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct ItemKey {
+    category: CostCategory,
+    tensor: Option<TensorKind>,
+    /// The label's bytes in its table's `text`.
+    label: Range<usize>,
+}
+
+/// Every energy item one architecture can charge, each *(label,
+/// category, tensor)* under a dense id, built once per
+/// [`System`](crate::System) and shared by all its breakdowns.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct EnergyTable {
+    /// Every item's label, concatenated: one allocation, not one per
+    /// item, since a table is built with every `System`.
+    text: String,
+    keys: Vec<ItemKey>,
+    /// Per level and tensor, the level's item: a conversion at a
+    /// converter, an access anywhere else. A fusion reroute charges its
+    /// target level's item; only a storage level has access energies.
+    pub(crate) levels: Vec<TensorMap<usize>>,
+    /// The compute level's MAC item.
+    pub(crate) compute: usize,
+    /// Per per-cycle cost, in the architecture's order, its item.
+    pub(crate) per_cycle: Vec<usize>,
+    /// The leakage item.
+    pub(crate) static_term: usize,
+}
+
+impl EnergyTable {
+    /// The items `arch`'s evaluations charge.
+    pub(crate) fn new(arch: &Architecture) -> EnergyTable {
+        let mut table = EnergyTable::default();
+        for level in arch.levels() {
+            let category = if level.kind().is_converter() {
+                CostCategory::Conversion
+            } else {
+                CostCategory::Storage
+            };
+            let items = TensorMap::from_fn(|t| table.intern(level.name(), category, Some(t)));
+            table.levels.push(items);
+        }
+        table.compute = table.intern(arch.compute_level().name(), CostCategory::Compute, None);
+        for cost in arch.per_cycle_costs() {
+            let id = table.intern(&cost.name, CostCategory::PerCycle, None);
+            table.per_cycle.push(id);
+        }
+        table.static_term = table.intern("static", CostCategory::Static, None);
+        table
+    }
+
+    /// The id of the item *(label, category, tensor)*, added if new.
+    pub(crate) fn intern(
+        &mut self,
+        label: &str,
+        category: CostCategory,
+        tensor: Option<TensorKind>,
+    ) -> usize {
+        let found = self
+            .keys
+            .iter()
+            .position(|k| k.category == category && k.tensor == tensor && self.label(k) == label);
+        found.unwrap_or_else(|| {
+            let start = self.text.len();
+            self.text.push_str(label);
+            let label = start..self.text.len();
+            self.keys.push(ItemKey {
+                category,
+                tensor,
+                label,
+            });
+            self.keys.len() - 1
+        })
+    }
+
+    /// The label of `key`.
+    fn label(&self, key: &ItemKey) -> &str {
+        &self.text[key.label.clone()]
+    }
+}
+
 /// An itemized energy total, summable and queryable by label / category /
 /// tensor.
+///
+/// Its items are those of the evaluated architecture's item table. A
+/// zero contribution is skipped, contributions to one item merge, and
+/// every total sums the items in the order they were first added to.
 ///
 /// # Examples
 ///
 /// ```
-/// use lumen_core::{CostCategory, EnergyBreakdown};
-/// use lumen_units::Energy;
+/// use lumen_arch::{ArchBuilder, Domain};
+/// use lumen_core::{CostCategory, MappingStrategy, System};
+/// use lumen_units::{Energy, Frequency};
+/// use lumen_workload::{Layer, TensorKind, TensorSet};
 ///
-/// let mut b = EnergyBreakdown::new();
-/// b.add("glb", CostCategory::Storage, None, Energy::from_picojoules(10.0));
-/// b.add("adc", CostCategory::Conversion, None, Energy::from_picojoules(5.0));
-/// assert_eq!(b.total(), Energy::from_picojoules(15.0));
-/// assert_eq!(b.by_category(CostCategory::Conversion), Energy::from_picojoules(5.0));
-/// assert_eq!(b.by_label("glb"), Energy::from_picojoules(10.0));
+/// let arch = ArchBuilder::new("toy", Frequency::from_gigahertz(1.0))
+///     .storage("dram", Domain::DigitalElectrical, TensorSet::all())
+///     .read_energy(Energy::from_picojoules(10.0))
+///     .done()
+///     .compute("mac", Domain::DigitalElectrical, Energy::from_picojoules(0.5))
+///     .build()
+///     .unwrap();
+/// let system = System::new(arch, MappingStrategy::default());
+/// let energy = system
+///     .evaluate_layer(&Layer::fully_connected("fc", 1, 4, 8))
+///     .unwrap()
+///     .energy;
+/// assert_eq!(energy.labels(), ["dram", "mac"]);
+/// // 32 MACs at 0.5 pJ, each reading its input from DRAM at 10 pJ.
+/// assert_eq!(energy.by_category(CostCategory::Compute), Energy::from_picojoules(16.0));
+/// assert_eq!(energy.by_label_and_tensor("dram", TensorKind::Input), Energy::from_picojoules(320.0));
+/// assert_eq!(energy.share_of_label("mac"), 16.0 / energy.total().picojoules());
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Clone, PartialEq)]
 pub struct EnergyBreakdown {
-    items: Vec<EnergyItem>,
+    table: Arc<EnergyTable>,
+    /// The energy of each item id, zero where nothing was added.
+    energy: Vec<Energy>,
+    /// One bit per item id: whether anything was added to it.
+    seen: Vec<u64>,
+    /// The ids added to, in first-seen order: the order totals sum in.
+    order: Vec<usize>,
 }
 
 impl EnergyBreakdown {
-    /// Creates an empty breakdown.
-    pub fn new() -> EnergyBreakdown {
-        EnergyBreakdown { items: Vec::new() }
+    /// An empty breakdown over `table`'s items.
+    pub(crate) fn new(table: Arc<EnergyTable>) -> EnergyBreakdown {
+        EnergyBreakdown {
+            energy: vec![Energy::ZERO; table.keys.len()],
+            seen: vec![0; table.keys.len().div_ceil(64)],
+            order: Vec::new(),
+            table,
+        }
     }
 
-    /// Adds one contribution (merging with an existing identical
-    /// label/category/tensor item). The label becomes an owned `String`
-    /// only when it starts a new item.
-    pub fn add(
-        &mut self,
-        label: impl AsRef<str> + Into<String>,
-        category: CostCategory,
-        tensor: Option<TensorKind>,
-        energy: Energy,
-    ) {
+    /// Adds one contribution to item `id`; a zero one is skipped.
+    pub(crate) fn add(&mut self, id: usize, energy: Energy) {
         if energy == Energy::ZERO {
             return;
         }
-        if let Some(item) = self
-            .items
-            .iter_mut()
-            .find(|i| i.label == label.as_ref() && i.category == category && i.tensor == tensor)
-        {
-            item.energy += energy;
-        } else {
-            self.items.push(EnergyItem {
-                label: label.into(),
-                category,
-                tensor,
-                energy,
-            });
+        self.see(id);
+        // The first add leaves exactly `energy`: zero plus a nonzero
+        // value is that value.
+        self.energy[id] += energy;
+    }
+
+    /// Puts `id` in the first-seen order, unless it is there already.
+    fn see(&mut self, id: usize) {
+        let (word, bit) = (id / 64, 1 << (id % 64));
+        if self.seen[word] & bit == 0 {
+            self.seen[word] |= bit;
+            self.order.push(id);
         }
     }
 
-    /// All items in insertion order.
-    pub fn items(&self) -> &[EnergyItem] {
-        &self.items
+    /// Drops every item, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        for &id in &self.order {
+            self.energy[id] = Energy::ZERO;
+        }
+        self.seen.fill(0);
+        self.order.clear();
+    }
+
+    /// The sum over the items whose key `keep` accepts, in first-seen
+    /// order.
+    fn sum_where(&self, keep: impl Fn(&ItemKey) -> bool) -> Energy {
+        self.order
+            .iter()
+            .filter(|&&id| keep(&self.table.keys[id]))
+            .map(|&id| self.energy[id])
+            .sum()
+    }
+
+    /// All items in first-seen order.
+    pub fn items(&self) -> impl Iterator<Item = EnergyItem<'_>> + '_ {
+        self.order.iter().map(|&id| {
+            let key = &self.table.keys[id];
+            EnergyItem {
+                label: self.table.label(key),
+                category: key.category,
+                tensor: key.tensor,
+                energy: self.energy[id],
+            }
+        })
     }
 
     /// Sum of everything.
     pub fn total(&self) -> Energy {
-        self.items.iter().map(|i| i.energy).sum()
+        self.sum_where(|_| true)
     }
 
     /// Sum over items with the given label.
     pub fn by_label(&self, label: &str) -> Energy {
-        self.items
-            .iter()
-            .filter(|i| i.label == label)
-            .map(|i| i.energy)
-            .sum()
+        self.sum_where(|k| self.table.label(k) == label)
     }
 
     /// Sum over items of the given category.
     pub fn by_category(&self, category: CostCategory) -> Energy {
-        self.items
-            .iter()
-            .filter(|i| i.category == category)
-            .map(|i| i.energy)
-            .sum()
+        self.sum_where(|k| k.category == category)
     }
 
     /// Sum over items attributed to the given tensor.
     pub fn by_tensor(&self, tensor: TensorKind) -> Energy {
-        self.items
-            .iter()
-            .filter(|i| i.tensor == Some(tensor))
-            .map(|i| i.energy)
-            .sum()
+        self.sum_where(|k| k.tensor == Some(tensor))
     }
 
     /// Sum over items whose label and tensor match.
     pub fn by_label_and_tensor(&self, label: &str, tensor: TensorKind) -> Energy {
-        self.items
-            .iter()
-            .filter(|i| i.label == label && i.tensor == Some(tensor))
-            .map(|i| i.energy)
-            .sum()
+        self.sum_where(|k| self.table.label(k) == label && k.tensor == Some(tensor))
     }
 
-    /// Merges another breakdown into this one, item by item. A label is
-    /// cloned only when its item is new here.
+    /// Merges another breakdown of the same architecture into this one:
+    /// each of its items is added as by one add, in its first-seen
+    /// order.
     pub fn merge(&mut self, other: &EnergyBreakdown) {
-        other.add_to(self);
-    }
-
-    /// Drives every item into `sink`, in insertion order, with its label
-    /// borrowed from this breakdown.
-    pub(crate) fn add_to<'a>(&'a self, sink: &mut impl EnergySink<'a>) {
-        for item in &self.items {
-            sink.add(&item.label, item.category, item.tensor, item.energy);
+        // Sessions sharing a cache hold equal tables behind distinct
+        // `Arc`s, so this compares contents.
+        debug_assert!(
+            self.table == other.table,
+            "merged breakdowns of different architectures"
+        );
+        // Only an id the other has seen and this one has not can extend
+        // the order: the common case, none, skips the scan.
+        if other.seen.iter().zip(&self.seen).any(|(o, s)| o & !s != 0) {
+            for &id in &other.order {
+                if other.energy[id] != Energy::ZERO {
+                    self.see(id);
+                }
+            }
+        }
+        // Every other entry of `other` is a zero, and adding a zero leaves
+        // a sum's bits unchanged unless that sum is -0.0, which no add or
+        // merge makes (only `scaled` can).
+        for (sum, &energy) in self.energy.iter_mut().zip(&other.energy) {
+            *sum += energy;
         }
     }
 
@@ -165,26 +295,19 @@ impl EnergyBreakdown {
     /// (e.g. `1 / batch` for per-inference energy).
     #[must_use]
     pub fn scaled(&self, factor: f64) -> EnergyBreakdown {
-        EnergyBreakdown {
-            items: self
-                .items
-                .iter()
-                .map(|i| EnergyItem {
-                    label: i.label.clone(),
-                    category: i.category,
-                    tensor: i.tensor,
-                    energy: i.energy * factor,
-                })
-                .collect(),
+        let mut scaled = self.clone();
+        for &id in &self.order {
+            scaled.energy[id] = self.energy[id] * factor;
         }
+        scaled
     }
 
-    /// Distinct labels in insertion order.
+    /// Distinct labels in first-seen order.
     pub fn labels(&self) -> Vec<&str> {
         let mut labels: Vec<&str> = Vec::new();
-        for item in &self.items {
-            if !labels.contains(&item.label.as_str()) {
-                labels.push(&item.label);
+        for item in self.items() {
+            if !labels.contains(&item.label) {
+                labels.push(item.label);
             }
         }
         labels
@@ -202,75 +325,9 @@ impl EnergyBreakdown {
     }
 }
 
-/// Receives the itemized adds of an energy computation, so one add
-/// sequence can fill an [`EnergyBreakdown`] or just its total.
-pub(crate) trait EnergySink<'a> {
-    /// One contribution, with [`EnergyBreakdown::add`]'s meaning.
-    fn add(
-        &mut self,
-        label: &'a str,
-        category: CostCategory,
-        tensor: Option<TensorKind>,
-        energy: Energy,
-    );
-}
-
-impl<'a> EnergySink<'a> for EnergyBreakdown {
-    fn add(
-        &mut self,
-        label: &'a str,
-        category: CostCategory,
-        tensor: Option<TensorKind>,
-        energy: Energy,
-    ) {
-        EnergyBreakdown::add(self, label, category, tensor, energy);
-    }
-}
-
-/// An [`EnergyBreakdown`] reduced to its total, with borrowed labels.
-///
-/// It skips zero contributions, merges identical label/category/tensor
-/// items and sums the items in insertion order, exactly as
-/// [`EnergyBreakdown::add`] and [`EnergyBreakdown::total`] do, so the
-/// same add sequence yields a bit-identical total. Once its first use
-/// has sized the item buffer, [`EnergyTotal::clear`] and further adds
-/// allocate nothing.
-#[derive(Debug, Default)]
-pub(crate) struct EnergyTotal<'a> {
-    items: Vec<(&'a str, CostCategory, Option<TensorKind>, Energy)>,
-}
-
-impl EnergyTotal<'_> {
-    /// Drops every item, keeping the buffer.
-    pub(crate) fn clear(&mut self) {
-        self.items.clear();
-    }
-
-    /// Sum of everything, as [`EnergyBreakdown::total`].
-    pub(crate) fn total(&self) -> Energy {
-        self.items.iter().map(|item| item.3).sum()
-    }
-}
-
-impl<'a> EnergySink<'a> for EnergyTotal<'a> {
-    fn add(
-        &mut self,
-        label: &'a str,
-        category: CostCategory,
-        tensor: Option<TensorKind>,
-        energy: Energy,
-    ) {
-        if energy == Energy::ZERO {
-            return;
-        }
-        match self
-            .items
-            .iter_mut()
-            .find(|i| i.0 == label && i.1 == category && i.2 == tensor)
-        {
-            Some(item) => item.3 += energy,
-            None => self.items.push((label, category, tensor, energy)),
-        }
+impl fmt::Debug for EnergyBreakdown {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.items()).finish()
     }
 }
 
@@ -292,30 +349,62 @@ impl fmt::Display for EnergyBreakdown {
 }
 
 #[cfg(test)]
+#[path = "../tests/support/energy_reference.rs"]
+pub(crate) mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::ReferenceBreakdown;
     use super::*;
+    use CostCategory::{Compute, Conversion, PerCycle, Storage};
+
+    /// The items the tests draw from, interned in reverse so that ids
+    /// and first-seen order disagree.
+    const KEYS: [(&str, CostCategory, Option<TensorKind>); 8] = [
+        ("glb", Storage, Some(TensorKind::Weight)),
+        ("glb", Storage, Some(TensorKind::Input)),
+        ("glb", Storage, Some(TensorKind::Output)),
+        ("adc", Conversion, Some(TensorKind::Output)),
+        ("adc", Conversion, None),
+        ("laser", PerCycle, None),
+        ("laser", Storage, Some(TensorKind::Input)),
+        ("mac", Compute, None),
+    ];
+
+    fn table() -> Arc<EnergyTable> {
+        let mut table = EnergyTable::default();
+        for &(label, category, tensor) in KEYS.iter().rev() {
+            table.intern(label, category, tensor);
+        }
+        Arc::new(table)
+    }
+
+    /// The library breakdown and the reference after the same adds,
+    /// each `(KEYS index, picojoules)`.
+    fn both(
+        table: &Arc<EnergyTable>,
+        adds: &[(usize, f64)],
+    ) -> (EnergyBreakdown, ReferenceBreakdown) {
+        let mut breakdown = EnergyBreakdown::new(Arc::clone(table));
+        let mut reference = ReferenceBreakdown::default();
+        for &(key, pj) in adds {
+            let (label, category, tensor) = KEYS[key];
+            let id = table
+                .keys
+                .iter()
+                .position(|k| {
+                    table.label(k) == label && k.category == category && k.tensor == tensor
+                })
+                .unwrap();
+            let energy = Energy::from_picojoules(pj);
+            breakdown.add(id, energy);
+            reference.add(label, category, tensor, energy);
+        }
+        (breakdown, reference)
+    }
 
     fn sample() -> EnergyBreakdown {
-        let mut b = EnergyBreakdown::new();
-        b.add(
-            "glb",
-            CostCategory::Storage,
-            Some(TensorKind::Weight),
-            Energy::from_picojoules(4.0),
-        );
-        b.add(
-            "glb",
-            CostCategory::Storage,
-            Some(TensorKind::Input),
-            Energy::from_picojoules(6.0),
-        );
-        b.add(
-            "adc",
-            CostCategory::Conversion,
-            Some(TensorKind::Output),
-            Energy::from_picojoules(10.0),
-        );
-        b
+        both(&table(), &[(0, 4.0), (1, 6.0), (3, 10.0)]).0
     }
 
     #[test]
@@ -323,35 +412,36 @@ mod tests {
         let b = sample();
         assert!((b.total().picojoules() - 20.0).abs() < 1e-9);
         assert!((b.by_label("glb").picojoules() - 10.0).abs() < 1e-9);
-        assert!((b.by_category(CostCategory::Storage).picojoules() - 10.0).abs() < 1e-9);
+        assert!((b.by_category(Storage).picojoules() - 10.0).abs() < 1e-9);
         assert!((b.by_tensor(TensorKind::Output).picojoules() - 10.0).abs() < 1e-9);
         assert!((b.by_label_and_tensor("glb", TensorKind::Input).picojoules() - 6.0).abs() < 1e-9);
     }
 
     #[test]
     fn identical_items_merge() {
-        let mut b = EnergyBreakdown::new();
-        b.add(
-            "x",
-            CostCategory::Compute,
-            None,
-            Energy::from_picojoules(1.0),
-        );
-        b.add(
-            "x",
-            CostCategory::Compute,
-            None,
-            Energy::from_picojoules(2.0),
-        );
-        assert_eq!(b.items().len(), 1);
+        let (b, _) = both(&table(), &[(7, 1.0), (7, 2.0)]);
+        assert_eq!(b.items().count(), 1);
         assert_eq!(b.total(), Energy::from_picojoules(3.0));
     }
 
     #[test]
     fn zero_energy_not_recorded() {
-        let mut b = EnergyBreakdown::new();
-        b.add("x", CostCategory::Compute, None, Energy::ZERO);
-        assert!(b.items().is_empty());
+        let (b, _) = both(&table(), &[(4, 0.0), (4, -0.0)]);
+        assert_eq!(b.items().count(), 0);
+        assert_eq!(b, EnergyBreakdown::new(table()));
+    }
+
+    #[test]
+    fn a_sum_returning_to_zero_keeps_its_place() {
+        let adds = [(5, 0.1), (0, 2.0), (5, -0.1), (3, 1.0)];
+        let (b, reference) = both(&table(), &adds);
+        reference.assert_matches(&b);
+        assert_eq!(b.labels(), ["laser", "glb", "adc"]);
+        assert_eq!(b.by_label("laser"), Energy::ZERO);
+        // Merged elsewhere, the zero item is skipped like any zero add.
+        let mut merged = both(&table(), &[(3, 5.0)]).0;
+        merged.merge(&b);
+        assert_eq!(merged.labels(), ["adc", "glb"]);
     }
 
     #[test]
@@ -364,34 +454,20 @@ mod tests {
     }
 
     #[test]
-    fn energy_total_matches_the_scaled_breakdown_bit_for_bit() {
-        use CostCategory::{Conversion, PerCycle, Storage};
-        // Repeated labels, a zero item, and labels that differ only by
-        // tensor; values that round differently in different orders.
-        let adds = [
-            ("glb", Storage, Some(TensorKind::Weight), 0.1),
-            ("glb", Storage, Some(TensorKind::Input), 0.2),
-            ("adc", Conversion, None, 0.0),
-            ("laser", PerCycle, None, 1e16),
-            ("glb", Storage, Some(TensorKind::Weight), 0.7),
-            ("adc", Conversion, None, 3.3),
-            ("glb", Storage, Some(TensorKind::Output), 1.0 / 3.0),
-            ("laser", PerCycle, None, 2.9),
-            ("glb", Storage, Some(TensorKind::Input), 1e-9),
-        ];
-        let mut breakdown = EnergyBreakdown::new();
-        let mut total = EnergyTotal::default();
-        for (label, category, tensor, pj) in adds {
-            let energy = Energy::from_picojoules(pj);
-            breakdown.add(label, category, tensor, energy);
-            EnergySink::add(&mut total, label, category, tensor, energy);
-        }
-        // The same items, driven from the breakdown by reference.
-        let mut folded = EnergyTotal::default();
-        breakdown.add_to(&mut folded);
-        let bits = |e: Energy| e.picojoules().to_bits();
-        assert_eq!(bits(total.total()), bits(breakdown.total()));
-        assert_eq!(bits(folded.total()), bits(breakdown.total()));
+    fn clear_empties_for_reuse() {
+        let mut b = sample();
+        b.clear();
+        assert_eq!(b.items().count(), 0);
+        assert_eq!(b, EnergyBreakdown::new(table()));
+    }
+
+    #[test]
+    fn equal_tables_behind_distinct_arcs_merge() {
+        let mut a = sample();
+        let (b, _) = both(&table(), &[(2, 1.5)]);
+        assert!(!Arc::ptr_eq(&a.table, &b.table));
+        a.merge(&b);
+        assert_eq!(a.labels(), ["glb", "adc"]);
     }
 
     #[test]
@@ -411,5 +487,46 @@ mod tests {
     fn display_contains_percentages() {
         let shown = format!("{}", sample());
         assert!(shown.contains("TOTAL") && shown.contains('%'));
+    }
+
+    /// Values whose sums round differently in different orders, zeros of
+    /// both signs, and a pair that cancels exactly.
+    const VALUES: [f64; 9] = [0.0, -0.0, 0.1, -0.1, 1e16, 1.0 / 3.0, 2.9, -2.9, 1e-9];
+
+    fn adds() -> impl proptest::strategy::Strategy<Value = Vec<(usize, f64)>> {
+        use proptest::prelude::*;
+        proptest::collection::vec((0..KEYS.len(), 0..VALUES.len()), 0..24)
+            .prop_map(|adds| adds.into_iter().map(|(k, v)| (k, VALUES[v])).collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        /// Adds, merges and scales answer every query exactly as the
+        /// item-list reference does.
+        #[test]
+        fn breakdown_matches_the_item_list_reference(
+            first in adds(),
+            second in adds(),
+            factor in 0usize..4,
+        ) {
+            let factor = [1.0, 0.25, 0.1, 1.0 / 7.0][factor];
+            let table = table();
+            let (mut a, mut a_ref) = both(&table, &first);
+            let (b, b_ref) = both(&table, &second);
+            a_ref.assert_matches(&a);
+            b_ref.assert_matches(&b);
+            a_ref.scaled(factor).assert_matches(&a.scaled(factor));
+            a.merge(&b);
+            a_ref.merge(&b_ref);
+            a_ref.assert_matches(&a);
+            a_ref.scaled(factor).assert_matches(&a.scaled(factor));
+            // A cleared breakdown refills exactly as a fresh one.
+            a.clear();
+            a_ref = ReferenceBreakdown::default();
+            a.merge(&b);
+            a_ref.merge(&b_ref);
+            a_ref.assert_matches(&a);
+        }
     }
 }

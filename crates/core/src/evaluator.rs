@@ -1,7 +1,7 @@
 //! The system evaluator: mapping strategy + energy accounting.
 
-use crate::energy::{EnergySink, EnergyTotal};
-use crate::{CostCategory, EnergyBreakdown};
+use crate::energy::EnergyTable;
+use crate::EnergyBreakdown;
 use lumen_arch::Architecture;
 use lumen_mapper::search::{
     greedy_mapping, random_search, random_search_pruned, spatial_priority_for, Preview,
@@ -259,12 +259,18 @@ impl Reroute {
 pub struct System {
     arch: Architecture,
     strategy: MappingStrategy,
+    /// The energy items the architecture charges.
+    items: Arc<EnergyTable>,
 }
 
 impl System {
     /// Couples an architecture with a mapping strategy.
     pub fn new(arch: Architecture, strategy: MappingStrategy) -> System {
-        System { arch, strategy }
+        System {
+            items: Arc::new(EnergyTable::new(&arch)),
+            arch,
+            strategy,
+        }
     }
 
     /// The underlying architecture.
@@ -275,6 +281,11 @@ impl System {
     /// The mapping strategy.
     pub fn strategy(&self) -> &MappingStrategy {
         &self.strategy
+    }
+
+    /// An empty breakdown over the architecture's energy items.
+    pub(crate) fn energy_breakdown(&self) -> EnergyBreakdown {
+        EnergyBreakdown::new(Arc::clone(&self.items))
     }
 
     /// Finds a mapping for `layer` per the strategy.
@@ -306,12 +317,12 @@ impl System {
                 greedy_mapping(&self.arch, layer, priority, plan)
             }
             MappingStrategy::RandomSearch(cfg) => {
-                let result = search_min_energy(&self.arch, layer, *cfg).ok_or_else(|| {
-                    SystemError::NoMapping {
-                        layer: layer.name().to_string(),
-                        cause: None,
-                    }
-                })?;
+                let result =
+                    self.search_min_energy(layer, *cfg)
+                        .ok_or_else(|| SystemError::NoMapping {
+                            layer: layer.name().to_string(),
+                            cause: None,
+                        })?;
                 return Ok((result.mapping, Some(result.analysis)));
             }
             MappingStrategy::Custom(f) => f(&self.arch, layer),
@@ -341,20 +352,7 @@ impl System {
         layer: &Layer,
         mapping: Mapping,
     ) -> Result<LayerEvaluation, SystemError> {
-        let analysis =
-            analyze(&self.arch, layer, &mapping).map_err(|e| SystemError::NoMapping {
-                layer: layer.name().to_string(),
-                cause: Some(e),
-            })?;
-        let mut energy = energy_from_analysis(&self.arch, &analysis, &Reroute::default());
-        add_kv_append_energy(&self.arch, layer, &mut energy);
-        Ok(LayerEvaluation {
-            layer_name: layer.name().to_string(),
-            signature: layer.signature(),
-            mapping,
-            analysis,
-            energy,
-        })
+        self.evaluation(layer, mapping, None, &Reroute::default())
     }
 
     pub(crate) fn evaluate_layer_rerouted(
@@ -363,15 +361,28 @@ impl System {
         reroute: &Reroute,
     ) -> Result<LayerEvaluation, SystemError> {
         let (mapping, searched) = self.map_layer_analyzed(layer)?;
-        let analysis = match searched {
+        self.evaluation(layer, mapping, searched, reroute)
+    }
+
+    /// The evaluation of `layer` under `mapping`, analyzed here unless
+    /// the search already did.
+    fn evaluation(
+        &self,
+        layer: &Layer,
+        mapping: Mapping,
+        analysis: Option<LayerAnalysis>,
+        reroute: &Reroute,
+    ) -> Result<LayerEvaluation, SystemError> {
+        let analysis = match analysis {
             Some(analysis) => analysis,
             None => analyze(&self.arch, layer, &mapping).map_err(|e| SystemError::NoMapping {
                 layer: layer.name().to_string(),
                 cause: Some(e),
             })?,
         };
-        let mut energy = energy_from_analysis(&self.arch, &analysis, reroute);
-        add_kv_append_energy(&self.arch, layer, &mut energy);
+        let mut energy = self.energy_breakdown();
+        self.energy_into(&analysis, reroute, &mut energy);
+        self.add_kv_append_energy(layer, &mut energy);
         Ok(LayerEvaluation {
             layer_name: layer.name().to_string(),
             signature: layer.signature(),
@@ -380,85 +391,137 @@ impl System {
             energy,
         })
     }
-}
 
-/// Charges the KV-cache residency cost of a decode-step layer: the cache
-/// grows by [`Layer::kv_append_elements`] per step, and each appended
-/// element is written once to the cache's home — the outermost storage
-/// level that keeps the weight tensor, since the cache *is* the layer's
-/// stationary operand. The per-step *reads* of the whole cache need no
-/// extra term: the cache is never reused across steps, so the weight
-/// traffic of each step's own evaluation already re-reads it in full.
-///
-/// A step that privatises a shared cache page before appending — the
-/// copy-on-write of a shared prompt prefix's trailing partial page
-/// ([`Layer::with_kv_cow`]) — additionally pays one read (the shared
-/// source page) and one write (the private copy) per copied element, at
-/// the same home.
-///
-/// Nothing is charged for ordinary layers (`kv_append_elements() == 0`),
-/// so every pre-existing evaluation is bit-identical to before.
-///
-/// An architecture with no weight-keeping storage level has nowhere to
-/// home the cache, so nothing can be charged and the resident layer
-/// costs the same as its non-resident twin; that mis-modeling trips a
-/// debug assertion rather than passing silently.
-fn add_kv_append_energy(arch: &Architecture, layer: &Layer, breakdown: &mut EnergyBreakdown) {
-    let appended = layer.kv_append_elements();
-    let copied = layer.kv_cow_elements();
-    if appended == 0 && copied == 0 {
-        return;
-    }
-    let Some(home) = arch
-        .levels()
-        .iter()
-        .find(|l| l.kind().is_storage() && l.keep().contains(TensorKind::Weight))
-    else {
-        debug_assert!(
-            false,
-            "KV-resident layer {:?} on an architecture with no weight-keeping \
-             storage level: the cache has no home, so its append cannot be charged",
-            layer.name()
+    /// Charges the KV-cache residency cost of a decode-step layer: the cache
+    /// grows by [`Layer::kv_append_elements`] per step, and each appended
+    /// element is written once to the cache's home — the outermost storage
+    /// level that keeps the weight tensor, since the cache *is* the layer's
+    /// stationary operand. The per-step *reads* of the whole cache need no
+    /// extra term: the cache is never reused across steps, so the weight
+    /// traffic of each step's own evaluation already re-reads it in full.
+    ///
+    /// A step that privatises a shared cache page before appending — the
+    /// copy-on-write of a shared prompt prefix's trailing partial page
+    /// ([`Layer::with_kv_cow`]) — additionally pays one read (the shared
+    /// source page) and one write (the private copy) per copied element, at
+    /// the same home.
+    ///
+    /// Nothing is charged for ordinary layers (`kv_append_elements() == 0`),
+    /// so every pre-existing evaluation is bit-identical to before.
+    ///
+    /// An architecture with no weight-keeping storage level has nowhere to
+    /// home the cache, so nothing can be charged and the resident layer
+    /// costs the same as its non-resident twin; that mis-modeling trips a
+    /// debug assertion rather than passing silently.
+    fn add_kv_append_energy(&self, layer: &Layer, breakdown: &mut EnergyBreakdown) {
+        let appended = layer.kv_append_elements();
+        let copied = layer.kv_cow_elements();
+        if appended == 0 && copied == 0 {
+            return;
+        }
+        let Some((index, home)) = self
+            .arch
+            .levels()
+            .iter()
+            .enumerate()
+            .find(|(_, l)| l.kind().is_storage() && l.keep().contains(TensorKind::Weight))
+        else {
+            debug_assert!(
+                false,
+                "KV-resident layer {:?} on an architecture with no weight-keeping \
+                 storage level: the cache has no home, so its append cannot be charged",
+                layer.name()
+            );
+            return;
+        };
+        breakdown.add(
+            self.items.levels[index][TensorKind::Weight],
+            home.write_energy() * (appended + copied) as f64 + home.read_energy() * copied as f64,
         );
-        return;
-    };
-    breakdown.add(
-        home.name(),
-        CostCategory::Storage,
-        Some(TensorKind::Weight),
-        home.write_energy() * (appended + copied) as f64 + home.read_energy() * copied as f64,
-    );
-}
+    }
 
-/// Seeded random search minimizing total system energy: the
-/// [`MappingStrategy::RandomSearch`] objective.
-///
-/// A candidate's cost is `energy_from_analysis(..).total().picojoules()`
-/// with no reroute, computed by the same add sequence into an
-/// [`EnergyTotal`] allocated once per search, so it is bit-identical to
-/// the reported breakdown's total without building one per candidate.
-/// Candidates are pruned with a preview-only lower bound when the
-/// architecture admits one; the winner is bit-identical to the plain
-/// search either way.
-fn search_min_energy(
-    arch: &Architecture,
-    layer: &Layer,
-    cfg: SearchConfig,
-) -> Option<SearchResult> {
-    let mut total = EnergyTotal::default();
-    let cost = |analysis: &LayerAnalysis| {
-        total.clear();
-        energy_into(arch, analysis, &Reroute::default(), &mut total);
-        total.total().picojoules()
-    };
-    match energy_lower_bound(arch) {
-        Some(lb) => random_search_pruned(arch, layer, cfg, lb, cost),
-        None => random_search(arch, layer, cfg, cost),
+    /// Seeded random search minimizing total system energy: the
+    /// [`MappingStrategy::RandomSearch`] objective.
+    ///
+    /// A candidate's cost is the total of its unrerouted energy
+    /// breakdown, refilled by [`System::energy_into`] into one breakdown
+    /// per search, so it is bit-identical to the reported breakdown's
+    /// total. Candidates are pruned with a preview-only lower bound when
+    /// the architecture admits one; the winner is bit-identical to the
+    /// plain search either way.
+    fn search_min_energy(&self, layer: &Layer, cfg: SearchConfig) -> Option<SearchResult> {
+        let arch = &self.arch;
+        let mut energy = self.energy_breakdown();
+        let cost = |analysis: &LayerAnalysis| {
+            energy.clear();
+            self.energy_into(analysis, &Reroute::default(), &mut energy);
+            energy.total().picojoules()
+        };
+        match energy_lower_bound(arch) {
+            Some(lb) => random_search_pruned(arch, layer, cfg, lb, cost),
+            None => random_search(arch, layer, cfg, cost),
+        }
+    }
+
+    /// Adds a nest analysis's itemized energy under the architecture's
+    /// per-level energetics to `energy`, a breakdown of this system: the
+    /// one add sequence behind every evaluation and the search
+    /// objective. Rerouted traffic is charged to the target level's item.
+    fn energy_into(
+        &self,
+        analysis: &LayerAnalysis,
+        reroute: &Reroute,
+        energy: &mut EnergyBreakdown,
+    ) {
+        let (arch, items) = (&self.arch, &*self.items);
+        for (x, level) in arch.levels().iter().enumerate() {
+            let traffic = analysis.level(x);
+            if level.kind().is_storage() {
+                for t in TensorKind::ALL {
+                    let to = reroute.target(t, x).unwrap_or(x);
+                    let target = &arch.levels()[to];
+                    let id = items.levels[to][t];
+                    energy.add(id, target.read_energy() * traffic.reads[t]);
+                    energy.add(id, target.write_energy() * traffic.writes[t]);
+                }
+            } else if level.kind().is_converter() {
+                for t in TensorKind::ALL {
+                    energy.add(
+                        items.levels[x][t],
+                        level.convert_energy() * traffic.conversions[t],
+                    );
+                }
+            }
+        }
+
+        // Compute: charge padded MACs (idle-lane padding still switches).
+        energy.add(
+            items.compute,
+            arch.mac_energy() * analysis.padded_macs as f64,
+        );
+
+        // Per-cycle costs: lasers and tuning burn for every cycle; gateable
+        // costs scale with the fraction of lanes in use.
+        for (cost, &id) in arch.per_cycle_costs().iter().zip(&items.per_cycle) {
+            let factor = if cost.gateable {
+                analysis.spatial_utilization
+            } else {
+                1.0
+            };
+            energy.add(
+                id,
+                cost.energy_per_cycle * (analysis.cycles as f64) * factor,
+            );
+        }
+
+        // Leakage over the runtime.
+        let runtime = arch.clock().period() * analysis.cycles as f64;
+        energy.add(items.static_term, arch.total_static_power() * runtime);
     }
 }
 
 /// A lower bound on the random-search cost objective computable from a
-/// candidate's [`Preview`], used by [`search_min_energy`] to skip
+/// candidate's [`Preview`], used by [`System::search_min_energy`] to skip
 /// candidates that cannot beat the incumbent before paying for the full
 /// nest analysis.
 ///
@@ -522,96 +585,11 @@ fn energy_lower_bound(arch: &Architecture) -> Option<impl Fn(&Preview<'_>) -> f6
     })
 }
 
-/// Converts a nest analysis into an itemized energy breakdown under the
-/// architecture's per-level energetics.
-pub(crate) fn energy_from_analysis(
-    arch: &Architecture,
-    analysis: &LayerAnalysis,
-    reroute: &Reroute,
-) -> EnergyBreakdown {
-    let mut breakdown = EnergyBreakdown::new();
-    energy_into(arch, analysis, reroute, &mut breakdown);
-    breakdown
-}
-
-/// Drives the itemized adds of a nest analysis's energy into `sink`:
-/// the one add sequence behind both [`energy_from_analysis`] and the
-/// search objective.
-fn energy_into<'a>(
-    arch: &'a Architecture,
-    analysis: &LayerAnalysis,
-    reroute: &Reroute,
-    sink: &mut impl EnergySink<'a>,
-) {
-    for (x, level) in arch.levels().iter().enumerate() {
-        let traffic = analysis.level(x);
-        if level.kind().is_storage() {
-            for t in TensorKind::ALL {
-                let (label, read_e, write_e) = match reroute.target(t, x) {
-                    Some(to) => {
-                        let target = &arch.levels()[to];
-                        (target.name(), target.read_energy(), target.write_energy())
-                    }
-                    None => (level.name(), level.read_energy(), level.write_energy()),
-                };
-                sink.add(
-                    label,
-                    CostCategory::Storage,
-                    Some(t),
-                    read_e * traffic.reads[t],
-                );
-                sink.add(
-                    label,
-                    CostCategory::Storage,
-                    Some(t),
-                    write_e * traffic.writes[t],
-                );
-            }
-        } else if level.kind().is_converter() {
-            for t in TensorKind::ALL {
-                sink.add(
-                    level.name(),
-                    CostCategory::Conversion,
-                    Some(t),
-                    level.convert_energy() * traffic.conversions[t],
-                );
-            }
-        }
-    }
-
-    // Compute: charge padded MACs (idle-lane padding still switches).
-    sink.add(
-        arch.compute_level().name(),
-        CostCategory::Compute,
-        None,
-        arch.mac_energy() * analysis.padded_macs as f64,
-    );
-
-    // Per-cycle costs: lasers and tuning burn for every cycle; gateable
-    // costs scale with the fraction of lanes in use.
-    for cost in arch.per_cycle_costs() {
-        let factor = if cost.gateable {
-            analysis.spatial_utilization
-        } else {
-            1.0
-        };
-        sink.add(
-            cost.name.as_str(),
-            CostCategory::PerCycle,
-            None,
-            cost.energy_per_cycle * (analysis.cycles as f64) * factor,
-        );
-    }
-
-    // Leakage over the runtime.
-    let runtime = arch.clock().period() * analysis.cycles as f64;
-    let static_energy = arch.total_static_power() * runtime;
-    sink.add("static", CostCategory::Static, None, static_energy);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::energy::reference::ReferenceBreakdown;
+    use crate::CostCategory::{Compute, Conversion, PerCycle, Static, Storage};
     use lumen_arch::{ArchBuilder, Domain, Fanout};
     use lumen_units::Frequency;
     use lumen_workload::{Dim, DimSet, TensorSet};
@@ -652,7 +630,7 @@ mod tests {
         assert_eq!(eval.analysis.macs, layer().macs());
         assert!(eval.energy_per_mac() > Energy::ZERO);
         // Compute energy = padded macs x 0.1 pJ.
-        let compute = eval.energy.by_category(CostCategory::Compute);
+        let compute = eval.energy.by_category(Compute);
         assert!((compute.picojoules() - 0.1 * eval.analysis.padded_macs as f64).abs() < 1e-6);
     }
 
@@ -799,40 +777,81 @@ mod tests {
             .unwrap()
     }
 
+    /// The breakdown of `analysis` on the item-list reference, by a
+    /// transcription of `energy_into`'s adds with their labels.
+    fn reference_energy(
+        arch: &Architecture,
+        analysis: &LayerAnalysis,
+        reroute: &Reroute,
+    ) -> ReferenceBreakdown {
+        let mut reference = ReferenceBreakdown::default();
+        for (x, level) in arch.levels().iter().enumerate() {
+            let traffic = analysis.level(x);
+            if level.kind().is_storage() {
+                for t in TensorKind::ALL {
+                    let target = match reroute.entries.iter().find(|e| e.0 == t && e.1 == x) {
+                        Some(&(_, _, to)) => &arch.levels()[to],
+                        None => level,
+                    };
+                    let (read, write) = (target.read_energy(), target.write_energy());
+                    let label = target.name();
+                    reference.add(label, Storage, Some(t), read * traffic.reads[t]);
+                    reference.add(label, Storage, Some(t), write * traffic.writes[t]);
+                }
+            } else if level.kind().is_converter() {
+                for t in TensorKind::ALL {
+                    let energy = level.convert_energy() * traffic.conversions[t];
+                    reference.add(level.name(), Conversion, Some(t), energy);
+                }
+            }
+        }
+        let compute = arch.mac_energy() * analysis.padded_macs as f64;
+        reference.add(arch.compute_level().name(), Compute, None, compute);
+        for cost in arch.per_cycle_costs() {
+            let factor = if cost.gateable {
+                analysis.spatial_utilization
+            } else {
+                1.0
+            };
+            let energy = cost.energy_per_cycle * (analysis.cycles as f64) * factor;
+            reference.add(&cost.name, PerCycle, None, energy);
+        }
+        let runtime = arch.clock().period() * analysis.cycles as f64;
+        reference.add("static", Static, None, arch.total_static_power() * runtime);
+        reference
+    }
+
     #[test]
     fn search_cost_total_is_the_breakdown_total_bit_for_bit() {
+        // The fused input traffic lands on glb, which has its own.
         let fused = Reroute {
             entries: vec![(TensorKind::Input, 0, 1)],
         };
         for arch in [toy_arch(), merge_arch()] {
-            let mut total = EnergyTotal::default();
+            let system = System::new(arch, MappingStrategy::default());
+            let arch = system.arch();
+            let mut energy = system.energy_breakdown();
             let mut checked = 0;
             let cfg = SearchConfig {
                 iterations: 150,
                 seed: 5,
             };
-            lumen_mapper::search::random_search_baseline(&arch, &layer(), cfg, |analysis| {
+            lumen_mapper::search::random_search_baseline(arch, &layer(), cfg, |analysis| {
                 for reroute in [&Reroute::default(), &fused] {
-                    total.clear();
-                    energy_into(&arch, analysis, reroute, &mut total);
-                    let breakdown = energy_from_analysis(&arch, analysis, reroute);
-                    assert_eq!(
-                        total.total().picojoules().to_bits(),
-                        breakdown.total().picojoules().to_bits(),
-                        "{}: {breakdown:?}",
-                        arch.name()
-                    );
+                    // Refilled, as the search objective refills it.
+                    energy.clear();
+                    system.energy_into(analysis, reroute, &mut energy);
+                    reference_energy(arch, analysis, reroute).assert_matches(&energy);
                     if arch.name() == "merge" {
                         // Both lasers merged into one per-cycle item, and
                         // nothing zero was recorded.
-                        let items = breakdown.items();
-                        let lasers = items
-                            .iter()
-                            .filter(|i| i.label == "laser" && i.category == CostCategory::PerCycle)
+                        let lasers = energy
+                            .items()
+                            .filter(|i| i.label == "laser" && i.category == PerCycle)
                             .count();
                         assert_eq!(lasers, 1);
-                        assert!(items.iter().all(|i| i.energy != Energy::ZERO));
-                        assert_eq!(breakdown.by_category(CostCategory::Compute), Energy::ZERO);
+                        assert!(energy.items().all(|i| i.energy != Energy::ZERO));
+                        assert_eq!(energy.by_category(Compute), Energy::ZERO);
                     }
                 }
                 checked += 1;
@@ -872,16 +891,19 @@ mod tests {
             iterations: 150,
             seed: 42,
         };
-        let positive = search_min_energy(&toy_arch(), &layer(), cfg).unwrap();
+        let system = |arch| System::new(arch, MappingStrategy::default());
+        let positive = system(toy_arch()).search_min_energy(&layer(), cfg).unwrap();
         assert!(positive.pruned > 0, "the bound prunes on the positive twin");
         let negative = toy_arch_with_mac(-0.1);
         assert!(energy_lower_bound(&negative).is_none());
-        let searched = search_min_energy(&negative, &layer(), cfg).unwrap();
+        let searched = system(negative.clone())
+            .search_min_energy(&layer(), cfg)
+            .unwrap();
         assert_eq!(searched.pruned, 0);
         assert_eq!(
             searched.mapping,
             random_search(&negative, &layer(), cfg, |a| {
-                energy_from_analysis(&negative, a, &Reroute::default())
+                reference_energy(&negative, a, &Reroute::default())
                     .total()
                     .picojoules()
             })
@@ -1097,9 +1119,10 @@ mod tests {
             search in (40usize..=120, 0usize..1000),
         ) {
             use std::cell::RefCell;
-            let arch = toy.build();
+            let system = System::new(toy.build(), MappingStrategy::default());
+            let arch = system.arch();
             let what = format!("{toy:?}/{layer:?}/{search:?}");
-            let lb = energy_lower_bound(&arch).unwrap();
+            let lb = energy_lower_bound(arch).unwrap();
             let stages: RefCell<(Option<Previewed>, Option<Previewed>)> = RefCell::default();
             // Records each stage's preview and bound, and prunes nothing,
             // so every legal candidate reaches the objective.
@@ -1117,13 +1140,13 @@ mod tests {
                 }
                 f64::NEG_INFINITY
             };
-            let mut total = EnergyTotal::default();
+            let mut energy = system.energy_breakdown();
             let mut checked = 0usize;
             let cfg = SearchConfig { iterations: search.0, seed: search.1 as u64 };
             let objective = |a: &LayerAnalysis| {
-                total.clear();
-                energy_into(&arch, a, &Reroute::default(), &mut total);
-                let cost = total.total().picojoules();
+                energy.clear();
+                system.energy_into(a, &Reroute::default(), &mut energy);
+                let cost = energy.total().picojoules();
                 let (first, second) = std::mem::take(&mut *stages.borrow_mut());
                 let first = first.expect("the first stage previewed the candidate");
                 let traffic = first
@@ -1131,10 +1154,10 @@ mod tests {
                     .iter()
                     .map(|k| (k.level, k.tensor, k.reads.to_bits(), k.writes.to_bits()))
                     .collect::<Vec<_>>();
-                assert_eq!(traffic, expected_traffic(&arch, a), "{what}: outermost keepers");
+                assert_eq!(traffic, expected_traffic(arch, a), "{what}: outermost keepers");
                 assert!(first.conversions.is_empty(), "{what}");
                 assert!(first.bound * (1.0 - 1e-9) <= cost, "{what}: {} > {cost}", first.bound);
-                let conversions = expected_conversions(&arch, a);
+                let conversions = expected_conversions(arch, a);
                 match second {
                     Some(second) => {
                         let seen = second
@@ -1155,7 +1178,7 @@ mod tests {
                 checked += 1;
                 cost
             };
-            let found = random_search_pruned(&arch, &layer, cfg, record, objective);
+            let found = random_search_pruned(arch, &layer, cfg, record, objective);
             // With no bounded buffer every candidate is legal.
             assert!(toy.capacity_log2 > 0 || found.is_some(), "{what}: no mapping");
             assert_eq!(checked, found.map_or(0, |r| r.evaluated), "{what}");

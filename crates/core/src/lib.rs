@@ -8,9 +8,13 @@
 //! * [`System`] couples an architecture with a [`MappingStrategy`] and
 //!   evaluates layers ([`System::evaluate_layer`]) or whole networks
 //!   ([`System::evaluate_network`]).
-//! * [`EnergyBreakdown`] itemizes energy by level, tensor and
-//!   [`CostCategory`] (storage access, conversion, compute, per-cycle
-//!   laser/tuning, static leakage).
+//! * [`EnergyBreakdown`], the one energy type, itemizes energy by level,
+//!   tensor and [`CostCategory`] (storage access, conversion, compute,
+//!   per-cycle laser/tuning, static leakage). A [`System`] fixes its
+//!   architecture's items once, each *(label, category, tensor)* under
+//!   a dense id, so evaluations, network totals, the random-search
+//!   objective and serving step costs all add and merge by id, and
+//!   total in first-seen order.
 //! * [`NetworkOptions`] model the paper's full-system levers: **batching**
 //!   (amortizes weight DRAM traffic) and **fused-layer dataflow**
 //!   (inter-layer activations stay in the global buffer; Fig. 4).

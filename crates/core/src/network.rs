@@ -176,15 +176,11 @@ impl System {
         options: &NetworkOptions,
     ) -> Result<NetworkEvaluation, SystemError> {
         let batch = options.batch.max(1);
-        let batched = if batch > 1 {
-            network.with_batch(batch)
-        } else {
-            network.clone()
-        };
+        let batched = options.batched(network);
 
         let last = batched.layers().len().saturating_sub(1);
         let mut per_layer = Vec::with_capacity(batched.layers().len());
-        let mut energy = EnergyBreakdown::new();
+        let mut energy = self.energy_breakdown();
         let mut cycles = 0u64;
         for (i, layer) in batched.layers().iter().enumerate() {
             let reroute = fusion_reroute(self.arch(), options.fusion.as_ref(), i, last);

@@ -304,13 +304,10 @@ mod tests {
 
     #[test]
     fn breakdown_table_has_total_row() {
-        let mut b = EnergyBreakdown::new();
-        b.add(
-            "glb",
-            CostCategory::Storage,
-            None,
-            Energy::from_picojoules(5.0),
-        );
+        let mut table = crate::energy::EnergyTable::default();
+        let glb = table.intern("glb", CostCategory::Storage, None);
+        let mut b = EnergyBreakdown::new(std::sync::Arc::new(table));
+        b.add(glb, Energy::from_picojoules(5.0));
         let t = breakdown_table(&b);
         let s = t.render();
         assert!(s.contains("TOTAL") && s.contains("glb"));

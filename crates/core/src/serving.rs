@@ -55,10 +55,10 @@
 //!    by *(signature, reroute)*, answers cached keys on the calling
 //!    thread, and fans every miss of the trace out over the session's
 //!    [`SweepRunner`](crate::SweepRunner) at once. Each evaluation is
-//!    read, in place, into a compact layer cost — cycles, MACs,
-//!    utilization, backing accesses and a dense energy row over item
-//!    ids interned per trace from *(label, category, tensor)* — so no
-//!    evaluation is cloned.
+//!    read, in place, into a layer cost — cycles, MACs, utilization,
+//!    backing accesses and its [`EnergyBreakdown`], whose items are the
+//!    system's own, fixed when the [`System`](crate::System) was built
+//!    — so no evaluation is cloned whole and no label is re-interned.
 //! 4. *Fold* each distinct composition once over those costs, and build
 //!    every step's point from its composition's cost plus the step's
 //!    own occupancy and prefill tokens.
@@ -67,10 +67,10 @@
 //! session are fixed and every *(signature, reroute)* key resolves to
 //! one evaluation. The fold sums in execution order: cycles as `u64`,
 //! backing accesses, MACs and MAC-weighted utilization as `f64`, and
-//! energy per id, totalled over the ids in first-seen order and scaled
-//! per item by `1 / batch` — exactly as [`EvalSession::evaluate_network`]'s
-//! rows and merged, scaled breakdown do. A point therefore carries the
-//! very `f64`s those rows give, and equal keys give equal `f64`s.
+//! energy as the positions' breakdowns merged, scaled by `1 / batch`
+//! and totalled — exactly as [`EvalSession::evaluate_network`]'s rows
+//! and breakdown are. A point therefore carries the very `f64`s those
+//! rows give, and equal keys give equal `f64`s.
 //! Block-once lowering changes none of this: block 0 comes before every
 //! other block of its segment, and segments intern in first-occurrence
 //! order, so every shape gets the id, first layer and name that
@@ -136,16 +136,15 @@
 
 use crate::evaluator::Reroute;
 use crate::network::{fusion_class, fusion_reroute};
-use crate::{CostCategory, EvalSession, LayerEvaluation, NetworkOptions, SystemError};
+use crate::{EnergyBreakdown, EvalSession, LayerEvaluation, NetworkOptions, SystemError};
 use lumen_units::{Energy, Frequency};
 use lumen_workload::serving::{
     ActiveSlot, KvLayout, PrefillSlot, SegmentPart, ServingModel, ServingScenario, ServingStep,
     StepComposition, StepSegment,
 };
-use lumen_workload::{Layer, LayerSignature, LayerSink, TensorKind, WordHasher};
+use lumen_workload::{Layer, LayerSignature, LayerSink, WordHasher};
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::BuildHasherDefault;
-use std::ops::Range;
 
 /// One scheduler step of a serving sweep, reduced to scalars so a long
 /// trace stays cheap to hold.
@@ -492,7 +491,7 @@ impl StepCost {
     }
 }
 
-/// One layer evaluation reduced to the scalars a step cost sums.
+/// One layer evaluation reduced to what a step cost sums.
 struct LayerCost {
     cycles: u64,
     /// MACs of the evaluated (batched) layer: the utilization weight.
@@ -502,61 +501,12 @@ struct LayerCost {
     /// backing store's read + write + conversion traffic), if the
     /// analysis has levels. `LayerAnalysis::levels` is outermost-first.
     backing: Option<f64>,
-    /// The ids of the evaluation's nonzero energy items, in item order:
-    /// a range of [`CostTable::item_ids`].
-    ids: Range<usize>,
-    /// The evaluation's energy per id, zero where it has no item: a
-    /// range of [`CostTable::rows`] as long as the ids interned when it
-    /// was compacted.
-    row: Range<usize>,
+    /// The evaluation's energy, over the system's items.
+    energy: EnergyBreakdown,
 }
 
-/// A trace's energy items, with every *(label, category, tensor)*
-/// interned to a dense id, so a step's energy folds as an array add.
-#[derive(Default)]
-struct CostTable {
-    item_ids: Vec<usize>,
-    rows: Vec<Energy>,
-    labels: HashMap<String, usize>,
-    ids: HashMap<(usize, CostCategory, Option<TensorKind>), usize>,
-}
-
-impl CostTable {
-    /// Reduces `eval` to its [`LayerCost`], interning its energy items.
-    fn compact(&mut self, eval: &LayerEvaluation) -> LayerCost {
-        let ids = self.item_ids.len();
-        // The energy total skips zero contributions.
-        for item in eval
-            .energy
-            .items()
-            .iter()
-            .filter(|i| i.energy != Energy::ZERO)
-        {
-            let label = match self.labels.get(item.label.as_str()) {
-                Some(&label) => label,
-                None => {
-                    let label = self.labels.len();
-                    self.labels.insert(item.label.clone(), label);
-                    label
-                }
-            };
-            let next = self.ids.len();
-            let id = *self
-                .ids
-                .entry((label, item.category, item.tensor))
-                .or_insert(next);
-            self.item_ids.push(id);
-        }
-        let row = self.rows.len();
-        self.rows.resize(row + self.ids.len(), Energy::ZERO);
-        let items = eval
-            .energy
-            .items()
-            .iter()
-            .filter(|i| i.energy != Energy::ZERO);
-        for (&id, item) in self.item_ids[ids..].iter().zip(items) {
-            self.rows[row + id] += item.energy;
-        }
+impl LayerCost {
+    fn of(eval: &LayerEvaluation) -> LayerCost {
         LayerCost {
             cycles: eval.analysis.cycles,
             macs: eval.analysis.macs,
@@ -566,87 +516,54 @@ impl CostTable {
                 .levels
                 .first()
                 .map(lumen_mapper::LevelTraffic::total_accesses),
-            ids: ids..self.item_ids.len(),
-            row: row..self.rows.len(),
+            energy: eval.energy.clone(),
         }
-    }
-
-    /// Drops every layer cost, keeping the interned ids.
-    fn clear(&mut self) {
-        self.item_ids.clear();
-        self.rows.clear();
     }
 }
 
 /// The one summation routine behind every step cost, with its reusable
 /// buffers.
-#[derive(Default)]
 struct Fold<'t> {
     /// The step's positions: each the true MACs of its unbatched layer
     /// and its evaluation's cost.
     layers: Vec<(u64, &'t LayerCost)>,
-    energy: Vec<Energy>,
-    seen: Vec<bool>,
-    /// Ids in first-seen order: the order the energy total sums them.
-    order: Vec<usize>,
-    /// Whether a layer cost, by the start of its id range, has already
-    /// put its ids in `order` this step.
-    ordered: Vec<bool>,
+    /// The step's energy.
+    energy: EnergyBreakdown,
 }
 
 impl<'t> Fold<'t> {
+    fn new(session: &EvalSession) -> Fold<'t> {
+        Fold {
+            layers: Vec::new(),
+            energy: session.system().energy_breakdown(),
+        }
+    }
+
     /// Folds a step's positions, in execution order, into the step's
     /// cost at per-inference `scale` (`1 / batch`). Every sum runs in
-    /// execution order. Energy accumulates per id (adding a row's zeros
-    /// leaves an accumulator's bits unchanged), and the total sums the
-    /// ids in first-seen order, each scaled before the sum — exactly as
-    /// [`EvalSession::evaluate_network`]'s merged and scaled breakdown
-    /// totals, so every scalar is bit-identical to its rows.
+    /// execution order, and the energy is the positions' breakdowns
+    /// merged, scaled and totalled, exactly as
+    /// [`EvalSession::evaluate_network`]'s breakdown is, so every scalar
+    /// is bit-identical to its rows.
     fn cost(
         &mut self,
-        table: &CostTable,
         layers: impl IntoIterator<Item = (u64, &'t LayerCost)>,
         scale: f64,
     ) -> StepCost {
         self.layers.clear();
         self.layers.extend(layers);
-        let ids = table.ids.len();
-        self.energy.resize(ids, Energy::ZERO);
-        self.seen.resize(ids, false);
-        self.ordered.resize(table.item_ids.len(), false);
+        self.energy.clear();
         let mut cycles = 0u64;
         for (_, layer) in &self.layers {
             cycles += layer.cycles;
-            // A repeated layer cost brings no new ids: only its first
-            // sighting is scanned for them.
-            if !layer.ids.is_empty() && !self.ordered[layer.ids.start] {
-                self.ordered[layer.ids.start] = true;
-                for &id in &table.item_ids[layer.ids.clone()] {
-                    if !self.seen[id] {
-                        self.seen[id] = true;
-                        self.order.push(id);
-                    }
-                }
-            }
-            for (sum, &energy) in self.energy.iter_mut().zip(&table.rows[layer.row.clone()]) {
-                *sum += energy;
-            }
-        }
-        let energy = self.order.iter().map(|&id| self.energy[id] * scale).sum();
-        self.energy.fill(Energy::ZERO);
-        self.seen.fill(false);
-        self.order.clear();
-        for (_, layer) in &self.layers {
-            if let Some(ordered) = self.ordered.get_mut(layer.ids.start) {
-                *ordered = false;
-            }
+            self.energy.merge(&layer.energy);
         }
         let layers = || self.layers.iter().map(|&(macs, layer)| (macs, layer));
         let macs: f64 = layers().map(|(_, l)| l.macs as f64).sum();
         StepCost {
             macs: layers().map(|(macs, _)| macs).sum(),
             backing_accesses: layers().filter_map(|(_, l)| l.backing).sum(),
-            energy,
+            energy: self.energy.scaled(scale).total(),
             cycles: cycles as f64 * scale,
             // MAC-weighted, as `NetworkEvaluation::average_utilization`.
             utilization: layers()
@@ -819,8 +736,8 @@ pub fn scenario_trace(
 
 /// The step memo's trace (see the module docs): intern the
 /// compositions, lower each distinct segment once, resolve every item
-/// in one call, and fold each distinct composition once over the
-/// per-trace cost table.
+/// in one call into layer costs, and fold each distinct composition
+/// once over them.
 fn segmented_points(
     session: &EvalSession,
     model: &ServingModel,
@@ -889,14 +806,13 @@ fn segmented_points(
     drop(distinct);
 
     // 3. One resolution — one miss fan-out — for the whole trace, read
-    // straight into compact costs.
-    let mut table = CostTable::default();
+    // straight into layer costs.
     let resolved = items.len();
     let items: Vec<(&Layer, Reroute)> = items
         .into_iter()
         .map(|(shape, reroute)| (&segments.shapes[shape].layer, reroute))
         .collect();
-    let costs = session.resolve(&items, |eval| table.compact(&eval))?;
+    let costs = session.resolve(&items, |eval| LayerCost::of(&eval))?;
     drop(items);
     if let Some(error) = refused {
         return Err(error);
@@ -908,7 +824,7 @@ fn segmented_points(
     session.credit_cache_hits((lookups - resolved) as u64);
 
     // 4. Fold each distinct composition once.
-    let mut fold = Fold::default();
+    let mut fold = Fold::new(session);
     let scale = 1.0 / batch as f64;
     let step_costs: Vec<StepCost> = compositions
         .iter()
@@ -922,7 +838,7 @@ fn segmented_points(
                     let item = shape.items[fusion_class(fusion, position, last)];
                     (shape.macs, costs.get(item as usize))
                 });
-            fold.cost(&table, layers, scale)
+            fold.cost(layers, scale)
         })
         .collect();
     Ok(steps
@@ -945,7 +861,6 @@ fn literal_points(
     options: &NetworkOptions,
 ) -> Result<Vec<ServingStepPoint>, SystemError> {
     let batch = options.batch.max(1);
-    let mut table = CostTable::default();
     steps
         .iter()
         .enumerate()
@@ -954,14 +869,13 @@ fn literal_points(
             session.preflight_gate(&net)?;
             let batched = options.batched(&net);
             let items = session.rerouted(batched.layers(), options);
-            table.clear();
-            let costs = session.resolve(&items, |eval| table.compact(&eval))?;
+            let costs = session.resolve(&items, |eval| LayerCost::of(&eval))?;
             let layers = net
                 .layers()
                 .iter()
                 .enumerate()
                 .map(|(item, layer)| (layer.macs(), costs.get(item)));
-            let cost = Fold::default().cost(&table, layers, 1.0 / batch as f64);
+            let cost = Fold::new(session).cost(layers, 1.0 / batch as f64);
             Ok(cost.point(step, state.decode().len(), state.prefill_tokens()))
         })
         .collect()
@@ -970,13 +884,14 @@ fn literal_points(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MappingStrategy, System};
+    use crate::{CostCategory, MappingStrategy, System};
     use lumen_arch::{ArchBuilder, Domain, Fanout};
     use lumen_workload::serving::{
         ArrivalProcess, Fleet, FleetRouter, PrefillMode, Request, RequestMix,
         ServingScenarioBuilder,
     };
     use lumen_workload::{Dim, DimSet, TensorSet};
+    use std::sync::Arc;
 
     fn session() -> EvalSession {
         let arch = ArchBuilder::new("toy", Frequency::from_gigahertz(1.0))
@@ -1192,11 +1107,12 @@ mod tests {
 
     #[test]
     fn fold_energy_matches_the_scaled_breakdown_bit_for_bit() {
+        use crate::energy::{reference::ReferenceBreakdown, EnergyTable};
+        use lumen_workload::TensorKind::{Input, Output, Weight};
         use CostCategory::{Conversion, PerCycle, Storage};
-        use TensorKind::{Input, Output, Weight};
         // Three layers: repeated labels, a zero item, labels that differ
         // only by tensor, values that round differently in different
-        // orders, and ids interned by a later layer but seen first.
+        // orders, and items interned by a later layer but seen first.
         let layers = [
             vec![
                 ("glb", Storage, Some(Weight), 0.1),
@@ -1214,34 +1130,51 @@ mod tests {
                 ("glb", Storage, Some(Input), 1e-9),
             ],
         ];
-        let template = session()
-            .evaluate_layer(&Layer::gemv("template", 1, 8, 8))
-            .unwrap();
-        let mut table = CostTable::default();
-        let evals: Vec<LayerEvaluation> = layers
+        let mut table = EnergyTable::default();
+        let ids: Vec<Vec<usize>> = layers
             .iter()
             .map(|adds| {
-                let mut eval = template.clone();
-                eval.energy = crate::EnergyBreakdown::new();
-                for &(label, category, tensor, pj) in adds {
-                    eval.energy
-                        .add(label, category, tensor, Energy::from_picojoules(pj));
-                }
-                eval
+                adds.iter()
+                    .map(|&(label, category, tensor, _)| table.intern(label, category, tensor))
+                    .collect()
             })
             .collect();
-        let costs: Vec<LayerCost> = evals.iter().map(|e| table.compact(e)).collect();
+        let table = Arc::new(table);
+        let mut references = Vec::new();
+        let costs: Vec<LayerCost> = layers
+            .iter()
+            .zip(&ids)
+            .map(|(adds, ids)| {
+                let mut energy = EnergyBreakdown::new(Arc::clone(&table));
+                let mut reference = ReferenceBreakdown::default();
+                for (&(label, category, tensor, pj), &id) in adds.iter().zip(ids) {
+                    energy.add(id, Energy::from_picojoules(pj));
+                    reference.add(label, category, tensor, Energy::from_picojoules(pj));
+                }
+                references.push(reference);
+                LayerCost {
+                    cycles: 1,
+                    macs: 1,
+                    utilization: 1.0,
+                    backing: None,
+                    energy,
+                }
+            })
+            .collect();
         let positions = [1, 0, 2, 0, 1, 2];
         // The reference: the per-layer breakdowns merged in execution
         // order, then scaled per item, as `evaluate_network` totals them.
-        let mut merged = crate::EnergyBreakdown::new();
+        let mut merged = ReferenceBreakdown::default();
         for &p in &positions {
-            merged.merge(&evals[p].energy);
+            merged.merge(&references[p]);
         }
-        let mut fold = Fold::default();
+        let mut fold = Fold {
+            layers: Vec::new(),
+            energy: EnergyBreakdown::new(table),
+        };
         // A 0.1 scale rounds differently per item than on the total.
         for factor in [1.0, 1.0 / 3.0, 0.25, 0.1, 1.0 / 7.0] {
-            let cost = fold.cost(&table, positions.iter().map(|&p| (0, &costs[p])), factor);
+            let cost = fold.cost(positions.iter().map(|&p| (0, &costs[p])), factor);
             assert_eq!(
                 cost.energy.picojoules().to_bits(),
                 merged.scaled(factor).total().picojoules().to_bits(),

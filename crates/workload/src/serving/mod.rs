@@ -330,17 +330,6 @@ impl RequestMix {
         Ok(self)
     }
 
-    /// Panicking wrapper over [`RequestMix::try_with_shared_prefix`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shared` exceeds the shortest prompt.
-    #[must_use]
-    pub fn with_shared_prefix(self, shared: usize) -> RequestMix {
-        self.try_with_shared_prefix(shared)
-            .expect("a shared prefix must fit inside every prompt")
-    }
-
     /// The shared-prompt-prefix length, in tokens (0 = no sharing).
     pub fn shared_prefix(&self) -> usize {
         self.shared_prefix

@@ -6,10 +6,11 @@
 //! `Vec<Vec<_>>` of per-level loops, a divisor pick that collects every
 //! divisor, dedup on a `HashSet` of the temporal loops its analysis
 //! reads (every level's but compute's), a lower bound over
-//! [`outer_read_traffic`], and an energy cost read off a full
-//! [`EnergyBreakdown`]. `random_search`, `random_search_pruned` and
-//! `random_search_baseline` must return the same mapping, analysis, cost
-//! bits and `evaluated`/`deduped`/`pruned` counts, and
+//! [`outer_read_traffic`], and an energy cost read off the item-list
+//! reference for [`EnergyBreakdown`]. `random_search`,
+//! `random_search_pruned` and `random_search_baseline` must return the
+//! same mapping, analysis, cost bits and `evaluated`/`deduped`/`pruned`
+//! counts, and
 //! `System::map_layer` the same winner, on the unique layers of every
 //! built-in network on both Albireo corners and on the toy architectures
 //! of the mapper's unit tests. A second pass dedups only whole repeated
@@ -38,6 +39,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+
+#[path = "../crates/core/tests/support/energy_reference.rs"]
+mod reference;
 
 const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
 
@@ -175,10 +179,10 @@ fn transcribed_random_factor(v: usize, rng: &mut StdRng) -> usize {
     }
 }
 
-/// The system energy objective, read off a full [`EnergyBreakdown`]
-/// built item by item from the analysis.
+/// The system energy objective, read off the item-list reference for
+/// [`EnergyBreakdown`] built item by item from the analysis.
 fn breakdown_cost(arch: &Architecture, analysis: &LayerAnalysis) -> f64 {
-    let mut breakdown = EnergyBreakdown::new();
+    let mut breakdown = reference::ReferenceBreakdown::default();
     for (x, level) in arch.levels().iter().enumerate() {
         let traffic = analysis.level(x);
         if level.kind().is_storage() {
