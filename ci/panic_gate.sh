@@ -17,8 +17,8 @@ cd "$(dirname "$0")/.."
 
 PANIC_BASELINE=0
 UNWRAP_BASELINE=0
-EXPECT_BASELINE=46
-ASSERT_BASELINE=51
+EXPECT_BASELINE=24
+ASSERT_BASELINE=48
 
 count() {
   # Comment lines are excluded: doctest examples may unwrap().

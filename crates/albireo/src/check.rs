@@ -7,8 +7,8 @@
 //! CI `check` job) before it can skew a figure.
 
 use crate::{AlbireoConfig, DigitalBaseline, ScalingProfile};
-use lumen_core::{strategy_facts, System};
-use lumen_lint::{LintConfig, LintRegistry, LintTarget, Report};
+use lumen_core::{MappingStrategy, System};
+use lumen_lint::{LintConfig, LintRegistry, LintTarget, Report, StrategyFacts};
 use lumen_workload::{networks, Network};
 
 /// Built-in workloads the check matrix covers: the full figure inventory
@@ -21,6 +21,32 @@ pub fn check_networks() -> Vec<Network> {
         .collect();
     nets.push(networks::by_name("gpt2-small-decode").expect("decode alias resolves"));
     nets
+}
+
+/// Distills a [`MappingStrategy`] into the facts the linter inspects.
+///
+/// Neither `lumen-lint` nor `lumen-core` depends on the other, so
+/// strategies reach the rules as [`StrategyFacts`].
+/// `address_fingerprinted` mirrors [`MappingStrategy::fingerprint`],
+/// whose soundness the `L0301` lint polices: only a plain `Custom`
+/// closure is keyed by its address.
+pub fn strategy_facts(strategy: &MappingStrategy) -> StrategyFacts {
+    let (label, address_fingerprinted, search) = match strategy {
+        MappingStrategy::Greedy { temporal_level } => {
+            (format!("greedy@{temporal_level}"), false, None)
+        }
+        MappingStrategy::Planned { .. } => ("planned".to_string(), false, None),
+        MappingStrategy::RandomSearch(cfg) => ("random-search".to_string(), false, Some(*cfg)),
+        MappingStrategy::Custom(_) => ("custom".to_string(), true, None),
+        MappingStrategy::CustomKeyed { key, .. } => {
+            (format!("custom-keyed:{key:016x}"), false, None)
+        }
+    };
+    StrategyFacts {
+        label,
+        address_fingerprinted,
+        search,
+    }
 }
 
 /// Lints one system × network pair: architecture, strategy facts and
@@ -67,6 +93,12 @@ pub fn check_all() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lumen_arch::{ArchBuilder, Domain};
+    use lumen_core::MappingFn;
+    use lumen_mapper::search::{greedy_mapping, spatial_priority_for, SearchConfig, TemporalPlan};
+    use lumen_units::{Energy, Frequency};
+    use lumen_workload::TensorSet;
+    use std::sync::Arc;
 
     #[test]
     fn both_corners_lint_completely_clean() {
@@ -88,5 +120,63 @@ mod tests {
     fn check_networks_covers_the_inventory_plus_decode() {
         let nets = check_networks();
         assert_eq!(nets.len(), networks::NAMES.len() + 1);
+    }
+
+    fn codes(report: &Report) -> Vec<&str> {
+        report.diagnostics().iter().map(|d| d.code).collect()
+    }
+
+    fn albireo_with(strategy: MappingStrategy) -> System {
+        System::new(
+            AlbireoConfig::new(ScalingProfile::Conservative).build_arch(),
+            strategy,
+        )
+    }
+
+    #[test]
+    fn zero_iteration_search_is_an_error() {
+        let system = albireo_with(MappingStrategy::RandomSearch(SearchConfig {
+            iterations: 0,
+            seed: 1,
+        }));
+        let report = check_system(&system, &networks::alexnet());
+        assert!(!report.is_clean(), "{report}");
+        assert!(codes(&report).contains(&"L0302"), "{report}");
+    }
+
+    #[test]
+    fn address_keyed_custom_strategy_warns() {
+        let custom: Arc<MappingFn> = Arc::new(|arch, layer| {
+            greedy_mapping(
+                arch,
+                layer,
+                spatial_priority_for(layer),
+                &TemporalPlan::all_at(1),
+            )
+        });
+        let report = check_system(
+            &albireo_with(MappingStrategy::Custom(custom)),
+            &networks::alexnet(),
+        );
+        assert!(report.is_clean(), "a warning never blocks: {report}");
+        assert!(codes(&report).contains(&"L0301"), "{report}");
+    }
+
+    #[test]
+    fn negative_energy_is_an_error() {
+        // Structurally valid (the builder accepts it) but priced
+        // nonsensically: exactly the case only the lint pass catches.
+        let arch = ArchBuilder::new("bad", Frequency::from_gigahertz(1.0))
+            .storage("dram", Domain::DigitalElectrical, TensorSet::all())
+            .read_energy(Energy::from_picojoules(-5.0))
+            .write_energy(Energy::from_picojoules(100.0))
+            .done()
+            .compute("mac", Domain::DigitalElectrical, Energy::ZERO)
+            .build()
+            .unwrap();
+        let system = System::new(arch, MappingStrategy::default());
+        let report = check_system(&system, &networks::alexnet());
+        assert!(!report.is_clean(), "{report}");
+        assert!(codes(&report).contains(&"L0101"), "{report}");
     }
 }

@@ -11,7 +11,7 @@ use lumen_core::report::Table;
 use lumen_core::{
     CacheStats, EnergyBreakdown, EvalCache, EvalSession, NetworkOptions, SweepRunner, SystemError,
 };
-use lumen_workload::networks;
+use lumen_workload::{networks, ServingError};
 use std::fmt;
 use std::sync::Arc;
 
@@ -136,7 +136,7 @@ pub fn fig2_energy_breakdown() -> Result<Fig2Result, SystemError> {
             per_mac(buckets::AE_DE),
             per_mac(buckets::CACHE),
         ];
-        Ok(Fig2Row {
+        Ok::<_, SystemError>(Fig2Row {
             scaling,
             modeled,
             reported: reference::reported_row(scaling),
@@ -273,20 +273,19 @@ pub struct Fig4Result {
 }
 
 impl Fig4Result {
-    /// The bar for a given configuration.
-    pub fn row(&self, scaling: ScalingProfile, batched: bool, fused: bool) -> &Fig4Row {
+    /// The bar for a given configuration, if the sweep ran it.
+    pub fn row(&self, scaling: ScalingProfile, batched: bool, fused: bool) -> Option<&Fig4Row> {
         self.rows
             .iter()
             .find(|r| r.scaling == scaling && r.batched == batched && r.fused == fused)
-            .expect("all eight configurations evaluated")
     }
 
     /// Energy reduction of batching + fusion at a corner (the paper: 67%
-    /// for aggressive scaling, a 3× improvement).
-    pub fn combined_reduction(&self, scaling: ScalingProfile) -> f64 {
-        let base = self.row(scaling, false, false).total_mj();
-        let best = self.row(scaling, true, true).total_mj();
-        1.0 - best / base
+    /// for aggressive scaling, a 3× improvement), if the sweep ran it.
+    pub fn combined_reduction(&self, scaling: ScalingProfile) -> Option<f64> {
+        let base = self.row(scaling, false, false)?.total_mj();
+        let best = self.row(scaling, true, true)?.total_mj();
+        Some(1.0 - best / base)
     }
 
     /// Renders the figure as a table.
@@ -324,12 +323,17 @@ impl fmt::Display for Fig4Result {
         )?;
         write!(f, "{}", self.table().render())?;
         for scaling in [ScalingProfile::Conservative, ScalingProfile::Aggressive] {
-            writeln!(
-                f,
-                "{scaling}: baseline DRAM share {:.0}%, batching+fusion reduce energy {:.0}%",
-                100.0 * self.row(scaling, false, false).dram_share(),
-                100.0 * self.combined_reduction(scaling),
-            )?;
+            if let (Some(base), Some(reduction)) = (
+                self.row(scaling, false, false),
+                self.combined_reduction(scaling),
+            ) {
+                writeln!(
+                    f,
+                    "{scaling}: baseline DRAM share {:.0}%, batching+fusion reduce energy {:.0}%",
+                    100.0 * base.dram_share(),
+                    100.0 * reduction,
+                )?;
+            }
         }
         Ok(())
     }
@@ -386,7 +390,7 @@ pub fn fig4_memory_exploration() -> Result<Fig4Result, SystemError> {
         }
         let eval = session.evaluate_network(&net, &options)?;
         let segments_mj = memory_segments(&eval.energy);
-        Ok(Fig4Row {
+        Ok::<_, SystemError>(Fig4Row {
             scaling,
             batched,
             fused,
@@ -396,20 +400,12 @@ pub fn fig4_memory_exploration() -> Result<Fig4Result, SystemError> {
         })
     })?;
     // Normalize each bar to its corner's non-batched, non-fused
-    // baseline. Baselines are derived from the rows themselves, so every
-    // row is guaranteed a finite normalization (or a loud panic if the
-    // corner list ever stops including its own baseline).
-    let baselines: Vec<(ScalingProfile, f64)> = rows
-        .iter()
-        .filter(|r| !r.batched && !r.fused)
-        .map(|r| (r.scaling, r.total_mj()))
-        .collect();
-    for row in &mut rows {
-        let (_, base) = baselines
-            .iter()
-            .find(|(scaling, _)| *scaling == row.scaling)
-            .expect("every corner's baseline bar is part of the sweep");
-        row.normalized_total = row.total_mj() / base;
+    // baseline: the first of the corner's four bars in sweep order.
+    for corner in rows.chunks_mut(4) {
+        let base = corner[0].total_mj();
+        for row in corner {
+            row.normalized_total = row.total_mj() / base;
+        }
     }
     Ok(Fig4Result { rows })
 }
@@ -453,34 +449,30 @@ pub struct Fig5Result {
 }
 
 impl Fig5Result {
-    /// The published Albireo configuration's row.
-    pub fn original(&self) -> &Fig5Row {
-        self.rows
-            .iter()
-            .find(|r| {
-                r.weight_reuse == WeightReuse::Original && r.output_reuse == 3 && r.input_reuse == 9
-            })
-            .expect("original configuration is part of the sweep")
+    /// The published Albireo configuration's row, if the sweep ran it.
+    pub fn original(&self) -> Option<&Fig5Row> {
+        self.rows.iter().find(|r| {
+            r.weight_reuse == WeightReuse::Original && r.output_reuse == 3 && r.input_reuse == 9
+        })
     }
 
-    /// The lowest-energy configuration.
-    pub fn best(&self) -> &Fig5Row {
+    /// The lowest-energy configuration (`None` for an empty sweep).
+    pub fn best(&self) -> Option<&Fig5Row> {
         self.rows
             .iter()
             .min_by(|a, b| a.total_pj().total_cmp(&b.total_pj()))
-            .expect("sweep is nonempty")
     }
 
     /// Converter-energy reduction of the best configuration vs the
     /// original (the paper: 42%).
-    pub fn converter_reduction(&self) -> f64 {
-        1.0 - self.best().converter_pj() / self.original().converter_pj()
+    pub fn converter_reduction(&self) -> Option<f64> {
+        Some(1.0 - self.best()?.converter_pj() / self.original()?.converter_pj())
     }
 
     /// Accelerator-energy reduction of the best configuration vs the
     /// original (the paper: 31%).
-    pub fn accelerator_reduction(&self) -> f64 {
-        1.0 - self.best().total_pj() / self.original().total_pj()
+    pub fn accelerator_reduction(&self) -> Option<f64> {
+        Some(1.0 - self.best()?.total_pj() / self.original()?.total_pj())
     }
 
     /// Renders the figure as a table.
@@ -515,12 +507,17 @@ impl fmt::Display for Fig5Result {
             "Fig. 5 — ResNet18 accelerator energy vs analog/optical reuse (aggressive scaling)"
         )?;
         write!(f, "{}", self.table().render())?;
-        writeln!(
-            f,
-            "best config cuts converter energy {:.0}% and accelerator energy {:.0}% vs original",
-            100.0 * self.converter_reduction(),
-            100.0 * self.accelerator_reduction(),
-        )
+        if let (Some(converter), Some(accelerator)) =
+            (self.converter_reduction(), self.accelerator_reduction())
+        {
+            writeln!(
+                f,
+                "best config cuts converter energy {:.0}% and accelerator energy {:.0}% vs original",
+                100.0 * converter,
+                100.0 * accelerator,
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -559,7 +556,7 @@ pub fn fig5_reuse_exploration() -> Result<Fig5Result, SystemError> {
             for (i, seg) in segments[..5].iter().enumerate() {
                 per_mac[i] = seg * 1e9 / macs;
             }
-            Ok(Fig5Row {
+            Ok::<_, SystemError>(Fig5Row {
                 weight_reuse,
                 output_reuse,
                 input_reuse,
@@ -641,12 +638,9 @@ pub struct TransformerStudyResult {
 }
 
 impl TransformerStudyResult {
-    /// The row for a named workload.
-    pub fn row(&self, network: &str) -> &NetworkRow {
-        self.rows
-            .iter()
-            .find(|r| r.network == network)
-            .expect("every transformer workload evaluated")
+    /// The row for a named workload, if the study ran it.
+    pub fn row(&self, network: &str) -> Option<&NetworkRow> {
+        self.rows.iter().find(|r| r.network == network)
     }
 
     /// Renders the study as a table.
@@ -785,12 +779,9 @@ pub struct DecodeStudyResult {
 }
 
 impl DecodeStudyResult {
-    /// The row for a given KV length.
-    pub fn row(&self, kv_len: usize) -> &DecodeRow {
-        self.rows
-            .iter()
-            .find(|r| r.kv_len == kv_len)
-            .expect("every swept KV length evaluated")
+    /// The row for a given KV length, if the study swept it.
+    pub fn row(&self, kv_len: usize) -> Option<&DecodeRow> {
+        self.rows.iter().find(|r| r.kv_len == kv_len)
     }
 
     /// Renders the study as a table.
@@ -844,16 +835,17 @@ impl fmt::Display for DecodeStudyResult {
             self.prefill.utilization_gap(),
         )?;
         write!(f, "{}", self.table().render())?;
-        let last = self.rows.last().expect("sweep is nonempty");
-        writeln!(
-            f,
-            "utilization gap (digital/photonic) widens from {:.1}x at prefill to {:.1}x at \
-             kv={} decode: seq-1 GEMVs idle the photonic cluster fan-out that prefill's \
-             sequence extent kept busy",
-            self.prefill.utilization_gap(),
-            last.vs.utilization_gap(),
-            last.kv_len,
-        )?;
+        if let Some(last) = self.rows.last() {
+            writeln!(
+                f,
+                "utilization gap (digital/photonic) widens from {:.1}x at prefill to {:.1}x at \
+                 kv={} decode: seq-1 GEMVs idle the photonic cluster fan-out that prefill's \
+                 sequence extent kept busy",
+                self.prefill.utilization_gap(),
+                last.vs.utilization_gap(),
+                last.kv_len,
+            )?;
+        }
         write_cache_footer(
             f,
             self.trace_cache,
@@ -942,16 +934,16 @@ pub const SERVING_CAPACITIES: [usize; 2] = [3, 12];
 /// serving-traffic shapes the continuous-batching literature targets.
 /// Deterministic (fixed seeds), like every other input of the golden
 /// suite.
-pub fn serving_mixes() -> Vec<lumen_workload::RequestMix> {
+pub fn serving_mixes() -> Result<Vec<lumen_workload::RequestMix>, ServingError> {
     use lumen_workload::RequestMix;
-    vec![
+    Ok(vec![
         // Identical chat turns: the uniform-batch baseline.
-        RequestMix::uniform(12, 128, 32),
+        RequestMix::uniform(12, 128, 32)?,
         // Chat with a 25% admixture of long-document requests.
-        RequestMix::bimodal(0x5EED_CAFE, 12, (64, 16), (512, 48), 25),
+        RequestMix::bimodal(0x5EED_CAFE, 12, (64, 16), (512, 48), 25)?,
         // Geometric output tail: most requests stop early, a few run 8x.
-        RequestMix::long_tail(0x0BA7_C4ED, 12, (64, 384), 12, 3),
-    ]
+        RequestMix::long_tail(0x0BA7_C4ED, 12, (64, 384), 12, 3)?,
+    ])
 }
 
 /// One (mix, capacity) operating point of the serving study.
@@ -990,12 +982,11 @@ pub struct ServingStudyResult {
 }
 
 impl ServingStudyResult {
-    /// The row for a given mix name and capacity.
-    pub fn row(&self, mix: &str, capacity: usize) -> &ServingRow {
+    /// The row for a given mix name and capacity, if the study ran it.
+    pub fn row(&self, mix: &str, capacity: usize) -> Option<&ServingRow> {
         self.rows
             .iter()
             .find(|r| r.mix == mix && r.capacity == capacity)
-            .expect("every (mix, capacity) pair evaluated")
     }
 
     /// Renders the study as a table.
@@ -1043,20 +1034,22 @@ impl fmt::Display for ServingStudyResult {
             self.scaling, self.kv_bucket
         )?;
         write!(f, "{}", self.table().render())?;
-        let uniform = &self.rows[0].mix;
-        let backlogged = self.row(uniform, SERVING_CAPACITIES[0]);
-        let wide = self.row(uniform, SERVING_CAPACITIES[1]);
-        writeln!(
-            f,
-            "occupancy lever ({uniform}): {} slots at {:.0}% occupancy -> {:.2} mJ/token \
-             photonic, {} slots -> {:.2} mJ/token (group batching shares projection weight \
-             traffic; per-request KV caches never amortize)",
-            backlogged.capacity,
-            100.0 * backlogged.mean_occupancy,
-            backlogged.tokens.photonic_mj_per_token,
-            wide.capacity,
-            wide.tokens.photonic_mj_per_token,
-        )?;
+        // Rows run mixes outer, capacities inner: the first two are the
+        // uniform mix at both slot counts.
+        if let [backlogged, wide, ..] = self.rows.as_slice() {
+            writeln!(
+                f,
+                "occupancy lever ({}): {} slots at {:.0}% occupancy -> {:.2} mJ/token \
+                 photonic, {} slots -> {:.2} mJ/token (group batching shares projection weight \
+                 traffic; per-request KV caches never amortize)",
+                backlogged.mix,
+                backlogged.capacity,
+                100.0 * backlogged.mean_occupancy,
+                backlogged.tokens.photonic_mj_per_token,
+                wide.capacity,
+                wide.tokens.photonic_mj_per_token,
+            )?;
+        }
         write_cache_footer(
             f,
             self.trace_cache,
@@ -1080,18 +1073,17 @@ impl fmt::Display for ServingStudyResult {
 pub fn serving_study(scaling: ScalingProfile) -> Result<ServingStudyResult, SystemError> {
     use lumen_workload::{PrefillMode, ServingScenario};
 
-    let scenarios: Vec<ServingScenario> = serving_mixes()
-        .into_iter()
-        .flat_map(|mix| {
-            SERVING_CAPACITIES.map(|capacity| {
+    let mut scenarios: Vec<ServingScenario> = Vec::new();
+    for mix in serving_mixes()? {
+        for capacity in SERVING_CAPACITIES {
+            scenarios.push(
                 ServingScenario::builder(mix.clone(), capacity)
                     .kv_bucket(SERVING_KV_BUCKET)
                     .prefill(PrefillMode::Resident)
-                    .build()
-                    .expect("the closed-loop study's fixed parameters are valid")
-            })
-        })
-        .collect();
+                    .build()?,
+            );
+        }
+    }
     let testbed = Testbed::new(scaling);
     let (rows, trace_cache) = testbed.trace_scenarios(&scenarios, |scenario, p, d| ServingRow {
         mix: scenario.mix().name().to_string(),
@@ -1129,7 +1121,7 @@ pub const SLO_PREFILL_CHUNK: usize = 256;
 /// admixture of long-document requests — the mix where admission order
 /// matters, because a long prompt parks two prefill steps in front of
 /// whatever queues behind it.
-pub fn slo_mix() -> lumen_workload::RequestMix {
+pub fn slo_mix() -> Result<lumen_workload::RequestMix, ServingError> {
     lumen_workload::RequestMix::bimodal(0x510_CAFE, 12, (64, 16), (512, 48), 25)
 }
 
@@ -1156,14 +1148,13 @@ pub fn slo_policy() -> lumen_workload::AdmissionPolicy {
 pub fn slo_scenario(
     arrival: lumen_workload::ArrivalProcess,
     policy: lumen_workload::AdmissionPolicy,
-) -> lumen_workload::ServingScenario {
-    lumen_workload::ServingScenario::builder(slo_mix(), SLO_CAPACITY)
+) -> Result<lumen_workload::ServingScenario, ServingError> {
+    lumen_workload::ServingScenario::builder(slo_mix()?, SLO_CAPACITY)
         .kv_bucket(SERVING_KV_BUCKET)
         .arrival(arrival)
         .policy(policy)
         .prefill_chunk(SLO_PREFILL_CHUNK)
         .build()
-        .expect("the SLO study's fixed parameters are valid under every arrival and policy")
 }
 
 /// The [`slo_scenario`]s of [`serving_slo_study`]: the closed-loop
@@ -1171,20 +1162,20 @@ pub fn slo_scenario(
 /// (the server drains ~0.16 requests/step at this mix), the overloaded
 /// regime under both non-FIFO policies, and a bursty process under the
 /// SLO policy.
-pub fn slo_scenarios() -> Vec<lumen_workload::ServingScenario> {
+pub fn slo_scenarios() -> Result<Vec<lumen_workload::ServingScenario>, ServingError> {
     use lumen_workload::{AdmissionPolicy, ArrivalProcess};
-    let overload = ArrivalProcess::poisson(0.5, 0xFEED_F00D);
+    let overload = ArrivalProcess::try_poisson(0.5, 0xFEED_F00D)?;
     [
         (ArrivalProcess::ClosedLoop, AdmissionPolicy::Fifo),
         (
-            ArrivalProcess::poisson(0.1, 0xFEED_F00D),
+            ArrivalProcess::try_poisson(0.1, 0xFEED_F00D)?,
             AdmissionPolicy::Fifo,
         ),
         (overload.clone(), AdmissionPolicy::Fifo),
         (overload.clone(), AdmissionPolicy::ShortestPrompt),
         (overload, slo_policy()),
         (
-            ArrivalProcess::bursty(0.02, 48, 6, 0xB125_7EED),
+            ArrivalProcess::try_bursty(0.02, 48, 6, 0xB125_7EED)?,
             slo_policy(),
         ),
     ]
@@ -1397,7 +1388,7 @@ pub fn serving_scenario_study(
 ///
 /// [`SystemError::NoMapping`] if any step has an unmappable layer.
 pub fn serving_slo_study(scaling: ScalingProfile) -> Result<SloStudyResult, SystemError> {
-    serving_scenario_study(scaling, &slo_scenarios())
+    serving_scenario_study(scaling, &slo_scenarios()?)
 }
 
 // ---------------------------------------------------------------------
@@ -1598,8 +1589,7 @@ impl fmt::Display for PagedServingStudyResult {
 pub fn paged_serving_study(
     scaling: ScalingProfile,
 ) -> Result<PagedServingStudyResult, SystemError> {
-    let scenario = try_paged_slo_scenario(PAGED_KV_PAGE, PAGED_SHARED_PREFIX)
-        .expect("the default page and shared prefix validate against the SLO mix");
+    let scenario = try_paged_slo_scenario(PAGED_KV_PAGE, PAGED_SHARED_PREFIX)?;
     paged_serving_scenario_study(scaling, &scenario)
 }
 
@@ -1610,13 +1600,13 @@ pub fn paged_serving_study(
 ///
 /// # Errors
 ///
-/// The [`lumen_workload::ServingError`]s of scenario validation — a
-/// zero page, or a prefix longer than the mix's shortest prompt.
+/// The [`ServingError`]s of scenario validation — a zero page, or a
+/// prefix longer than the mix's shortest prompt.
 pub fn try_paged_slo_scenario(
     page: usize,
     shared: usize,
-) -> Result<lumen_workload::ServingScenario, lumen_workload::ServingError> {
-    lumen_workload::ServingScenario::builder(slo_mix(), SLO_CAPACITY)
+) -> Result<lumen_workload::ServingScenario, ServingError> {
+    lumen_workload::ServingScenario::builder(slo_mix()?, SLO_CAPACITY)
         .kv_bucket(SERVING_KV_BUCKET)
         .kv_page(page)
         .shared_prefix(shared)
@@ -1631,13 +1621,10 @@ pub fn try_paged_slo_scenario(
 /// residency changed). Lowers all three on one photonic
 /// [`EvalSession`], so identical steps dedupe in the shared cache.
 ///
-/// # Panics
-///
-/// If the scenario is not paged (`kv_page` unset) — the flag parser
-/// only produces paged scenarios for this path.
-///
 /// # Errors
 ///
+/// [`SystemError::Serving`] with [`ServingError::PagedKvRequired`] if
+/// the scenario is bucketed (`kv_page` unset);
 /// [`SystemError::NoMapping`] if any step has an unmappable layer.
 ///
 /// [`ServingScenario`]: lumen_workload::ServingScenario
@@ -1646,11 +1633,14 @@ pub fn paged_serving_scenario_study(
     scenario: &lumen_workload::ServingScenario,
 ) -> Result<PagedServingStudyResult, SystemError> {
     use lumen_core::scenario_trace;
-    use lumen_workload::{PageTable, PrefillMode, RequestMix, ServingModel, ServingScenario};
+    use lumen_workload::{
+        KvLayout, PageTable, PrefillMode, RequestMix, ServingModel, ServingScenario,
+    };
 
-    let page = scenario
-        .kv_page()
-        .expect("the paged study needs a paged scenario");
+    let KvLayout::Paged(shared_table) = *scenario.layout() else {
+        return Err(ServingError::PagedKvRequired.into());
+    };
+    let page = shared_table.page();
     let shared = scenario.shared_prefix();
     let bucket = scenario.kv_bucket();
 
@@ -1661,9 +1651,9 @@ pub fn paged_serving_scenario_study(
     // The bucketed baseline and the unshared paged row serve the same
     // requests with no prefix; rebuild them from the scenario with only
     // the residency knobs changed. The shared row is the scenario itself.
-    let sibling = |kv_page: Option<usize>| -> ServingScenario {
+    let sibling = |kv_page: Option<usize>| -> Result<ServingScenario, ServingError> {
         let base_mix =
-            RequestMix::custom(scenario.mix().name(), scenario.mix().requests().to_vec());
+            RequestMix::try_custom(scenario.mix().name(), scenario.mix().requests().to_vec())?;
         let mut builder = ServingScenario::builder(base_mix, scenario.capacity())
             .kv_bucket(bucket)
             .arrival(scenario.arrival().clone())
@@ -1675,33 +1665,29 @@ pub fn paged_serving_scenario_study(
         if let Some(max) = scenario.max_context() {
             builder = builder.max_context(max);
         }
-        builder
-            .build()
-            .expect("a validated scenario's residency siblings are valid")
+        builder.build()
     };
-    let bucketed = sibling(None);
-    let paged = sibling(Some(page));
+    let bucketed = sibling(None)?;
+    let paged = sibling(Some(page))?;
 
     // The bucketed baseline's residency is the same page-table walk at
     // page = bucket: allocation rounds to the bucket, which is exactly
     // what the padded lowering charges DRAM for.
-    let page_table = |s: &ServingScenario| {
-        s.layout()
-            .page_table()
-            .copied()
-            .expect("paged scenarios carry a page table")
-    };
     let variants: [(String, &ServingScenario, PageTable); 3] = [
         (
             format!("bucketed({bucket})"),
             &bucketed,
-            PageTable::new(bucket),
+            PageTable::try_new(bucket)?,
         ),
-        (format!("paged({page})"), &paged, page_table(&paged)),
+        (
+            format!("paged({page})"),
+            &paged,
+            shared_table.with_shared_prefix(0),
+        ),
         (
             format!("paged({page})+shared({shared})"),
             scenario,
-            page_table(scenario),
+            shared_table,
         ),
     ];
 
@@ -1756,7 +1742,7 @@ pub const FLEET_SEARCH_MAX_INSTANCES: usize = 6;
 
 /// The fleet stream's request population: the SLO study's bimodal chat
 /// shape, doubled to 24 requests so routing has something to balance.
-pub fn fleet_mix() -> lumen_workload::RequestMix {
+pub fn fleet_mix() -> Result<lumen_workload::RequestMix, ServingError> {
     lumen_workload::RequestMix::bimodal(0xF1EE_CAFE, 24, (64, 16), (512, 48), 25)
 }
 
@@ -1764,8 +1750,8 @@ pub fn fleet_mix() -> lumen_workload::RequestMix {
 /// stream (0.5 requests/step against ~0.17 requests/step of
 /// single-instance drain), so the capacity question has a non-trivial
 /// answer.
-pub fn fleet_arrival() -> lumen_workload::ArrivalProcess {
-    lumen_workload::ArrivalProcess::poisson(0.5, 0xF1EE_F00D)
+pub fn fleet_arrival() -> Result<lumen_workload::ArrivalProcess, ServingError> {
+    lumen_workload::ArrivalProcess::try_poisson(0.5, 0xF1EE_F00D)
 }
 
 /// The per-instance template (and global stream description) of the
@@ -1773,14 +1759,15 @@ pub fn fleet_arrival() -> lumen_workload::ArrivalProcess {
 /// [`SLO_CAPACITY`]-slot scheduler with the SLO-aware admission policy
 /// and chunked prefill — the same knobs as [`slo_scenario`], on the
 /// bigger stream.
-pub fn fleet_template(arrival: lumen_workload::ArrivalProcess) -> lumen_workload::ServingScenario {
-    lumen_workload::ServingScenario::builder(fleet_mix(), SLO_CAPACITY)
+pub fn fleet_template(
+    arrival: lumen_workload::ArrivalProcess,
+) -> Result<lumen_workload::ServingScenario, ServingError> {
+    lumen_workload::ServingScenario::builder(fleet_mix()?, SLO_CAPACITY)
         .kv_bucket(SERVING_KV_BUCKET)
         .arrival(arrival)
         .policy(slo_policy())
         .prefill_chunk(SLO_PREFILL_CHUNK)
         .build()
-        .expect("the fleet template's fixed parameters are valid under every arrival")
 }
 
 /// One instance's slice of the capacity plan.
@@ -1918,14 +1905,11 @@ impl fmt::Display for CapacityPlanResult {
 /// [`lumen_workload::LayerSignature`] in the shared cache, so fleet
 /// cost grows with distinct step shapes, not with N.
 ///
-/// # Panics
-///
-/// If `instances` is zero — the CLI rejects that before calling in
-/// (and `lumen check`'s L0408 flags it at pre-flight).
-///
 /// # Errors
 ///
-/// [`SystemError::NoMapping`] if any step has an unmappable layer.
+/// [`SystemError::Serving`] with [`ServingError::EmptyFleet`] if
+/// `instances` is zero; [`SystemError::NoMapping`] if any step has an
+/// unmappable layer.
 pub fn capacity_plan_study(
     scaling: ScalingProfile,
     instances: usize,
@@ -1948,11 +1932,8 @@ fn capacity_plan_on(
     use lumen_core::{fleet_trace, FleetInstance};
     use lumen_workload::{Fleet, ServingModel};
 
-    let template = fleet_template(arrival);
-    let fleet = Fleet::uniform(template, router, instances);
-    let assignments = fleet
-        .dispatch()
-        .expect("a uniform fleet serves any sub-stream of its own mix");
+    let fleet = Fleet::try_uniform(fleet_template(arrival)?, router, instances)?;
+    let assignments = fleet.dispatch()?;
 
     let model = ServingModel::gpt2_small();
     let options = NetworkOptions::baseline();
@@ -2136,7 +2117,7 @@ pub fn fleet_slo_search(
         scaling,
         slo_p99_ttft_ms,
         router,
-        arrival: fleet_template(arrival).arrival().to_string(),
+        arrival: fleet_template(arrival)?.arrival().to_string(),
         max_instances: FLEET_SEARCH_MAX_INSTANCES,
         rows,
         min_instances,
@@ -2184,8 +2165,12 @@ mod tests {
         let result = fig4_memory_exploration().unwrap();
         assert_eq!(result.rows.len(), 8);
         // Aggressive baseline dominated by DRAM; conservative is not.
-        let aggr = result.row(ScalingProfile::Aggressive, false, false);
-        let cons = result.row(ScalingProfile::Conservative, false, false);
+        let aggr = result
+            .row(ScalingProfile::Aggressive, false, false)
+            .unwrap();
+        let cons = result
+            .row(ScalingProfile::Conservative, false, false)
+            .unwrap();
         assert!(
             aggr.dram_share() >= 0.60,
             "aggressive DRAM {:.2}",
@@ -2197,7 +2182,9 @@ mod tests {
             cons.dram_share()
         );
         // Batching + fusion buy >= 55% at the aggressive corner (paper: 67%).
-        let reduction = result.combined_reduction(ScalingProfile::Aggressive);
+        let reduction = result
+            .combined_reduction(ScalingProfile::Aggressive)
+            .unwrap();
         assert!(reduction >= 0.55, "reduction {reduction:.2}");
         // Normalization anchors the baselines at 1.0.
         assert!((aggr.normalized_total - 1.0).abs() < 1e-12);
@@ -2243,8 +2230,14 @@ mod tests {
         let cons = transformer_study(ScalingProfile::Conservative).unwrap();
         let aggr = transformer_study(ScalingProfile::Aggressive).unwrap();
         for name in networks::TRANSFORMER_NAMES {
-            assert!(cons.row(name).vs.energy_advantage() < 1.0, "{name}");
-            assert!(aggr.row(name).vs.energy_advantage() > 1.0, "{name}");
+            assert!(
+                cons.row(name).unwrap().vs.energy_advantage() < 1.0,
+                "{name}"
+            );
+            assert!(
+                aggr.row(name).unwrap().vs.energy_advantage() > 1.0,
+                "{name}"
+            );
         }
     }
 
@@ -2285,7 +2278,7 @@ mod tests {
         }
         // The accessor answers every swept KV length.
         for kv in DECODE_KV_LENGTHS {
-            assert_eq!(result.row(kv).kv_len, kv);
+            assert_eq!(result.row(kv).unwrap().kv_len, kv);
         }
         // The content-addressed sweep: 5 per-step networks x 97 layers
         // collapse to a handful of mapping searches.
@@ -2331,7 +2324,7 @@ mod tests {
         let result = aggressive_serving_study();
         assert_eq!(
             result.rows.len(),
-            serving_mixes().len() * SERVING_CAPACITIES.len()
+            serving_mixes().unwrap().len() * SERVING_CAPACITIES.len()
         );
         for row in &result.rows {
             // The decode-regime utilization collapse survives continuous
@@ -2368,9 +2361,9 @@ mod tests {
         }
         // The occupancy lever: wider schedules batch larger groups, and
         // group batching never costs energy per token — on either system.
-        for mix in serving_mixes() {
-            let few = result.row(mix.name(), SERVING_CAPACITIES[0]);
-            let many = result.row(mix.name(), SERVING_CAPACITIES[1]);
+        for mix in serving_mixes().unwrap() {
+            let few = result.row(mix.name(), SERVING_CAPACITIES[0]).unwrap();
+            let many = result.row(mix.name(), SERVING_CAPACITIES[1]).unwrap();
             assert!(
                 many.tokens.photonic_mj_per_token <= few.tokens.photonic_mj_per_token,
                 "{}: {:.2} vs {:.2} mJ/token photonic",
@@ -2427,8 +2420,13 @@ mod tests {
     #[test]
     fn slo_study_shapes_hold() {
         let result = aggressive_slo_study();
-        assert_eq!(result.rows.len(), slo_scenarios().len());
-        let prompt_tokens: u64 = slo_mix().requests().iter().map(|r| r.prompt as u64).sum();
+        assert_eq!(result.rows.len(), slo_scenarios().unwrap().len());
+        let prompt_tokens: u64 = slo_mix()
+            .unwrap()
+            .requests()
+            .iter()
+            .map(|r| r.prompt as u64)
+            .sum();
         for row in &result.rows {
             // Prefill is charged once per request in every scenario.
             assert_eq!(row.prefill_tokens, prompt_tokens, "{}", row.arrival);
@@ -2493,7 +2491,8 @@ mod tests {
         // conversion chain hands the energy edge to the digital
         // baseline even with dense prefill in the trace.
         let result =
-            serving_scenario_study(ScalingProfile::Conservative, &slo_scenarios()[..1]).unwrap();
+            serving_scenario_study(ScalingProfile::Conservative, &slo_scenarios().unwrap()[..1])
+                .unwrap();
         assert!(result.rows[0].vs.energy_advantage() < 1.0);
     }
 
@@ -2575,6 +2574,23 @@ mod tests {
     }
 
     #[test]
+    fn studies_reject_bad_serving_inputs_with_typed_errors() {
+        use lumen_workload::{AdmissionPolicy, ArrivalProcess, FleetRouter};
+        let empty = capacity_plan_study(
+            ScalingProfile::Conservative,
+            0,
+            FleetRouter::RoundRobin,
+            fleet_arrival().unwrap(),
+        )
+        .unwrap_err();
+        assert_eq!(empty, SystemError::Serving(ServingError::EmptyFleet));
+        let bucketed = slo_scenario(ArrivalProcess::ClosedLoop, AdmissionPolicy::Fifo).unwrap();
+        let unpaged =
+            paged_serving_scenario_study(ScalingProfile::Conservative, &bucketed).unwrap_err();
+        assert_eq!(unpaged, SystemError::Serving(ServingError::PagedKvRequired));
+    }
+
+    #[test]
     fn paged_study_holds_at_the_conservative_corner() {
         // The residency accounting is system-independent arithmetic on
         // the same schedules; the DRAM and energy deltas must survive
@@ -2588,14 +2604,14 @@ mod tests {
         let result = fig5_reuse_exploration().unwrap();
         assert_eq!(result.rows.len(), 18);
         assert!(
-            result.converter_reduction() >= 0.35,
+            result.converter_reduction().unwrap() >= 0.35,
             "converter reduction {:.2}",
-            result.converter_reduction()
+            result.converter_reduction().unwrap()
         );
         assert!(
-            result.accelerator_reduction() >= 0.25,
+            result.accelerator_reduction().unwrap() >= 0.25,
             "accelerator reduction {:.2}",
-            result.accelerator_reduction()
+            result.accelerator_reduction().unwrap()
         );
         // More input reuse monotonically cuts input-conversion energy.
         let input_pj = |ir: usize| {

@@ -236,8 +236,8 @@ fn parse_count(flag: &'static str, expected: &'static str, raw: &str) -> Result<
 pub fn parse_arrival(spec: &str) -> Result<ArrivalProcess, FlagError> {
     match spec {
         "closed-loop" => Ok(ArrivalProcess::ClosedLoop),
-        "bursty" => Ok(ArrivalProcess::bursty(0.02, 48, 6, 0xB125_7EED)),
-        "diurnal" => Ok(ArrivalProcess::diurnal(0.05, 0.5, 96, 0xFEED_F00D)),
+        "bursty" => Ok(ArrivalProcess::try_bursty(0.02, 48, 6, 0xB125_7EED)?),
+        "diurnal" => Ok(ArrivalProcess::try_diurnal(0.05, 0.5, 96, 0xFEED_F00D)?),
         _ => {
             let rate = match spec.strip_prefix("poisson") {
                 Some("") => 0.5,
@@ -358,7 +358,7 @@ pub fn parse_serving_flags(args: &[String]) -> Result<ServingPlan, FlagError> {
     // paged path uses so the rejection is the serving layer's typed
     // SharedPrefixRequiresPagedKv, not a bespoke string.
     if shared > 0 {
-        let rejected = ServingScenario::builder(experiments::slo_mix(), experiments::SLO_CAPACITY)
+        let rejected = ServingScenario::builder(experiments::slo_mix()?, experiments::SLO_CAPACITY)
             .kv_bucket(experiments::SERVING_KV_BUCKET)
             .shared_prefix(shared)
             .arrival(arrival)
@@ -370,7 +370,7 @@ pub fn parse_serving_flags(args: &[String]) -> Result<ServingPlan, FlagError> {
     }
     Ok(ServingPlan::Scenario(experiments::slo_scenario(
         arrival, policy,
-    )))
+    )?))
 }
 
 /// Resolves a `lumen fleet` argument list to a plan.
@@ -394,7 +394,7 @@ pub fn parse_fleet_flags(args: &[String]) -> Result<FleetPlan, FlagError> {
         Some(raw) => parse_router(raw)?,
     };
     let arrival = match option_value(args, "--arrival") {
-        None => experiments::fleet_arrival(),
+        None => experiments::fleet_arrival()?,
         Some(raw) => parse_arrival(raw)?,
     };
     let slo_p99_ttft_ms = option_value(args, "--slo").map(parse_slo).transpose()?;
@@ -438,9 +438,10 @@ mod tests {
         assert_eq!(
             scenario,
             experiments::slo_scenario(
-                ArrivalProcess::poisson(0.5, 0xFEED_F00D),
+                ArrivalProcess::try_poisson(0.5, 0xFEED_F00D).unwrap(),
                 experiments::slo_policy()
             )
+            .unwrap()
         );
     }
 
@@ -496,7 +497,7 @@ mod tests {
         let plan = parse_fleet_flags(&args(&["fleet"])).unwrap();
         assert_eq!(plan.instances, experiments::FLEET_INSTANCES);
         assert_eq!(plan.router, FleetRouter::RoundRobin);
-        assert_eq!(plan.arrival, experiments::fleet_arrival());
+        assert_eq!(plan.arrival, experiments::fleet_arrival().unwrap());
         assert_eq!(plan.slo_p99_ttft_ms, None);
     }
 

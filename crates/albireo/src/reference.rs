@@ -44,11 +44,7 @@ pub const REPORTED_FIG3: [(&str, f64); 2] = [("vgg16", 5660.0), ("alexnet", 5540
 
 /// Reported total best-case energy per MAC for one scaling corner.
 pub fn reported_total(scaling: ScalingProfile) -> f64 {
-    REPORTED_FIG2
-        .iter()
-        .find(|(s, _)| *s == scaling)
-        .map(|(_, row)| row.iter().sum())
-        .expect("all three corners present")
+    reported_row(scaling).iter().sum()
 }
 
 /// The reported per-component row for one scaling corner.

@@ -3,7 +3,7 @@
 //! Pins the performance claim of the mapper-speed refactor: **search
 //! does less work for the same answer.** On a transformer GEMM (the
 //! attention score matmul of a bert-base encoder block),
-//! `random_search` (candidate dedup) and `random_search_pruned` (dedup
+//! `random_search` without a bound (candidate dedup) and with one (dedup
 //! plus a lower-bound early exit, under two bounds) must land on the
 //! bit-identical winning mapping and cost of the naive baseline while
 //! calling `analyze` on strictly fewer candidates. One bound is the DRAM
@@ -32,8 +32,7 @@ use lumen_albireo::{AlbireoConfig, ScalingProfile};
 use lumen_bench::print_once;
 use lumen_core::System;
 use lumen_mapper::search::{
-    random_search, random_search_baseline, random_search_pruned, Preview, SearchConfig,
-    SearchResult,
+    random_search, random_search_baseline, Preview, SearchConfig, SearchResult,
 };
 use lumen_mapper::LayerAnalysis;
 use lumen_workload::{networks, Layer, TensorKind};
@@ -110,11 +109,11 @@ fn search_contract(
 ) -> (SearchResult, SearchResult, SearchResult, SearchResult) {
     let arch = system.arch();
     let baseline = random_search_baseline(arch, layer, SEARCH, cost).expect("baseline search maps");
-    let deduped = random_search(arch, layer, SEARCH, cost).expect("deduped search maps");
-    let pruned = random_search_pruned(arch, layer, SEARCH, outer_dram_reads, cost)
+    let deduped = random_search(arch, layer, SEARCH, None, cost).expect("deduped search maps");
+    let pruned = random_search(arch, layer, SEARCH, Some(&outer_dram_reads), cost)
         .expect("pruned search maps");
     let mut incumbent = f64::INFINITY;
-    let traffic = random_search_pruned(arch, layer, SEARCH, outer_dram_traffic, |analysis| {
+    let traffic = random_search(arch, layer, SEARCH, Some(&outer_dram_traffic), |analysis| {
         let c = cost(analysis);
         assert!(
             c * PRUNE_MARGIN < incumbent,
@@ -249,7 +248,7 @@ fn bench_mapper(c: &mut Criterion) {
 
     if !c.is_smoke() && std::env::var_os("CI").is_none() {
         let search_wall = median_seconds(TIMED_RUNS, || {
-            random_search(system.arch(), &layer, SEARCH, cost).expect("search maps")
+            random_search(system.arch(), &layer, SEARCH, None, cost).expect("search maps")
         });
         let mut extras = vec![("searches_per_s", 1.0 / search_wall)];
         extras.extend(counts);
@@ -278,28 +277,29 @@ fn bench_mapper(c: &mut Criterion) {
                 system.arch(),
                 black_box(&layer),
                 SEARCH,
+                None,
                 cost,
             ))
         });
     });
     group.bench_function("random_search_400_pruned", |b| {
         b.iter(|| {
-            black_box(random_search_pruned(
+            black_box(random_search(
                 system.arch(),
                 black_box(&layer),
                 SEARCH,
-                outer_dram_reads,
+                Some(&outer_dram_reads),
                 cost,
             ))
         });
     });
     group.bench_function("random_search_400_pruned_traffic", |b| {
         b.iter(|| {
-            black_box(random_search_pruned(
+            black_box(random_search(
                 system.arch(),
                 black_box(&layer),
                 SEARCH,
-                outer_dram_traffic,
+                Some(&outer_dram_traffic),
                 cost,
             ))
         });

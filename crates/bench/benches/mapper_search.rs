@@ -40,6 +40,7 @@ fn bench_mapper_search(c: &mut Criterion) {
                     iterations: 400,
                     seed: 0xBEEF,
                 },
+                None,
                 cost,
             )
             .expect("random search finds a mapping");
@@ -89,6 +90,7 @@ fn bench_mapper_search(c: &mut Criterion) {
                     iterations: 100,
                     seed: 7,
                 },
+                None,
                 cost,
             ))
         });

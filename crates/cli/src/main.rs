@@ -258,7 +258,7 @@ fn networks_cmd() -> Result<(), String> {
         "gemm MAC %".into(),
     ]);
     for name in networks::NAMES {
-        let net = networks::by_name(name).expect("built-in networks resolve");
+        let net = network_named(name)?;
         let stats = net.stats();
         let strided = net.layers().iter().filter(|l| !l.is_unit_stride()).count();
         let count_kind = |kind: lumen_workload::LayerKind| {
@@ -349,7 +349,7 @@ fn fleet_cmd(args: &[String]) -> Result<(), String> {
     use lumen_albireo::flags::parse_fleet_flags;
     let scaling = parse_scaling(args)?;
     let plan = parse_fleet_flags(args).map_err(|e| e.to_string())?;
-    let template = experiments::fleet_template(plan.arrival.clone());
+    let template = experiments::fleet_template(plan.arrival.clone()).map_err(|e| e.to_string())?;
     preflight(&template, Some((plan.instances, plan.router)))?;
     match plan.slo_p99_ttft_ms {
         Some(slo) => show(experiments::fleet_slo_search(

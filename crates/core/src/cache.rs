@@ -263,9 +263,6 @@ pub struct EvalSession {
     cache: Option<Arc<EvalCache>>,
     arch_fp: u64,
     strategy_fp: u64,
-    /// Whether `evaluate_network` runs the static lint pass first and
-    /// refuses to evaluate models with error-severity findings.
-    preflight: bool,
     /// This session's own lookup counters. The backing [`EvalCache`]
     /// keeps process-wide totals; when the cache is shared, sessions
     /// running concurrently (parallel sweeps, parallel tests) would see
@@ -338,34 +335,9 @@ impl EvalSession {
             cache,
             arch_fp,
             strategy_fp,
-            preflight: false,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// Enables the static pre-flight pass (builder style):
-    /// [`evaluate_network`](EvalSession::evaluate_network) first runs
-    /// every default lint over the system and the network, and refuses
-    /// to evaluate — [`SystemError::Preflight`] — when any
-    /// error-severity diagnostic fires. Warnings never block.
-    #[must_use]
-    pub fn with_preflight(mut self) -> EvalSession {
-        self.preflight = true;
-        self
-    }
-
-    /// Runs the static lint pass over this session's architecture and
-    /// strategy, plus `network` when given, without evaluating anything.
-    pub fn preflight(&self, network: Option<&Network>) -> lumen_lint::Report {
-        let facts = crate::strategy_facts(self.system.strategy());
-        let mut target = lumen_lint::LintTarget::new()
-            .with_arch(self.system.arch())
-            .with_strategy(&facts);
-        if let Some(network) = network {
-            target = target.with_network(network);
-        }
-        lumen_lint::LintRegistry::with_default_lints().run(&target)
     }
 
     /// The wrapped system.
@@ -421,7 +393,6 @@ impl EvalSession {
         network: &Network,
         options: &NetworkOptions,
     ) -> Result<NetworkEvaluation, SystemError> {
-        self.preflight_gate(network)?;
         let batch = options.batch.max(1);
         let batched = options.batched(network);
         let items = self.rerouted(batched.layers(), options);
@@ -449,34 +420,6 @@ impl EvalSession {
             cycles: cycles as f64 * scale,
             macs: network.total_macs(),
             batch,
-        })
-    }
-
-    /// Whether this session runs the pre-flight lint pass.
-    pub(crate) fn preflight_enabled(&self) -> bool {
-        self.preflight
-    }
-
-    /// The pre-flight gate: when this session runs the static lint pass
-    /// ([`EvalSession::with_preflight`]), refuses `network` with
-    /// [`SystemError::Preflight`] on any error-severity finding.
-    pub(crate) fn preflight_gate(&self, network: &Network) -> Result<(), SystemError> {
-        if !self.preflight {
-            return Ok(());
-        }
-        let report = self.preflight(Some(network));
-        if report.is_clean() {
-            return Ok(());
-        }
-        let first = report
-            .diagnostics()
-            .iter()
-            .find(|d| d.severity == lumen_lint::Severity::Error)
-            .map(ToString::to_string)
-            .unwrap_or_default();
-        Err(SystemError::Preflight {
-            errors: report.errors(),
-            first,
         })
     }
 
@@ -667,7 +610,7 @@ fn renamed(error: SystemError, name: &str) -> SystemError {
             layer: name.to_string(),
             cause,
         },
-        // Pre-flight failures are not per-layer; nothing to rename.
+        // Serving errors are not per-layer; nothing to rename.
         other => other,
     }
 }
@@ -1154,59 +1097,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn preflight_passes_a_sound_system() {
-        let session = EvalSession::new(toy_system()).with_preflight();
-        let report = session.preflight(Some(&repeated_net()));
-        assert!(report.is_clean(), "{report}");
-        session
-            .evaluate_network(&repeated_net(), &NetworkOptions::baseline())
-            .expect("clean model evaluates");
-    }
-
-    #[test]
-    fn preflight_refuses_unphysical_energies() {
-        // Structurally valid (passes ArchBuilder validation) but priced
-        // nonsensically: exactly the case only the lint pass catches.
-        let arch = ArchBuilder::new("bad", Frequency::from_gigahertz(1.0))
-            .storage("dram", Domain::DigitalElectrical, TensorSet::all())
-            .read_energy(Energy::from_picojoules(-5.0))
-            .write_energy(Energy::from_picojoules(100.0))
-            .done()
-            .compute("mac", Domain::DigitalElectrical, Energy::ZERO)
-            .build()
-            .unwrap();
-        let session =
-            EvalSession::new(System::new(arch, MappingStrategy::default())).with_preflight();
-        let err = session
-            .evaluate_network(&repeated_net(), &NetworkOptions::baseline())
-            .unwrap_err();
-        let SystemError::Preflight { errors, first } = err else {
-            panic!("expected Preflight, got {err}");
-        };
-        assert!(errors >= 1);
-        assert!(first.contains("L0101"), "{first}");
-        // Without the opt-in, the same model still evaluates.
-        let session = EvalSession::new(session.system().clone());
-        session
-            .evaluate_network(&repeated_net(), &NetworkOptions::baseline())
-            .expect("preflight is opt-in");
-    }
-
-    #[test]
-    fn preflight_reports_strategy_findings_without_blocking_on_warns() {
-        // A zero-iteration search is an error-severity strategy finding.
-        let session = EvalSession::new(System::new(
-            toy_arch(0.05),
-            MappingStrategy::RandomSearch(SearchConfig {
-                iterations: 0,
-                seed: 1,
-            }),
-        ));
-        let report = session.preflight(None);
-        assert!(!report.is_clean());
-        assert!(report.diagnostics().iter().any(|d| d.code == "L0302"));
     }
 }

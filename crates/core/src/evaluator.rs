@@ -4,11 +4,12 @@ use crate::energy::EnergyTable;
 use crate::EnergyBreakdown;
 use lumen_arch::Architecture;
 use lumen_mapper::search::{
-    greedy_mapping, random_search, random_search_pruned, spatial_priority_for, Preview,
-    SearchConfig, SearchResult, TemporalPlan,
+    greedy_mapping, random_search, spatial_priority_for, Preview, SearchConfig, SearchResult,
+    TemporalPlan,
 };
 use lumen_mapper::{analyze, LayerAnalysis, Mapping, MappingError};
 use lumen_units::Energy;
+use lumen_workload::serving::ServingError;
 use lumen_workload::{Dim, Layer, TensorKind};
 use std::fmt;
 use std::sync::Arc;
@@ -151,14 +152,9 @@ pub enum SystemError {
         /// The underlying mapping error, if one was produced.
         cause: Option<MappingError>,
     },
-    /// The pre-flight lint pass found error-severity diagnostics (see
-    /// [`crate::EvalSession::with_preflight`]).
-    Preflight {
-        /// Number of error-severity findings.
-        errors: usize,
-        /// The first finding, rendered for display.
-        first: String,
-    },
+    /// A serving input (mix, arrival process, KV layout, fleet) failed
+    /// validation.
+    Serving(ServingError),
 }
 
 impl fmt::Display for SystemError {
@@ -171,39 +167,14 @@ impl fmt::Display for SystemError {
                 }
                 Ok(())
             }
-            SystemError::Preflight { errors, first } => {
-                write!(
-                    f,
-                    "pre-flight check found {errors} error(s); first: {first}"
-                )
-            }
+            SystemError::Serving(error) => error.fmt(f),
         }
     }
 }
 
-/// Distills a [`MappingStrategy`] into the facts the linter inspects.
-///
-/// `lumen-lint` cannot depend on this crate (this crate runs the
-/// pre-flight pass, so the dependency points the other way); strategies
-/// are therefore linted through [`lumen_lint::StrategyFacts`] built
-/// here, next to the `fingerprint()` implementation whose soundness the
-/// `L0301` lint polices.
-pub fn strategy_facts(strategy: &MappingStrategy) -> lumen_lint::StrategyFacts {
-    let (label, address_fingerprinted, search) = match strategy {
-        MappingStrategy::Greedy { temporal_level } => {
-            (format!("greedy@{temporal_level}"), false, None)
-        }
-        MappingStrategy::Planned { .. } => ("planned".to_string(), false, None),
-        MappingStrategy::RandomSearch(cfg) => ("random-search".to_string(), false, Some(*cfg)),
-        MappingStrategy::Custom(_) => ("custom".to_string(), true, None),
-        MappingStrategy::CustomKeyed { key, .. } => {
-            (format!("custom-keyed:{key:016x}"), false, None)
-        }
-    };
-    lumen_lint::StrategyFacts {
-        label,
-        address_fingerprinted,
-        search,
+impl From<ServingError> for SystemError {
+    fn from(error: ServingError) -> SystemError {
+        SystemError::Serving(error)
     }
 }
 
@@ -457,10 +428,8 @@ impl System {
             self.energy_into(analysis, &Reroute::default(), &mut energy);
             energy.total().picojoules()
         };
-        match energy_lower_bound(arch) {
-            Some(lb) => random_search_pruned(arch, layer, cfg, lb, cost),
-            None => random_search(arch, layer, cfg, cost),
-        }
+        let bound = energy_lower_bound(arch);
+        random_search(arch, layer, cfg, bound.as_ref().map(|lb| lb as _), cost)
     }
 
     /// Adds a nest analysis's itemized energy under the architecture's
@@ -902,7 +871,7 @@ mod tests {
         assert_eq!(searched.pruned, 0);
         assert_eq!(
             searched.mapping,
-            random_search(&negative, &layer(), cfg, |a| {
+            random_search(&negative, &layer(), cfg, None, |a| {
                 reference_energy(&negative, a, &Reroute::default())
                     .total()
                     .picojoules()
@@ -1178,7 +1147,7 @@ mod tests {
                 checked += 1;
                 cost
             };
-            let found = random_search_pruned(arch, &layer, cfg, record, objective);
+            let found = random_search(arch, &layer, cfg, Some(&record), objective);
             // With no bounded buffer every candidate is legal.
             assert!(toy.capacity_log2 > 0 || found.is_some(), "{what}: no mapping");
             assert_eq!(checked, found.map_or(0, |r| r.evaluated), "{what}");

@@ -77,9 +77,7 @@ pub mod sweep;
 pub use cache::{arch_fingerprint, CacheStats, EvalCache, EvalSession};
 pub use decode::{decode_sweep, DecodePoint};
 pub use energy::{CostCategory, EnergyBreakdown, EnergyItem};
-pub use evaluator::{
-    strategy_facts, LayerEvaluation, MappingFn, MappingStrategy, System, SystemError,
-};
+pub use evaluator::{LayerEvaluation, MappingFn, MappingStrategy, System, SystemError};
 pub use fleet::{fleet_trace, FleetEvaluation, FleetInstance, FleetInstanceTrace};
 pub use network::{FusionConfig, NetworkEvaluation, NetworkOptions};
 pub use serving::{

@@ -79,9 +79,7 @@
 //! order. A mapping failure depends only on a layer's signature, so the
 //! first failing item in first-occurrence order belongs to the first
 //! failing step, and is named after that step's own layer, the one the
-//! step-by-step walk would report. Pre-flight lints (when enabled) run
-//! on the first step of every distinct composition, in order, before
-//! its items join the resolution.
+//! step-by-step walk would report.
 //!
 //! A trace credits the session's and the cache's hit counters with
 //! every layer position of every step that the resolution did not
@@ -118,7 +116,7 @@
 //!     .unwrap();
 //!
 //! let session = EvalSession::new(System::new(arch, MappingStrategy::default()));
-//! let scenario = ServingScenario::builder(RequestMix::uniform(4, 100, 4), 2)
+//! let scenario = ServingScenario::builder(RequestMix::uniform(4, 100, 4).unwrap(), 2)
 //!     .kv_bucket(64)
 //!     .build()
 //!     .unwrap();
@@ -775,18 +773,8 @@ fn segmented_points(
     let mut compositions: Vec<(Vec<usize>, usize)> = Vec::with_capacity(distinct.len());
     let mut items: Vec<(usize, Reroute)> = Vec::new();
     let mut shapes = Vec::new();
-    let mut refused = None;
     for (first, composition) in &distinct {
         let state = &steps[*first];
-        if session.preflight_enabled() {
-            let net = model.lower_serving_step_with(state, layout);
-            if let Err(error) = session.preflight_gate(&net) {
-                // Earlier compositions still report their own errors
-                // first, as a step-by-step walk would.
-                refused = Some(error);
-                break;
-            }
-        }
         let ids: Vec<usize> = composition
             .segment_requests(state)
             .map(|(segment, request)| segments.intern(model, segment, request, batch))
@@ -814,9 +802,6 @@ fn segmented_points(
         .collect();
     let costs = session.resolve(&items, |eval| LayerCost::of(&eval))?;
     drop(items);
-    if let Some(error) = refused {
-        return Err(error);
-    }
     // Every position of every step is a layer lookup the trace
     // answered: the resolution counted one per item, so the rest are
     // hits.
@@ -866,7 +851,6 @@ fn literal_points(
         .enumerate()
         .map(|(step, state)| {
             let net = model.lower_serving_step_with(state, layout);
-            session.preflight_gate(&net)?;
             let batched = options.batched(&net);
             let items = session.rerouted(batched.layers(), options);
             let costs = session.resolve(&items, |eval| LayerCost::of(&eval))?;
@@ -925,7 +909,7 @@ mod tests {
     fn sweep_aggregates_match_schedule() {
         let session = session();
         let model = ServingModel::gpt2_small();
-        let mix = RequestMix::uniform(4, 100, 4);
+        let mix = RequestMix::uniform(4, 100, 4).unwrap();
         let scenario = ServingScenario::builder(mix.clone(), 2)
             .kv_bucket(64)
             .prefill(PrefillMode::Resident)
@@ -956,56 +940,6 @@ mod tests {
         // mapping searches stay a tiny fraction of the layer evals.
         let stats = session.cache_stats();
         assert!(stats.hit_rate() > 0.8, "hit rate {:.3}", stats.hit_rate());
-    }
-
-    #[test]
-    fn preflight_guards_the_cost_fold() {
-        let model = ServingModel::new("toy-lm", 64, 4, 128, 2, 1000);
-        let scenario = ServingScenario::builder(RequestMix::uniform(3, 40, 3), 2)
-            .kv_bucket(16)
-            .build()
-            .unwrap();
-        let options = NetworkOptions::baseline();
-        let bits = |e: &ServingEvaluation| -> Vec<[u64; 5]> {
-            e.points
-                .iter()
-                .map(|p| {
-                    [
-                        p.macs,
-                        p.backing_accesses.to_bits(),
-                        p.energy.picojoules().to_bits(),
-                        p.cycles.to_bits(),
-                        p.utilization.to_bits(),
-                    ]
-                })
-                .collect()
-        };
-        // A clean model: the pre-flight pass changes nothing.
-        let plain = scenario_trace(&session(), &model, &scenario, &options).unwrap();
-        let checked =
-            scenario_trace(&session().with_preflight(), &model, &scenario, &options).unwrap();
-        assert_eq!(bits(&plain), bits(&checked));
-
-        // An unphysical energy only the lint pass catches: the trace
-        // refuses with the error the first step's network evaluation
-        // gives, rather than folding a cost.
-        let arch = ArchBuilder::new("bad", Frequency::from_gigahertz(1.0))
-            .storage("dram", Domain::DigitalElectrical, TensorSet::all())
-            .read_energy(Energy::from_picojoules(-5.0))
-            .done()
-            .compute("mac", Domain::DigitalElectrical, Energy::ZERO)
-            .build()
-            .unwrap();
-        let bad = EvalSession::new(System::new(arch, MappingStrategy::default())).with_preflight();
-        let first =
-            model.lower_serving_step_with(&scenario.schedule().steps()[0], scenario.layout());
-        let expected = bad.evaluate_network(&first, &options).unwrap_err();
-        assert!(
-            matches!(expected, SystemError::Preflight { .. }),
-            "{expected}"
-        );
-        let refused = scenario_trace(&bad, &model, &scenario, &options).unwrap_err();
-        assert_eq!(refused, expected);
     }
 
     #[test]
@@ -1247,8 +1181,9 @@ mod tests {
 
     #[test]
     fn paged_layout_trims_backing_traffic_and_macs() {
-        let scenario =
-            || ServingScenario::builder(RequestMix::uniform(2, 100, 6), 2).prefill_chunk(64);
+        let scenario = || {
+            ServingScenario::builder(RequestMix::uniform(2, 100, 6).unwrap(), 2).prefill_chunk(64)
+        };
         let bucketed = trace(scenario().kv_bucket(256));
         assert!(bucketed.total_backing_accesses() > 0.0);
         let paged = trace(scenario().kv_page(16));
@@ -1275,7 +1210,7 @@ mod tests {
     #[test]
     fn shared_prefix_saves_prefill_work_and_charges_cow() {
         let scenario = || {
-            ServingScenario::builder(RequestMix::uniform(4, 128, 4), 4)
+            ServingScenario::builder(RequestMix::uniform(4, 128, 4).unwrap(), 4)
                 .kv_page(16)
                 .prefill_chunk(64)
         };
@@ -1297,8 +1232,9 @@ mod tests {
     #[test]
     fn trace_charges_prefill_and_records_latencies() {
         let model = ServingModel::gpt2_small();
-        let result =
-            trace(ServingScenario::builder(RequestMix::uniform(1, 100, 4), 1).kv_bucket(64));
+        let result = trace(
+            ServingScenario::builder(RequestMix::uniform(1, 100, 4).unwrap(), 1).kv_bucket(64),
+        );
 
         // One prefill step + four decode steps.
         assert_eq!(result.points.len(), 5);
@@ -1337,7 +1273,8 @@ mod tests {
         // costs strictly more once prefill is charged, by exactly the
         // prefill closed form.
         let model = ServingModel::gpt2_small();
-        let scenario = || ServingScenario::builder(RequestMix::uniform(1, 100, 4), 1).kv_bucket(64);
+        let scenario =
+            || ServingScenario::builder(RequestMix::uniform(1, 100, 4).unwrap(), 1).kv_bucket(64);
         let charged = trace(scenario().prefill(PrefillMode::OnAdmission { chunk: None }));
         let resident = trace(scenario().prefill(PrefillMode::Resident));
         assert_eq!(
@@ -1355,7 +1292,7 @@ mod tests {
         // projection weight traffic across the group, so energy per
         // token at capacity 8 must not exceed the serial schedule's.
         let resident = |capacity| {
-            ServingScenario::builder(RequestMix::uniform(8, 100, 2), capacity)
+            ServingScenario::builder(RequestMix::uniform(8, 100, 2).unwrap(), capacity)
                 .kv_bucket(64)
                 .prefill(PrefillMode::Resident)
         };
@@ -1377,8 +1314,8 @@ mod tests {
     /// paged one whose owner and sharers differ only in copy-on-write,
     /// and open-loop bucketed and paged ones with chunked prefill.
     fn memo_scenarios(seed: u64) -> [ServingScenario; 4] {
-        let mix = || RequestMix::bimodal(seed, 10, (48, 6), (200, 10), 30);
-        let arrival = || ArrivalProcess::poisson(0.3, seed);
+        let mix = || RequestMix::bimodal(seed, 10, (48, 6), (200, 10), 30).unwrap();
+        let arrival = || ArrivalProcess::try_poisson(0.3, seed).unwrap();
         let mut lone = vec![Request::new(40, 3)];
         lone.extend((0..4).map(|_| Request::new(48, 4)));
         let spaced = (0..lone.len()).map(|i| i * 20 + seed as usize).collect();

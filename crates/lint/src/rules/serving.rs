@@ -145,7 +145,7 @@ impl Lint for OfferedLoadExceedsCapacity {
 /// Paged-vs-bucketed comparisons lean on the soundness bound *bucketed
 /// ≥ paged*, which only holds when the page divides the bucket (every
 /// bucketed attend length is then a whole number of pages). A zero
-/// page is an outright error — `PageTable::new` panics on it.
+/// page is an outright error — `PageTable::try_new` rejects it.
 pub struct PageTileMismatch;
 
 impl Lint for PageTileMismatch {

@@ -12,10 +12,10 @@ use lumen_workload::{ArrivalProcess, Network, RequestMix, ServingScenario};
 /// Facts about a mapping strategy that lints can inspect without the
 /// strategy type itself.
 ///
-/// `MappingStrategy` lives in `lumen-core`, which depends on this crate
-/// for the pre-flight hook; to avoid a cycle, core distills the strategy
-/// into this value (`lumen_core::strategy_facts`) before handing it to
-/// the linter.
+/// `MappingStrategy` lives in `lumen-core`, which the linter does not
+/// depend on: the caller that lints a system distills its strategy into
+/// this value (`lumen_albireo::check::strategy_facts`), so the rules
+/// see only the facts they inspect.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StrategyFacts {
     /// Human-readable strategy description (used in diagnostic paths).

@@ -131,7 +131,7 @@ pub fn analyze(
 /// a lower bound the same reads as the read tensors' entries of
 /// [`crate::search::Preview`]'s `outer_traffic`, which also holds their
 /// fills and the output's complete traffic at its outermost keeper; see
-/// [`crate::search::random_search_pruned`].
+/// [`crate::search::random_search`].
 ///
 /// The mapping is **not** validated: an illegal candidate yields a
 /// number that would never be charged, which is harmless for pruning

@@ -224,7 +224,7 @@ impl SearchResult {
 /// for the candidate.
 ///
 /// The engine previews a candidate in two stages (see
-/// [`random_search_pruned`]): the first fills every field but
+/// [`random_search`]): the first fills every field but
 /// `conversions`, which it leaves empty; the second, reached only by a
 /// candidate the first did not prune and that fits every bounded
 /// buffer, fills `conversions` too.
@@ -260,42 +260,33 @@ pub struct Preview<'a> {
 /// is unaffected: a duplicate can never *strictly* beat the identical
 /// candidate that preceded it). Returns `None` if no legal candidate was
 /// found.
-pub fn random_search(
-    arch: &Architecture,
-    layer: &Layer,
-    config: SearchConfig,
-    cost: impl FnMut(&LayerAnalysis) -> f64,
-) -> Option<SearchResult> {
-    search_core(arch, layer, config, None, true, cost)
-}
-
-/// [`random_search`] with a caller-supplied **lower bound** on the cost
-/// of a candidate, computed from its [`Preview`] (before the full nest
-/// analysis). Candidates whose bound already meets or exceeds the
-/// incumbent's cost are skipped without an `analyze` call.
 ///
-/// The bound is checked in two stages. The first previews every new
-/// candidate without its converter crossings; a candidate it does not
-/// prune and that fits every bounded buffer is previewed again with
-/// them (when the architecture has a converter feeding compute), and
-/// checked again before its analysis is completed. A candidate either
-/// stage skips counts in [`SearchResult::pruned`].
+/// With a `lower_bound` on the cost of a candidate, computed from its
+/// [`Preview`] (before the full nest analysis), candidates whose bound
+/// already meets or exceeds the incumbent's cost are skipped without an
+/// `analyze` call. The bound is checked in two stages. The first
+/// previews every new candidate without its converter crossings; a
+/// candidate it does not prune and that fits every bounded buffer is
+/// previewed again with them (when the architecture has a converter
+/// feeding compute), and checked again before its analysis is
+/// completed. A candidate either stage skips counts in
+/// [`SearchResult::pruned`].
 ///
 /// The bound must satisfy `lower_bound(preview(m)) ≤ cost(analyze(m))`
 /// for every legal mapping `m` and both stages' previews (a small
 /// relative safety margin is applied internally to absorb
 /// floating-point summation-order noise).
 /// Under that contract the winning mapping and cost are bit-identical to
-/// the unpruned search: acceptance is strict (`<`), so a candidate at or
-/// above the incumbent could never have won.
-pub fn random_search_pruned(
+/// the search without a bound: acceptance is strict (`<`), so a
+/// candidate at or above the incumbent could never have won.
+pub fn random_search(
     arch: &Architecture,
     layer: &Layer,
     config: SearchConfig,
-    lower_bound: impl Fn(&Preview<'_>) -> f64,
+    lower_bound: Option<&dyn Fn(&Preview<'_>) -> f64>,
     cost: impl FnMut(&LayerAnalysis) -> f64,
 ) -> Option<SearchResult> {
-    search_core(arch, layer, config, Some(&lower_bound), true, cost)
+    search_core(arch, layer, config, lower_bound, true, cost)
 }
 
 /// Reference implementation without deduplication or pruning: every
@@ -317,8 +308,9 @@ pub fn random_search_baseline(
 /// would-have-won candidate into the pruned set.
 const PRUNE_MARGIN: f64 = 1.0 - 1e-9;
 
-/// Shared engine behind the `random_search*` family. Candidate
-/// *generation* is identical across all variants — every RNG draw for an
+/// Shared engine behind [`random_search`] and
+/// [`random_search_baseline`]. Candidate *generation* is identical with
+/// and without dedup and a bound — every RNG draw for an
 /// iteration happens before the dedup/prune decision — so skipping a
 /// candidate leaves the stream, and therefore every later candidate,
 /// untouched.
@@ -828,8 +820,8 @@ mod tests {
             seed: 7,
         };
         let cost = |a: &LayerAnalysis| a.level(0).total_accesses();
-        let r1 = random_search(&arch(), &layer(), cfg, cost).expect("found mapping");
-        let r2 = random_search(&arch(), &layer(), cfg, cost).expect("found mapping");
+        let r1 = random_search(&arch(), &layer(), cfg, None, cost).expect("found mapping");
+        let r2 = random_search(&arch(), &layer(), cfg, None, cost).expect("found mapping");
         assert_eq!(r1.mapping, r2.mapping, "seeded search is deterministic");
         assert!(r1.evaluated > 0);
         assert!(r1.cost >= 0.0);
@@ -854,6 +846,7 @@ mod tests {
                 iterations: 300,
                 seed: 3,
             },
+            None,
             cost,
         )
         .unwrap();
@@ -876,6 +869,7 @@ mod tests {
                 iterations: 100,
                 seed: 11,
             },
+            None,
             cost,
         )
         .unwrap();
@@ -942,7 +936,7 @@ mod tests {
         };
         let cost = |a: &LayerAnalysis| a.level(0).total_accesses();
         let naive = random_search_baseline(&arch(), &small, cfg, cost).unwrap();
-        let deduped = random_search(&arch(), &small, cfg, cost).unwrap();
+        let deduped = random_search(&arch(), &small, cfg, None, cost).unwrap();
         assert_eq!(naive.mapping, deduped.mapping);
         assert_eq!(naive.cost.to_bits(), deduped.cost.to_bits());
         assert!(deduped.deduped > 0, "expected repeat draws to be skipped");
@@ -964,18 +958,18 @@ mod tests {
             seed: 9,
         };
         let cost = |x: &LayerAnalysis| x.level(0).total_accesses();
-        let plain = random_search(&a, &l, cfg, cost).unwrap();
-        let pruned = random_search_pruned(
+        let plain = random_search(&a, &l, cfg, None, cost).unwrap();
+        let pruned = random_search(
             &a,
             &l,
             cfg,
-            |p: &Preview<'_>| {
+            Some(&|p: &Preview<'_>| {
                 p.outer_traffic
                     .iter()
                     .filter(|k| k.level == 0 && k.tensor != TensorKind::Output)
                     .map(|k| k.reads)
                     .sum()
-            },
+            }),
             cost,
         )
         .unwrap();
@@ -995,8 +989,10 @@ mod tests {
             iterations: 50,
             seed: 13,
         };
-        let r =
-            random_search(&a, &l, cfg, |x: &LayerAnalysis| x.level(0).total_accesses()).unwrap();
+        let r = random_search(&a, &l, cfg, None, |x: &LayerAnalysis| {
+            x.level(0).total_accesses()
+        })
+        .unwrap();
         let full = analyze(&a, &l, &r.mapping).unwrap();
         for (level, tensor, reads) in outer_read_traffic(&a, &l, &r.mapping) {
             assert_eq!(

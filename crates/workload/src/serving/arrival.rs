@@ -96,15 +96,6 @@ impl ArrivalProcess {
         Ok(ArrivalProcess::Poisson { rate, seed })
     }
 
-    /// Panicking wrapper over [`ArrivalProcess::try_poisson`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is outside `(0, 1]`.
-    pub fn poisson(rate: f64, seed: u64) -> ArrivalProcess {
-        ArrivalProcess::try_poisson(rate, seed).expect("arrival rate must lie in (0, 1]")
-    }
-
     /// A bursty process: `burst` requests every `period` steps plus a
     /// Bernoulli(`rate`) background trickle.
     ///
@@ -134,16 +125,6 @@ impl ArrivalProcess {
             burst,
             seed,
         })
-    }
-
-    /// Panicking wrapper over [`ArrivalProcess::try_bursty`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid rate, period or burst size.
-    pub fn bursty(rate: f64, period: usize, burst: usize, seed: u64) -> ArrivalProcess {
-        ArrivalProcess::try_bursty(rate, period, burst, seed)
-            .expect("bursty arrivals need a probability rate, a period and a burst size")
     }
 
     /// A diurnal process: the rate sweeps a triangle wave from `trough`
@@ -179,16 +160,6 @@ impl ArrivalProcess {
             period,
             seed,
         })
-    }
-
-    /// Panicking wrapper over [`ArrivalProcess::try_diurnal`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid rate range or a zero period.
-    pub fn diurnal(trough: f64, peak: f64, period: usize, seed: u64) -> ArrivalProcess {
-        ArrivalProcess::try_diurnal(trough, peak, period, seed)
-            .expect("diurnal arrivals need trough <= peak probabilities and a period")
     }
 
     /// A literal arrival trace: request `i` arrives at `steps[i]`.
@@ -356,9 +327,9 @@ mod tests {
     #[test]
     fn arrivals_are_deterministic_and_sorted() {
         for process in [
-            ArrivalProcess::poisson(0.25, 7),
-            ArrivalProcess::bursty(0.05, 32, 4, 7),
-            ArrivalProcess::diurnal(0.05, 0.6, 48, 7),
+            ArrivalProcess::try_poisson(0.25, 7).unwrap(),
+            ArrivalProcess::try_bursty(0.05, 32, 4, 7).unwrap(),
+            ArrivalProcess::try_diurnal(0.05, 0.6, 48, 7).unwrap(),
         ] {
             let a = process.arrival_steps(64);
             let b = process.arrival_steps(64);
@@ -366,15 +337,21 @@ mod tests {
             assert!(a.windows(2).all(|w| w[0] <= w[1]), "{process}: sorted");
             assert_eq!(a.len(), 64);
         }
-        let a = ArrivalProcess::poisson(0.25, 7).arrival_steps(64);
-        let c = ArrivalProcess::poisson(0.25, 8).arrival_steps(64);
+        let a = ArrivalProcess::try_poisson(0.25, 7)
+            .unwrap()
+            .arrival_steps(64);
+        let c = ArrivalProcess::try_poisson(0.25, 8)
+            .unwrap()
+            .arrival_steps(64);
         assert_ne!(a, c, "a different seed draws different arrivals");
     }
 
     #[test]
     fn poisson_inter_arrival_mean_is_near_the_rate_inverse() {
         let rate = 0.2;
-        let arrivals = ArrivalProcess::poisson(rate, 0xA11C_E5ED).arrival_steps(2000);
+        let arrivals = ArrivalProcess::try_poisson(rate, 0xA11C_E5ED)
+            .unwrap()
+            .arrival_steps(2000);
         // Geometric gaps starting from step 0: the mean arrival index
         // over n arrivals approaches n/(2 rate).
         let last = *arrivals.last().unwrap() as f64;
@@ -388,16 +365,20 @@ mod tests {
 
     #[test]
     fn bursts_land_on_the_period() {
-        let arrivals = ArrivalProcess::bursty(0.0, 16, 3, 1).arrival_steps(9);
+        let arrivals = ArrivalProcess::try_bursty(0.0, 16, 3, 1)
+            .unwrap()
+            .arrival_steps(9);
         assert_eq!(arrivals, vec![0, 0, 0, 16, 16, 16, 32, 32, 32]);
         // A truncated final burst still terminates.
-        let arrivals = ArrivalProcess::bursty(0.0, 16, 4, 1).arrival_steps(6);
+        let arrivals = ArrivalProcess::try_bursty(0.0, 16, 4, 1)
+            .unwrap()
+            .arrival_steps(6);
         assert_eq!(arrivals, vec![0, 0, 0, 0, 16, 16]);
     }
 
     #[test]
     fn diurnal_rate_sweeps_the_triangle() {
-        let p = ArrivalProcess::diurnal(0.1, 0.5, 48, 0);
+        let p = ArrivalProcess::try_diurnal(0.1, 0.5, 48, 0).unwrap();
         assert!((p.rate_at(0) - 0.1).abs() < 1e-12);
         assert!((p.rate_at(24) - 0.5).abs() < 1e-12);
         assert!((p.rate_at(12) - 0.3).abs() < 1e-12);
@@ -406,10 +387,17 @@ mod tests {
 
     #[test]
     fn mean_rates_summarize_the_offered_load() {
-        assert_eq!(ArrivalProcess::poisson(0.25, 0).mean_rate(), Some(0.25));
-        let bursty = ArrivalProcess::bursty(0.1, 10, 2, 0).mean_rate().unwrap();
+        assert_eq!(
+            ArrivalProcess::try_poisson(0.25, 0).unwrap().mean_rate(),
+            Some(0.25)
+        );
+        let bursty = ArrivalProcess::try_bursty(0.1, 10, 2, 0)
+            .unwrap()
+            .mean_rate()
+            .unwrap();
         assert!((bursty - 0.3).abs() < 1e-12);
-        let diurnal = ArrivalProcess::diurnal(0.2, 0.4, 10, 0)
+        let diurnal = ArrivalProcess::try_diurnal(0.2, 0.4, 10, 0)
+            .unwrap()
             .mean_rate()
             .unwrap();
         assert!((diurnal - 0.3).abs() < 1e-12);
@@ -484,15 +472,21 @@ mod tests {
     fn display_names_pin_every_parameter() {
         assert_eq!(ArrivalProcess::closed_loop().to_string(), "closed-loop");
         assert_eq!(
-            ArrivalProcess::poisson(0.25, 0xBEEF).to_string(),
+            ArrivalProcess::try_poisson(0.25, 0xBEEF)
+                .unwrap()
+                .to_string(),
             "poisson(r0.25,sbeef)"
         );
         assert_eq!(
-            ArrivalProcess::bursty(0.05, 32, 4, 1).to_string(),
+            ArrivalProcess::try_bursty(0.05, 32, 4, 1)
+                .unwrap()
+                .to_string(),
             "bursty(r0.05,4per32,s1)"
         );
         assert_eq!(
-            ArrivalProcess::diurnal(0.1, 0.5, 48, 2).to_string(),
+            ArrivalProcess::try_diurnal(0.1, 0.5, 48, 2)
+                .unwrap()
+                .to_string(),
             "diurnal(0.1-0.5per48,s2)"
         );
     }

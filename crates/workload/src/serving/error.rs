@@ -1,9 +1,11 @@
 //! Typed construction errors for the serving module.
 //!
-//! Follows the `Fanout::try_new` precedent: every serving constructor
-//! has a `try_*` form returning [`ServingError`] and a thin panicking
-//! wrapper for test ergonomics, so library callers can surface bad
-//! configurations as data instead of process aborts.
+//! Every serving constructor has a form that returns [`ServingError`]
+//! on bad input, so library callers surface bad configurations as data
+//! instead of process aborts. Four panicking wrappers remain, for the
+//! host-time benchmark in `perfbench/`: `Request::new`,
+//! `RequestMix::custom`, `ArrivalProcess::explicit` and
+//! `Fleet::uniform`.
 
 use std::error::Error;
 use std::fmt;
@@ -39,6 +41,17 @@ pub enum ServingError {
     },
     /// A KV page of zero tokens allocates nothing.
     ZeroKvPage,
+    /// A study of paged residency was handed a bucketed scenario.
+    PagedKvRequired,
+    /// A bimodal mix's long-request share is a percentage, at most 100.
+    LongShareOutOfRange(usize),
+    /// A prompt range whose lower bound exceeds its upper bound.
+    PromptRangeInverted {
+        /// The shortest prompt asked for.
+        lo: usize,
+        /// The longest prompt asked for.
+        hi: usize,
+    },
     /// A shared prefix longer than the shortest prompt cannot be a
     /// prefix of every request.
     SharedPrefixExceedsPrompt {
@@ -109,6 +122,15 @@ impl fmt::Display for ServingError {
             ServingError::ZeroKvPage => {
                 write!(f, "a KV page must cover at least one token")
             }
+            ServingError::PagedKvRequired => {
+                write!(f, "this study needs a paged KV layout; set a KV page")
+            }
+            ServingError::LongShareOutOfRange(percent) => {
+                write!(f, "long-request share {percent}% exceeds 100%")
+            }
+            ServingError::PromptRangeInverted { lo, hi } => {
+                write!(f, "prompt range {lo}..={hi} is inverted")
+            }
             ServingError::SharedPrefixExceedsPrompt { shared, min_prompt } => write!(
                 f,
                 "shared prefix of {shared} tokens exceeds the shortest prompt ({min_prompt} tokens)"
@@ -161,6 +183,9 @@ mod tests {
                 peak: 0.2,
             },
             ServingError::ZeroKvPage,
+            ServingError::PagedKvRequired,
+            ServingError::LongShareOutOfRange(101),
+            ServingError::PromptRangeInverted { lo: 384, hi: 64 },
             ServingError::SharedPrefixExceedsPrompt {
                 shared: 96,
                 min_prompt: 64,

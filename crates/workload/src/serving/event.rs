@@ -375,7 +375,10 @@ mod tests {
 
     #[test]
     fn unchunked_prefill_is_one_event() {
-        let schedule = schedule(ServingScenario::builder(RequestMix::uniform(1, 128, 2), 1));
+        let schedule = schedule(ServingScenario::builder(
+            RequestMix::uniform(1, 128, 2).unwrap(),
+            1,
+        ));
         // Step 0: prefill(0, 128). Steps 1-2: decode at kv 128, 129.
         assert_eq!(schedule.total_steps(), 3);
         assert_eq!(
@@ -402,8 +405,8 @@ mod tests {
     #[test]
     fn idle_gaps_are_fast_forwarded() {
         let schedule = schedule(
-            ServingScenario::builder(RequestMix::uniform(2, 8, 1), 1)
-                .arrival(ArrivalProcess::bursty(0.0, 50, 1, 0))
+            ServingScenario::builder(RequestMix::uniform(2, 8, 1).unwrap(), 1)
+                .arrival(ArrivalProcess::try_bursty(0.0, 50, 1, 0).unwrap())
                 .prefill(PrefillMode::Resident),
         );
         // Request 0 decodes at wall 0; the server idles until the
@@ -415,7 +418,10 @@ mod tests {
 
     #[test]
     fn occupancy_counts_prefill_slots() {
-        let schedule = schedule(ServingScenario::builder(RequestMix::uniform(1, 64, 1), 2));
+        let schedule = schedule(ServingScenario::builder(
+            RequestMix::uniform(1, 64, 1).unwrap(),
+            2,
+        ));
         // Step 0 prefills, step 1 decodes: both occupy 1 of 2 slots.
         assert!((schedule.mean_occupancy() - 0.5).abs() < 1e-12);
     }
@@ -472,7 +478,7 @@ mod tests {
         // Three prompts sharing 64 tokens: the owner prefills 100, the
         // sharers skip to token 64.
         let schedule = schedule(
-            ServingScenario::builder(RequestMix::uniform(3, 100, 2), 3)
+            ServingScenario::builder(RequestMix::uniform(3, 100, 2).unwrap(), 3)
                 .kv_page(16)
                 .shared_prefix(64)
                 .prefill_chunk(32),
@@ -526,7 +532,7 @@ mod tests {
     #[test]
     fn resident_prefill_ignores_the_shared_prefix() {
         let schedule = schedule(
-            ServingScenario::builder(RequestMix::uniform(2, 64, 2), 2)
+            ServingScenario::builder(RequestMix::uniform(2, 64, 2).unwrap(), 2)
                 .kv_page(16)
                 .shared_prefix(32)
                 .prefill(PrefillMode::Resident),

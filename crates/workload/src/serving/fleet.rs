@@ -314,10 +314,10 @@ mod tests {
 
     fn stream() -> ServingScenario {
         ServingScenario::builder(
-            RequestMix::bimodal(0xF1EE_7CAF, 16, (64, 16), (512, 48), 25),
+            RequestMix::bimodal(0xF1EE_7CAF, 16, (64, 16), (512, 48), 25).unwrap(),
             4,
         )
-        .arrival(ArrivalProcess::poisson(0.25, 0xFEED_F00D))
+        .arrival(ArrivalProcess::try_poisson(0.25, 0xFEED_F00D).unwrap())
         .prefill_chunk(256)
         .build()
         .unwrap()
@@ -392,7 +392,7 @@ mod tests {
         // Closed loop: everything arrives at step 0, so JSQ degenerates
         // to dealing one request per instance in rotation — queue
         // lengths stay balanced within one.
-        let scenario = ServingScenario::builder(RequestMix::uniform(9, 64, 8), 2)
+        let scenario = ServingScenario::builder(RequestMix::uniform(9, 64, 8).unwrap(), 2)
             .build()
             .unwrap();
         let fleet = Fleet::uniform(scenario, FleetRouter::JoinShortestQueue, 3);
@@ -449,11 +449,11 @@ mod tests {
 
     #[test]
     fn heterogeneous_templates_keep_their_own_knobs() {
-        let big = ServingScenario::builder(RequestMix::uniform(1, 1, 1), 8)
+        let big = ServingScenario::builder(RequestMix::uniform(1, 1, 1).unwrap(), 8)
             .policy(AdmissionPolicy::ShortestPrompt)
             .build()
             .unwrap();
-        let small = ServingScenario::builder(RequestMix::uniform(1, 1, 1), 2)
+        let small = ServingScenario::builder(RequestMix::uniform(1, 1, 1).unwrap(), 2)
             .kv_page(16)
             .build()
             .unwrap();

@@ -56,7 +56,7 @@
 //! ```
 //! use lumen_workload::serving::{PrefillMode, RequestMix, ServingModel, ServingScenario};
 //!
-//! let scenario = ServingScenario::builder(RequestMix::uniform(4, 128, 8), 2)
+//! let scenario = ServingScenario::builder(RequestMix::uniform(4, 128, 8).unwrap(), 2)
 //!     .kv_bucket(64)
 //!     .prefill(PrefillMode::Resident)
 //!     .build()
@@ -137,14 +137,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Uniform draw in `[lo, hi]` (inclusive) from the generator state.
-///
-/// # Panics
-///
-/// Panics on an inverted range — reachable from the public generators
-/// (e.g. [`RequestMix::long_tail`]'s prompt bounds), so this must fail
-/// loudly in release builds too rather than underflow.
+/// Every public generator rejects an inverted range before drawing.
 fn draw_range(state: &mut u64, lo: usize, hi: usize) -> usize {
-    assert!(lo <= hi, "inverted range: lo={lo} > hi={hi}");
+    debug_assert!(lo <= hi, "inverted range: lo={lo} > hi={hi}");
     lo + (splitmix64(state) % (hi - lo + 1) as u64) as usize
 }
 
@@ -192,26 +187,39 @@ impl RequestMix {
     }
 
     /// `count` identical requests — the degenerate mix that reproduces
-    /// the uniform-batch model (and PR 4's `decode_trace` when run
-    /// through a capacity-1 schedule).
-    pub fn uniform(count: usize, prompt: usize, output: usize) -> RequestMix {
-        RequestMix::custom(
+    /// the uniform-batch model (and a single-sequence decode trace when
+    /// run through a capacity-1 schedule).
+    ///
+    /// # Errors
+    ///
+    /// [`ServingError::ZeroOutputRequest`] if `output` is zero;
+    /// [`ServingError::EmptyMix`] if `count` is zero.
+    pub fn uniform(count: usize, prompt: usize, output: usize) -> Result<RequestMix, ServingError> {
+        RequestMix::try_custom(
             format!("uniform(p{prompt},o{output})"),
-            vec![Request::new(prompt, output); count],
+            vec![Request::try_new(prompt, output)?; count],
         )
     }
 
     /// A two-population mix: chat-style `short` requests with a
     /// `long_percent`% admixture of long-document `long` requests, both
     /// given as `(prompt, output)` pairs. Deterministic in `seed`.
+    ///
+    /// # Errors
+    ///
+    /// [`ServingError::LongShareOutOfRange`] if `long_percent` exceeds
+    /// 100; [`ServingError::ZeroOutputRequest`] if a drawn request
+    /// generates nothing; [`ServingError::EmptyMix`] if `count` is zero.
     pub fn bimodal(
         seed: u64,
         count: usize,
         short: (usize, usize),
         long: (usize, usize),
         long_percent: usize,
-    ) -> RequestMix {
-        assert!(long_percent <= 100, "long_percent is a percentage");
+    ) -> Result<RequestMix, ServingError> {
+        if long_percent > 100 {
+            return Err(ServingError::LongShareOutOfRange(long_percent));
+        }
         let mut state = seed;
         let requests = (0..count)
             .map(|_| {
@@ -220,13 +228,13 @@ impl RequestMix {
                 } else {
                     short
                 };
-                Request::new(prompt, output)
+                Request::try_new(prompt, output)
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         // The name pins every distinguishing parameter (shapes, split,
         // seed) so two different bimodal mixes never collide in a
         // report row or golden label.
-        RequestMix::custom(
+        RequestMix::try_custom(
             format!(
                 "bimodal(p{}o{}|p{}o{}@{long_percent}%,s{seed:x})",
                 short.0, short.1, long.0, long.1
@@ -241,18 +249,22 @@ impl RequestMix {
     /// makes continuous batching pay off over static batching.
     /// Deterministic in `seed`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `output_base` is zero or the prompt bounds are
-    /// inverted (`prompt.0 > prompt.1`).
+    /// [`ServingError::PromptRangeInverted`] if `prompt.0 > prompt.1`;
+    /// [`ServingError::ZeroOutputRequest`] if `output_base` is zero;
+    /// [`ServingError::EmptyMix`] if `count` is zero.
     pub fn long_tail(
         seed: u64,
         count: usize,
         prompt: (usize, usize),
         output_base: usize,
         max_doublings: u32,
-    ) -> RequestMix {
-        assert!(output_base > 0, "output_base must be nonzero");
+    ) -> Result<RequestMix, ServingError> {
+        let (lo, hi) = prompt;
+        if lo > hi {
+            return Err(ServingError::PromptRangeInverted { lo, hi });
+        }
         let mut state = seed;
         let requests = (0..count)
             .map(|_| {
@@ -261,12 +273,12 @@ impl RequestMix {
                 while doublings < max_doublings && draw_range(&mut state, 0, 1) == 1 {
                     doublings += 1;
                 }
-                Request::new(p, output_base << doublings)
+                Request::try_new(p, output_base << doublings)
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         // As with `bimodal`: prompt bounds and seed join the name so
         // distinct mixes get distinct labels.
-        RequestMix::custom(
+        RequestMix::try_custom(
             format!(
                 "long-tail(p{}-{},o{output_base}<<{max_doublings},s{seed:x})",
                 prompt.0, prompt.1
@@ -888,7 +900,7 @@ mod tests {
 
     #[test]
     fn uniform_mix_is_identical_requests() {
-        let mix = RequestMix::uniform(5, 64, 8);
+        let mix = RequestMix::uniform(5, 64, 8).unwrap();
         assert_eq!(mix.len(), 5);
         assert!(mix
             .requests()
@@ -900,14 +912,14 @@ mod tests {
 
     #[test]
     fn seeded_mixes_are_deterministic() {
-        let a = RequestMix::bimodal(7, 32, (64, 16), (512, 64), 25);
-        let b = RequestMix::bimodal(7, 32, (64, 16), (512, 64), 25);
+        let a = RequestMix::bimodal(7, 32, (64, 16), (512, 64), 25).unwrap();
+        let b = RequestMix::bimodal(7, 32, (64, 16), (512, 64), 25).unwrap();
         assert_eq!(a, b);
-        let c = RequestMix::bimodal(8, 32, (64, 16), (512, 64), 25);
+        let c = RequestMix::bimodal(8, 32, (64, 16), (512, 64), 25).unwrap();
         assert_ne!(a, c, "a different seed draws a different mix");
 
-        let t = RequestMix::long_tail(3, 64, (32, 256), 16, 3);
-        assert_eq!(t, RequestMix::long_tail(3, 64, (32, 256), 16, 3));
+        let t = RequestMix::long_tail(3, 64, (32, 256), 16, 3).unwrap();
+        assert_eq!(t, RequestMix::long_tail(3, 64, (32, 256), 16, 3).unwrap());
         for r in t.requests() {
             assert!((32..=256).contains(&r.prompt));
             assert!(r.output >= 16 && r.output <= 16 << 3);
@@ -917,7 +929,7 @@ mod tests {
 
     #[test]
     fn bimodal_mixes_both_populations() {
-        let mix = RequestMix::bimodal(11, 64, (64, 16), (512, 64), 25);
+        let mix = RequestMix::bimodal(11, 64, (64, 16), (512, 64), 25).unwrap();
         let long = mix.requests().iter().filter(|r| r.prompt == 512).count();
         assert!(long > 0 && long < 64, "both populations present: {long}");
     }
@@ -945,7 +957,7 @@ mod tests {
     fn scheduler_fills_slots_and_drains() {
         // 3 requests of 2 tokens over 2 slots: steps are
         // {0,1} {0,1} {2} {2}.
-        let schedule = resident_schedule(RequestMix::uniform(3, 10, 2), 2);
+        let schedule = resident_schedule(RequestMix::uniform(3, 10, 2).unwrap(), 2);
         assert_eq!(schedule.total_steps(), 4);
         assert_eq!(schedule.total_decode_tokens(), 6);
         let occ: Vec<usize> = schedule
@@ -1024,7 +1036,7 @@ mod tests {
         let model = ServingModel::gpt2_small();
         for (kv, bucket) in [(0usize, 64usize), (127, 64), (500, 128)] {
             // A lone resident request's first step decodes at kv = prompt.
-            let schedule = resident_schedule(RequestMix::uniform(1, kv, 1), 1);
+            let schedule = resident_schedule(RequestMix::uniform(1, kv, 1).unwrap(), 1);
             let layout = KvLayout::Bucketed { bucket };
             let serving = model.lower_serving_step_with(&schedule.steps()[0], &layout);
             let decode = networks::gpt2_small_decode_bucketed(kv, bucket);
@@ -1044,15 +1056,17 @@ mod tests {
 
     #[test]
     fn mix_names_pin_seed_and_shape() {
-        let a = RequestMix::bimodal(0xA, 4, (64, 16), (512, 48), 25);
-        let b = RequestMix::bimodal(0xB, 4, (64, 16), (512, 48), 25);
+        let a = RequestMix::bimodal(0xA, 4, (64, 16), (512, 48), 25).unwrap();
+        let b = RequestMix::bimodal(0xB, 4, (64, 16), (512, 48), 25).unwrap();
         assert_eq!(a.name(), "bimodal(p64o16|p512o48@25%,sa)");
         assert_ne!(a.name(), b.name(), "different seeds, different labels");
-        let t = RequestMix::long_tail(0xC, 4, (64, 384), 12, 3);
+        let t = RequestMix::long_tail(0xC, 4, (64, 384), 12, 3).unwrap();
         assert_eq!(t.name(), "long-tail(p64-384,o12<<3,sc)");
         assert_ne!(
             t.name(),
-            RequestMix::long_tail(0xC, 4, (32, 384), 12, 3).name(),
+            RequestMix::long_tail(0xC, 4, (32, 384), 12, 3)
+                .unwrap()
+                .name(),
             "different prompt bounds, different labels"
         );
     }
@@ -1139,6 +1153,26 @@ mod tests {
         assert_eq!(
             RequestMix::try_custom("empty", vec![]).unwrap_err(),
             ServingError::EmptyMix
+        );
+    }
+
+    #[test]
+    fn generator_errors_are_typed() {
+        assert_eq!(
+            RequestMix::uniform(0, 128, 8).unwrap_err(),
+            ServingError::EmptyMix
+        );
+        assert_eq!(
+            RequestMix::bimodal(1, 8, (64, 16), (512, 48), 101).unwrap_err(),
+            ServingError::LongShareOutOfRange(101)
+        );
+        assert_eq!(
+            RequestMix::long_tail(1, 8, (384, 64), 12, 3).unwrap_err(),
+            ServingError::PromptRangeInverted { lo: 384, hi: 64 }
+        );
+        assert_eq!(
+            RequestMix::long_tail(1, 8, (64, 384), 0, 3).unwrap_err(),
+            ServingError::ZeroOutputRequest
         );
     }
 

@@ -48,15 +48,6 @@ impl PageTable {
         })
     }
 
-    /// Panicking wrapper over [`PageTable::try_new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page` is zero.
-    pub fn new(page: usize) -> PageTable {
-        PageTable::try_new(page).expect("a KV page must cover at least one token")
-    }
-
     /// Declares a shared prompt prefix of `len` tokens (builder style).
     /// The prefix's full pages are stored once for the whole mix; the
     /// trailing partial page is copied per sharing request
@@ -271,7 +262,7 @@ mod tests {
 
     #[test]
     fn allocation_rounds_up_to_whole_pages() {
-        let t = PageTable::new(16);
+        let t = PageTable::try_new(16).unwrap();
         assert_eq!(t.pages_for(0), 0);
         assert_eq!(t.pages_for(1), 1);
         assert_eq!(t.pages_for(16), 1);
@@ -283,7 +274,7 @@ mod tests {
 
     #[test]
     fn attend_len_covers_the_appended_token() {
-        let t = PageTable::new(16);
+        let t = PageTable::try_new(16).unwrap();
         // kv 15: the step appends token 16, which still fits page 1.
         assert_eq!(t.attend_len(15), 16);
         // kv 16: token 17 opens page 2.
@@ -292,7 +283,7 @@ mod tests {
 
     #[test]
     fn page_one_is_exact_per_token_residency() {
-        let t = PageTable::new(1);
+        let t = PageTable::try_new(1).unwrap();
         for kv in [0usize, 1, 7, 100] {
             assert_eq!(t.allocated_tokens(kv), kv);
             assert_eq!(t.fragmentation(kv), 0);
@@ -302,10 +293,10 @@ mod tests {
 
     #[test]
     fn shared_prefix_splits_into_full_pages_and_cow_tail() {
-        let t = PageTable::new(16).with_shared_prefix(48);
+        let t = PageTable::try_new(16).unwrap().with_shared_prefix(48);
         assert_eq!(t.shared_full_page_tokens(), 48);
         assert_eq!(t.cow_tokens(), 0, "aligned prefix copies nothing");
-        let t = PageTable::new(16).with_shared_prefix(42);
+        let t = PageTable::try_new(16).unwrap().with_shared_prefix(42);
         assert_eq!(t.shared_full_page_tokens(), 32);
         assert_eq!(t.cow_tokens(), 10);
     }
@@ -318,7 +309,7 @@ mod tests {
     #[test]
     fn layout_quantum_selects_bucket_or_page() {
         assert_eq!(KvLayout::Bucketed { bucket: 256 }.quantum(), 256);
-        let paged = KvLayout::Paged(PageTable::new(16));
+        let paged = KvLayout::Paged(PageTable::try_new(16).unwrap());
         assert_eq!(paged.quantum(), 16);
         assert!(paged.page_table().is_some());
         assert!(KvLayout::Bucketed { bucket: 256 }.page_table().is_none());
@@ -326,12 +317,12 @@ mod tests {
 
     #[test]
     fn schedule_residency_tracks_peak_and_bounds_waste() {
-        let schedule = ServingScenario::builder(RequestMix::uniform(4, 100, 8), 4)
+        let schedule = ServingScenario::builder(RequestMix::uniform(4, 100, 8).unwrap(), 4)
             .prefill_chunk(64)
             .build()
             .unwrap()
             .schedule();
-        let t = PageTable::new(16);
+        let t = PageTable::try_new(16).unwrap();
         let r = t.schedule_residency(&schedule);
         assert!(r.peak_allocated_tokens >= r.peak_used_tokens);
         // Fragmentation stays under one page per active request.
@@ -346,14 +337,14 @@ mod tests {
     fn shared_full_pages_are_counted_once() {
         // Two requests fully decoded, sharing a 32-token prefix at page
         // 16: per-step allocation = shared 32 once + private remainders.
-        let schedule = ServingScenario::builder(RequestMix::uniform(2, 64, 4), 2)
+        let schedule = ServingScenario::builder(RequestMix::uniform(2, 64, 4).unwrap(), 2)
             .kv_page(16)
             .shared_prefix(32)
             .prefill(PrefillMode::Resident)
             .build()
             .unwrap()
             .schedule();
-        let t = PageTable::new(16).with_shared_prefix(32);
+        let t = PageTable::try_new(16).unwrap().with_shared_prefix(32);
         let step0 = t.step_residency(&schedule.steps()[0]);
         // Used: the shared 32 tokens once (same physical pages) plus
         // each request's 33-token private suffix (65 after the append).
@@ -362,7 +353,7 @@ mod tests {
         assert_eq!(step0.allocated_tokens, 32 + 2 * 48);
         assert!(step0.used_tokens <= step0.allocated_tokens);
 
-        let unshared = PageTable::new(16);
+        let unshared = PageTable::try_new(16).unwrap();
         let plain = unshared.step_residency(&schedule.steps()[0]);
         assert!(
             plain.allocated_tokens > step0.allocated_tokens,

@@ -31,8 +31,8 @@ use super::{AdmissionPolicy, ArrivalProcess, RequestMix};
 /// ```
 /// use lumen_workload::serving::{ArrivalProcess, RequestMix, ServingScenario};
 ///
-/// let scenario = ServingScenario::builder(RequestMix::uniform(8, 128, 32), 4)
-///     .arrival(ArrivalProcess::poisson(0.25, 7))
+/// let scenario = ServingScenario::builder(RequestMix::uniform(8, 128, 32).unwrap(), 4)
+///     .arrival(ArrivalProcess::try_poisson(0.25, 7).unwrap())
 ///     .prefill_chunk(256)
 ///     .build()
 ///     .unwrap();
@@ -312,7 +312,7 @@ mod tests {
     use super::*;
 
     fn mix() -> RequestMix {
-        RequestMix::uniform(6, 128, 16)
+        RequestMix::uniform(6, 128, 16).unwrap()
     }
 
     #[test]
@@ -408,7 +408,7 @@ mod tests {
             .unwrap();
         let routed = template
             .with_stream(
-                RequestMix::uniform(3, 256, 8),
+                RequestMix::uniform(3, 256, 8).unwrap(),
                 ArrivalProcess::explicit(vec![0, 4, 9]),
             )
             .unwrap();
@@ -420,7 +420,10 @@ mod tests {
         assert_eq!(routed.arrival(), &ArrivalProcess::explicit(vec![0, 4, 9]),);
         // Re-validation catches streams the template cannot serve.
         assert_eq!(
-            template.with_stream(RequestMix::uniform(2, 16, 4), ArrivalProcess::ClosedLoop),
+            template.with_stream(
+                RequestMix::uniform(2, 16, 4).unwrap(),
+                ArrivalProcess::ClosedLoop
+            ),
             Err(ServingError::SharedPrefixExceedsPrompt {
                 shared: 40,
                 min_prompt: 16

@@ -34,7 +34,7 @@ fn main() {
     // closed loop with prompts resident. Short requests retire early,
     // long ones keep their slots, and the scheduler backfills from the
     // queue — watch occupancy and energy per token move step by step.
-    let mix = RequestMix::bimodal(7, 10, (64, 12), (512, 40), 30);
+    let mix = RequestMix::bimodal(7, 10, (64, 12), (512, 40), 30).expect("the mix is valid");
     let scenario = |mix: RequestMix| {
         ServingScenario::builder(mix, 4).kv_bucket(experiments::SERVING_KV_BUCKET)
     };
@@ -78,7 +78,7 @@ fn main() {
     // time-to-first-token (arrival -> first decode step done) and
     // time-between-tokens (gaps between completions).
     let open_loop = scenario(mix.clone())
-        .arrival(ArrivalProcess::poisson(0.1, 0xFEED_F00D))
+        .arrival(ArrivalProcess::try_poisson(0.1, 0xFEED_F00D).expect("the rate is valid"))
         .prefill_chunk(256)
         .build()
         .expect("the open-loop scenario is valid");

@@ -345,11 +345,14 @@ fn serving_trace_800_steps_costs_a_handful_of_searches() {
     // are shape-independent.
     let model = ServingModel::new("toy-lm", 256, 4, 512, 2, 4096);
     let bucket = 128usize;
-    let scenario = ServingScenario::builder(RequestMix::long_tail(0x51EED, 28, (0, 480), 80, 2), 8)
-        .kv_bucket(bucket)
-        .prefill(PrefillMode::Resident)
-        .build()
-        .expect("closed-loop scenario is valid");
+    let scenario = ServingScenario::builder(
+        RequestMix::long_tail(0x51EED, 28, (0, 480), 80, 2).unwrap(),
+        8,
+    )
+    .kv_bucket(bucket)
+    .prefill(PrefillMode::Resident)
+    .build()
+    .expect("closed-loop scenario is valid");
     let schedule = scenario.schedule();
     assert!(
         schedule.total_steps() >= 512,
@@ -424,12 +427,14 @@ fn paged_serving_trace_dedups_by_unique_signature() {
     }));
 
     let model = ServingModel::new("toy-lm", 256, 4, 512, 2, 4096);
-    let scenario =
-        ServingScenario::builder(RequestMix::long_tail(0x51EED, 28, (64, 320), 80, 2), 8)
-            .kv_page(32)
-            .prefill_chunk(96)
-            .build()
-            .expect("paged scenario is valid");
+    let scenario = ServingScenario::builder(
+        RequestMix::long_tail(0x51EED, 28, (64, 320), 80, 2).unwrap(),
+        8,
+    )
+    .kv_page(32)
+    .prefill_chunk(96)
+    .build()
+    .expect("paged scenario is valid");
     let schedule = scenario.schedule();
     assert!(
         schedule.total_steps() >= 400,

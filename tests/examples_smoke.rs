@@ -121,7 +121,7 @@ fn full_system_batching_reduces_per_inference_energy() {
 #[test]
 fn reuse_exploration_finds_no_worse_than_original() {
     let result = experiments::fig5_reuse_exploration().expect("fig5 evaluates");
-    assert!(result.best().total_pj() <= result.original().total_pj());
+    assert!(result.best().unwrap().total_pj() <= result.original().unwrap().total_pj());
     assert!(result
         .rows
         .iter()
@@ -220,7 +220,7 @@ fn serving_smoke_schedule_conserves_tokens_and_hits_cache() {
     use lumen::core::scenario_trace;
     use lumen::workload::{PrefillMode, RequestMix, ServingModel, ServingScenario};
 
-    let mix = RequestMix::bimodal(21, 6, (64, 6), (512, 18), 33);
+    let mix = RequestMix::bimodal(21, 6, (64, 6), (512, 18), 33).unwrap();
     let scenario = ServingScenario::builder(mix.clone(), 3)
         .kv_bucket(experiments::SERVING_KV_BUCKET)
         .prefill(PrefillMode::Resident)

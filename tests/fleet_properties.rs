@@ -47,13 +47,16 @@ fn toy_arch() -> Architecture {
 }
 
 fn template() -> ServingScenario {
-    ServingScenario::builder(RequestMix::bimodal(0xF1EE, 18, (48, 8), (200, 24), 30), 3)
-        .kv_bucket(32)
-        .arrival(ArrivalProcess::poisson(0.2, 0xD00D))
-        .policy(AdmissionPolicy::Fifo)
-        .prefill_chunk(64)
-        .build()
-        .expect("the fleet test template is valid")
+    ServingScenario::builder(
+        RequestMix::bimodal(0xF1EE, 18, (48, 8), (200, 24), 30).unwrap(),
+        3,
+    )
+    .kv_bucket(32)
+    .arrival(ArrivalProcess::try_poisson(0.2, 0xD00D).unwrap())
+    .policy(AdmissionPolicy::Fifo)
+    .prefill_chunk(64)
+    .build()
+    .expect("the fleet test template is valid")
 }
 
 const ROUTERS: [FleetRouter; 3] = [
@@ -271,7 +274,7 @@ fn capacity_plan_fleet_shares_one_eval_cache() {
         lumen::albireo::ScalingProfile::Conservative,
         experiments::FLEET_INSTANCES,
         FleetRouter::RoundRobin,
-        experiments::fleet_arrival(),
+        experiments::fleet_arrival().unwrap(),
     )
     .expect("the capacity plan evaluates");
     assert!(plan.trace_cache.lookups() > 0, "the plan evaluated layers");
@@ -308,7 +311,7 @@ proptest! {
         let page = page_raw.checked_sub(1);
         let chunk = chunk_raw.checked_sub(1);
         let max_context = [None, Some(100), Some(300)][ctx_raw];
-        let mix = RequestMix::bimodal(7, 8, (48, 8), (200, 24), 50);
+        let mix = RequestMix::bimodal(7, 8, (48, 8), (200, 24), 50).unwrap();
         let min_prompt = mix.requests().iter().map(|r| r.prompt).min().unwrap();
         let worst_needed = mix.requests().iter().map(|r| r.prompt + 1).max().unwrap();
         let mut builder = ServingScenario::builder(mix, capacity).kv_bucket(kv_bucket);

@@ -209,7 +209,7 @@ fn capacity_plan_matches_snapshot() {
                 scaling,
                 experiments::FLEET_INSTANCES,
                 lumen::workload::FleetRouter::RoundRobin,
-                experiments::fleet_arrival(),
+                experiments::fleet_arrival().unwrap(),
             )
             .expect("study evaluates")
             .to_string(),
@@ -233,7 +233,7 @@ fn fleet_slo_search_matches_snapshot() {
                 scaling,
                 20.0,
                 lumen::workload::FleetRouter::JoinShortestQueue,
-                experiments::fleet_arrival(),
+                experiments::fleet_arrival().unwrap(),
             )
             .expect("search evaluates")
             .to_string(),

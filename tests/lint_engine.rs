@@ -380,7 +380,7 @@ fn l0303_excessive_search_budget() {
 
 #[test]
 fn l0401_zero_capacity_schedule() {
-    let mix = RequestMix::uniform(4, 128, 32);
+    let mix = RequestMix::uniform(4, 128, 32).unwrap();
     let serving = ServingSpec {
         mix: &mix,
         capacity: 0,
@@ -395,7 +395,7 @@ fn l0401_zero_capacity_schedule() {
 
 #[test]
 fn l0402_zero_kv_bucket() {
-    let mix = RequestMix::uniform(4, 128, 32);
+    let mix = RequestMix::uniform(4, 128, 32).unwrap();
     let serving = ServingSpec {
         mix: &mix,
         capacity: 8,
@@ -412,7 +412,7 @@ fn l0402_zero_kv_bucket() {
 fn l0402_kv_bucket_larger_than_any_sequence() {
     // Longest sequence is 128 + 32 = 160 tokens; a 1024 bucket pads
     // every step past it.
-    let mix = RequestMix::uniform(4, 128, 32);
+    let mix = RequestMix::uniform(4, 128, 32).unwrap();
     let serving = ServingSpec {
         mix: &mix,
         capacity: 8,
@@ -429,8 +429,8 @@ fn l0402_kv_bucket_larger_than_any_sequence() {
 fn l0403_offered_load_exceeds_capacity() {
     // Mean output is 32 decode steps per request; at one arrival per
     // step the offered load is 32 slot-steps/step against 8 slots.
-    let mix = RequestMix::uniform(4, 128, 32);
-    let arrival = ArrivalProcess::poisson(1.0, 7);
+    let mix = RequestMix::uniform(4, 128, 32).unwrap();
+    let arrival = ArrivalProcess::try_poisson(1.0, 7).unwrap();
     let serving = ServingSpec {
         mix: &mix,
         capacity: 8,
@@ -445,9 +445,9 @@ fn l0403_offered_load_exceeds_capacity() {
 
 #[test]
 fn l0403_stays_quiet_under_capacity_and_closed_loop() {
-    let mix = RequestMix::uniform(4, 128, 32);
+    let mix = RequestMix::uniform(4, 128, 32).unwrap();
     // 0.1 arrivals/step × 32 steps/request = 3.2 < 8 slots.
-    let underload = ArrivalProcess::poisson(0.1, 7);
+    let underload = ArrivalProcess::try_poisson(0.1, 7).unwrap();
     let closed = ArrivalProcess::ClosedLoop;
     for arrival in [&underload, &closed] {
         let serving = ServingSpec {
@@ -467,7 +467,7 @@ fn l0403_stays_quiet_under_capacity_and_closed_loop() {
 fn l0404_prompt_exceeds_model_context() {
     // Longest request reaches 128 + 32 = 160 tokens against a
     // 128-token window.
-    let mix = RequestMix::uniform(4, 128, 32);
+    let mix = RequestMix::uniform(4, 128, 32).unwrap();
     let serving = ServingSpec {
         mix: &mix,
         capacity: 8,
@@ -482,7 +482,7 @@ fn l0404_prompt_exceeds_model_context() {
 
 #[test]
 fn l0404_stays_quiet_when_requests_fit() {
-    let mix = RequestMix::uniform(4, 128, 32);
+    let mix = RequestMix::uniform(4, 128, 32).unwrap();
     let serving = ServingSpec {
         mix: &mix,
         capacity: 8,
@@ -509,7 +509,7 @@ fn paged_spec(mix: &RequestMix, page: usize) -> ServingSpec<'_> {
 
 #[test]
 fn l0406_zero_page_is_an_error() {
-    let mix = RequestMix::uniform(4, 128, 32);
+    let mix = RequestMix::uniform(4, 128, 32).unwrap();
     let serving = paged_spec(&mix, 0);
     let report = run(&LintTarget::new().with_serving(&serving));
     assert_fires_only(&report, "L0406", Severity::Error);
@@ -519,7 +519,7 @@ fn l0406_zero_page_is_an_error() {
 fn l0406_page_must_tile_the_bucket() {
     // 24 does not divide the 64-token bucket, so bucketed accounting
     // stops being an upper bound on paged residency.
-    let mix = RequestMix::uniform(4, 128, 32);
+    let mix = RequestMix::uniform(4, 128, 32).unwrap();
     let serving = paged_spec(&mix, 24);
     let report = run(&LintTarget::new().with_serving(&serving));
     assert_fires_only(&report, "L0406", Severity::Warn);
@@ -530,7 +530,7 @@ fn l0407_fragmentation_heavy_page() {
     // Mean sequence is 160 tokens; a 64-token page is over a quarter
     // of it, so per-request tail pages dominate the residency. 64
     // tiles the bucket, so L0406 stays quiet.
-    let mix = RequestMix::uniform(4, 128, 32);
+    let mix = RequestMix::uniform(4, 128, 32).unwrap();
     let serving = paged_spec(&mix, 64);
     let report = run(&LintTarget::new().with_serving(&serving));
     assert_fires_only(&report, "L0407", Severity::Warn);
@@ -538,7 +538,7 @@ fn l0407_fragmentation_heavy_page() {
 
 #[test]
 fn paged_spec_with_a_fine_page_stays_quiet() {
-    let mix = RequestMix::uniform(4, 128, 32);
+    let mix = RequestMix::uniform(4, 128, 32).unwrap();
     let serving = paged_spec(&mix, 16);
     let report = run(&LintTarget::new().with_serving(&serving));
     assert!(report.is_empty(), "{report}");
@@ -581,7 +581,7 @@ fn assert_golden(name: &str, actual: &str) {
 fn json_rendering_matches_golden() {
     let net = Network::new("empty");
     let facts = search_facts(0);
-    let mix = RequestMix::uniform(2, 64, 16);
+    let mix = RequestMix::uniform(2, 64, 16).unwrap();
     let serving = ServingSpec {
         mix: &mix,
         capacity: 0,

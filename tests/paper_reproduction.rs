@@ -76,8 +76,12 @@ fn fig3_vgg_near_ideal_alexnet_degraded() {
 #[test]
 fn fig4_dram_dominates_aggressive_scaling_only() {
     let result = experiments::fig4_memory_exploration().expect("fig4 evaluates");
-    let aggressive = result.row(ScalingProfile::Aggressive, false, false);
-    let conservative = result.row(ScalingProfile::Conservative, false, false);
+    let aggressive = result
+        .row(ScalingProfile::Aggressive, false, false)
+        .unwrap();
+    let conservative = result
+        .row(ScalingProfile::Conservative, false, false)
+        .unwrap();
     // Paper: DRAM ~75% of the aggressively-scaled system, small for the
     // conservative one.
     assert!(
@@ -97,22 +101,29 @@ fn fig4_dram_dominates_aggressive_scaling_only() {
 fn fig4_batching_plus_fusion_restore_aggressive_benefits() {
     let result = experiments::fig4_memory_exploration().expect("fig4 evaluates");
     // Paper: 67% reduction ("3x improvement"); we require >= 55%.
-    let reduction = result.combined_reduction(ScalingProfile::Aggressive);
+    let reduction = result
+        .combined_reduction(ScalingProfile::Aggressive)
+        .unwrap();
     assert!(reduction >= 0.55, "combined reduction {reduction:.2}");
     // Each lever alone helps at the aggressive corner.
     let base = result
         .row(ScalingProfile::Aggressive, false, false)
+        .unwrap()
         .total_mj();
     let batched = result
         .row(ScalingProfile::Aggressive, true, false)
+        .unwrap()
         .total_mj();
     let fused = result
         .row(ScalingProfile::Aggressive, false, true)
+        .unwrap()
         .total_mj();
     assert!(batched < base, "batching helps");
     assert!(fused < base, "fusion helps");
     // And the conservative corner barely moves (its DRAM share is small).
-    let cons_reduction = result.combined_reduction(ScalingProfile::Conservative);
+    let cons_reduction = result
+        .combined_reduction(ScalingProfile::Conservative)
+        .unwrap();
     assert!(
         cons_reduction < reduction / 2.0,
         "conservative gains are modest"
@@ -122,8 +133,10 @@ fn fig4_batching_plus_fusion_restore_aggressive_benefits() {
 #[test]
 fn fig4_batching_cuts_weight_traffic_specifically() {
     let result = experiments::fig4_memory_exploration().expect("fig4 evaluates");
-    let base = result.row(ScalingProfile::Aggressive, false, false);
-    let batched = result.row(ScalingProfile::Aggressive, true, false);
+    let base = result
+        .row(ScalingProfile::Aggressive, false, false)
+        .unwrap();
+    let batched = result.row(ScalingProfile::Aggressive, true, false).unwrap();
     // DRAM segment shrinks by > 2x from batch 16 (weights dominate
     // ResNet18's DRAM traffic at batch 1).
     assert!(
@@ -145,8 +158,8 @@ fn fig5_more_reuse_cuts_converter_and_accelerator_energy() {
     assert_eq!(result.rows.len(), 18, "2 weight variants x 3 OR x 3 IR");
     // Paper: 42% converter / 31% accelerator reduction; we require the
     // same direction with at least 35% / 25%.
-    assert!(result.converter_reduction() >= 0.35);
-    assert!(result.accelerator_reduction() >= 0.25);
+    assert!(result.converter_reduction().unwrap() >= 0.35);
+    assert!(result.accelerator_reduction().unwrap() >= 0.25);
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //! divisor, dedup on a `HashSet` of the temporal loops its analysis
 //! reads (every level's but compute's), a lower bound over
 //! [`outer_read_traffic`], and an energy cost read off the item-list
-//! reference for [`EnergyBreakdown`]. `random_search`,
-//! `random_search_pruned` and `random_search_baseline` must return the
+//! reference for [`EnergyBreakdown`]. `random_search`, with and without
+//! a bound, and `random_search_baseline` must return the
 //! same mapping, analysis, cost bits and `evaluated`/`deduped`/`pruned`
 //! counts, and
 //! `System::map_layer` the same winner, on the unique layers of every
@@ -29,8 +29,8 @@ use lumen::albireo::{AlbireoConfig, ScalingProfile};
 use lumen::arch::{ArchBuilder, Architecture, Domain, Fanout};
 use lumen::core::{CostCategory, EnergyBreakdown, MappingStrategy, System};
 use lumen::mapper::search::{
-    greedy_spatial, random_search, random_search_baseline, random_search_pruned,
-    spatial_priority_for, Preview, SearchConfig, SearchResult,
+    greedy_spatial, random_search, random_search_baseline, spatial_priority_for, Preview,
+    SearchConfig, SearchResult,
 };
 use lumen::mapper::{analyze, outer_read_traffic, LayerAnalysis, Loop, Mapping};
 use lumen::units::{Energy, Frequency};
@@ -351,7 +351,7 @@ fn check_variants(
         random_search_baseline(arch, layer, cfg, cost).as_ref(),
         transcribed_search(arch, layer, cfg, None, Dedup::Off, cost).as_ref(),
     );
-    let deduped = random_search(arch, layer, cfg, cost);
+    let deduped = random_search(arch, layer, cfg, None, cost);
     assert_same(
         &format!("{what} dedup"),
         deduped.as_ref(),
@@ -362,7 +362,7 @@ fn check_variants(
         deduped.as_ref(),
         transcribed_search(arch, layer, cfg, None, Dedup::Mapping, cost).as_ref(),
     );
-    let pruned = random_search_pruned(arch, layer, cfg, preview_lb, cost);
+    let pruned = random_search(arch, layer, cfg, Some(preview_lb), cost);
     assert_same(
         &format!("{what} pruned"),
         pruned.as_ref(),
@@ -787,7 +787,13 @@ fn check_staged(
     let cost = |a: &LayerAnalysis| breakdown_cost(arch, a);
     let bound = |m: &Mapping| staged_mapping_bound(arch, unbounded, layer, m);
     let oracle = transcribed_search(arch, layer, cfg, Some(&bound), Dedup::Analysis, cost);
-    let engine = random_search_pruned(arch, layer, cfg, |p| staged_preview_bound(arch, p), cost);
+    let engine = random_search(
+        arch,
+        layer,
+        cfg,
+        Some(&|p| staged_preview_bound(arch, p)),
+        cost,
+    );
     assert_same(&format!("{what} staged"), engine.as_ref(), oracle.as_ref());
     assert_same_winner(
         &format!("{what} staged, dedup on whole mappings"),

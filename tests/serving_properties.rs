@@ -115,9 +115,9 @@ fn assert_tokens_exactly_once(mix: &RequestMix, schedule: &ServingSchedule) {
 #[test]
 fn every_token_is_produced_exactly_once() {
     let mixes = [
-        RequestMix::uniform(7, 100, 5),
-        RequestMix::bimodal(42, 20, (64, 16), (512, 48), 25),
-        RequestMix::long_tail(42, 20, (32, 256), 8, 4),
+        RequestMix::uniform(7, 100, 5).unwrap(),
+        RequestMix::bimodal(42, 20, (64, 16), (512, 48), 25).unwrap(),
+        RequestMix::long_tail(42, 20, (32, 256), 8, 4).unwrap(),
         RequestMix::custom(
             "ragged",
             vec![
@@ -146,7 +146,7 @@ fn every_token_is_produced_exactly_once() {
 /// slots in admission order, which is ascending request index.
 #[test]
 fn occupancy_never_exceeds_capacity_and_never_idles_waiting_work() {
-    let mix = RequestMix::bimodal(3, 25, (64, 4), (256, 30), 40);
+    let mix = RequestMix::bimodal(3, 25, (64, 4), (256, 30), 40).unwrap();
     for capacity in [1, 3, 8, 25, 100] {
         let schedule = resident_schedule(&mix, capacity);
         let mut retired = 0usize;
@@ -196,7 +196,7 @@ fn occupancy_never_exceeds_capacity_and_never_idles_waiting_work() {
 #[test]
 fn step_macs_equal_the_sum_over_the_active_set() {
     let model = ServingModel::gpt2_small();
-    let mix = RequestMix::long_tail(9, 16, (64, 400), 8, 3);
+    let mix = RequestMix::long_tail(9, 16, (64, 400), 8, 3).unwrap();
     let schedule = resident_schedule(&mix, 5);
     for bucket in [1, 64, 256] {
         let layout = KvLayout::Bucketed { bucket };
@@ -225,7 +225,7 @@ fn step_macs_equal_the_sum_over_the_active_set() {
 #[test]
 fn uniform_single_slot_schedule_matches_decode_trace_bit_identically() {
     let (prompt, steps, bucket) = (100usize, 24usize, 16usize);
-    let scenario = ServingScenario::builder(RequestMix::uniform(1, prompt, steps), 1)
+    let scenario = ServingScenario::builder(RequestMix::uniform(1, prompt, steps).unwrap(), 1)
         .kv_bucket(bucket)
         .prefill(PrefillMode::Resident)
         .build()
@@ -315,12 +315,12 @@ fn assert_event_schedule_conserves(
 
 #[test]
 fn event_schedule_conserves_tokens_under_every_arrival_and_policy() {
-    let mix = RequestMix::bimodal(11, 18, (64, 6), (300, 24), 30);
+    let mix = RequestMix::bimodal(11, 18, (64, 6), (300, 24), 30).unwrap();
     let arrivals = [
         ArrivalProcess::ClosedLoop,
-        ArrivalProcess::poisson(0.2, 0xD00D),
-        ArrivalProcess::bursty(0.05, 16, 3, 0xD00D),
-        ArrivalProcess::diurnal(0.05, 0.6, 40, 0xD00D),
+        ArrivalProcess::try_poisson(0.2, 0xD00D).unwrap(),
+        ArrivalProcess::try_bursty(0.05, 16, 3, 0xD00D).unwrap(),
+        ArrivalProcess::try_diurnal(0.05, 0.6, 40, 0xD00D).unwrap(),
     ];
     let policies = [
         AdmissionPolicy::Fifo,
@@ -357,8 +357,8 @@ fn event_schedule_conserves_tokens_under_every_arrival_and_policy() {
 #[test]
 fn open_loop_schedules_are_deterministic() {
     let build = || {
-        ServingScenario::builder(RequestMix::long_tail(5, 12, (32, 200), 10, 3), 2)
-            .arrival(ArrivalProcess::poisson(0.15, 0xABCD))
+        ServingScenario::builder(RequestMix::long_tail(5, 12, (32, 200), 10, 3).unwrap(), 2)
+            .arrival(ArrivalProcess::try_poisson(0.15, 0xABCD).unwrap())
             .policy(AdmissionPolicy::ShortestPrompt)
             .prefill_chunk(48)
             .build()
@@ -381,10 +381,10 @@ fn open_loop_schedules_are_deterministic() {
 #[test]
 fn serving_trace_charges_prefill_exactly_once_and_is_thread_stable() {
     let (bucket, chunk) = (32usize, Some(96usize));
-    let mix = RequestMix::uniform(3, 150, 4);
+    let mix = RequestMix::uniform(3, 150, 4).unwrap();
     let model = ServingModel::gpt2_small();
     let scenario = ServingScenario::builder(mix.clone(), 2)
-        .arrival(ArrivalProcess::poisson(0.1, 0xBEEF))
+        .arrival(ArrivalProcess::try_poisson(0.1, 0xBEEF).unwrap())
         .kv_bucket(bucket)
         .prefill(PrefillMode::OnAdmission { chunk })
         .build()
@@ -438,8 +438,8 @@ fn memo_model() -> ServingModel {
 /// first private chunk (40 + 8), so only the copy-on-write charge tells
 /// their compositions apart.
 fn memo_scenarios(seed: u64) -> [ServingScenario; 4] {
-    let mix = || RequestMix::bimodal(seed, 10, (48, 6), (200, 10), 30);
-    let arrival = || ArrivalProcess::poisson(0.3, seed);
+    let mix = || RequestMix::bimodal(seed, 10, (48, 6), (200, 10), 30).unwrap();
+    let arrival = || ArrivalProcess::try_poisson(0.3, seed).unwrap();
     let mut lone = vec![Request::new(40, 3)];
     lone.extend((0..4).map(|_| Request::new(48, 4)));
     let spaced = (0..lone.len()).map(|i| i * 20 + seed as usize).collect();
@@ -581,7 +581,10 @@ fn equal_step_compositions_lower_to_identical_signatures() {
             let step = &schedule.steps()[schedule.steps().len() - 1];
             assert_ne!(
                 ServingModel::step_composition(step, &KvLayout::Bucketed { bucket: 16 }),
-                ServingModel::step_composition(step, &KvLayout::Paged(PageTable::new(16)))
+                ServingModel::step_composition(
+                    step,
+                    &KvLayout::Paged(PageTable::try_new(16).unwrap())
+                )
             );
         }
     }
@@ -917,7 +920,7 @@ proptest! {
         capacity in 1usize..=12,
         long_percent in 0usize..=100,
     ) {
-        let mix = RequestMix::bimodal(seed as u64, count, (16, 3), (128, 11), long_percent);
+        let mix = RequestMix::bimodal(seed as u64, count, (16, 3), (128, 11), long_percent).unwrap();
         let legacy = legacy_batch_schedule(&mix, capacity);
         let event = resident_schedule(&mix, capacity);
         prop_assert_eq!(legacy.len(), event.total_steps());
@@ -938,7 +941,7 @@ proptest! {
         capacity in 1usize..=12,
         long_percent in 0usize..=100,
     ) {
-        let mix = RequestMix::bimodal(seed as u64, count, (16, 3), (128, 11), long_percent);
+        let mix = RequestMix::bimodal(seed as u64, count, (16, 3), (128, 11), long_percent).unwrap();
         let schedule = resident_schedule(&mix, capacity);
         prop_assert_eq!(schedule.total_decode_tokens(), mix.total_output_tokens());
         prop_assert!(schedule
@@ -1012,7 +1015,7 @@ proptest! {
         page in 1usize..=512,
         kv in 0usize..=4096,
     ) {
-        let t = PageTable::new(page);
+        let t = PageTable::try_new(page).unwrap();
         prop_assert!(t.pages_for(kv) * page >= kv);
         prop_assert_eq!(t.allocated_tokens(kv), t.pages_for(kv) * page);
         prop_assert!(t.allocated_tokens(kv) >= kv);
@@ -1024,7 +1027,7 @@ proptest! {
     /// fragmentation and attend lengths of exactly `kv + 1`.
     #[test]
     fn unit_page_recovers_exact_residency(kv in 0usize..=4096) {
-        let t = PageTable::new(1);
+        let t = PageTable::try_new(1).unwrap();
         prop_assert_eq!(t.allocated_tokens(kv), kv);
         prop_assert_eq!(t.fragmentation(kv), 0);
         prop_assert_eq!(t.attend_len(kv), kv + 1);
@@ -1043,13 +1046,13 @@ proptest! {
     ) {
         let page = 1usize << page_pow;
         let bucket = page * factor;
-        let paged = PageTable::new(page);
-        let bucketed = PageTable::new(bucket);
+        let paged = PageTable::try_new(page).unwrap();
+        let bucketed = PageTable::try_new(bucket).unwrap();
         for kv in 0..=600 {
             prop_assert!(paged.allocated_tokens(kv) <= bucketed.allocated_tokens(kv));
             prop_assert!(paged.attend_len(kv) <= bucketed.attend_len(kv));
         }
-        let mix = RequestMix::bimodal(seed as u64, count, (16, 3), (128, 11), 25);
+        let mix = RequestMix::bimodal(seed as u64, count, (16, 3), (128, 11), 25).unwrap();
         let schedule = ServingScenario::builder(mix, capacity)
             .prefill_chunk(32)
             .build()
