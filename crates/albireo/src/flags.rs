@@ -313,8 +313,8 @@ pub fn parse_slo(spec: &str) -> Result<f64, FlagError> {
 }
 
 /// Resolves a `lumen serving` argument list to a plan. Every flag
-/// combination that describes a scenario is lowered through
-/// [`experiments::slo_scenario`]'s builder knobs in one place;
+/// combination that describes a scenario starts from the builder knobs
+/// [`experiments::slo_scenario`] and its paged and fleet siblings share;
 /// mutually-exclusive combinations come back as typed errors instead of
 /// hand-rolled strings.
 ///
@@ -354,23 +354,15 @@ pub fn parse_serving_flags(args: &[String]) -> Result<ServingPlan, FlagError> {
     }
     let arrival = parse_arrival(arrival_flag.unwrap_or("closed-loop"))?;
     let policy = parse_policy(policy_flag.unwrap_or("fifo"))?;
-    // `--shared-prefix` without `--kv-page`: run the same builder the
-    // paged path uses so the rejection is the serving layer's typed
-    // SharedPrefixRequiresPagedKv, not a bespoke string.
-    if shared > 0 {
-        let rejected = ServingScenario::builder(experiments::slo_mix()?, experiments::SLO_CAPACITY)
-            .kv_bucket(experiments::SERVING_KV_BUCKET)
+    // `--shared-prefix` without `--kv-page` comes back from `build()` as
+    // the serving layer's typed SharedPrefixRequiresPagedKv.
+    Ok(ServingPlan::Scenario(
+        experiments::slo_builder(experiments::slo_mix()?)
             .shared_prefix(shared)
             .arrival(arrival)
             .policy(policy)
-            .prefill_chunk(experiments::SLO_PREFILL_CHUNK)
-            .build()
-            .expect_err("a shared prefix without a paged layout cannot validate");
-        return Err(rejected.into());
-    }
-    Ok(ServingPlan::Scenario(experiments::slo_scenario(
-        arrival, policy,
-    )?))
+            .build()?,
+    ))
 }
 
 /// Resolves a `lumen fleet` argument list to a plan.

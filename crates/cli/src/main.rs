@@ -279,31 +279,20 @@ fn networks_cmd() -> Result<(), String> {
     Ok(())
 }
 
-/// Shared lint pre-flight for the serving and fleet paths: print every
+/// Shared lint pre-flight for the serving and fleet paths: lint the
+/// built scenario as GPT-2 small will serve it (its context window
+/// guards L0404) and, on the fleet path, the built fleet; print every
 /// diagnostic, abort only on errors (an overloaded arrival rate is a
 /// legitimate thing to study, so L0403/L0409 warn).
 fn preflight(
     scenario: &lumen_workload::ServingScenario,
-    fleet: Option<(usize, lumen_workload::FleetRouter)>,
+    fleet: Option<&lumen_workload::Fleet>,
 ) -> Result<(), String> {
-    use lumen_lint::{FleetSpec, LintRegistry, LintTarget, ServingSpec};
-    let mut spec = ServingSpec::from_scenario(scenario);
-    // Study scenarios leave the context window unset (it belongs to the
-    // served model, not the traffic); pin GPT-2 small's window here so
-    // L0404 still guards every CLI path.
-    if spec.max_context.is_none() {
-        spec.max_context = lumen_workload::ServingModel::gpt2_small().max_context();
-    }
-    let router_name = fleet.map(|(_, router)| router.to_string());
-    let fleet_spec = fleet.map(|(instances, _)| FleetSpec {
-        stream: spec.clone(),
-        instances,
-        aggregate_capacity: instances * scenario.capacity(),
-        router: router_name.as_deref().unwrap_or(""),
-    });
-    let mut target = LintTarget::new().with_serving(&spec);
-    if let Some(fleet_spec) = &fleet_spec {
-        target = target.with_fleet(fleet_spec);
+    use lumen_lint::{LintRegistry, LintTarget};
+    let model = lumen_workload::ServingModel::gpt2_small();
+    let mut target = LintTarget::new().with_serving(scenario, &model);
+    if let Some(fleet) = fleet {
+        target = target.with_fleet(fleet);
     }
     let report = LintRegistry::with_default_lints().run(&target);
     if !report.is_empty() {
@@ -350,7 +339,9 @@ fn fleet_cmd(args: &[String]) -> Result<(), String> {
     let scaling = parse_scaling(args)?;
     let plan = parse_fleet_flags(args).map_err(|e| e.to_string())?;
     let template = experiments::fleet_template(plan.arrival.clone()).map_err(|e| e.to_string())?;
-    preflight(&template, Some((plan.instances, plan.router)))?;
+    let fleet = lumen_workload::Fleet::try_uniform(template, plan.router, plan.instances)
+        .map_err(|e| e.to_string())?;
+    preflight(fleet.stream(), Some(&fleet))?;
     match plan.slo_p99_ttft_ms {
         Some(slo) => show(experiments::fleet_slo_search(
             scaling,

@@ -60,7 +60,6 @@
 //! assert_eq!(session.cache_stats().hits, 91);
 //! ```
 
-use crate::evaluator::MappingFn;
 use crate::evaluator::Reroute;
 use crate::network::fusion_reroute;
 use crate::{
@@ -73,7 +72,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, LockResult, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, LockResult, OnceLock, PoisonError, RwLock};
 
 /// A content fingerprint of an architecture, for evaluation-cache keys.
 ///
@@ -140,19 +139,12 @@ struct EvalKey {
 /// evaluated layers take the exclusive lock. A lock poisoned by a
 /// panicking holder is recovered rather than propagated: the map only
 /// ever holds finished, content-addressed entries (each inserted whole,
-/// under one write), and the pin set only grows, so no holder can leave
-/// either half-updated.
+/// under one write), so no holder can leave it half-updated.
 #[derive(Default)]
 pub struct EvalCache {
     map: RwLock<HashMap<EvalKey, Result<LayerEvaluation, SystemError>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Plain [`crate::MappingStrategy::Custom`] closures fingerprint by
-    /// `Arc` address, which is only unique among *live* `Arc`s. Pinning a
-    /// clone of every such `Arc` for the cache's lifetime closes the ABA
-    /// hole: an address can never be freed and reused by a different
-    /// closure while entries keyed on it are still servable.
-    pinned_strategies: Mutex<Vec<Arc<MappingFn>>>,
 }
 
 impl fmt::Debug for EvalCache {
@@ -174,17 +166,6 @@ impl EvalCache {
     /// Creates an empty shareable cache.
     pub fn shared() -> Arc<EvalCache> {
         Arc::new(EvalCache::default())
-    }
-
-    /// Keeps identity-fingerprinted strategy closures alive as long as
-    /// the cache (see `pinned_strategies`).
-    fn pin_strategy(&self, strategy: &MappingStrategy) {
-        if let MappingStrategy::Custom(f) = strategy {
-            let mut pinned = recover(self.pinned_strategies.lock());
-            if !pinned.iter().any(|p| Arc::ptr_eq(p, f)) {
-                pinned.push(Arc::clone(f));
-            }
-        }
     }
 
     /// The stored outcome for `key` with a success read through `read`
@@ -222,10 +203,7 @@ impl EvalCache {
         }
     }
 
-    /// Drops every entry and resets the counters. Pinned strategy
-    /// closures are kept: sessions attached before the clear may still
-    /// insert entries under their identity fingerprints afterwards, so
-    /// releasing the pins here could reopen the address-reuse hole.
+    /// Drops every entry and resets the counters.
     pub fn clear(&self) {
         recover(self.map.write()).clear();
         self.hits.store(0, Ordering::Relaxed);
@@ -297,7 +275,6 @@ impl EvalSession {
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<EvalCache>) -> EvalSession {
         if self.cache.is_some() {
-            cache.pin_strategy(self.system.strategy());
             self.cache = Some(cache);
         }
         self
@@ -326,9 +303,6 @@ impl EvalSession {
     fn build(system: System, cache: Option<Arc<EvalCache>>, runner: SweepRunner) -> EvalSession {
         let arch_fp = arch_fingerprint(system.arch());
         let strategy_fp = system.strategy().fingerprint();
-        if let Some(cache) = &cache {
-            cache.pin_strategy(system.strategy());
-        }
         EvalSession {
             system,
             runner,
@@ -947,41 +921,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_pins_custom_strategy_closures() {
-        use crate::MappingFn;
-        use lumen_mapper::search::{greedy_mapping, spatial_priority_for, TemporalPlan};
-        let cache = EvalCache::shared();
-        let f: Arc<MappingFn> = Arc::new(|arch, layer| {
-            greedy_mapping(
-                arch,
-                layer,
-                spatial_priority_for(layer),
-                &TemporalPlan::all_at(1),
-            )
-        });
-        let weak = Arc::downgrade(&f);
-        {
-            let session = EvalSession::new(System::new(toy_arch(0.05), MappingStrategy::Custom(f)))
-                .with_cache(Arc::clone(&cache));
-            session
-                .evaluate_layer(&Layer::conv2d("c", 1, 16, 8, 8, 8, 3, 3))
-                .unwrap();
-        }
-        // The session (and its System's Arc) is gone, but the cache still
-        // holds entries keyed on the closure's address — so the cache
-        // must keep the closure alive, or a new Arc could reuse the
-        // address and be served the old closure's evaluations.
-        assert!(
-            weak.upgrade().is_some(),
-            "cache pins identity-fingerprinted closures for its lifetime"
-        );
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
     fn non_search_misses_stay_on_the_calling_thread() {
         use crate::MappingFn;
         use lumen_mapper::search::{greedy_mapping, spatial_priority_for, TemporalPlan};
+        use std::sync::Mutex;
         use std::thread::ThreadId;
         let threads: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
         let seen = Arc::clone(&threads);
@@ -998,8 +941,11 @@ mod tests {
             .push(Layer::conv2d("a", 1, 8, 8, 8, 8, 3, 3))
             .push(Layer::conv2d("b", 1, 16, 8, 8, 8, 3, 3))
             .push(Layer::conv2d("c", 1, 32, 8, 8, 8, 3, 3));
-        let custom = EvalSession::new(System::new(toy_arch(0.05), MappingStrategy::Custom(f)))
-            .with_runner(SweepRunner::with_threads(4));
+        let custom = EvalSession::new(System::new(
+            toy_arch(0.05),
+            MappingStrategy::custom_keyed(1, f),
+        ))
+        .with_runner(SweepRunner::with_threads(4));
         custom
             .evaluate_network(&net, &NetworkOptions::baseline())
             .unwrap();

@@ -37,18 +37,13 @@ pub enum MappingStrategy {
     },
     /// Seeded random search minimizing total system energy.
     RandomSearch(SearchConfig),
-    /// Caller-provided mapping constructor (e.g. an architecture-specific
-    /// dataflow like Albireo's).
-    Custom(Arc<MappingFn>),
-    /// A caller-provided mapping constructor with a caller-vouched
-    /// content fingerprint — build with
-    /// [`MappingStrategy::custom_keyed`]. Unlike [`Custom`], whose
-    /// closures are opaque and fingerprint by identity, a keyed strategy
-    /// participates fully in cross-session evaluation caching: two
+    /// A caller-provided mapping constructor (e.g. an
+    /// architecture-specific dataflow like Albireo's) with a
+    /// caller-vouched content fingerprint — build with
+    /// [`MappingStrategy::custom_keyed`]. The key makes the strategy
+    /// participate fully in cross-session evaluation caching: two
     /// strategies with equal keys are promised to produce identical
     /// mappings for identical inputs.
-    ///
-    /// [`Custom`]: MappingStrategy::Custom
     CustomKeyed {
         /// Content hash of everything the constructor's behavior depends
         /// on (captured configuration, algorithm version).
@@ -86,11 +81,6 @@ impl MappingStrategy {
     /// seeds the RNG ([`SearchConfig`]'s `Eq`/`Hash` make that a typed
     /// guarantee) — so the fingerprint hashes the configuration itself.
     /// [`MappingStrategy::CustomKeyed`] hashes its caller-vouched key.
-    /// Plain [`MappingStrategy::Custom`] closures are opaque; they
-    /// fingerprint by `Arc` address, which is only sound while the `Arc`
-    /// stays alive — [`crate::EvalCache`] therefore pins every `Custom`
-    /// `Arc` it has cached under, so a freed-and-reallocated closure can
-    /// never impersonate an old fingerprint.
     pub fn fingerprint(&self) -> u64 {
         use lumen_workload::fnv1a;
         match self {
@@ -111,10 +101,6 @@ impl MappingStrategy {
             MappingStrategy::RandomSearch(cfg) => {
                 fnv1a(b"strategy-random", &[cfg.iterations as u64, cfg.seed])
             }
-            MappingStrategy::Custom(f) => fnv1a(
-                b"strategy-custom",
-                &[Arc::as_ptr(f) as *const () as usize as u64],
-            ),
             MappingStrategy::CustomKeyed { key, .. } => fnv1a(b"strategy-keyed", &[*key]),
         }
     }
@@ -133,7 +119,6 @@ impl fmt::Debug for MappingStrategy {
                 .field("plan", plan)
                 .finish(),
             MappingStrategy::RandomSearch(cfg) => f.debug_tuple("RandomSearch").field(cfg).finish(),
-            MappingStrategy::Custom(_) => f.write_str("Custom(..)"),
             MappingStrategy::CustomKeyed { key, .. } => f
                 .debug_struct("CustomKeyed")
                 .field("key", &format_args!("{key:#018x}"))
@@ -296,7 +281,6 @@ impl System {
                         })?;
                 return Ok((result.mapping, Some(result.analysis)));
             }
-            MappingStrategy::Custom(f) => f(&self.arch, layer),
             MappingStrategy::CustomKeyed { mapper, .. } => mapper(&self.arch, layer),
         };
         Ok((mapping, None))
@@ -623,14 +607,17 @@ mod tests {
 
     #[test]
     fn custom_strategy_runs_caller_mapping() {
-        let custom = MappingStrategy::Custom(Arc::new(|arch, layer| {
-            greedy_mapping(
-                arch,
-                layer,
-                spatial_priority_for(layer),
-                &TemporalPlan::all_at(0),
-            )
-        }));
+        let custom = MappingStrategy::custom_keyed(
+            1,
+            Arc::new(|arch, layer| {
+                greedy_mapping(
+                    arch,
+                    layer,
+                    spatial_priority_for(layer),
+                    &TemporalPlan::all_at(0),
+                )
+            }),
+        );
         let system = System::new(toy_arch(), custom);
         let eval = system.evaluate_layer(&layer()).unwrap();
         // All temporal loops at DRAM: buffer tiles are tiny; DRAM sees a

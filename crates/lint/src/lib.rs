@@ -18,7 +18,7 @@
 //!   (see [`rules`] for the catalog).
 //! - [`LintConfig`]: per-code allow/deny plus `--deny warnings`.
 //! - [`LintTarget`]: what to inspect — any subset of architecture,
-//!   network, strategy facts and serving spec.
+//!   network, strategy facts, serving scenario and fleet.
 //! - [`Report`]: stably-ordered findings with text and JSON renderers.
 //!
 //! # Examples
@@ -45,4 +45,4 @@ pub use diagnostic::{Diagnostic, Severity};
 pub use registry::{Lint, LintRegistry};
 pub use report::Report;
 pub use rules::{arch_error_diagnostic, default_lints};
-pub use target::{FleetSpec, LintTarget, ServingSpec, StrategyFacts};
+pub use target::{LintTarget, StrategyFacts};

@@ -3,9 +3,13 @@
 //! Code blocks: `L01xx` architecture, `L02xx` workload, `L03xx` mapping
 //! strategy, `L04xx` serving schedule. `L0100` is reserved for
 //! architecture construction failures surfaced as diagnostics (see
-//! [`arch_error_diagnostic`]). `L0405` is grandfathered into the
-//! `L04xx` range despite inspecting the mapping strategy — codes are
-//! append-only once published, so it keeps the number it shipped with.
+//! [`arch_error_diagnostic`]).
+//!
+//! Codes are never reused once published. Retired: `L0301` (address-
+//! fingerprinted strategies, whose variant no longer exists), `L0401`
+//! (zero capacity), `L0405` (a second severity for `L0302`'s predicate)
+//! and `L0408` (a fleet with no instances) — the scenario and fleet
+//! constructors reject the inputs those rules looked for.
 
 pub mod arch;
 pub mod mapper;
@@ -34,17 +38,13 @@ pub fn default_lints() -> Vec<Box<dyn Lint>> {
         Box::new(workload::OversizedTensor),
         Box::new(workload::EmptyNetwork),
         Box::new(workload::DigestCollision),
-        Box::new(mapper::AddressFingerprint),
         Box::new(mapper::DegenerateSearch),
         Box::new(mapper::ExcessiveSearch),
-        Box::new(serving::ZeroCapacity),
         Box::new(serving::KvBucketMismatch),
         Box::new(serving::OfferedLoadExceedsCapacity),
         Box::new(serving::PromptExceedsContext),
-        Box::new(mapper::SilentSearchFailure),
         Box::new(serving::PageTileMismatch),
         Box::new(serving::FragmentationHeavyPage),
-        Box::new(serving::RouterTargetsNoInstances),
         Box::new(serving::FleetOverload),
     ]
 }

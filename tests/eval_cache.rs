@@ -141,7 +141,7 @@ fn cached_evaluation_is_bit_identical_under_batching_and_fusion() {
     }
 }
 
-/// The acceptance criterion made literal: a counting `Custom` strategy
+/// The acceptance criterion made literal: a counting custom strategy
 /// proves that evaluating bert-base through an [`EvalSession`] invokes
 /// mapping construction exactly once per *unique* signature — 5 times
 /// for the 96-layer network — and that the result still matches the
@@ -158,15 +158,18 @@ fn bert_base_maps_once_per_unique_signature() {
 
     let searches = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&searches);
-    let counting = MappingStrategy::Custom(Arc::new(move |arch, layer| {
-        counter.fetch_add(1, Ordering::Relaxed);
-        greedy_mapping(
-            arch,
-            layer,
-            spatial_priority_for(layer),
-            &TemporalPlan::all_at(1),
-        )
-    }));
+    let counting = MappingStrategy::custom_keyed(
+        0xc1,
+        Arc::new(move |arch, layer| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            greedy_mapping(
+                arch,
+                layer,
+                spatial_priority_for(layer),
+                &TemporalPlan::all_at(1),
+            )
+        }),
+    );
 
     let session = EvalSession::new(System::new(generic_arch(), counting.clone()));
     let cached = session
@@ -254,7 +257,7 @@ fn uncached_session_matches_cached_session() {
 /// decode trace (one token per step, KV lengths 0..512, attend lengths
 /// padded to 64-token buckets) evaluated through one [`EvalSession`]
 /// performs at most *(unique KV-length buckets × unique signatures per
-/// step)* mapping searches — the counting `Custom` strategy proves it —
+/// step)* mapping searches — the counting custom strategy proves it —
 /// and costs ≤ 10% of the naive one-search-per-layer-per-step bill, with
 /// a cache hit rate well above 90%.
 #[test]
@@ -263,15 +266,18 @@ fn decode_trace_512_steps_costs_a_handful_of_searches() {
 
     let searches = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&searches);
-    let counting = MappingStrategy::Custom(Arc::new(move |arch, layer| {
-        counter.fetch_add(1, Ordering::Relaxed);
-        greedy_mapping(
-            arch,
-            layer,
-            spatial_priority_for(layer),
-            &TemporalPlan::all_at(1),
-        )
-    }));
+    let counting = MappingStrategy::custom_keyed(
+        0xc2,
+        Arc::new(move |arch, layer| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            greedy_mapping(
+                arch,
+                layer,
+                spatial_priority_for(layer),
+                &TemporalPlan::all_at(1),
+            )
+        }),
+    );
 
     let session = EvalSession::new(System::new(generic_arch(), counting));
     let mut layer_evals = 0usize;
@@ -320,7 +326,7 @@ fn decode_trace_512_steps_costs_a_handful_of_searches() {
 /// KV lengths padded to 128-token buckets) evaluated through one
 /// [`EvalSession`] performs at most
 /// *(distinct (padded attend length, group size) pairs × unique
-/// signatures per group)* mapping searches — the counting `Custom`
+/// signatures per group)* mapping searches — the counting custom
 /// strategy proves it — at a ≥ 99% hit rate over tens of thousands of
 /// layer evaluations.
 #[test]
@@ -330,15 +336,18 @@ fn serving_trace_800_steps_costs_a_handful_of_searches() {
 
     let searches = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&searches);
-    let counting = MappingStrategy::Custom(Arc::new(move |arch, layer| {
-        counter.fetch_add(1, Ordering::Relaxed);
-        greedy_mapping(
-            arch,
-            layer,
-            spatial_priority_for(layer),
-            &TemporalPlan::all_at(1),
-        )
-    }));
+    let counting = MappingStrategy::custom_keyed(
+        0xc3,
+        Arc::new(move |arch, layer| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            greedy_mapping(
+                arch,
+                layer,
+                spatial_priority_for(layer),
+                &TemporalPlan::all_at(1),
+            )
+        }),
+    );
 
     // A small decoder shape keeps the per-step layer count (and so the
     // debug-mode wall time) modest; the scheduler and cache economics
@@ -416,15 +425,18 @@ fn paged_serving_trace_dedups_by_unique_signature() {
 
     let searches = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&searches);
-    let counting = MappingStrategy::Custom(Arc::new(move |arch, layer| {
-        counter.fetch_add(1, Ordering::Relaxed);
-        greedy_mapping(
-            arch,
-            layer,
-            spatial_priority_for(layer),
-            &TemporalPlan::all_at(1),
-        )
-    }));
+    let counting = MappingStrategy::custom_keyed(
+        0xc4,
+        Arc::new(move |arch, layer| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            greedy_mapping(
+                arch,
+                layer,
+                spatial_priority_for(layer),
+                &TemporalPlan::all_at(1),
+            )
+        }),
+    );
 
     let model = ServingModel::new("toy-lm", 256, 4, 512, 2, 4096);
     let scenario = ServingScenario::builder(
@@ -466,7 +478,7 @@ fn paged_serving_trace_dedups_by_unique_signature() {
     assert!(stats.hit_rate() >= 0.95, "hit rate {:.4}", stats.hit_rate());
 }
 
-/// Albireo's bespoke dataflow (a `Custom` strategy) rides the same
+/// Albireo's bespoke dataflow (a keyed custom strategy) rides the same
 /// pipeline: the figure drivers moved onto sessions, so the golden suite
 /// already pins their exact output; here we pin the per-layer identity.
 #[test]

@@ -8,16 +8,18 @@
 //! rule stays quiet — so a rule that starts over-firing breaks the
 //! fixture of a *different* rule and the failure names both.
 
+use lumen::albireo::experiments::{fleet_arrival, fleet_template};
 use lumen::arch::{ArchBuilder, ArchError, Architecture, Domain, Fanout};
 use lumen::lint::rules::digest_collisions;
 use lumen::lint::{
-    arch_error_diagnostic, LintRegistry, LintTarget, Report, ServingSpec, Severity, StrategyFacts,
+    arch_error_diagnostic, LintRegistry, LintTarget, Report, Severity, StrategyFacts,
 };
 use lumen::mapper::search::SearchConfig;
 use lumen::units::{Area, Energy, Frequency};
 use lumen::workload::{
-    networks, ArrivalProcess, Dim, DimSet, Layer, LayerKind, Network, RequestMix, Shape,
-    TensorKind, TensorSet,
+    networks, ArrivalProcess, Dim, DimSet, Fleet, FleetRouter, Layer, LayerKind, Network,
+    RequestMix, ServingModel, ServingScenario, ServingScenarioBuilder, Shape, TensorKind,
+    TensorSet,
 };
 use proptest::prelude::*;
 use std::fs;
@@ -73,7 +75,6 @@ fn strategy_report(facts: &StrategyFacts) -> Report {
 fn search_facts(iterations: usize) -> StrategyFacts {
     StrategyFacts {
         label: "random-search".to_string(),
-        address_fingerprinted: false,
         search: Some(SearchConfig {
             iterations,
             seed: 0xC0FFEE,
@@ -333,39 +334,12 @@ fn l0206_forged_digest_collision() {
 }
 
 #[test]
-fn l0301_address_fingerprinted_strategy() {
-    let facts = StrategyFacts {
-        label: "custom".to_string(),
-        address_fingerprinted: true,
-        search: None,
-    };
-    assert_fires_only(&strategy_report(&facts), "L0301", Severity::Warn);
-}
-
-#[test]
 fn l0302_zero_iteration_search() {
-    // The only fixture that legitimately fires two codes: the L0302
-    // error on the cause plus the L0405 warning on the symptom.
-    let report = strategy_report(&search_facts(0));
-    assert_eq!(report.diagnostics().len(), 2, "{report}");
-    assert!(
-        report
-            .diagnostics()
-            .iter()
-            .any(|d| d.code == "L0302" && d.severity == Severity::Error),
-        "{report}"
-    );
-    assert!(
-        report
-            .diagnostics()
-            .iter()
-            .any(|d| d.code == "L0405" && d.severity == Severity::Warn),
-        "{report}"
-    );
+    assert_fires_only(&strategy_report(&search_facts(0)), "L0302", Severity::Error);
 }
 
 #[test]
-fn l0405_stays_quiet_for_positive_iterations() {
+fn l0302_stays_quiet_for_positive_iterations() {
     assert!(strategy_report(&search_facts(1)).is_empty());
 }
 
@@ -378,50 +352,30 @@ fn l0303_excessive_search_budget() {
     );
 }
 
-#[test]
-fn l0401_zero_capacity_schedule() {
-    let mix = RequestMix::uniform(4, 128, 32).unwrap();
-    let serving = ServingSpec {
-        mix: &mix,
-        capacity: 0,
-        kv_bucket: 64,
-        kv_page: None,
-        arrival: None,
-        max_context: None,
-    };
-    let report = run(&LintTarget::new().with_serving(&serving));
-    assert_fires_only(&report, "L0401", Severity::Error);
+// --- serving and fleet rules, on validated inputs only -------------
+
+/// A well-formed 8-slot, 64-token-bucket scenario over four 128 + 32
+/// token requests (160-token sequences), closed loop and bucketed; the
+/// serving fixtures perturb it and `build()` validates every variant.
+fn scenario() -> ServingScenarioBuilder {
+    ServingScenario::builder(RequestMix::uniform(4, 128, 32).unwrap(), 8).kv_bucket(64)
 }
 
-#[test]
-fn l0402_zero_kv_bucket() {
-    let mix = RequestMix::uniform(4, 128, 32).unwrap();
-    let serving = ServingSpec {
-        mix: &mix,
-        capacity: 8,
-        kv_bucket: 0,
-        kv_page: None,
-        arrival: None,
-        max_context: None,
-    };
-    let report = run(&LintTarget::new().with_serving(&serving));
-    assert_fires_only(&report, "L0402", Severity::Warn);
+/// A small decoder with no declared context window, so only the
+/// scenario's own cap reaches `L0404`.
+fn fixture_model() -> ServingModel {
+    ServingModel::new("fixture-lm", 64, 4, 256, 1, 1000)
+}
+
+fn serving_report(scenario: &ServingScenario) -> Report {
+    run(&LintTarget::new().with_serving(scenario, &fixture_model()))
 }
 
 #[test]
 fn l0402_kv_bucket_larger_than_any_sequence() {
     // Longest sequence is 128 + 32 = 160 tokens; a 1024 bucket pads
     // every step past it.
-    let mix = RequestMix::uniform(4, 128, 32).unwrap();
-    let serving = ServingSpec {
-        mix: &mix,
-        capacity: 8,
-        kv_bucket: 1024,
-        kv_page: None,
-        arrival: None,
-        max_context: None,
-    };
-    let report = run(&LintTarget::new().with_serving(&serving));
+    let report = serving_report(&scenario().kv_bucket(1024).build().unwrap());
     assert_fires_only(&report, "L0402", Severity::Warn);
 }
 
@@ -429,100 +383,59 @@ fn l0402_kv_bucket_larger_than_any_sequence() {
 fn l0403_offered_load_exceeds_capacity() {
     // Mean output is 32 decode steps per request; at one arrival per
     // step the offered load is 32 slot-steps/step against 8 slots.
-    let mix = RequestMix::uniform(4, 128, 32).unwrap();
-    let arrival = ArrivalProcess::try_poisson(1.0, 7).unwrap();
-    let serving = ServingSpec {
-        mix: &mix,
-        capacity: 8,
-        kv_bucket: 64,
-        kv_page: None,
-        arrival: Some(&arrival),
-        max_context: None,
-    };
-    let report = run(&LintTarget::new().with_serving(&serving));
-    assert_fires_only(&report, "L0403", Severity::Warn);
+    let overload = scenario()
+        .arrival(ArrivalProcess::try_poisson(1.0, 7).unwrap())
+        .build()
+        .unwrap();
+    assert_fires_only(&serving_report(&overload), "L0403", Severity::Warn);
 }
 
 #[test]
 fn l0403_stays_quiet_under_capacity_and_closed_loop() {
-    let mix = RequestMix::uniform(4, 128, 32).unwrap();
     // 0.1 arrivals/step × 32 steps/request = 3.2 < 8 slots.
     let underload = ArrivalProcess::try_poisson(0.1, 7).unwrap();
-    let closed = ArrivalProcess::ClosedLoop;
-    for arrival in [&underload, &closed] {
-        let serving = ServingSpec {
-            mix: &mix,
-            capacity: 8,
-            kv_bucket: 64,
-            kv_page: None,
-            arrival: Some(arrival),
-            max_context: None,
-        };
-        let report = run(&LintTarget::new().with_serving(&serving));
+    for arrival in [underload, ArrivalProcess::ClosedLoop] {
+        let report = serving_report(&scenario().arrival(arrival).build().unwrap());
         assert!(report.is_empty(), "{report}");
     }
 }
 
 #[test]
 fn l0404_prompt_exceeds_model_context() {
-    // Longest request reaches 128 + 32 = 160 tokens against a
-    // 128-token window.
-    let mix = RequestMix::uniform(4, 128, 32).unwrap();
-    let serving = ServingSpec {
-        mix: &mix,
-        capacity: 8,
-        kv_bucket: 64,
-        kv_page: None,
-        arrival: None,
-        max_context: Some(128),
-    };
-    let report = run(&LintTarget::new().with_serving(&serving));
+    // Every 128-token prompt fits the 150-token window (so `build()`
+    // accepts it), but each request reaches 160 tokens by its last
+    // decode step.
+    let report = serving_report(&scenario().max_context(150).build().unwrap());
     assert_fires_only(&report, "L0404", Severity::Error);
 }
 
 #[test]
-fn l0404_stays_quiet_when_requests_fit() {
-    let mix = RequestMix::uniform(4, 128, 32).unwrap();
-    let serving = ServingSpec {
-        mix: &mix,
-        capacity: 8,
-        kv_bucket: 64,
-        kv_page: None,
-        arrival: None,
-        max_context: Some(1024),
-    };
-    let report = run(&LintTarget::new().with_serving(&serving));
-    assert!(report.is_empty(), "{report}");
-}
-
-/// A well-formed paged serving spec the `L0406`/`L0407` tests perturb.
-fn paged_spec(mix: &RequestMix, page: usize) -> ServingSpec<'_> {
-    ServingSpec {
-        mix,
-        capacity: 8,
-        kv_bucket: 64,
-        kv_page: Some(page),
-        arrival: None,
-        max_context: None,
-    }
+fn l0404_reads_the_model_window_when_the_scenario_has_none() {
+    let model = fixture_model().with_max_context(128);
+    let report = run(&LintTarget::new().with_serving(&scenario().build().unwrap(), &model));
+    assert_fires_only(&report, "L0404", Severity::Error);
+    assert!(
+        report.diagnostics()[0].message.contains("window is 128"),
+        "{report}"
+    );
 }
 
 #[test]
-fn l0406_zero_page_is_an_error() {
-    let mix = RequestMix::uniform(4, 128, 32).unwrap();
-    let serving = paged_spec(&mix, 0);
-    let report = run(&LintTarget::new().with_serving(&serving));
-    assert_fires_only(&report, "L0406", Severity::Error);
+fn l0404_stays_quiet_when_requests_fit() {
+    let report = serving_report(&scenario().max_context(1024).build().unwrap());
+    assert!(report.is_empty(), "{report}");
+}
+
+/// The fixture scenario, paged at `page` tokens.
+fn paged(page: usize) -> ServingScenario {
+    scenario().kv_page(page).build().unwrap()
 }
 
 #[test]
 fn l0406_page_must_tile_the_bucket() {
     // 24 does not divide the 64-token bucket, so bucketed accounting
     // stops being an upper bound on paged residency.
-    let mix = RequestMix::uniform(4, 128, 32).unwrap();
-    let serving = paged_spec(&mix, 24);
-    let report = run(&LintTarget::new().with_serving(&serving));
-    assert_fires_only(&report, "L0406", Severity::Warn);
+    assert_fires_only(&serving_report(&paged(24)), "L0406", Severity::Warn);
 }
 
 #[test]
@@ -530,17 +443,39 @@ fn l0407_fragmentation_heavy_page() {
     // Mean sequence is 160 tokens; a 64-token page is over a quarter
     // of it, so per-request tail pages dominate the residency. 64
     // tiles the bucket, so L0406 stays quiet.
-    let mix = RequestMix::uniform(4, 128, 32).unwrap();
-    let serving = paged_spec(&mix, 64);
-    let report = run(&LintTarget::new().with_serving(&serving));
-    assert_fires_only(&report, "L0407", Severity::Warn);
+    assert_fires_only(&serving_report(&paged(64)), "L0407", Severity::Warn);
 }
 
 #[test]
 fn paged_spec_with_a_fine_page_stays_quiet() {
-    let mix = RequestMix::uniform(4, 128, 32).unwrap();
-    let serving = paged_spec(&mix, 16);
-    let report = run(&LintTarget::new().with_serving(&serving));
+    let report = serving_report(&paged(16));
+    assert!(report.is_empty(), "{report}");
+}
+
+/// The `lumen fleet` stream (0.5 requests/step, 12 slot-steps/step of
+/// decode work) over `instances` 4-slot instances.
+fn cli_fleet(instances: usize) -> Fleet {
+    let template = fleet_template(fleet_arrival().unwrap()).unwrap();
+    Fleet::try_uniform(template, FleetRouter::RoundRobin, instances).unwrap()
+}
+
+#[test]
+fn l0409_fleet_overload_at_one_instance() {
+    let fleet = cli_fleet(1);
+    let report = run(&LintTarget::new().with_fleet(&fleet));
+    assert_fires_only(&report, "L0409", Severity::Warn);
+    assert!(
+        report.diagnostics()[0]
+            .path
+            .starts_with("fleet/round-robin/"),
+        "{report}"
+    );
+}
+
+#[test]
+fn l0409_stays_quiet_when_the_fleet_absorbs_the_load() {
+    let fleet = cli_fleet(3);
+    let report = run(&LintTarget::new().with_fleet(&fleet));
     assert!(report.is_empty(), "{report}");
 }
 
@@ -575,25 +510,24 @@ fn assert_golden(name: &str, actual: &str) {
 }
 
 /// A deterministic multi-finding run — empty network, degenerate
-/// search, zero-capacity schedule with a zero bucket — rendered as
-/// JSON. Pins the machine-readable format consumed by CI and tooling.
+/// search, and an overloaded single-slot schedule whose bucket and
+/// sequences outgrow both its mix and its model's window — rendered as
+/// JSON. Every input is built through its validating constructor. Pins
+/// the machine-readable format consumed by CI and tooling.
 #[test]
 fn json_rendering_matches_golden() {
     let net = Network::new("empty");
     let facts = search_facts(0);
-    let mix = RequestMix::uniform(2, 64, 16).unwrap();
-    let serving = ServingSpec {
-        mix: &mix,
-        capacity: 0,
-        kv_bucket: 0,
-        kv_page: None,
-        arrival: None,
-        max_context: None,
-    };
+    let scenario = ServingScenario::builder(RequestMix::uniform(2, 64, 16).unwrap(), 1)
+        .kv_bucket(1024)
+        .arrival(ArrivalProcess::try_poisson(1.0, 7).unwrap())
+        .build()
+        .unwrap();
+    let model = fixture_model().with_max_context(64);
     let target = LintTarget::new()
         .with_network(&net)
         .with_strategy(&facts)
-        .with_serving(&serving);
+        .with_serving(&scenario, &model);
     let report = run(&target);
     assert_eq!(report.errors(), 2, "{report}");
     assert_eq!(report.warnings(), 3, "{report}");

@@ -599,15 +599,18 @@ fn equal_step_compositions_lower_to_identical_signatures() {
 fn memoized_trace_is_bit_identical_to_an_uncached_trace() {
     let evaluations = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&evaluations);
-    let counting = MappingStrategy::Custom(Arc::new(move |arch, layer| {
-        counter.fetch_add(1, Ordering::Relaxed);
-        greedy_mapping(
-            arch,
-            layer,
-            spatial_priority_for(layer),
-            &TemporalPlan::all_at(1),
-        )
-    }));
+    let counting = MappingStrategy::custom_keyed(
+        0xd1,
+        Arc::new(move |arch, layer| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            greedy_mapping(
+                arch,
+                layer,
+                spatial_priority_for(layer),
+                &TemporalPlan::all_at(1),
+            )
+        }),
+    );
     let system = System::new(toy_arch(), counting);
     let model = memo_model();
     let options = NetworkOptions::baseline();
